@@ -1,13 +1,25 @@
-"""Kauffman bracket state sum, writhe, linking number and Jones polynomial.
+"""Kauffman bracket by planar contraction, writhe, linking number and Jones.
 
-The bracket of a link diagram is the sum over the 2^k smoothings of
+The bracket of a link diagram is the sum over its 2^k smoothings of
 A^(a-b) * (-A^2 - A^(-2))^(loops-1), where a and b count the two smoothing
 types.  With the crossing convention of :mod:`tanglekit.diagram` (slots
 counterclockwise, under-strand at slots 0 and 2), the A-smoothing joins
 slot 0 with slot 1 and slot 2 with slot 3; the B-smoothing joins 0 with 3
-and 1 with 2.  The Jones polynomial is the writhe-normalized bracket
-under A = t^(-1/4); it is reported in the sqrt_t variable of
-:mod:`tanglekit.laurent`, and the unknot has Jones polynomial 1.
+and 1 with 2.
+
+The sum is not enumerated.  Crossings are contracted one at a time
+(Kauffman's state model read as a Temperley-Lieb contraction; Bar-Natan's
+crossing-by-crossing order), each next crossing the one sharing most
+edges with the open boundary.  A partial state is a non-crossing matching
+of the open edges, telling which open ends the contracted part joins;
+states with equal matchings are merged, each keeping a tally of
+(a - b, closed circles) counts.  Work grows with the number of matchings
+of the boundary, not with 2^k.  The plain state sum is kept in the tests
+as the oracle this contraction is checked against.
+
+The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4);
+it is reported in the sqrt_t variable of :mod:`tanglekit.laurent`, and
+the unknot has Jones polynomial 1.
 
 These are the not-unknot / not-split obstruction engines: a split link
 has linking number zero between any two components, and its Jones
@@ -52,50 +64,58 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     if k == 0 and d.loops == 0:
         raise ValueError("bracket of the empty diagram is undefined")
 
-    # Per-crossing edge pairs for the two smoothings.
-    a_pairs = []
-    b_pairs = []
-    for c in d.crossings:
-        p = c.ports
-        a_pairs.append(((p[0], p[1]), (p[2], p[3])))
-        b_pairs.append(((p[0], p[3]), (p[1], p[2])))
+    # matching (sorted (edge, partner) pairs, both directions) ->
+    # {(a - b, closed circles): number of partial states}
+    states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    for ci in _contraction_order(d):
+        p = d.crossings[ci].ports
+        smoothings = ((((p[0], p[1]), (p[2], p[3])), 1),
+                      (((p[0], p[3]), (p[1], p[2])), -1))
+        merged: dict[tuple, dict[tuple[int, int], int]] = {}
+        for matching, tally in states.items():
+            for arcs, step in smoothings:
+                partner = dict(matching)
+                closed = 0
+                for x, y in arcs:
+                    # far ends of the paths at x and y; a fresh edge is its
+                    # own far end and stays open
+                    fx = partner.pop(x, x)
+                    fy = partner.pop(y, y)
+                    if fx == y:
+                        closed += 1
+                    else:
+                        partner[fx] = fy
+                        partner[fy] = fx
+                out = merged.setdefault(tuple(sorted(partner.items())), {})
+                for (a_exp, circles), mult in tally.items():
+                    key = (a_exp + step, circles + closed)
+                    out[key] = out.get(key, 0) + mult
+        states = merged
+    if set(states) != {()}:
+        raise ValueError("diagram has edges with an unmatched end")
 
-    edges = sorted({e for c in d.crossings for e in c.ports})
-    index = {e: i for i, e in enumerate(edges)}
-    ne = len(edges)
     delta = _loop_factor()
-
-    # Group states by (a - b, loop count): exponents of A and delta.
-    tally: dict[tuple[int, int], int] = {}
-    for state in range(1 << k):
-        parent = list(range(ne))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        a_count = 0
-        for ci in range(k):
-            if state >> ci & 1:
-                pairs = b_pairs[ci]
-            else:
-                pairs = a_pairs[ci]
-                a_count += 1
-            for u, v in pairs:
-                ru, rv = find(index[u]), find(index[v])
-                if ru != rv:
-                    parent[ru] = rv
-        circles = len({find(i) for i in range(ne)}) + d.loops
-        key = (2 * a_count - k, circles)
-        tally[key] = tally.get(key, 0) + 1
-
     total = LaurentPoly.zero("A")
-    for (a_exp, circles), mult in tally.items():
-        term = (delta ** (circles - 1)).shift(a_exp).scale(mult)
+    for (a_exp, circles), mult in states[()].items():
+        term = (delta ** (circles + d.loops - 1)).shift(a_exp).scale(mult)
         total = total + term
     return total
+
+
+def _contraction_order(d: LinkDiagram) -> list[int]:
+    """Crossings in greedy order: next, the one sharing most edges with the
+    open boundary of those already taken (lowest index on ties)."""
+    open_edges: set[int] = set()
+    left = list(range(d.crossing_count))
+    order = []
+    while left:
+        ci = max(left, key=lambda i: (
+            sum(e in open_edges for e in d.crossings[i].ports), -i))
+        left.remove(ci)
+        order.append(ci)
+        for e in d.crossings[ci].ports:
+            open_edges ^= {e}
+    return order
 
 
 def writhe(od: OrientedDiagram) -> int:

@@ -501,10 +501,9 @@ def _obstruction_invariants(entries) -> dict:
             continue
         L = _closure_link(entry.diagram, frac_mirror(frac))
         row = {"determinant": determinant(L),
-               "linking_number": linking_number(orient(L))}
-        if L.crossing_count <= 14:
-            row["jones"] = str(jones(L))
-            row["jones_of_component_union"] = str(split_union_jones(L))
+               "linking_number": linking_number(orient(L)),
+               "jones": str(jones(L)),
+               "jones_of_component_union": str(split_union_jones(L))}
         out[f"N({name} + [{frac_mirror(frac)}])"] = row
     return out
 

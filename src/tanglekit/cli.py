@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction as QQ
 
 from . import catalog as cat
-from .bracket import jones, linking_number
+from .bracket import CrossingBudgetExceeded, jones, linking_number
 from .diagram import (
     TangleDiagram,
     close_numerator,
@@ -22,7 +22,14 @@ from .diagram import (
     orient,
     parse_diagram,
 )
-from .expr import CatalogHint, EmbedVerdict, ExprSyntaxError, evaluate, parse_expr
+from .expr import (
+    CatalogHint,
+    EmbedVerdict,
+    ExprSyntaxError,
+    evaluate,
+    parse_expr,
+    referenced_names,
+)
 from .fraction import (
     continued_fraction,
     frac_add_integral,
@@ -109,10 +116,11 @@ def cmd_frac(args) -> int:
 
 def cmd_verdict(args) -> int:
     expr = parse_expr(args.expression)
-    entries = cat.load_catalog()
+    names = referenced_names(expr)
+    entries = cat.load_catalog() if names else []
     hints = {e.name: CatalogHint(verdict=cat.classify(e).verdict,
                                  essential=e.essential)
-             for e in entries}
+             for e in entries if e.name in names}
     result = evaluate(expr, hints)
     text = [str(result.verdict)]
     text += ["evidence:"] + ["  " + line for line in result.log]
@@ -194,8 +202,8 @@ def _gauss_str(re: QQ, im: QQ) -> str:
 
 
 def cmd_det(args) -> int:
-    L = _closed(args)
-    _emit(args, str(determinant(L)), {"determinant": determinant(L)})
+    det = determinant(_closed(args))
+    _emit(args, str(det), {"determinant": det})
     return 0
 
 
@@ -297,7 +305,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, ExprSyntaxError, cat.CatalogError, DiagramError,
-            ValueError) as ex:
+            CrossingBudgetExceeded, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

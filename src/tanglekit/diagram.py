@@ -692,21 +692,6 @@ def from_expression(expr, resolver=None) -> TangleDiagram:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def ascii_dump(d: Diagram) -> str:
-    """Small debugging dump: crossings, boundary, strand passes."""
-    lines = []
-    kind = "tangle" if isinstance(d, TangleDiagram) else "link"
-    lines.append(f"{kind}: {d.crossing_count} crossings, loops={d.loops}")
-    for ci, c in enumerate(d.crossings):
-        lines.append(f"  X{ci}: ports={c.ports} (under {c.ports[0]},{c.ports[2]})")
-    if isinstance(d, TangleDiagram):
-        lines.append("  boundary " + " ".join(f"{lab}={d.boundary[lab]}" for lab in BOUNDARY_LABELS))
-    for i, s in enumerate(strands(d)):
-        path = " -> ".join(str(e) for e, _, _ in s)
-        lines.append(f"  strand {i}: {path}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # file format
 
@@ -742,6 +727,8 @@ def parse_diagram(text: str) -> Diagram:
                 raise DiagramError(f"crossing line needs four edge ids: {ln!r}")
             crossings.append(Crossing(tuple(int(x) for x in body)))
         elif parts[0] == "O":
+            if len(parts) != 2:
+                raise DiagramError(f"loop line needs one count: {ln!r}")
             loops = int(parts[1])
         elif parts[0] == "B":
             boundary = {}

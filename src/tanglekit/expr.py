@@ -181,6 +181,23 @@ def expr_text(e: TangleExpr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def referenced_names(e: TangleExpr) -> set[str]:
+    """The catalog names an expression refers to with @name."""
+    names: set[str] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, NamedRef):
+            names.add(node.name)
+        elif isinstance(node, Sum):
+            stack += [node.left, node.right]
+        elif isinstance(node, Product):
+            stack += [node.top, node.bottom]
+        elif isinstance(node, (Rotate, Mirror)):
+            stack.append(node.child)
+    return names
+
+
 class ExprSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")

@@ -85,6 +85,16 @@ class TestDiagramCommands:
         code, _, err = run(capsys, "det", "@no_such_entry")
         assert code == 2
 
+    def test_over_crossing_budget_exit_2(self, capsys):
+        code, _, err = run(capsys, "jones", "[30]")
+        assert code == 2 and err.startswith("error:") and "budget" in err
+
+    def test_loop_line_without_count_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "loops.link"
+        path.write_text("link\nO\n")
+        code, _, err = run(capsys, "jones", str(path))
+        assert code == 2 and err.startswith("error:")
+
 
 class TestClassifyReproduce:
     def test_classify_text(self, capsys):

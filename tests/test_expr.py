@@ -21,6 +21,7 @@ from tanglekit.expr import (
     montesinos_verdict,
     parse_expr,
     rational_leaf_verdict,
+    referenced_names,
     three_factor_verdict,
     union_verdict,
 )
@@ -75,6 +76,11 @@ class TestParser:
                   "mirror(@x)", "[0] + inf"]:
             e = parse_expr(s)
             assert parse_expr(expr_text(e)) == e
+
+    def test_referenced_names(self):
+        e = parse_expr("mirror(rot(@5_1)) * (@6_3 + 1/3 + @5_1)")
+        assert referenced_names(e) == {"5_1", "6_3"}
+        assert referenced_names(parse_expr("(1/3 + 1/3) * [-2]")) == set()
 
 
 class TestMontesinos:
