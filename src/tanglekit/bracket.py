@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction as QQ
+from math import comb
 
 from .diagram import Diagram, LinkDiagram, OrientedDiagram, orient, strands
 from .laurent import LaurentPoly
@@ -49,10 +50,6 @@ def crossing_budget() -> int:
     if raw is None:
         return DEFAULT_CROSSING_BUDGET
     return int(raw)
-
-
-def _loop_factor() -> LaurentPoly:
-    return LaurentPoly.make("A", {2: -1, -2: -1})
 
 
 def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
@@ -94,12 +91,15 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     if set(states) != {()}:
         raise ValueError("diagram has edges with an unmatched end")
 
-    delta = _loop_factor()
-    total = LaurentPoly.zero("A")
+    # delta^n = (-A^2 - A^-2)^n = (-1)^n sum_k C(n, k) A^(2n - 4k)
+    terms: dict[int, int] = {}
     for (a_exp, circles), mult in states[()].items():
-        term = (delta ** (circles + d.loops - 1)).shift(a_exp).scale(mult)
-        total = total + term
-    return total
+        n = circles + d.loops - 1
+        signed = -mult if n % 2 else mult
+        for k in range(n + 1):
+            e = a_exp + 2 * n - 4 * k
+            terms[e] = terms.get(e, 0) + signed * comb(n, k)
+    return LaurentPoly.make("A", terms)
 
 
 def _contraction_order(d: LinkDiagram) -> list[int]:

@@ -118,9 +118,11 @@ def cmd_verdict(args) -> int:
     expr = parse_expr(args.expression)
     names = referenced_names(expr)
     entries = cat.load_catalog() if names else []
-    hints = {e.name: CatalogHint(verdict=cat.classify(e).verdict,
-                                 essential=e.essential)
-             for e in entries if e.name in names}
+    hints = {}
+    for name in sorted(names):
+        entry = cat.get_entry(name, entries)
+        hints[name] = CatalogHint(verdict=cat.classify(entry).verdict,
+                                  essential=entry.essential)
     result = evaluate(expr, hints)
     text = [str(result.verdict)]
     text += ["evidence:"] + ["  " + line for line in result.log]

@@ -30,7 +30,7 @@ from .diagram import (
     TangleDiagram,
 )
 from .fraction import Fraction, frac_add, frac_normalize
-from .snf import SmithForm, integer_determinant, smith_normal_form
+from .snf import SmithForm, identity, integer_determinant, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +142,11 @@ def arcs(d: Diagram) -> dict[int, int]:
     return {e: index[find(e)] for e in edges}
 
 
-def dihedral_relation_matrix(d: Diagram) -> tuple[list[list[int]], dict[int, int]]:
-    """One row 2*over - in - out per crossing, columns indexed by arc."""
+def dihedral_relation_matrix(d: Diagram) -> tuple[list[list[int]], dict[int, int], int]:
+    """One row 2*over - in - out per crossing, columns indexed by arc.
+
+    Returns the rows, the arc of each edge and the number of arcs.
+    """
     arc_of = arcs(d)
     ncols = (max(arc_of.values()) + 1) if arc_of else 0
     rows = []
@@ -153,7 +156,7 @@ def dihedral_relation_matrix(d: Diagram) -> tuple[list[list[int]], dict[int, int
         row[arc_of[c.ports[0]]] -= 1
         row[arc_of[c.ports[2]]] -= 1
         rows.append(row)
-    return rows, arc_of
+    return rows, arc_of, ncols
 
 
 def boundary_arcs(d: TangleDiagram, arc_of: dict[int, int]) -> dict[str, int]:
@@ -211,18 +214,13 @@ def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
     """
     if n < 0:
         raise ValueError("modulus must be >= 0")
-    rows, arc_of = dihedral_relation_matrix(d)
-    ncols = (max(arc_of.values()) + 1) if arc_of else 0
+    rows, arc_of, ncols = dihedral_relation_matrix(d)
     if rows:
         sf = smith_normal_form(rows)
     else:
-        sf = SmithForm(factors=[], rank=0, u=[], v=_id(ncols), rows=0, cols=ncols)
+        sf = SmithForm(factors=[], rank=0, u=[], v=identity(ncols), rows=0, cols=ncols)
     boundary = boundary_arcs(d, arc_of) if isinstance(d, TangleDiagram) else None
     return ColoringLattice(modulus=n, arc_count=ncols, smith=sf, boundary=boundary)
-
-
-def _id(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +228,7 @@ def _id(n):
 
 def _c_constrained_matrix(d: TangleDiagram) -> tuple[list[list[int]], int]:
     """Crossing relations plus rows forcing all boundary arcs equal."""
-    rows, arc_of = dihedral_relation_matrix(d)
-    ncols = (max(arc_of.values()) + 1) if arc_of else 0
+    rows, arc_of, ncols = dihedral_relation_matrix(d)
     bnd = sorted({arc_of[d.boundary[lab]] for lab in BOUNDARY_LABELS})
     first = bnd[0]
     for other in bnd[1:]:
@@ -386,7 +383,7 @@ def color_search_finite(od: OrientedDiagram, q: FiniteQuandle) -> list[tuple[int
     """
     d = od.base
     arc_of = arcs(d)
-    ncols = (max(arc_of.values()) + 1) if arc_of else 0
+    ncols = len(set(arc_of.values()))
     if ncols == 0:
         return []
     constraints = []  # (z_arc, x_arc, y_arc): z = x * y
@@ -476,8 +473,7 @@ def determinant(d: LinkDiagram, drop_row: int = 0, drop_col: int = 0) -> int:
         return 1 if d.loops == 1 else 0
     if d.loops > 0:
         return 0
-    rows, arc_of = dihedral_relation_matrix(d)
-    ncols = (max(arc_of.values()) + 1) if arc_of else 0
+    rows, _, ncols = dihedral_relation_matrix(d)
     if ncols != k:
         # some component has no undercrossing and lifts off the diagram
         return 0

@@ -1,18 +1,41 @@
-"""Smith normal form over arbitrary-precision integers.
+"""Smith normal form and determinants of sparse integer matrices.
 
-One audited kernel with three consumers in :mod:`tanglekit.quandle`:
+One elimination core with three consumers in :mod:`tanglekit.quandle`:
 integer coloring lattices, all-moduli monochromaticity reports, and link
-determinants.  Matrices are lists of lists of Python ints; sizes here are
-tiny (tens of rows), so the classic row/column reduction with a smallest
-pivot heuristic is plenty.
+determinants.  Their matrices are dihedral relation matrices, one row per
+crossing with three nonzeros (2, -1, -1), so nearly every row has a unit
+entry and a diagram of k crossings gives about k rows with 3k nonzeros.
+Rows are kept as ``{column: value}`` dicts with a column -> rows index,
+and a pivot step touches only the rows that meet its column and the
+columns that meet its row.
+
+Pivots follow Markowitz (Management Science 1957): a unit entry whenever
+one exists, taken early once its cost (other nonzeros in its row times
+other nonzeros in its column) is at most that of a row and a column of
+three, so that elimination fills in little; otherwise the entry of
+smallest magnitude.  A unit pivot clears its column and row exactly.  A
+larger pivot is reduced Euclid-style until it is alone in its row and
+column, and must then divide every remaining entry; if some entry is not
+a multiple, its column is added to the pivot column and the reduction
+goes on with a smaller pivot.  Every later entry is then a multiple of
+the pivot, so the pivots come out as the divisibility chain of invariant
+factors (the argument of Kannan and Bachem, SIAM J. Comput. 1979).
+
+The determinant runs the same core with row operations only: each pivot
+clears its column from the rows not yet pivoted, which leaves the matrix
+triangular up to a permutation of rows and columns, so the determinant
+is the product of the pivots times the sign of that permutation.  Every
+operation adds an integer multiple of one row (or column) to another, so
+all arithmetic is exact in the integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
-def _identity(n: int) -> list[list[int]]:
+def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
@@ -40,8 +63,6 @@ class SmithForm:
         if n < 1:
             raise ValueError("modulus must be >= 1")
         count = n ** (self.cols - self.rank)
-        import math
-
         for d in self.factors:
             count *= math.gcd(d, n)
         return count
@@ -53,8 +74,6 @@ class SmithForm:
         factor d contributes (n/gcd(d, n)) times the column when
         gcd(d, n) > 1.
         """
-        import math
-
         gens = []
         for j, d in enumerate(self.factors):
             g = math.gcd(d, n)
@@ -66,6 +85,153 @@ class SmithForm:
         return gens
 
 
+class _Elimination:
+    """The not yet pivoted part of a sparse integer matrix.
+
+    ``rows[i]`` maps column -> nonzero value; ``cols[j]`` lists the
+    active rows with a nonzero in column j, and ``active`` holds the rows
+    not yet pivoted, in index order.  With ``transforms`` set, every row
+    operation is repeated on ``u`` (the rows of the row transform) and
+    every column operation on ``v`` (the columns of the column
+    transform), both sparse too.
+    """
+
+    def __init__(self, a: list[list[int]], ncols: int, transforms: bool):
+        self.rows: list[dict[int, int]] = []
+        self.cols: list[list[int]] = [[] for _ in range(ncols)]
+        cols = self.cols
+        for i, row in enumerate(a):
+            # a hand-kept column counter: measurably cheaper than enumerate
+            # on the 10-15-row minors of closure certificates
+            sparse = {}
+            j = 0
+            for x in row:
+                if x:
+                    sparse[j] = x
+                    cols[j].append(i)
+                j += 1
+            self.rows.append(sparse)
+        self.active = dict.fromkeys(range(len(a)))
+        self.u = [{i: 1} for i in range(len(a))] if transforms else None
+        self.v = [{j: 1} for j in range(ncols)] if transforms else None
+
+    def pivot(self) -> tuple[int, int] | None:
+        """The first unit entry of Markowitz cost (row nonzeros - 1) x
+        (column nonzeros - 1) at most 4, as in a row and a column of
+        three, else the unit entry of least cost, else an entry of least
+        magnitude; None when the active rows are zero."""
+        best = None
+        best_cost = 0
+        smallest = None
+        smallest_abs = 0
+        rows, cols = self.rows, self.cols
+        for r in self.active:
+            row = rows[r]
+            others = len(row) - 1
+            for c, x in row.items():
+                if x == 1 or x == -1:
+                    cost = others * (len(cols[c]) - 1)
+                    if best is None or cost < best_cost:
+                        if cost <= 4:
+                            return r, c
+                        best, best_cost = (r, c), cost
+                elif best is None and (smallest is None or abs(x) < smallest_abs):
+                    smallest, smallest_abs = (r, c), abs(x)
+        return best or smallest
+
+    def add_col(self, src: int, multiples: list[tuple[int, int]]):
+        """Column dst += k * column src for each (dst, k) in multiples."""
+        rows, cols, v = self.rows, self.cols, self.v
+        for dst, k in multiples:
+            for i in cols[src]:
+                row = rows[i]
+                y = row.get(dst)
+                if y is None:
+                    row[dst] = k * row[src]
+                    cols[dst].append(i)
+                elif y := y + k * row[src]:
+                    row[dst] = y
+                else:
+                    del row[dst]
+                    cols[dst].remove(i)
+            if v is not None:
+                _axpy(v[dst], v[src], k)
+
+    def clear_column(self, r: int, c: int) -> int:
+        """Row operations until column c has one active nonzero; returns
+        its row, which is r unless a smaller remainder took over."""
+        rows, cols, u = self.rows, self.cols, self.u
+        while len(cols[c]) > 1:
+            pivot_row = rows[r]
+            p = pivot_row[c]
+            left = [r]
+            for i in cols[c]:
+                row = rows[i]
+                if i == r or not (k := -(row[c] // p)):
+                    if i != r:
+                        left.append(i)
+                    continue
+                # row i += k * row r; column c keeps the remainder
+                for j, x in pivot_row.items():
+                    if j == c:
+                        continue
+                    y = row.get(j)
+                    if y is None:
+                        row[j] = k * x
+                        cols[j].append(i)
+                    elif y := y + k * x:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        cols[j].remove(i)
+                if y := row[c] + k * p:
+                    row[c] = y
+                    left.append(i)
+                else:
+                    del row[c]
+                if u is not None:
+                    _axpy(u[i], u[r], k)
+            cols[c] = left
+            if len(left) > 1:
+                r = min(left[1:], key=lambda i: abs(rows[i][c]))
+        return r
+
+    def clear_row(self, r: int, c: int) -> int:
+        """Column operations until row r has one nonzero; returns its
+        column, which is c unless a smaller remainder took over."""
+        row = self.rows[r]
+        while len(row) > 1:
+            p = row[c]
+            self.add_col(c, [(j, -q) for j in row if j != c and (q := row[j] // p)])
+            if len(row) > 1:
+                c = min((j for j in row if j != c), key=lambda j: abs(row[j]))
+        return c
+
+    def not_divisible(self, r: int, p: int) -> int | None:
+        """A column with an active entry outside row r that p does not divide."""
+        for i in self.active:
+            if i != r:
+                for j, x in self.rows[i].items():
+                    if x % p:
+                        return j
+        return None
+
+    def retire(self, r: int):
+        """Take row r out of the active part once its pivot column is clear."""
+        del self.active[r]
+        for j in self.rows[r]:
+            self.cols[j].remove(r)
+
+
+def _axpy(dst: dict[int, int], src: dict[int, int], k: int):
+    """dst += k * src on sparse vectors."""
+    for j, x in src.items():
+        if y := dst.get(j, 0) + k * x:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
 def smith_normal_form(a: list[list[int]]) -> SmithForm:
     """Compute the Smith normal form of an integer matrix.
 
@@ -74,102 +240,78 @@ def smith_normal_form(a: list[list[int]]) -> SmithForm:
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    m = [list(r) for r in a]
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, k):
-        # row dst += k * row src
-        m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, k):
-        for r in m:
-            r[dst] += k * r[src]
-        for r in v:
-            r[dst] += k * r[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # Locate the nonzero entry of smallest magnitude in the trailing block.
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    e = _Elimination(a, cols, transforms=True)
+    pivots = []
+    while (at := e.pivot()) is not None:
+        r, c = at
+        while True:
+            r = e.clear_column(r, c)
+            c = e.clear_row(r, c)
+            if len(e.cols[c]) > 1:
+                continue
+            p = e.rows[r][c]
+            if abs(p) > 1:
+                offender = e.not_divisible(r, p)
+                if offender is not None:
+                    # the pivot column takes an entry p does not divide
+                    e.add_col(offender, [(c, 1)])
+                    continue
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # Clear the pivot row and column; restart if a smaller remainder shows up.
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                add_row(t, i, -(m[i][t] // m[t][t]))
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                add_col(t, j, -(m[t][j] // m[t][t]))
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # Pivot must divide every remaining entry for the factor chain.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        if m[t][t] < 0:
-            negate_row(t)
-        t += 1
+        if p < 0:
+            e.rows[r][c] = -p
+            e.u[r] = {j: -x for j, x in e.u[r].items()}
+        e.retire(r)
+        pivots.append((r, c))
 
-    factors = [m[i][i] for i in range(limit) if m[i][i] != 0]
+    # pivots first, in the order found (a divisibility chain), then the
+    # rest in index order; the free columns of v span the kernel
+    pivot_rows = {r for r, _ in pivots}
+    pivot_cols = {c for _, c in pivots}
+    row_order = [r for r, _ in pivots] + [i for i in range(rows) if i not in pivot_rows]
+    col_order = [c for _, c in pivots] + [j for j in range(cols) if j not in pivot_cols]
+    u = [[0] * rows for _ in range(rows)]
+    for k, r in enumerate(row_order):
+        for j, x in e.u[r].items():
+            u[k][j] = x
+    v = [[0] * cols for _ in range(cols)]
+    for k, c in enumerate(col_order):
+        for i, x in e.v[c].items():
+            v[i][k] = x
+    factors = [e.rows[r][c] for r, c in pivots]
     return SmithForm(factors=factors, rank=len(factors), u=u, v=v, rows=rows, cols=cols)
 
 
 def integer_determinant(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
+    """Determinant of a square integer matrix by sparse unimodular row
+    reduction."""
     n = len(a)
-    if n == 0:
-        return 1
-    m = [list(r) for r in a]
+    e = _Elimination(a, n, transforms=False)
+    pivot, clear_column, retire, rows = e.pivot, e.clear_column, e.retire, e.rows
+    det = 1
+    pivot_col = [0] * n
+    for _ in range(n):
+        at = pivot()
+        if at is None:
+            return 0
+        r, c = at
+        r = clear_column(r, c)
+        det *= rows[r][c]
+        pivot_col[r] = c
+        retire(r)
+    return _permutation_sign(pivot_col) * det
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    """The sign of the permutation i -> perm[i]: -1 per cycle of even length."""
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign

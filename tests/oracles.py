@@ -3,6 +3,7 @@ against."""
 
 from tanglekit.diagram import LinkDiagram
 from tanglekit.laurent import LaurentPoly
+from tanglekit.snf import SmithForm, identity
 
 
 def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
@@ -58,3 +59,110 @@ def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
         term = (delta ** (circles - 1)).shift(a_exp).scale(mult)
         total = total + term
     return total
+
+
+def dense_smith_normal_form(a: list[list[int]]) -> SmithForm:
+    """Smith normal form by dense row and column reduction, pivoting on the
+    entry of smallest magnitude in the whole trailing block."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(r) for r in a]
+    u = identity(rows)
+    v = identity(cols)
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, k):
+        # row dst += k * row src
+        m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, k):
+        for r in m:
+            r[dst] += k * r[src]
+        for r in v:
+            r[dst] += k * r[src]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # Locate the nonzero entry of smallest magnitude in the trailing block.
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        # Clear the pivot row and column; restart if a smaller remainder shows up.
+        dirty = False
+        for i in range(t + 1, rows):
+            if m[i][t] != 0:
+                add_row(t, i, -(m[i][t] // m[t][t]))
+                if m[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if m[t][j] != 0:
+                add_col(t, j, -(m[t][j] // m[t][t]))
+                if m[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # Pivot must divide every remaining entry for the factor chain.
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if m[i][j] % m[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        if m[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    factors = [m[i][i] for i in range(limit) if m[i][i] != 0]
+    return SmithForm(factors=factors, rank=len(factors), u=u, v=v, rows=rows, cols=cols)
+
+
+def bareiss_determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(r) for r in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

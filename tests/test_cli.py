@@ -51,6 +51,11 @@ class TestVerdict:
         code, _, err = run(capsys, "verdict", "1/2 + * 3")
         assert code == 2 and "error" in err
 
+    def test_unknown_catalog_name_exit_2(self, capsys):
+        code, out, err = run(capsys, "verdict", "@nope + 1/3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nope" in err
+
 
 class TestDiagramCommands:
     def test_fraction_invariant_catalog(self, capsys):

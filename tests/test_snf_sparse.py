@@ -1,0 +1,174 @@
+"""The sparse Smith normal form and determinant against the dense oracles."""
+
+import itertools
+import random
+
+import pytest
+
+from tanglekit import snf
+from tanglekit.diagram import close_denominator, close_numerator
+from tanglekit.quandle import (
+    _c_constrained_matrix,
+    color_solve_dihedral,
+    dihedral_relation_matrix,
+)
+from tanglekit.snf import integer_determinant, smith_normal_form
+
+from conftest import random_tangle_diagram
+from oracles import bareiss_determinant, dense_smith_normal_form
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def assert_matches_oracle(a):
+    sf = smith_normal_form(a)
+    oracle = dense_smith_normal_form(a)
+    assert sf.factors == oracle.factors and sf.rank == oracle.rank, a
+    assert all(f > 0 for f in sf.factors)
+    assert all(d2 % d1 == 0 for d1, d2 in zip(sf.factors, sf.factors[1:]))
+    assert abs(bareiss_determinant(sf.u)) == 1 and abs(bareiss_determinant(sf.v)) == 1
+    prod = mat_mul(mat_mul(sf.u, a), sf.v)
+    for i, row in enumerate(prod):
+        for j, x in enumerate(row):
+            assert x == (sf.factors[i] if i == j and i < sf.rank else 0), a
+    if len(a) == len(a[0]):
+        assert integer_determinant(a) == bareiss_determinant(a), a
+
+
+def coloring_shaped(rng, rows, cols):
+    """One 2 and two -1 per row, in distinct columns."""
+    a = []
+    for _ in range(rows):
+        row = [0] * cols
+        over, x, y = rng.sample(range(cols), 3)
+        row[over], row[x], row[y] = 2, -1, -1
+        a.append(row)
+    return a
+
+
+def no_units(rng, rows, cols):
+    """About three nonzeros per row, none of them a unit."""
+    a = []
+    for _ in range(rows):
+        row = [0] * cols
+        for j in rng.sample(range(cols), min(3, cols)):
+            row[j] = rng.choice((2, -2, 3, -3, 4, 6, -9, 10))
+        a.append(row)
+    return a
+
+
+@pytest.mark.parametrize("shape", [coloring_shaped, no_units])
+def test_random_sparse_matrices(shape):
+    rng = random.Random(f"snf/{shape.__name__}")
+    for _ in range(60):
+        n = rng.randint(3, 40)
+        m = n if rng.random() < 0.5 else rng.randint(3, 40)
+        assert_matches_oracle(shape(rng, n, m))
+
+
+def test_non_unit_and_divisibility_paths_run(monkeypatch):
+    """The no-unit matrices reach a non-unit pivot with an entry it does
+    not divide, so the divisibility repair is checked above."""
+    offenders = []
+    original = snf._Elimination.not_divisible
+
+    def recording(self, r, p):
+        found = original(self, r, p)
+        offenders.append(found)
+        return found
+
+    monkeypatch.setattr(snf._Elimination, "not_divisible", recording)
+    rng = random.Random("snf/no_units")
+    for _ in range(10):
+        n = rng.randint(3, 40)
+        m = n if rng.random() < 0.5 else rng.randint(3, 40)
+        smith_normal_form(no_units(rng, n, m))
+    assert any(x is None for x in offenders)
+    assert any(x is not None for x in offenders)
+
+
+def diagram_matrices(d):
+    """The plain and c-constrained relation matrices of a tangle and the
+    closure minors its determinants are taken of."""
+    out = [dihedral_relation_matrix(d)[0], _c_constrained_matrix(d)[0]]
+    for link in (close_numerator(d), close_denominator(d)):
+        rows, _, ncols = dihedral_relation_matrix(link)
+        if rows and ncols == len(rows):
+            out.append([row[1:] for row in rows[1:]])
+    return [a for a in out if a and a[0]]
+
+
+def test_catalog_matrices(catalog_entries):
+    for e in catalog_entries:
+        for a in diagram_matrices(e.diagram):
+            assert_matches_oracle(a)
+
+
+def test_random_diagram_matrices():
+    rng = random.Random(11)
+    for _ in range(40):
+        for a in diagram_matrices(random_tangle_diagram(rng)):
+            assert_matches_oracle(a)
+
+
+def lattice_diagrams(catalog_entries):
+    rng = random.Random(13)
+    return ([e.diagram for e in catalog_entries]
+            + [random_tangle_diagram(rng) for _ in range(20)])
+
+
+def test_kernel_basis_is_the_whole_lattice(catalog_entries):
+    """The integer basis annihilates the relations, has rank equal to the
+    nullity and is saturated (all its invariant factors are 1), so it
+    spans the same lattice as any other basis, the oracle's included."""
+    for d in lattice_diagrams(catalog_entries):
+        rows, _, ncols = dihedral_relation_matrix(d)
+        basis = color_solve_dihedral(d, 0).basis
+        for vec in basis:
+            assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in rows)
+        nullity = ncols - dense_smith_normal_form(rows).rank
+        assert len(basis) == nullity
+        sf = dense_smith_normal_form(basis)
+        assert sf.rank == nullity and set(sf.factors) == {1}
+
+
+def span_size(generators, n, dim):
+    """Size of the subgroup of (Z/n)^dim the generators span."""
+    seen = {(0,) * dim}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = tuple((a + b) % n for a, b in zip(x, g))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen)
+
+
+def test_mod_n_generators_span_count(catalog_entries):
+    checked = 0
+    for d in lattice_diagrams(catalog_entries):
+        for n in (2, 3, 5, 6):
+            lat = color_solve_dihedral(d, n)
+            if lat.count > 5000:
+                continue
+            assert span_size(lat.generators, n, lat.arc_count) == lat.count
+            checked += 1
+    assert checked >= 100
+
+
+def test_determinant_edge_cases():
+    assert integer_determinant([]) == 1
+    assert integer_determinant([[0]]) == 0
+    assert integer_determinant([[-7]]) == -7
+    assert integer_determinant([[0, 1], [1, 0]]) == -1
+    assert integer_determinant([[2, 4], [1, 2]]) == 0
+    for perm in itertools.permutations(range(4)):
+        a = [[1 if perm[i] == j else 0 for j in range(4)] for i in range(4)]
+        assert integer_determinant(a) == bareiss_determinant(a)
