@@ -34,7 +34,13 @@ import os
 from fractions import Fraction as QQ
 from math import comb
 
-from .diagram import Diagram, LinkDiagram, OrientedDiagram, orient, strands
+from .diagram import (
+    LinkDiagram,
+    OrientedDiagram,
+    component_subdiagrams,
+    orient,
+    strands,
+)
 from .laurent import LaurentPoly
 
 DEFAULT_CROSSING_BUDGET = 24
@@ -198,54 +204,6 @@ def jones_at_minus_one(poly: LaurentPoly) -> int:
     if re.denominator != 1:
         raise AssertionError("V(-1) must be an integer")
     return abs(int(re))
-
-
-def component_subdiagrams(d: LinkDiagram) -> list[LinkDiagram]:
-    """The diagram of each component alone, inter-component crossings erased.
-
-    At a crossing used by two different components the surviving strand
-    runs straight through, so the two edges of its pass fuse; crossings
-    internal to the other component vanish with it.
-    """
-    from .diagram import Crossing, renumber
-
-    comp_strands = strands(d)
-    out = []
-    for i, s in enumerate(comp_strands):
-        own_edges = {e for e, _, _ in s}
-        crossings = []
-        fuse: dict[int, int] = {}
-
-        def find(e):
-            while e in fuse:
-                e = fuse[e]
-            return e
-
-        for c in d.crossings:
-            under = (c.ports[0], c.ports[2])
-            over = (c.ports[1], c.ports[3])
-            under_own = under[0] in own_edges
-            over_own = over[0] in own_edges
-            if under_own and over_own:
-                crossings.append(c)
-            elif under_own:
-                a, b = find(under[0]), find(under[1])
-                if a != b:
-                    fuse[b] = a
-            elif over_own:
-                a, b = find(over[0]), find(over[1])
-                if a != b:
-                    fuse[b] = a
-        renamed = []
-        closed_loop = 0
-        if not crossings:
-            closed_loop = 1
-        for c in crossings:
-            renamed.append(Crossing(tuple(find(e) for e in c.ports)))
-        out.append(renumber(LinkDiagram(crossings=tuple(renamed), loops=closed_loop)))
-    for _ in range(d.loops):
-        out.append(LinkDiagram(crossings=(), loops=1))
-    return out
 
 
 def split_union_jones(d: LinkDiagram) -> LaurentPoly:

@@ -25,7 +25,6 @@ from importlib import resources
 from pathlib import Path
 
 from .bracket import (
-    component_subdiagrams,
     jones,
     jones_unknot,
     jones_unlink,
@@ -33,17 +32,19 @@ from .bracket import (
     split_union_jones,
 )
 from .diagram import (
+    DiagramError,
     LinkDiagram,
     TangleDiagram,
+    close_denominator,
     close_numerator,
     component_count,
+    component_subdiagrams,
     from_expression,
+    from_rational,
     orient,
     parse_diagram,
-    renumber,
-    strands,
     tangle_sum,
-    from_rational,
+    validate,
 )
 from .expr import (
     EmbedVerdict,
@@ -61,7 +62,6 @@ from .quandle import (
     determinant,
     monochromatic_report,
 )
-from .diagram import Crossing
 
 
 class CatalogError(ValueError):
@@ -85,7 +85,7 @@ class Classification:
     evidence: list[str] = field(default_factory=list)
 
 
-# the closures swept when no better candidate is known
+# the closures tried for unknotting and unlinking certificates
 _SWEEP = [frac_normalize(*pq) for pq in
           [(0, 1), (-1, 1), (1, 1), (-2, 1), (2, 1), (1, 2), (-1, 2)]]
 
@@ -98,7 +98,8 @@ def _data_text(name: str) -> str:
 def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
     """Load and validate the catalog (bundled manifest by default).
 
-    Every entry's diagram must validate; when an expression is present,
+    Every entry's diagram must validate (diagram files are validated as
+    they are parsed); when an expression is present,
     its realization must agree with the stored diagram on the
     determinants of both closures and on the monochromaticity report.
     """
@@ -110,22 +111,22 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
         manifest = json.loads((base / "manifest.json").read_text())
         reader = lambda fn: (base / fn).read_text()
 
-    from .diagram import close_denominator, validate
-
     entries = []
     for row in manifest:
         name = row["name"]
-        diagram = None
-        if row.get("diagram"):
-            diagram = parse_diagram(reader(row["diagram"]))
         expression = parse_expr(row["expression"]) if row.get("expression") else None
-        if diagram is None:
-            if expression is None:
-                raise CatalogError(f"{name}: neither diagram nor expression")
+        if row.get("diagram"):
+            try:
+                diagram = parse_diagram(reader(row["diagram"]))
+            except DiagramError as ex:
+                raise CatalogError(f"{name}: invalid diagram: {ex}")
+        elif expression is not None:
             diagram = from_expression(expression)
-        err = validate(diagram)
-        if err:
-            raise CatalogError(f"{name}: invalid diagram: {err}")
+            err = validate(diagram)
+            if err:
+                raise CatalogError(f"{name}: invalid diagram: {err}")
+        else:
+            raise CatalogError(f"{name}: neither diagram nor expression")
         if expression is not None:
             realized = from_expression(expression)
             for label, closer in (("numerator", close_numerator),
@@ -171,16 +172,17 @@ def get_entry(name: str, entries: list[CatalogEntry] | None = None) -> CatalogEn
 # ---------------------------------------------------------------------------
 # certified closure evidence
 
-def _closure_link(t: TangleDiagram, c: Fraction) -> LinkDiagram:
+def closure_link(t: TangleDiagram, c: Fraction) -> LinkDiagram:
+    """N(T + [c]), the numerator closure of T plus the rational tangle c."""
     return close_numerator(tangle_sum(t, from_rational(c)))
 
 
-def _unknot_certified(L: LinkDiagram) -> bool:
+def unknot_certified(L: LinkDiagram) -> bool:
     return (component_count(L) == 1 and determinant(L) == 1
             and jones(L) == jones_unknot())
 
 
-def _unlink_certified(L: LinkDiagram) -> bool:
+def unlink_certified(L: LinkDiagram) -> bool:
     if component_count(L) != 2 or determinant(L) != 0:
         return False
     if linking_number(orient(L)) != 0:
@@ -188,44 +190,6 @@ def _unlink_certified(L: LinkDiagram) -> bool:
     if jones(L) != jones_unlink(2):
         return False
     return all(jones(c) == jones_unknot() for c in component_subdiagrams(L))
-
-
-def _string_closure_diagrams(t: TangleDiagram) -> list[LinkDiagram]:
-    """Each open string closed by a boundary arc, the other string erased."""
-    out = []
-    for s in strands(t):
-        own = {e for e, _, _ in s}
-        fuse: dict[int, int] = {}
-
-        def find(e):
-            while e in fuse:
-                e = fuse[e]
-            return e
-
-        kept = []
-        for c in t.crossings:
-            under_own = c.ports[0] in own
-            over_own = c.ports[1] in own
-            if under_own and over_own:
-                kept.append(c)
-            elif under_own:
-                a, b = find(c.ports[0]), find(c.ports[2])
-                if a != b:
-                    fuse[b] = a
-            elif over_own:
-                a, b = find(c.ports[1]), find(c.ports[3])
-                if a != b:
-                    fuse[b] = a
-        if not kept:
-            out.append(LinkDiagram(crossings=(), loops=1))
-            continue
-        renamed = [tuple(find(e) for e in c.ports) for c in kept]
-        first, last = find(s[0][0]), find(s[-1][0])
-        if first != last:
-            renamed = [tuple(first if e == last else e for e in p) for p in renamed]
-        out.append(renumber(LinkDiagram(
-            crossings=tuple(Crossing(p) for p in renamed), loops=0)))
-    return out
 
 
 def _split_candidate_evidence(t: TangleDiagram, c: Fraction, evidence: list[str]):
@@ -238,13 +202,13 @@ def _split_candidate_evidence(t: TangleDiagram, c: Fraction, evidence: list[str]
     """
     from .bracket import CrossingBudgetExceeded
 
-    L = _closure_link(t, c)
+    L = closure_link(t, c)
     comps = component_count(L)
     if comps == 1:
         evidence.append(f"N(T + [{c}]) is a knot, so it is not a split link")
         return "rejected"
     try:
-        if _unlink_certified(L):
+        if unlink_certified(L):
             evidence.append(f"N(T + [{c}]) certifies as the 2-component unlink "
                             "(Jones, determinant, linking number, component knots)")
             return "unlink"
@@ -311,7 +275,7 @@ def classify(entry: CatalogEntry) -> Classification:
         evidence.append("every dihedral c-coloring is trivial (all moduli)")
 
     # a knotted string blocks unlinkability
-    knotted = [i for i, sc in enumerate(_string_closure_diagrams(t))
+    knotted = [i for i, sc in enumerate(component_subdiagrams(t))
                if jones(sc) != jones_unknot()]
     if knotted and not unlink.is_no:
         unlink = Verdict.no("a string is knotted (its closure has nontrivial "
@@ -338,16 +302,11 @@ def classify(entry: CatalogEntry) -> Classification:
         elif isinstance(cf, NotInvariant):
             evidence.append(f"coloring fraction is {cf}; no candidate derived")
 
-    # positive unknotting closures: expected first, then a small sweep
+    # positive unknotting closures from a small sweep
     if unknot.status == "unknown":
-        candidates = []
-        exp = entry.expected.get("unknottable")
-        if exp is not None and exp.is_yes and exp.closure is not None:
-            candidates.append(exp.closure)
-        candidates += [c for c in _SWEEP if c not in candidates]
-        for c in candidates:
-            L = _closure_link(t, c)
-            if _unknot_certified(L):
+        for c in _SWEEP:
+            L = closure_link(t, c)
+            if unknot_certified(L):
                 unknot = Verdict.yes(c)
                 evidence.append(f"N(T + [{c}]) certifies as the unknot "
                                 "(determinant 1, Jones 1); invariant-certified")
@@ -364,14 +323,11 @@ def classify(entry: CatalogEntry) -> Classification:
         if unlink.status == "unknown":
             unlink = Verdict.no(reason + " (an unlink is split)")
 
-    # unlink candidates that may remain: expected closure sweep
+    # unlink candidates that may remain: the same sweep
     if unlink.status == "unknown":
-        exp = entry.expected.get("unlinkable")
-        cands = ([exp.closure] if exp is not None and exp.is_yes
-                 and exp.closure is not None else [])
-        for c in cands + [x for x in _SWEEP if x not in cands]:
-            L = _closure_link(t, c)
-            if _unlink_certified(L):
+        for c in _SWEEP:
+            L = closure_link(t, c)
+            if unlink_certified(L):
                 unlink = Verdict.yes(c)
                 if split.status == "unknown" or not split.is_yes:
                     split = Verdict.yes(c)
@@ -499,7 +455,7 @@ def _obstruction_invariants(entries) -> dict:
         entry = next((e for e in entries if e.name == name), None)
         if entry is None:
             continue
-        L = _closure_link(entry.diagram, frac_mirror(frac))
+        L = closure_link(entry.diagram, frac_mirror(frac))
         row = {"determinant": determinant(L),
                "linking_number": linking_number(orient(L)),
                "jones": str(jones(L)),

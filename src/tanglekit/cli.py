@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, ExprSyntaxError, cat.CatalogError, DiagramError,
-            CrossingBudgetExceeded, ValueError) as ex:
+            CrossingBudgetExceeded, ValueError, RecursionError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -23,24 +23,29 @@ Conventions fixed here and relied on elsewhere:
   :func:`tanglekit.fraction.continued_fraction`, innermost block first,
   alternating vertical/horizontal and ending in a horizontal block.
 
-Diagrams are immutable in use: all constructors return fresh values.
+Diagrams are immutable, hashable values: crossings are tuples of port
+tuples, and a tangle's boundary is the 4-tuple of the edge ids at NW, NE,
+SW, SE (the order of ``BOUNDARY_LABELS``).  All constructors return fresh
+values.
 
 File format (one diagram per file): a header line ``tangle`` or ``link``;
 one line ``X i j k l`` per crossing listing edge ids counterclockwise
 starting at an under edge (an optional trailing ``o`` token is accepted
 and ignored); ``O n`` for n crossing-free loops; for tangles a final line
-``B NW=e NE=e SW=e SE=e``.  Printing reproduces parsed files byte for
-byte.
+``B NW=e NE=e SW=e SE=e`` (labels in any order, each exactly once).
+Parsing validates the diagram.  Printing reproduces parsed files byte
+for byte.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .fraction import Fraction, continued_fraction
 
 BOUNDARY_LABELS = ("NW", "NE", "SW", "SE")
+_NW, _NE, _SW, _SE = range(4)
 # Circular order of the endpoints on the disk boundary.
 _CIRCLE_ORDER = ("NW", "NE", "SE", "SW")
 
@@ -67,11 +72,11 @@ class DiagramError(ValueError):
 @dataclass(frozen=True)
 class TangleDiagram:
     crossings: tuple[Crossing, ...]
-    boundary: dict[str, int] = field(default_factory=dict)
+    boundary: tuple[int, int, int, int]   # edge ids at NW, NE, SW, SE
     loops: int = 0
 
     def __post_init__(self):
-        if set(self.boundary) != set(BOUNDARY_LABELS):
+        if type(self.boundary) is not tuple or len(self.boundary) != 4:
             raise DiagramError("tangle must name all four endpoints NW, NE, SW, SE")
 
     @property
@@ -102,8 +107,8 @@ def edge_incidences(d: Diagram) -> dict[int, list[tuple]]:
         for slot, e in enumerate(c.ports):
             inc.setdefault(e, []).append(("X", ci, slot))
     if isinstance(d, TangleDiagram):
-        for label in BOUNDARY_LABELS:
-            inc.setdefault(d.boundary[label], []).append(("B", label))
+        for label, e in zip(BOUNDARY_LABELS, d.boundary):
+            inc.setdefault(e, []).append(("B", label))
     return inc
 
 
@@ -112,90 +117,69 @@ def _other_incidence(incs: list[tuple], this: tuple) -> tuple:
     return b if a == this else a
 
 
+class UnionFind:
+    """Classes of fused edge ids; the smallest id of a class is its root."""
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+
+    def find(self, e: int) -> int:
+        parent = self.parent
+        while e in parent:
+            e = parent[e]
+        return e
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; False if they were one already."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        if a < b:
+            self.parent[b] = a
+        else:
+            self.parent[a] = b
+        return True
+
+
 # ---------------------------------------------------------------------------
 # construction: elementary tangles and gluing
 
-class _Builder:
-    """Mutable scratch representation used by the gluing operations."""
+def _glue(parts: tuple[TangleDiagram, ...], joins, outer=None) -> Diagram:
+    """Disjoint copies of the parts with pairs of endpoints fused.
 
-    def __init__(self):
-        self.crossings: list[list[int]] = []
-        self.boundary: dict[str, int] = {}
-        self.loops = 0
-        self._next_edge = 0
-        self._redirect: dict[int, int] = {}
-
-    @classmethod
-    def from_tangle(cls, d: TangleDiagram) -> "_Builder":
-        b = cls()
-        offsets = b.absorb(d)
-        b.boundary = {lab: offsets[d.boundary[lab]] for lab in BOUNDARY_LABELS}
-        return b
-
-    def absorb(self, d: Diagram) -> dict[int, int]:
-        """Copy the crossings of d with fresh edge ids; return the id map."""
-        ids = sorted({e for c in d.crossings for e in c.ports}
-                     | ({d.boundary[lab] for lab in BOUNDARY_LABELS}
-                        if isinstance(d, TangleDiagram) else set()))
-        mapping = {}
-        for e in ids:
-            mapping[e] = self._next_edge
-            self._next_edge += 1
-        for c in d.crossings:
-            self.crossings.append([mapping[e] for e in c.ports])
-        self.loops += d.loops
-        return mapping
-
-    def find(self, e: int) -> int:
-        """Track an edge id through fuse rewrites."""
-        while e in self._redirect:
-            e = self._redirect[e]
-        return e
-
-    def _replace_edge(self, old: int, new: int):
-        for c in self.crossings:
-            for i, e in enumerate(c):
-                if e == old:
-                    c[i] = new
-        for lab, e in self.boundary.items():
-            if e == old:
-                self.boundary[lab] = new
-        self._redirect[old] = new
-
-    def fuse(self, e1: int, e2: int):
-        """Join one free end of edge e1 to one free end of edge e2.
-
-        Joining the two ends of a single boundary-to-boundary edge closes
-        it into a crossing-free loop.
-        """
-        e1, e2 = self.find(e1), self.find(e2)
-        if e1 == e2:
-            self.loops += 1
-            return
-        self._replace_edge(e2, e1)
-
-    def tangle(self, boundary: dict[str, int]) -> TangleDiagram:
-        return TangleDiagram(
-            crossings=tuple(Crossing(tuple(c)) for c in self.crossings),
-            boundary={lab: self.find(e) for lab, e in boundary.items()},
-            loops=self.loops,
-        )
-
-    def link(self) -> LinkDiagram:
-        return LinkDiagram(
-            crossings=tuple(Crossing(tuple(c)) for c in self.crossings),
-            loops=self.loops,
-        )
+    Endpoints are named (part, boundary position).  ``joins`` lists the
+    pairs to fuse; ``outer`` names the new tangle's NW, NE, SW, SE, and
+    without it the result is a link.  Fusing the two ends of one arc
+    closes it into a crossing-free loop.
+    """
+    crossings, ends, loops = [], [], 0
+    offset = 0
+    for d in parts:
+        ids = [e for c in d.crossings for e in c.ports] + list(d.boundary)
+        shift = offset - min(ids)
+        crossings += [[e + shift for e in c.ports] for c in d.crossings]
+        ends.append([e + shift for e in d.boundary])
+        loops += d.loops
+        offset = max(ids) + shift + 1
+    edges = UnionFind()
+    for (i, a), (j, b) in joins:
+        if not edges.union(ends[i][a], ends[j][b]):
+            loops += 1
+    crossings = tuple(Crossing(tuple(map(edges.find, c))) for c in crossings)
+    if outer is None:
+        return renumber(LinkDiagram(crossings, loops))
+    boundary = tuple(edges.find(ends[i][a]) for i, a in outer)
+    return renumber(TangleDiagram(crossings, boundary, loops))
 
 
 def zero_tangle() -> TangleDiagram:
     """The 0-tangle: horizontal arcs NW-NE and SW-SE, no crossings."""
-    return TangleDiagram(crossings=(), boundary={"NW": 0, "NE": 0, "SW": 1, "SE": 1})
+    return TangleDiagram(crossings=(), boundary=(0, 0, 1, 1))
 
 
 def infinity_tangle() -> TangleDiagram:
     """The infinity tangle: vertical arcs NW-SW and NE-SE."""
-    return TangleDiagram(crossings=(), boundary={"NW": 0, "SW": 0, "NE": 1, "SE": 1})
+    return TangleDiagram(crossings=(), boundary=(0, 1, 0, 1))
 
 
 def horizontal_twists(n: int) -> TangleDiagram:
@@ -235,7 +219,7 @@ def horizontal_twists(n: int) -> TangleDiagram:
     assign(k - 1, "SE", se)
     crossings = tuple(Crossing(tuple(p)) for p in ports_by_crossing)
     return TangleDiagram(crossings=crossings,
-                         boundary={"NW": nw, "SW": sw, "NE": ne, "SE": se})
+                         boundary=(nw, ne, sw, se))
 
 
 def vertical_twists(n: int) -> TangleDiagram:
@@ -247,46 +231,21 @@ def vertical_twists(n: int) -> TangleDiagram:
 
 def tangle_sum(t: TangleDiagram, u: TangleDiagram) -> TangleDiagram:
     """Glue u's west side to t's east side (NE~NW and SE~SW)."""
-    b = _Builder.from_tangle(t)
-    umap = b.absorb(u)
-    b.fuse(b.boundary["NE"], umap[u.boundary["NW"]])
-    b.fuse(b.boundary["SE"], umap[u.boundary["SW"]])
-    boundary = {
-        "NW": b.boundary["NW"],
-        "SW": b.boundary["SW"],
-        "NE": umap[u.boundary["NE"]],
-        "SE": umap[u.boundary["SE"]],
-    }
-    return renumber(b.tangle(boundary))
+    return _glue((t, u), [((0, _NE), (1, _NW)), ((0, _SE), (1, _SW))],
+                 [(0, _NW), (1, _NE), (0, _SW), (1, _SE)])
 
 
 def tangle_product(t: TangleDiagram, u: TangleDiagram) -> TangleDiagram:
     """Glue u's north side to t's south side (t stacked above u)."""
-    b = _Builder.from_tangle(t)
-    umap = b.absorb(u)
-    b.fuse(b.boundary["SW"], umap[u.boundary["NW"]])
-    b.fuse(b.boundary["SE"], umap[u.boundary["NE"]])
-    boundary = {
-        "NW": b.boundary["NW"],
-        "NE": b.boundary["NE"],
-        "SW": umap[u.boundary["SW"]],
-        "SE": umap[u.boundary["SE"]],
-    }
-    return renumber(b.tangle(boundary))
+    return _glue((t, u), [((0, _SW), (1, _NW)), ((0, _SE), (1, _NE))],
+                 [(0, _NW), (0, _NE), (1, _SW), (1, _SE)])
 
 
 def rotate(t: TangleDiagram) -> TangleDiagram:
     """Rotate 90 degrees counterclockwise: the NE endpoint moves to NW."""
-    return TangleDiagram(
-        crossings=t.crossings,
-        boundary={
-            "NW": t.boundary["NE"],
-            "SW": t.boundary["NW"],
-            "SE": t.boundary["SW"],
-            "NE": t.boundary["SE"],
-        },
-        loops=t.loops,
-    )
+    nw, ne, sw, se = t.boundary
+    return TangleDiagram(crossings=t.crossings, boundary=(ne, se, nw, sw),
+                         loops=t.loops)
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -298,18 +257,12 @@ def mirror(d: Diagram) -> Diagram:
 
 def close_numerator(t: TangleDiagram) -> LinkDiagram:
     """Join NE to NW and SE to SW by unknotted arcs."""
-    b = _Builder.from_tangle(t)
-    b.fuse(b.boundary["NE"], b.boundary["NW"])
-    b.fuse(b.boundary["SE"], b.boundary["SW"])
-    return renumber(b.link())
+    return _glue((t,), [((0, _NE), (0, _NW)), ((0, _SE), (0, _SW))])
 
 
 def close_denominator(t: TangleDiagram) -> LinkDiagram:
     """Join NW to SW and NE to SE by unknotted arcs."""
-    b = _Builder.from_tangle(t)
-    b.fuse(b.boundary["NW"], b.boundary["SW"])
-    b.fuse(b.boundary["NE"], b.boundary["SE"])
-    return renumber(b.link())
+    return _glue((t,), [((0, _NW), (0, _SW)), ((0, _NE), (0, _SE))])
 
 
 def renumber(d: Diagram) -> Diagram:
@@ -323,7 +276,7 @@ def renumber(d: Diagram) -> Diagram:
 
     crossings = tuple(Crossing(tuple(get(e) for e in c.ports)) for c in d.crossings)
     if isinstance(d, TangleDiagram):
-        boundary = {lab: get(d.boundary[lab]) for lab in BOUNDARY_LABELS}
+        boundary = tuple(get(e) for e in d.boundary)
         return TangleDiagram(crossings=crossings, boundary=boundary, loops=d.loops)
     return LinkDiagram(crossings=crossings, loops=d.loops)
 
@@ -334,7 +287,7 @@ def canonical_form(d: Diagram):
     d = renumber(d)
     cr = tuple(c.canonical() for c in d.crossings)
     if isinstance(d, TangleDiagram):
-        return ("tangle", cr, tuple(d.boundary[lab] for lab in BOUNDARY_LABELS), d.loops)
+        return ("tangle", cr, d.boundary, d.loops)
     return ("link", cr, d.loops)
 
 
@@ -373,10 +326,9 @@ def strands(d: Diagram) -> list[list[tuple]]:
 
     if isinstance(d, TangleDiagram):
         done_labels = set()
-        for label in BOUNDARY_LABELS:
+        for label, e in zip(BOUNDARY_LABELS, d.boundary):
             if label in done_labels:
                 continue
-            e = d.boundary[label]
             steps, _ = walk(e, ("B", label))
             result.append(steps)
             end = steps[-1][2]
@@ -406,6 +358,35 @@ def open_strand_endpoints(d: TangleDiagram) -> list[tuple[str, str]]:
 
 def component_count(d: LinkDiagram) -> int:
     return len(strands(d)) + d.loops
+
+
+def component_subdiagrams(d: Diagram) -> list[LinkDiagram]:
+    """Each strand alone, the other strands erased, as a link diagram.
+
+    At a crossing with another strand the kept strand runs straight
+    through, so the two edges of its pass fuse; an open strand is closed
+    by an arc joining its two end edges.  For a link these are the
+    component knots, for a tangle its strings closed by boundary arcs.
+    """
+    out = []
+    for s in strands(d):
+        own = {e for e, _, _ in s}
+        edges = UnionFind()
+        kept = []
+        for c in d.crossings:
+            p = c.ports
+            under, over = p[0] in own, p[1] in own
+            if under and over:
+                kept.append(p)
+            elif under:
+                edges.union(p[0], p[2])
+            elif over:
+                edges.union(p[1], p[3])
+        if s[0][1][0] == "B":
+            edges.union(s[0][0], s[-1][0])
+        crossings = tuple(Crossing(tuple(map(edges.find, p))) for p in kept)
+        out.append(renumber(LinkDiagram(crossings, loops=0 if kept else 1)))
+    return out + [LinkDiagram((), loops=1)] * d.loops
 
 
 @dataclass(frozen=True)
@@ -703,7 +684,8 @@ def print_diagram(d: Diagram) -> str:
     if d.loops:
         lines.append(f"O {d.loops}")
     if isinstance(d, TangleDiagram):
-        lines.append("B " + " ".join(f"{lab}={d.boundary[lab]}" for lab in BOUNDARY_LABELS))
+        lines.append("B " + " ".join(f"{lab}={e}"
+                                     for lab, e in zip(BOUNDARY_LABELS, d.boundary)))
     return "\n".join(lines) + "\n"
 
 
@@ -736,13 +718,23 @@ def parse_diagram(text: str) -> Diagram:
                 lab, _, e = item.partition("=")
                 if lab not in BOUNDARY_LABELS:
                     raise DiagramError(f"unknown endpoint label {lab!r}")
+                if lab in boundary:
+                    raise DiagramError(f"repeated endpoint label {lab!r}")
                 boundary[lab] = int(e)
         else:
             raise DiagramError(f"unknown line {ln!r}")
     if kind == "tangle":
         if boundary is None:
             raise DiagramError("tangle file lacks a B line")
-        return TangleDiagram(crossings=tuple(crossings), boundary=boundary, loops=loops)
-    if boundary is not None:
+        if len(boundary) != 4:
+            raise DiagramError("tangle must name all four endpoints NW, NE, SW, SE")
+        d = TangleDiagram(crossings=tuple(crossings), loops=loops,
+                          boundary=tuple(boundary[lab] for lab in BOUNDARY_LABELS))
+    elif boundary is not None:
         raise DiagramError("link file must not carry a B line")
-    return LinkDiagram(crossings=tuple(crossings), loops=loops)
+    else:
+        d = LinkDiagram(crossings=tuple(crossings), loops=loops)
+    err = validate(d)
+    if err:
+        raise DiagramError(err)
+    return d

@@ -148,10 +148,10 @@ def continued_fraction_value(entries: list[int]) -> Fraction:
     """Evaluate a twist vector: c_m + 1/(c_(m-1) + ... + 1/c_1)."""
     if not entries:
         raise ValueError("empty twist vector")
-    value = Fraction(entries[0], 1)
+    p, q = entries[0], 1
     for c in entries[1:]:
-        value = frac_add_integral(frac_reciprocal(value), c)
-    return value
+        p, q = c * p + q, p
+    return frac_normalize(p, q)
 
 
 @dataclass(frozen=True)

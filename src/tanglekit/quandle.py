@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import (
-    BOUNDARY_LABELS,
     Diagram,
     LinkDiagram,
     OrientedDiagram,
     TangleDiagram,
+    UnionFind,
 )
 from .fraction import Fraction, frac_add, frac_normalize
 from .snf import SmithForm, identity, integer_determinant, smith_normal_form
@@ -117,29 +117,15 @@ def arcs(d: Diagram) -> dict[int, int]:
     slots; under-strands break.  Arc indices are dense, ordered by the
     smallest edge id in the arc.
     """
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    over = UnionFind()
+    for c in d.crossings:
+        over.union(c.ports[1], c.ports[3])
     edges = {e for c in d.crossings for e in c.ports}
     if isinstance(d, TangleDiagram):
-        edges |= {d.boundary[lab] for lab in BOUNDARY_LABELS}
-    for e in edges:
-        parent[e] = e
-    for c in d.crossings:
-        union(c.ports[1], c.ports[3])
-    reps = sorted({find(e) for e in edges})
-    index = {r: i for i, r in enumerate(reps)}
-    return {e: index[find(e)] for e in edges}
+        edges.update(d.boundary)
+    root = {e: over.find(e) for e in edges}
+    index = {r: i for i, r in enumerate(sorted(set(root.values())))}
+    return {e: index[r] for e, r in root.items()}
 
 
 def dihedral_relation_matrix(d: Diagram) -> tuple[list[list[int]], dict[int, int], int]:
@@ -159,8 +145,8 @@ def dihedral_relation_matrix(d: Diagram) -> tuple[list[list[int]], dict[int, int
     return rows, arc_of, ncols
 
 
-def boundary_arcs(d: TangleDiagram, arc_of: dict[int, int]) -> dict[str, int]:
-    return {lab: arc_of[d.boundary[lab]] for lab in BOUNDARY_LABELS}
+def boundary_arcs(d: TangleDiagram, arc_of: dict[int, int]) -> tuple[int, ...]:
+    return tuple(arc_of[e] for e in d.boundary)
 
 
 @dataclass
@@ -171,13 +157,13 @@ class ColoringLattice:
     ``count`` is its size and ``generators`` generate it.  For n = 0 the
     integer solution lattice is described by ``basis`` (a Z-basis) and
     the ``invariant_factors`` of the relation matrix.  For tangles,
-    ``boundary`` maps NW, NE, SW, SE to arc indices.
+    ``boundary`` holds the arc indices at NW, NE, SW, SE.
     """
 
     modulus: int
     arc_count: int
     smith: SmithForm
-    boundary: dict[str, int] | None
+    boundary: tuple[int, ...] | None
 
     @property
     def invariant_factors(self) -> list[int]:
@@ -202,7 +188,7 @@ class ColoringLattice:
     def boundary_colors(self, solution: list[int]) -> tuple[int, int, int, int]:
         if self.boundary is None:
             raise ValueError("link diagrams have no boundary colors")
-        return tuple(solution[self.boundary[lab]] for lab in BOUNDARY_LABELS)
+        return tuple(solution[a] for a in self.boundary)
 
 
 def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
@@ -229,7 +215,7 @@ def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
 def _c_constrained_matrix(d: TangleDiagram) -> tuple[list[list[int]], int]:
     """Crossing relations plus rows forcing all boundary arcs equal."""
     rows, arc_of, ncols = dihedral_relation_matrix(d)
-    bnd = sorted({arc_of[d.boundary[lab]] for lab in BOUNDARY_LABELS})
+    bnd = sorted({arc_of[e] for e in d.boundary})
     first = bnd[0]
     for other in bnd[1:]:
         row = [0] * ncols
@@ -449,7 +435,7 @@ def nontrivial_c_colorings_finite(od: OrientedDiagram, q: FiniteQuandle) -> list
     if not isinstance(d, TangleDiagram):
         raise ValueError("c-colorings are defined for tangles")
     arc_of = arcs(d)
-    bnd = [arc_of[d.boundary[lab]] for lab in BOUNDARY_LABELS]
+    bnd = [arc_of[e] for e in d.boundary]
     out = []
     for coloring in color_search_finite(od, q):
         if len({coloring[i] for i in bnd}) == 1 and len(set(coloring)) > 1:

@@ -4,7 +4,6 @@ import pytest
 
 from tanglekit.bracket import (
     CrossingBudgetExceeded,
-    component_subdiagrams,
     disjoint_union,
     jones,
     jones_at_minus_one,
@@ -19,12 +18,14 @@ from tanglekit.diagram import (
     LinkDiagram,
     close_denominator,
     close_numerator,
+    component_subdiagrams,
     from_rational,
     mirror,
     orient,
     rotate,
     tangle_sum,
     validate,
+    zero_tangle,
 )
 from tanglekit.fraction import Fraction, frac_normalize
 from tanglekit.laurent import LaurentPoly
@@ -185,6 +186,12 @@ class TestComponentExtraction:
         comps = component_subdiagrams(hopf)
         assert len(comps) == 2
         assert all(jones(c) == jones_unknot() for c in comps)
+
+    def test_tangle_strings_closed_by_boundary_arcs(self):
+        strings = component_subdiagrams(from_rational(F(5, 3)))
+        assert len(strings) == 2
+        assert all(jones(s) == jones_unknot() for s in strings)
+        assert component_subdiagrams(zero_tangle()) == [LOOP, LOOP]
 
     def test_split_union_jones_of_actual_split(self):
         a = close_numerator(from_rational(F(3)))

@@ -16,6 +16,7 @@ from tanglekit.diagram import (
     LinkDiagram,
     close_denominator,
     close_numerator,
+    component_subdiagrams,
     from_rational,
     tangle_sum,
 )
@@ -45,7 +46,7 @@ def test_classify_closures(catalog_entries, monkeypatch):
     the oracle's reach; the larger closures are rejected by cheaper
     invariants before any bracket."""
     built, bracketed = [], []
-    build = catalog._closure_link
+    build = catalog.closure_link
     fast = bracket.kauffman_bracket
 
     def recording_build(t, c):
@@ -56,11 +57,11 @@ def test_classify_closures(catalog_entries, monkeypatch):
         bracketed.append(d)
         return fast(d)
 
-    monkeypatch.setattr(catalog, "_closure_link", recording_build)
+    monkeypatch.setattr(catalog, "closure_link", recording_build)
     monkeypatch.setattr(bracket, "kauffman_bracket", recording_bracket)
     for e in catalog_entries:
         catalog.classify(e)
-        for sc in catalog._string_closure_diagrams(e.diagram):
+        for sc in component_subdiagrams(e.diagram):
             assert_matches_oracle(sc)
     assert built and bracketed
     assert max(d.crossing_count for d in bracketed) <= CLASSIFY_ORACLE_CROSSINGS

@@ -106,6 +106,23 @@ class TestClassify:
         assert "knotted" in (r.verdict.unlinkable.reason or "") or \
             any("knotted" in line for line in r.evidence)
 
+    def test_answer_blind(self, catalog_entries, classified):
+        """The manifest's expected answers never reach the classifier."""
+        from dataclasses import replace
+
+        from tanglekit.catalog import classify
+
+        class Sealed:
+            def __getattr__(self, name):
+                raise AssertionError(f"classify looked up expected {name!r}")
+
+            __getitem__ = __getattr__
+
+        for e in catalog_entries:
+            r = classify(replace(e, expected=Sealed()))
+            assert r.verdict == classified[e.name].verdict, e.name
+            assert r.evidence == classified[e.name].evidence, e.name
+
 
 class TestUnknownIsLegal:
     def test_synthetic_entry_with_no_applicable_criterion(self):

@@ -100,6 +100,32 @@ class TestDiagramCommands:
         code, _, err = run(capsys, "jones", str(path))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("command, text, message", [
+        (["det"], "link\nX 0 1 2 3\n", "dangling port"),
+        (["jones"], "link\nX 0 1 2 3\n", "dangling port"),
+        (["det"], "link\nX 0 1 1 0\nO -3\n", "negative loop count"),
+        (["jones"], "link\nX 0 1 1 0\nO -3\n", "negative loop count"),
+        (["color", "-n", "3"],
+         "tangle\nX 0 1 2 3\nX 3 2 4 5\nB NW=0 NE=1 SW=4 SE=9\n", "dangling port"),
+        (["det"], "tangle\nX 0 1 2 3\nB NW=3 NE=2 SW=0 NW=1\n", "repeated"),
+        (["det"], "tangle\nX 0 1 2 3\nB NW=3 NE=2 SW=0\n", "all four endpoints"),
+    ])
+    def test_invalid_diagram_file_exit_2(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "bad.diagram"
+        path.write_text(text)
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("expression", [
+        " + ".join(["1/3"] * 3000),
+        "(" * 3000 + "1/3" + ")" * 3000,
+    ])
+    def test_deep_expression_exit_2(self, capsys, expression):
+        code, out, err = run(capsys, "verdict", expression)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestClassifyReproduce:
     def test_classify_text(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -135,7 +136,7 @@ class TestValidateDiagnostics:
     def test_dangling_port(self):
         d = TangleDiagram(
             crossings=(Crossing((0, 1, 2, 3)),),
-            boundary={"NW": 0, "NE": 1, "SW": 2, "SE": 4})
+            boundary=(0, 1, 2, 4))
         assert "dangling port" in validate(d)
 
     def test_nonplanar_rotation_system(self):
@@ -145,8 +146,7 @@ class TestValidateDiagnostics:
         assert validate(d) == "planarity: Euler count fails"
 
     def test_interleaved_boundary_chords(self):
-        d = TangleDiagram(crossings=(), boundary={"NW": 0, "SE": 0,
-                                                  "NE": 1, "SW": 1})
+        d = TangleDiagram(crossings=(), boundary=(0, 1, 1, 0))
         assert validate(d) == "planarity: boundary chords interleave"
 
     def test_empty_link(self):
@@ -193,6 +193,24 @@ class TestExpressionRealization:
     def test_unresolved_reference(self):
         with pytest.raises(Exception):
             from_expression(parse_expr("@missing"))
+
+
+class TestValueType:
+    def test_diagrams_hash_by_value(self, catalog_entries):
+        rng = random.Random(2)
+        diagrams = [e.diagram for e in catalog_entries]
+        diagrams += [from_rational(random_fraction(rng, 9, 7)) for _ in range(10)]
+        diagrams += [close_numerator(d) for d in diagrams]
+        for d in diagrams:
+            assert hash(parse_diagram(print_diagram(d))) == hash(d)
+        assert len(set(diagrams)) == len({canonical_form(d) for d in diagrams})
+
+    def test_boundary_cannot_be_assigned(self):
+        d = from_rational(F(3, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.boundary = (0, 1, 2, 3)
+        with pytest.raises(TypeError):
+            d.boundary[0] = 99
 
 
 class TestFileFormat:

@@ -21,14 +21,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tanglekit.bracket import (  # noqa: E402
-    component_subdiagrams,
     jones,
     jones_unknot,
     jones_unlink,
     linking_number,
     split_union_jones,
 )
+from tanglekit.catalog import closure_link, unknot_certified, unlink_certified  # noqa: E402
 from tanglekit.diagram import (  # noqa: E402
+    BOUNDARY_LABELS,
     Crossing,
     LinkDiagram,
     TangleDiagram,
@@ -37,12 +38,12 @@ from tanglekit.diagram import (  # noqa: E402
     canonical_form,
     close_numerator,
     component_count,
+    component_subdiagrams,
     edge_incidences,
     from_rational,
     orient,
     print_diagram,
     renumber,
-    strands,
     tangle_sum,
     validate,
 )
@@ -147,7 +148,7 @@ def random_tangle(rng: random.Random, k: int) -> TangleDiagram | None:
         return None
     return renumber(TangleDiagram(
         crossings=tuple(Crossing(tuple(c)) for c in crossings),
-        boundary=boundary))
+        boundary=tuple(boundary[lab] for lab in BOUNDARY_LABELS)))
 
 
 def cut_edges(L: LinkDiagram, e: int, f: int) -> list[TangleDiagram]:
@@ -183,13 +184,10 @@ def cut_edges(L: LinkDiagram, e: int, f: int) -> list[TangleDiagram]:
     if n_e != 2 or n_f != 2:
         return out
     crossings = tuple(Crossing(p) for p in rows2)
-    for boundary in (
-        {"NW": e1, "NE": e2, "SW": f1, "SE": f2},
-        {"NW": e1, "NE": e2, "SW": f2, "SE": f1},
-        {"NW": e2, "NE": e1, "SW": f1, "SE": f2},
-        {"NW": e2, "NE": e1, "SW": f2, "SE": f1},
-    ):
-        t = TangleDiagram(crossings=crossings, boundary=dict(boundary))
+    # boundaries in NW, NE, SW, SE order
+    for boundary in ((e1, e2, f1, f2), (e1, e2, f2, f1),
+                     (e2, e1, f1, f2), (e2, e1, f2, f1)):
+        t = TangleDiagram(crossings=crossings, boundary=boundary)
         if validate(t) is None:
             out.append(renumber(t))
     return out
@@ -238,28 +236,9 @@ def basic_ok(d: TangleDiagram | None, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # certified closure tests
 
-def unknot_certified(L: LinkDiagram) -> bool:
-    return (component_count(L) == 1 and determinant(L) == 1
-            and jones(L) == jones_unknot())
-
-
-def unlink2_certified(L: LinkDiagram) -> bool:
-    if component_count(L) != 2 or determinant(L) != 0:
-        return False
-    if linking_number(orient(L)) != 0:
-        return False
-    if jones(L) != jones_unlink(2):
-        return False
-    return all(jones(c) == jones_unknot() for c in component_subdiagrams(L))
-
-
 SWEEP = [frac_normalize(*pq) for pq in
          [(0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1),
           (1, 2), (-1, 2), (1, 3), (-1, 3), (2, 3), (-2, 3), (3, 2), (-3, 2)]]
-
-
-def closure_link(t: TangleDiagram, c: Fraction) -> LinkDiagram:
-    return close_numerator(tangle_sum(t, from_rational(c)))
 
 
 def unique_unknotting_closure(t: TangleDiagram, main: Fraction) -> bool:
@@ -270,45 +249,6 @@ def unique_unknotting_closure(t: TangleDiagram, main: Fraction) -> bool:
         if unknot_certified(closure_link(t, c)):
             return False
     return True
-
-
-def string_closures(t: TangleDiagram) -> list[LinkDiagram]:
-    """Each open string closed with a boundary arc, the other one deleted."""
-    out = []
-    for s in strands(t):
-        own = {e for e, _, _ in s}
-
-        fuse: dict[int, int] = {}
-
-        def find(e):
-            while e in fuse:
-                e = fuse[e]
-            return e
-
-        kept = []
-        for c in t.crossings:
-            under_own = c.ports[0] in own
-            over_own = c.ports[1] in own
-            if under_own and over_own:
-                kept.append(c)
-            elif under_own:
-                a, b = find(c.ports[0]), find(c.ports[2])
-                if a != b:
-                    fuse[b] = a
-            elif over_own:
-                a, b = find(c.ports[1]), find(c.ports[3])
-                if a != b:
-                    fuse[b] = a
-        if not kept:
-            out.append(LinkDiagram(crossings=(), loops=1))
-            continue
-        renamed = [tuple(find(e) for e in c.ports) for c in kept]
-        first, last = find(s[0][0]), find(s[-1][0])
-        if first != last:
-            renamed = [tuple(first if e == last else e for e in p) for p in renamed]
-        out.append(renumber(LinkDiagram(
-            crossings=tuple(Crossing(p) for p in renamed), loops=0)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +305,7 @@ def splits_at_fraction_candidate(t) -> bool:
         if component_count(L) == 1:
             return False
         return linking_number(orient(L)) == 0
-    return unlink2_certified(closure_link(t, cand))
+    return unlink_certified(closure_link(t, cand))
 
 
 def match_unknottable(t, closure: Fraction, n_jones=None, gf4=None) -> bool:
@@ -396,7 +336,7 @@ def match_six_three(t) -> bool:
     rep = monochromatic_report(t)
     if not rep.polychromatic_somewhere():
         return False
-    if not unlink2_certified(close_numerator(t)):
+    if not unlink_certified(close_numerator(t)):
         return False
     for c in SWEEP:
         if unknot_certified(closure_link(t, c)):
@@ -431,7 +371,7 @@ def match_r0_mono(t, frac: Fraction, lk_zero: bool, comps: str | None) -> bool:
                   [sorted([str(jones_unknot()), str(tj)]) for tj in trefoil_jones()])
             if not ok:
                 return False
-            knotted = [jones(sc) for sc in string_closures(t)]
+            knotted = [jones(sc) for sc in component_subdiagrams(t)]
             if not any(j in trefoil_jones() for j in knotted):
                 return False
         elif comps == "unknots":
