@@ -294,62 +294,60 @@ def canonical_form(d: Diagram):
 # ---------------------------------------------------------------------------
 # strands, components, orientation
 
-def strands(d: Diagram) -> list[list[tuple]]:
+def strands(d: Diagram, inc: dict[int, list[tuple]] | None = None) -> list[list[tuple]]:
     """Strand passes, open strands first.
 
     Each strand is a list of traversal steps (edge, from_incidence,
     to_incidence).  Crossing-free loops (``d.loops``) are not listed.
+    ``inc`` is ``edge_incidences(d)`` when the caller has it already.
     """
-    inc = edge_incidences(d)
-    visited: set[tuple[int, tuple]] = set()   # (edge, to_incidence) directed
+    if inc is None:
+        inc = edge_incidences(d)
+    crossings = d.crossings
+    # (edge, incidence) for both incidences of every edge walked
+    visited: set[tuple[int, tuple]] = set()
     result = []
 
-    def walk(edge, start):
+    def walk(e, here):
         steps = []
-        here = start
-        e = edge
         while True:
             far = _other_incidence(inc[e], here)
             steps.append((e, here, far))
-            visited.add((e, tuple(far)))
-            visited.add((e, tuple(here)))
+            visited.add((e, far))
+            visited.add((e, here))
             if far[0] == "B":
-                return steps, False
+                return steps
             _, ci, slot = far
             out = (slot + 2) % 4
-            nxt = ("X", ci, out)
-            e2 = d.crossings[ci].ports[out]
-            if (e2, tuple(_other_incidence(inc[e2], nxt))) in visited:
-                return steps, True
-            here = nxt
-            e = e2
+            here = ("X", ci, out)
+            e = crossings[ci].ports[out]
+            if (e, here) in visited:
+                return steps
 
     if isinstance(d, TangleDiagram):
         done_labels = set()
         for label, e in zip(BOUNDARY_LABELS, d.boundary):
             if label in done_labels:
                 continue
-            steps, _ = walk(e, ("B", label))
+            steps = walk(e, ("B", label))
             result.append(steps)
             end = steps[-1][2]
             if end[0] == "B":
                 done_labels.add(end[1])
-    for ci, c in enumerate(d.crossings):
-        for slot in range(4):
-            e = c.ports[slot]
+    for ci, c in enumerate(crossings):
+        for slot, e in enumerate(c.ports):
             start = ("X", ci, slot)
-            far = _other_incidence(inc[e], start)
-            if (e, tuple(far)) in visited:
-                continue
-            steps, closed = walk(e, start)
-            result.append(steps)
+            if (e, start) not in visited:
+                result.append(walk(e, start))
     return result
 
 
-def open_strand_endpoints(d: TangleDiagram) -> list[tuple[str, str]]:
-    """The endpoint pairing of the two open strands, labels sorted."""
+def open_strand_endpoints(d: TangleDiagram, st: list[list[tuple]] | None = None
+                          ) -> list[tuple[str, str]]:
+    """The endpoint pairing of the two open strands, labels sorted; ``st``
+    is ``strands(d)`` when the caller has it already."""
     pairs = []
-    for strand in strands(d):
+    for strand in strands(d) if st is None else st:
         a, b = strand[0][1], strand[-1][2]
         if a[0] == "B" and b[0] == "B":
             pairs.append(tuple(sorted((a[1], b[1]))))
@@ -450,65 +448,61 @@ def all_orientations(d: Diagram) -> list[OrientedDiagram]:
 # ---------------------------------------------------------------------------
 # faces and validation
 
-def _faces(d: Diagram) -> list[list[tuple]]:
-    """Orbits of the face-tracing permutation; darts are (edge, to_inc)."""
-    inc = edge_incidences(d)
-    darts = []
-    for e, pair in inc.items():
-        darts.append((e, tuple(pair[0])))
-        darts.append((e, tuple(pair[1])))
-        if pair[0] == pair[1]:
+def _faces(d: Diagram, inc: dict[int, list[tuple]]) -> list[list[tuple]]:
+    """Orbits of the face-tracing permutation; darts are (edge, to_inc).
+    ``inc`` is ``edge_incidences(d)``."""
+    for e, (a, b) in inc.items():
+        if a == b:
             raise DiagramError(f"edge {e} has twice the same incidence")
-
-    def next_dart(dart):
-        e, to = dart
-        if to[0] == "B":
-            # one-valent vertex: the face wraps around the endpoint
-            far = _other_incidence(inc[e], to)
-            return (e, tuple(far))
-        _, ci, slot = to
-        nslot = (slot + 1) % 4
-        e2 = d.crossings[ci].ports[nslot]
-        leave = ("X", ci, nslot)
-        far = _other_incidence(inc[e2], leave)
-        return (e2, tuple(far))
-
+    crossings = d.crossings
     seen = set()
     faces = []
-    for start in darts:
-        if start in seen:
-            continue
-        face = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            face.append(cur)
-            cur = next_dart(cur)
-        faces.append(face)
+    for e, pair in inc.items():
+        for to in pair:
+            cur = (e, to)
+            if cur in seen:
+                continue
+            face = []
+            while cur not in seen:
+                seen.add(cur)
+                face.append(cur)
+                edge, at = cur
+                if at[0] == "X":
+                    # turn counterclockwise onto the next slot
+                    _, ci, slot = at
+                    slot = (slot + 1) % 4
+                    edge = crossings[ci].ports[slot]
+                    at = ("X", ci, slot)
+                # else a one-valent endpoint: the face wraps around it
+                a, b = inc[edge]
+                cur = (edge, b if a == at else a)
+            faces.append(face)
     return faces
 
 
-def _incidence_components(d: Diagram) -> list[set]:
-    """Connected components of the crossing/endpoint graph (edges as links)."""
-    inc = edge_incidences(d)
-    nodes = set()
-    adj: dict[tuple, set] = {}
-    for e, pair in inc.items():
-        a, b = (tuple(pair[0]), tuple(pair[1]))
-        va = a if a[0] == "B" else ("X", a[1])
-        vb = b if b[0] == "B" else ("X", b[1])
-        nodes.update((va, vb))
-        adj.setdefault(va, set()).add(vb)
-        adj.setdefault(vb, set()).add(va)
+def _node(incidence: tuple) -> tuple:
+    """The vertex of an incidence: ('X', ci) for a crossing, or the
+    endpoint ('B', label) itself."""
+    return incidence if incidence[0] == "B" else incidence[:2]
+
+
+def _incidence_components(inc: dict[int, list[tuple]]) -> list[set]:
+    """Connected components of the crossing/endpoint graph (edges as links),
+    from the edge incidences."""
+    adj: dict[tuple, list] = {}
+    for a, b in inc.values():
+        va, vb = _node(a), _node(b)
+        adj.setdefault(va, []).append(vb)
+        adj.setdefault(vb, []).append(va)
     comps = []
-    left = set(nodes)
+    left = set(adj)
     while left:
         seed = left.pop()
         comp = {seed}
         frontier = [seed]
         while frontier:
             v = frontier.pop()
-            for w in adj.get(v, ()):
+            for w in adj[v]:
                 if w not in comp:
                     comp.add(w)
                     left.discard(w)
@@ -538,44 +532,39 @@ def validate(d: Diagram) -> str | None:
         return "closed component in tangle"
 
     # planarity, per connected component of the underlying 4-valent graph
-    comps = _incidence_components(d)
-    if comps:
-        faces = _faces(d)
-        for comp in comps:
-            v = len(comp)
-            edges = {e for e, pair in inc.items()
-                     if (pair[0][0] == "B" and tuple(pair[0]) in comp)
-                     or (pair[0][0] == "X" and ("X", pair[0][1]) in comp)}
-            ne = len(edges)
-            nf = sum(1 for f in faces
-                     if (f[0][1][0] == "B" and tuple(f[0][1]) in comp)
-                     or (f[0][1][0] == "X" and ("X", f[0][1][1]) in comp))
-            if v - ne + nf != 2:
-                return "planarity: Euler count fails"
+    comps = _incidence_components(inc)
+    faces = _faces(d, inc)
+    for comp in comps:
+        ne = sum(1 for a, _ in inc.values() if _node(a) in comp)
+        nf = sum(1 for f in faces if _node(f[0][1]) in comp)
+        if len(comp) - ne + nf != 2:
+            return "planarity: Euler count fails"
 
     if isinstance(d, TangleDiagram):
-        st = strands(d)
+        st = strands(d, inc)
         open_strands = [s for s in st if s[0][1][0] == "B" or s[-1][2][0] == "B"]
-        closed = [s for s in st if s not in open_strands]
         if len(open_strands) != 2:
             return f"strand count: {len(open_strands)} open strands"
-        if closed:
+        if len(st) > 2:
             return "closed component in tangle"
-        err = _check_boundary_order(d, comps)
+        err = _check_boundary_order(d, comps, faces, st)
         if err:
             return err
     return None
 
 
-def _check_boundary_order(d: TangleDiagram, comps) -> str | None:
-    """Endpoints must sit on a common face in circle order NW, NE, SE, SW."""
+def _check_boundary_order(d: TangleDiagram, comps, faces, st) -> str | None:
+    """Endpoints must sit on a common face in circle order NW, NE, SE, SW.
+
+    ``comps``, ``faces`` and ``st`` are the incidence components, faces and
+    strands of d."""
     endpoint_comp = {}
     for comp in comps:
         for v in comp:
             if v[0] == "B":
                 endpoint_comp[v[1]] = id(comp)
     if len(set(endpoint_comp.values())) == 1:
-        for face in _faces(d):
+        for face in faces:
             labels = [to[1] for _, to in face if to[0] == "B"]
             if not labels:
                 continue
@@ -589,7 +578,7 @@ def _check_boundary_order(d: TangleDiagram, comps) -> str | None:
                 return None
         return "boundary order: endpoints not in circular order on one face"
     # two separate open strands: their chords must not interleave
-    pairs = open_strand_endpoints(d)
+    pairs = open_strand_endpoints(d, st)
     order = {lab: i for i, lab in enumerate(_CIRCLE_ORDER)}
     if len(pairs) == 2:
         (a1, b1), (a2, b2) = pairs

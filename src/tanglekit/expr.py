@@ -568,15 +568,27 @@ def _eval(expr: TangleExpr, hints, log, mirrored: bool) -> _Item:
 
 
 def _flatten_sum(expr: TangleExpr) -> list[TangleExpr]:
-    if isinstance(expr, Sum):
-        return _flatten_sum(expr.left) + _flatten_sum(expr.right)
-    return [expr]
+    """The summands of a chain of sums, left to right, without recursion."""
+    terms, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += (node.right, node.left)
+        else:
+            terms.append(node)
+    return terms
 
 
 def _flatten_product(expr: TangleExpr) -> list[TangleExpr]:
-    if isinstance(expr, Product):
-        return _flatten_product(expr.top) + _flatten_product(expr.bottom)
-    return [expr]
+    """The factors of a chain of products, top to bottom, without recursion."""
+    terms, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Product):
+            stack += (node.bottom, node.top)
+        else:
+            terms.append(node)
+    return terms
 
 
 def _eval_sum(items: list[_Item], log) -> _Item:

@@ -29,8 +29,8 @@ from .diagram import (
     TangleDiagram,
     UnionFind,
 )
-from .fraction import Fraction, frac_add, frac_normalize
-from .snf import SmithForm, identity, integer_determinant, smith_normal_form
+from .fraction import Fraction, frac_normalize
+from .snf import SmithForm, integer_determinant, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +123,49 @@ def arcs(d: Diagram) -> dict[int, int]:
     edges = {e for c in d.crossings for e in c.ports}
     if isinstance(d, TangleDiagram):
         edges.update(d.boundary)
-    root = {e: over.find(e) for e in edges}
-    index = {r: i for i, r in enumerate(sorted(set(root.values())))}
-    return {e: index[r] for e, r in root.items()}
+    # a parent id is smaller than its child's, so in increasing order a
+    # root opens the next arc and every other edge finds its parent's
+    parent = over.parent
+    arc_of = {}
+    n = 0
+    for e in sorted(edges):
+        if e in parent:
+            arc_of[e] = arc_of[parent[e]]
+        else:
+            arc_of[e] = n
+            n += 1
+    return arc_of
 
 
-def dihedral_relation_matrix(d: Diagram) -> tuple[list[list[int]], dict[int, int], int]:
+def dihedral_relation_matrix(d: Diagram) -> tuple[list[dict[int, int]], dict[int, int], int]:
     """One row 2*over - in - out per crossing, columns indexed by arc.
 
-    Returns the rows, the arc of each edge and the number of arcs.
+    Returns the rows as sparse ``{arc: coefficient}`` dicts with their arcs
+    in increasing order and zero coefficients left out (at a kink the
+    over-arc can also be an under-arc), the arc of each edge and the
+    number of arcs.
     """
     arc_of = arcs(d)
     ncols = (max(arc_of.values()) + 1) if arc_of else 0
     rows = []
     for c in d.crossings:
-        row = [0] * ncols
-        row[arc_of[c.ports[1]]] += 2
-        row[arc_of[c.ports[0]]] -= 1
-        row[arc_of[c.ports[2]]] -= 1
+        p = c.ports
+        lo, over, hi = arc_of[p[0]], arc_of[p[1]], arc_of[p[2]]
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo == hi or over == lo or over == hi:
+            # a repeated arc: the coefficients add up and may cancel
+            row = dict.fromkeys(sorted({lo, over, hi}), 0)
+            row[lo] -= 1
+            row[hi] -= 1
+            row[over] += 2
+            row = {j: x for j, x in row.items() if x}
+        elif over < lo:
+            row = {over: 2, lo: -1, hi: -1}
+        elif over < hi:
+            row = {lo: -1, over: 2, hi: -1}
+        else:
+            row = {lo: -1, hi: -1, over: 2}
         rows.append(row)
     return rows, arc_of, ncols
 
@@ -201,10 +226,7 @@ def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
     if n < 0:
         raise ValueError("modulus must be >= 0")
     rows, arc_of, ncols = dihedral_relation_matrix(d)
-    if rows:
-        sf = smith_normal_form(rows)
-    else:
-        sf = SmithForm(factors=[], rank=0, u=[], v=identity(ncols), rows=0, cols=ncols)
+    sf = smith_normal_form(rows, ncols)
     boundary = boundary_arcs(d, arc_of) if isinstance(d, TangleDiagram) else None
     return ColoringLattice(modulus=n, arc_count=ncols, smith=sf, boundary=boundary)
 
@@ -212,26 +234,13 @@ def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
 # ---------------------------------------------------------------------------
 # c-colorings and monochromaticity
 
-def _c_constrained_matrix(d: TangleDiagram) -> tuple[list[list[int]], int]:
-    """Crossing relations plus rows forcing all boundary arcs equal."""
+def _c_constrained_matrix(d: TangleDiagram) -> tuple[list[dict[int, int]], int]:
+    """Crossing relations plus rows forcing all boundary arcs equal, sparse
+    as in :func:`dihedral_relation_matrix`."""
     rows, arc_of, ncols = dihedral_relation_matrix(d)
-    bnd = sorted({arc_of[e] for e in d.boundary})
-    first = bnd[0]
-    for other in bnd[1:]:
-        row = [0] * ncols
-        row[first] += 1
-        row[other] -= 1
-        rows.append(row)
-    if not rows:
-        rows = [[0] * ncols]
+    first, *others = sorted({arc_of[e] for e in d.boundary})
+    rows += [{first: 1, other: -1} for other in others]
     return rows, ncols
-
-
-def has_nontrivial_c_coloring(d: TangleDiagram, n: int) -> bool:
-    """Is there a mod-n c-coloring using more than one color (n >= 2)?"""
-    rows, _ = _c_constrained_matrix(d)
-    sf = smith_normal_form(rows)
-    return sf.solutions_mod(n) > n
 
 
 @dataclass(frozen=True)
@@ -278,7 +287,7 @@ def monochromatic_report(d: TangleDiagram) -> MonochromaticReport:
     gives them exactly mod the divisors of f.
     """
     rows, ncols = _c_constrained_matrix(d)
-    sf = smith_normal_form(rows)
+    sf = smith_normal_form(rows, ncols, transforms=False)
     nullity = ncols - sf.rank
     torsion = tuple(f for f in sf.factors if f > 1)
     primes = set()
@@ -319,7 +328,7 @@ def coloring_fraction(d: TangleDiagram) -> Fraction | NotInvariant:
     lattice = color_solve_dihedral(d, 0)
     projections = [lattice.boundary_colors(v) for v in lattice.basis]
     rows = [list(p) for p in projections] + [[1, 1, 1, 1]]
-    rank = smith_normal_form(rows).rank
+    rank = smith_normal_form(rows, transforms=False).rank
     if rank != 2:
         return NotInvariant(rank=rank - 1)
     for a, b, c, dd in projections:
@@ -327,31 +336,6 @@ def coloring_fraction(d: TangleDiagram) -> Fraction | NotInvariant:
         if (da, dd2) != (0, 0):
             return frac_normalize(da, dd2)
     return NotInvariant(rank=rank - 1)
-
-
-def alternating_sum_check(colors: tuple[int, int, int, int]) -> bool:
-    """NW + SE = NE + SW for boundary colors (a, b, c, d) of a coloring."""
-    a, b, c, d = colors
-    return a + d == b + c
-
-
-def fraction_additivity_check(d1: TangleDiagram, d2: TangleDiagram) -> bool:
-    """fraction(d1 + d2) = fraction(d1) + fraction(d2) where all defined.
-
-    Infinite fractions follow the degenerate branch: inf plus a finite
-    fraction is inf.  Returns True when the law holds or when one of the
-    three fractions is not invariant (nothing to check).
-    """
-    from .diagram import tangle_sum
-
-    f1 = coloring_fraction(d1)
-    f2 = coloring_fraction(d2)
-    fs = coloring_fraction(tangle_sum(d1, d2))
-    if any(isinstance(x, NotInvariant) for x in (f1, f2, fs)):
-        return True
-    if f1.is_infinite and f2.is_infinite:
-        return True
-    return fs == frac_add(f1, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +449,8 @@ def determinant(d: LinkDiagram, drop_row: int = 0, drop_col: int = 0) -> int:
         return 0
     if not (0 <= drop_row < k and 0 <= drop_col < ncols):
         raise ValueError("row/column to delete is out of range")
-    minor = [[row[j] for j in range(ncols) if j != drop_col]
-             for i, row in enumerate(rows) if i != drop_row]
-    return abs(integer_determinant(minor))
+    del rows[drop_row]
+    # columns past drop_col move one to the left, so keys stay in order
+    minor = [{j - (j > drop_col): x for j, x in row.items() if j != drop_col}
+             for row in rows]
+    return abs(integer_determinant(minor, k - 1))

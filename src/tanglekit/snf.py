@@ -5,9 +5,11 @@ integer coloring lattices, all-moduli monochromaticity reports, and link
 determinants.  Their matrices are dihedral relation matrices, one row per
 crossing with three nonzeros (2, -1, -1), so nearly every row has a unit
 entry and a diagram of k crossings gives about k rows with 3k nonzeros.
-Rows are kept as ``{column: value}`` dicts with a column -> rows index,
-and a pivot step touches only the rows that meet its column and the
-columns that meet its row.
+Rows are ``{column: value}`` dicts with a column -> rows index, and a
+pivot step touches only the rows that meet its column and the columns
+that meet its row.  :mod:`tanglekit.quandle` builds its rows in this form
+and hands them over as they are; a dense matrix (a list of rows) is
+converted on entry.
 
 Pivots follow Markowitz (Management Science 1957): a unit entry whenever
 one exists, taken early once its cost (other nonzeros in its row times
@@ -20,6 +22,12 @@ a multiple, its column is added to the pivot column and the reduction
 goes on with a smaller pivot.  Every later entry is then a multiple of
 the pivot, so the pivots come out as the divisibility chain of invariant
 factors (the argument of Kannan and Bachem, SIAM J. Comput. 1979).
+
+Only the column operations are recorded, in the column transform ``v``,
+and only when asked for: its last columns span the integer kernel, which
+the coloring lattices need.  Nothing reads the row transform, so it is
+not kept; the all-moduli report needs the factors alone and records no
+transform at all.
 
 The determinant runs the same core with row operations only: each pivot
 clears its column from the rows not yet pivoted, which leaves the matrix
@@ -35,22 +43,20 @@ import math
 from dataclasses import dataclass
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 @dataclass
 class SmithForm:
-    """d = u @ a @ v with u, v unimodular and d diagonal.
+    """u @ a @ v = diag(d_1, ..., d_r, 0, ...) for some unimodular u and v.
 
     ``factors`` are the nonzero diagonal entries d_1 | d_2 | ... | d_r
-    (the invariant factors); ``rank`` is r.
+    (the invariant factors) and ``rank`` is r.  Only ``v`` is kept: column
+    j < r of a @ v is d_j times column j of u^-1, and the last
+    cols - rank columns of a @ v are zero.  ``v`` is None when the form
+    was computed without transforms.
     """
 
     factors: list[int]
     rank: int
-    u: list[list[int]]
-    v: list[list[int]]
+    v: list[list[int]] | None
     rows: int
     cols: int
 
@@ -88,31 +94,21 @@ class SmithForm:
 class _Elimination:
     """The not yet pivoted part of a sparse integer matrix.
 
-    ``rows[i]`` maps column -> nonzero value; ``cols[j]`` lists the
-    active rows with a nonzero in column j, and ``active`` holds the rows
-    not yet pivoted, in index order.  With ``transforms`` set, every row
-    operation is repeated on ``u`` (the rows of the row transform) and
-    every column operation on ``v`` (the columns of the column
-    transform), both sparse too.
+    ``rows[i]`` maps column -> nonzero value (the caller's dicts, changed
+    in place); ``cols[j]`` lists the active rows with a nonzero in column
+    j, and ``active`` holds the rows not yet pivoted, in index order.
+    With ``transforms`` set, every column operation is repeated on ``v``
+    (the columns of the column transform), sparse too.
     """
 
-    def __init__(self, a: list[list[int]], ncols: int, transforms: bool):
-        self.rows: list[dict[int, int]] = []
+    def __init__(self, rows: list[dict[int, int]], ncols: int, transforms: bool):
+        self.rows = rows
         self.cols: list[list[int]] = [[] for _ in range(ncols)]
         cols = self.cols
-        for i, row in enumerate(a):
-            # a hand-kept column counter: measurably cheaper than enumerate
-            # on the 10-15-row minors of closure certificates
-            sparse = {}
-            j = 0
-            for x in row:
-                if x:
-                    sparse[j] = x
-                    cols[j].append(i)
-                j += 1
-            self.rows.append(sparse)
-        self.active = dict.fromkeys(range(len(a)))
-        self.u = [{i: 1} for i in range(len(a))] if transforms else None
+        for i, row in enumerate(rows):
+            for j in row:
+                cols[j].append(i)
+        self.active = dict.fromkeys(range(len(rows)))
         self.v = [{j: 1} for j in range(ncols)] if transforms else None
 
     def pivot(self) -> tuple[int, int] | None:
@@ -160,7 +156,7 @@ class _Elimination:
     def clear_column(self, r: int, c: int) -> int:
         """Row operations until column c has one active nonzero; returns
         its row, which is r unless a smaller remainder took over."""
-        rows, cols, u = self.rows, self.cols, self.u
+        rows, cols = self.rows, self.cols
         while len(cols[c]) > 1:
             pivot_row = rows[r]
             p = pivot_row[c]
@@ -189,8 +185,6 @@ class _Elimination:
                     left.append(i)
                 else:
                     del row[c]
-                if u is not None:
-                    _axpy(u[i], u[r], k)
             cols[c] = left
             if len(left) > 1:
                 r = min(left[1:], key=lambda i: abs(rows[i][c]))
@@ -232,15 +226,23 @@ def _axpy(dst: dict[int, int], src: dict[int, int], k: int):
             del dst[j]
 
 
-def smith_normal_form(a: list[list[int]]) -> SmithForm:
-    """Compute the Smith normal form of an integer matrix.
+def _sparse(a: list[list[int]]) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
-    Returns invariant factors normalized positive with d_1 | d_2 | ... and
-    the unimodular transforms.  Handles empty matrices.
+
+def smith_normal_form(a, ncols: int | None = None, transforms: bool = True) -> SmithForm:
+    """Smith normal form of an integer matrix.
+
+    ``a`` is a dense matrix, or, when ``ncols`` is given, sparse rows
+    ``{column: value}`` over ``ncols`` columns, which are used as working
+    storage and left changed.  Pivots are searched in row order and, within
+    a row, in key order.  Returns the invariant factors normalized positive
+    with d_1 | d_2 | ... and, with ``transforms``, the unimodular column
+    transform.  Handles empty matrices.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    e = _Elimination(a, cols, transforms=True)
+    if ncols is None:
+        a, ncols = _sparse(a), len(a[0]) if a else 0
+    e = _Elimination(a, ncols, transforms)
     pivots = []
     while (at := e.pivot()) is not None:
         r, c = at
@@ -257,39 +259,38 @@ def smith_normal_form(a: list[list[int]]) -> SmithForm:
                     e.add_col(offender, [(c, 1)])
                     continue
             break
-        if p < 0:
-            e.rows[r][c] = -p
-            e.u[r] = {j: -x for j, x in e.u[r].items()}
         e.retire(r)
         pivots.append((r, c))
 
-    # pivots first, in the order found (a divisibility chain), then the
-    # rest in index order; the free columns of v span the kernel
-    pivot_rows = {r for r, _ in pivots}
-    pivot_cols = {c for _, c in pivots}
-    row_order = [r for r, _ in pivots] + [i for i in range(rows) if i not in pivot_rows]
-    col_order = [c for _, c in pivots] + [j for j in range(cols) if j not in pivot_cols]
-    u = [[0] * rows for _ in range(rows)]
-    for k, r in enumerate(row_order):
-        for j, x in e.u[r].items():
-            u[k][j] = x
-    v = [[0] * cols for _ in range(cols)]
-    for k, c in enumerate(col_order):
-        for i, x in e.v[c].items():
-            v[i][k] = x
-    factors = [e.rows[r][c] for r, c in pivots]
-    return SmithForm(factors=factors, rank=len(factors), u=u, v=v, rows=rows, cols=cols)
+    factors = [abs(e.rows[r][c]) for r, c in pivots]
+    v = None
+    if transforms:
+        # pivot columns first, in the order found (a divisibility chain),
+        # then the rest in index order; the free columns span the kernel
+        pivot_cols = {c for _, c in pivots}
+        col_order = [c for _, c in pivots] + [j for j in range(ncols) if j not in pivot_cols]
+        v = [[0] * ncols for _ in range(ncols)]
+        for k, c in enumerate(col_order):
+            for i, x in e.v[c].items():
+                v[i][k] = x
+    return SmithForm(factors=factors, rank=len(factors), v=v, rows=len(a), cols=ncols)
 
 
-def integer_determinant(a: list[list[int]]) -> int:
+def integer_determinant(a, ncols: int | None = None) -> int:
     """Determinant of a square integer matrix by sparse unimodular row
-    reduction."""
-    n = len(a)
-    e = _Elimination(a, n, transforms=False)
+    reduction.
+
+    ``a`` is a dense matrix, or, when ``ncols`` is given, ``ncols`` sparse
+    rows ``{column: value}`` over as many columns, used as working storage
+    as in :func:`smith_normal_form`.
+    """
+    if ncols is None:
+        a, ncols = _sparse(a), len(a)
+    e = _Elimination(a, ncols, transforms=False)
     pivot, clear_column, retire, rows = e.pivot, e.clear_column, e.retire, e.rows
     det = 1
-    pivot_col = [0] * n
-    for _ in range(n):
+    pivot_col = [0] * ncols
+    for _ in range(ncols):
         at = pivot()
         if at is None:
             return 0

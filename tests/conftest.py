@@ -28,6 +28,11 @@ def classified(catalog_entries):
     return {e.name: classify(e) for e in catalog_entries}
 
 
+def dense(rows: list[dict[int, int]], ncols: int) -> list[list[int]]:
+    """Sparse ``{column: value}`` rows as a dense matrix."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 def random_fraction(rng: random.Random, max_abs=13, max_den=13) -> Fraction:
     import math
 

@@ -1,9 +1,15 @@
 """Slow reference implementations that the fast library paths are tested
 against."""
 
-from tanglekit.diagram import LinkDiagram
+from tanglekit.diagram import LinkDiagram, TangleDiagram, tangle_sum
+from tanglekit.fraction import frac_add
 from tanglekit.laurent import LaurentPoly
-from tanglekit.snf import SmithForm, identity
+from tanglekit.quandle import NotInvariant, _c_constrained_matrix, coloring_fraction
+from tanglekit.snf import SmithForm, smith_normal_form
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
@@ -61,9 +67,17 @@ def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
     return total
 
 
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
 def dense_smith_normal_form(a: list[list[int]]) -> SmithForm:
     """Smith normal form by dense row and column reduction, pivoting on the
-    entry of smallest magnitude in the whole trailing block."""
+    entry of smallest magnitude in the whole trailing block.
+
+    The row transform u is tracked too, and u @ a @ v is checked to be the
+    diagonal of the factors before the form is returned without it."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     m = [list(r) for r in a]
@@ -139,7 +153,25 @@ def dense_smith_normal_form(a: list[list[int]]) -> SmithForm:
         t += 1
 
     factors = [m[i][i] for i in range(limit) if m[i][i] != 0]
-    return SmithForm(factors=factors, rank=len(factors), u=u, v=v, rows=rows, cols=cols)
+    assert mat_mul(mat_mul(u, a), v) == m
+    assert all(m[i][j] == 0 for i in range(rows) for j in range(cols)
+               if i != j or i >= len(factors))
+    return SmithForm(factors=factors, rank=len(factors), v=v, rows=rows, cols=cols)
+
+
+def check_smith_form(a: list[list[int]], sf: SmithForm):
+    """Assert what a Smith form of a must satisfy without its row transform:
+    the oracle's factors and rank, a unimodular v, a @ v zero past the rank
+    and its column j < rank divisible by d_j."""
+    oracle = dense_smith_normal_form(a)
+    assert sf.factors == oracle.factors and sf.rank == oracle.rank, a
+    assert abs(bareiss_determinant(sf.v)) == 1, a
+    if not a or not a[0]:
+        return
+    av = mat_mul(a, sf.v)
+    for row in av:
+        assert all(x == 0 for x in row[sf.rank:]), a
+        assert all(x % d == 0 for x, d in zip(row, sf.factors)), a
 
 
 def bareiss_determinant(a: list[list[int]]) -> int:
@@ -166,3 +198,32 @@ def bareiss_determinant(a: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def has_nontrivial_c_coloring(d: TangleDiagram, n: int) -> bool:
+    """Is there a mod-n c-coloring using more than one color (n >= 2)?"""
+    rows, ncols = _c_constrained_matrix(d)
+    return smith_normal_form(rows, ncols, transforms=False).solutions_mod(n) > n
+
+
+def alternating_sum_check(colors: tuple[int, int, int, int]) -> bool:
+    """NW + SE = NE + SW for boundary colors (a, b, c, d) of a coloring."""
+    a, b, c, d = colors
+    return a + d == b + c
+
+
+def fraction_additivity_check(d1: TangleDiagram, d2: TangleDiagram) -> bool:
+    """fraction(d1 + d2) = fraction(d1) + fraction(d2) where all defined.
+
+    Infinite fractions follow the degenerate branch: inf plus a finite
+    fraction is inf.  Returns True when the law holds or when one of the
+    three fractions is not invariant (nothing to check).
+    """
+    f1 = coloring_fraction(d1)
+    f2 = coloring_fraction(d2)
+    fs = coloring_fraction(tangle_sum(d1, d2))
+    if any(isinstance(x, NotInvariant) for x in (f1, f2, fs)):
+        return True
+    if f1.is_infinite and f2.is_infinite:
+        return True
+    return fs == frac_add(f1, f2)

@@ -39,14 +39,11 @@ from tanglekit.fraction import (
     frac_rotate,
 )
 from tanglekit.quandle import (
-    alternating_sum_check,
     color_search_finite,
     color_solve_dihedral,
     coloring_fraction,
     determinant,
     dihedral_table,
-    fraction_additivity_check,
-    has_nontrivial_c_coloring,
     monochromatic_report,
     nontrivial_c_colorings_finite,
     parse_quandle_table,
@@ -54,6 +51,11 @@ from tanglekit.quandle import (
 from tanglekit.catalog import _data_text
 
 from conftest import random_fraction, random_tangle_diagram
+from oracles import (
+    alternating_sum_check,
+    fraction_additivity_check,
+    has_nontrivial_c_coloring,
+)
 
 
 def F(p, q=1):

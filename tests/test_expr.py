@@ -344,6 +344,18 @@ class TestEvaluate:
         r = evaluate(parse_expr("inf + 1/2"))
         assert r.verdict.unknottable.status == "unknown"
 
+    def test_long_sum_keeps_term_order(self):
+        # 3000 summands: flattening the chain must not recurse per term
+        terms = [f"{i % 5 + 1}/{(7, 11, 13, 17, 19, 23, 29)[i % 7]}" for i in range(3000)]
+        r = evaluate(parse_expr(" + ".join(terms)))
+        assert r.log == ["sum of rationals: congruence criteria on " + ", ".join(terms)]
+        assert r.verdict.unknottable.is_no
+
+    def test_product_keeps_factor_order(self):
+        r = evaluate(parse_expr("1/2 * 1/3 * 2/5"))
+        assert r.log == ["product evaluated as the rotated sum "
+                         "rot(1/2) + rot(1/3) + rot(2/5)"]
+
     def test_montesinos_closure_unique_across_commutation(self):
         a = evaluate(parse_expr("1/2 + 1/3")).verdict.unknottable.closure
         b = evaluate(parse_expr("1/3 + 1/2")).verdict.unknottable.closure

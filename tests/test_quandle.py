@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,17 +7,18 @@ import pytest
 from tanglekit.catalog import _data_text, get_entry
 from tanglekit.diagram import (
     all_orientations,
+    close_denominator,
     close_numerator,
     from_expression,
     from_rational,
     orient,
     tangle_sum,
+    validate,
 )
 from tanglekit.expr import parse_expr
 from tanglekit.fraction import Fraction, frac_normalize
 from tanglekit.quandle import (
     NotInvariant,
-    alternating_sum_check,
     arcs,
     color_search_finite,
     color_solve_dihedral,
@@ -24,15 +26,18 @@ from tanglekit.quandle import (
     determinant,
     dihedral_relation_matrix,
     dihedral_table,
-    fraction_additivity_check,
-    has_nontrivial_c_coloring,
     monochromatic_report,
     nontrivial_c_colorings_finite,
     parse_quandle_table,
     quandle_check,
 )
 
-from conftest import random_fraction, random_tangle_diagram
+from conftest import dense, random_fraction, random_tangle_diagram
+from oracles import (
+    alternating_sum_check,
+    fraction_additivity_check,
+    has_nontrivial_c_coloring,
+)
 
 
 def F(p, q=1):
@@ -80,6 +85,7 @@ class TestDihedralSolver:
         for _ in range(6):
             d = random_tangle_diagram(rng)
             rows, _, ncols = dihedral_relation_matrix(d)
+            rows = dense(rows, ncols)
             for n in (2, 3):
                 if n ** ncols > 250000:
                     continue
@@ -99,7 +105,8 @@ class TestDihedralSolver:
     def test_generators_satisfy_relations(self):
         d = from_rational(F(5, 3))
         lat = color_solve_dihedral(d, 6)
-        rows, _, _ = dihedral_relation_matrix(d)
+        rows, _, ncols = dihedral_relation_matrix(d)
+        rows = dense(rows, ncols)
         for g in lat.generators:
             for row in rows:
                 assert sum(r * c for r, c in zip(row, g)) % 6 == 0
@@ -236,6 +243,43 @@ class TestDeterminant:
             for dr in range(k):
                 for dc in range(k):
                     assert determinant(L, dr, dc) == base
+
+    def test_large_sums_of_rationals(self):
+        """The whole coloring pass on sums of 2-5 rationals with 20-50
+        crossings, against the closed forms of Montesinos sums."""
+
+        def ends(f):
+            # which end NW is joined to: NE (0), SE (1) or SW (None)
+            return None if f.den % 2 == 0 else f.num % 2
+
+        rng = random.Random(29)
+        checked = 0
+        while checked < 30:
+            fractions = []
+            for _ in range(rng.randint(2, 5)):
+                q = rng.randint(2, 13)
+                p = rng.choice([x for x in range(-40, 41) if x and math.gcd(x, q) == 1])
+                fractions.append(F(p, q))
+            # a circle closes where the sum so far and the next summand
+            # both join NW to SW
+            pattern, closed = ends(fractions[0]), False
+            for f in fractions[1:]:
+                closed |= pattern is None and ends(f) is None
+                pattern = None if None in (pattern, ends(f)) else (pattern + ends(f)) % 2
+            if closed:
+                continue
+            d = from_rational(fractions[0])
+            for f in fractions[1:]:
+                d = tangle_sum(d, from_rational(f))
+            if not 20 <= d.crossing_count <= 50:
+                continue
+            assert validate(d) is None
+            qs = [f.den for f in fractions]
+            total = sum(f.num * math.prod(qs) // f.den for f in fractions)
+            assert determinant(close_numerator(d)) == abs(total)
+            assert determinant(close_denominator(d)) == math.prod(qs)
+            assert coloring_fraction(d) == F(total, math.prod(qs))
+            checked += 1
 
     def test_split_presentation_zero(self):
         from tanglekit.bracket import disjoint_union

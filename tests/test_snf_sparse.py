@@ -10,30 +10,20 @@ from tanglekit.diagram import close_denominator, close_numerator
 from tanglekit.quandle import (
     _c_constrained_matrix,
     color_solve_dihedral,
+    determinant,
     dihedral_relation_matrix,
 )
 from tanglekit.snf import integer_determinant, smith_normal_form
 
-from conftest import random_tangle_diagram
-from oracles import bareiss_determinant, dense_smith_normal_form
-
-
-def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
+from conftest import dense, random_tangle_diagram
+from oracles import bareiss_determinant, check_smith_form, dense_smith_normal_form
 
 
 def assert_matches_oracle(a):
     sf = smith_normal_form(a)
-    oracle = dense_smith_normal_form(a)
-    assert sf.factors == oracle.factors and sf.rank == oracle.rank, a
+    check_smith_form(a, sf)
     assert all(f > 0 for f in sf.factors)
     assert all(d2 % d1 == 0 for d1, d2 in zip(sf.factors, sf.factors[1:]))
-    assert abs(bareiss_determinant(sf.u)) == 1 and abs(bareiss_determinant(sf.v)) == 1
-    prod = mat_mul(mat_mul(sf.u, a), sf.v)
-    for i, row in enumerate(prod):
-        for j, x in enumerate(row):
-            assert x == (sf.factors[i] if i == j and i < sf.rank else 0), a
     if len(a) == len(a[0]):
         assert integer_determinant(a) == bareiss_determinant(a), a
 
@@ -93,11 +83,12 @@ def test_non_unit_and_divisibility_paths_run(monkeypatch):
 def diagram_matrices(d):
     """The plain and c-constrained relation matrices of a tangle and the
     closure minors its determinants are taken of."""
-    out = [dihedral_relation_matrix(d)[0], _c_constrained_matrix(d)[0]]
+    rows, _, ncols = dihedral_relation_matrix(d)
+    out = [dense(rows, ncols), dense(*_c_constrained_matrix(d))]
     for link in (close_numerator(d), close_denominator(d)):
         rows, _, ncols = dihedral_relation_matrix(link)
         if rows and ncols == len(rows):
-            out.append([row[1:] for row in rows[1:]])
+            out.append([row[1:] for row in dense(rows, ncols)[1:]])
     return [a for a in out if a and a[0]]
 
 
@@ -114,6 +105,53 @@ def test_random_diagram_matrices():
             assert_matches_oracle(a)
 
 
+def test_sparse_rows_as_dense_input(catalog_entries):
+    """Sparse rows with keys in column order eliminate exactly as their
+    dense matrix does: the same factors and the same v, pivot for pivot."""
+    def plain(d):
+        rows, _, ncols = dihedral_relation_matrix(d)
+        return rows, ncols
+
+    rng = random.Random(17)
+    tangles = ([e.diagram for e in catalog_entries]
+               + [random_tangle_diagram(rng) for _ in range(20)])
+    for d in tangles:
+        # the elimination uses sparse rows as working storage: build afresh
+        for build in (plain, _c_constrained_matrix):
+            sf = smith_normal_form(dense(*build(d)))
+            assert smith_normal_form(*build(d)) == sf
+            lean = smith_normal_form(*build(d), transforms=False)
+            assert lean.v is None and lean.factors == sf.factors
+        for link in (close_numerator(d), close_denominator(d)):
+            rows, ncols = plain(link)
+            if rows and ncols == len(rows):
+                expect = integer_determinant(dense(rows, ncols))
+                assert integer_determinant(rows, ncols) == expect
+
+
+def test_determinant_every_minor(catalog_entries):
+    """quandle.determinant builds each first minor sparse, renumbering the
+    columns past the dropped one; every minor must match the oracle."""
+    rng = random.Random(19)
+    tangles = ([e.diagram for e in catalog_entries]
+               + [random_tangle_diagram(rng) for _ in range(20)])
+    checked = 0
+    for d in tangles:
+        for link in (close_numerator(d), close_denominator(d)):
+            rows, _, ncols = dihedral_relation_matrix(link)
+            k = link.crossing_count
+            if link.loops or k == 0 or ncols != k:
+                continue
+            a = dense(rows, ncols)
+            for dr in range(k):
+                for dc in range(k):
+                    minor = [[x for j, x in enumerate(row) if j != dc]
+                             for i, row in enumerate(a) if i != dr]
+                    assert determinant(link, dr, dc) == abs(bareiss_determinant(minor))
+                    checked += 1
+    assert checked > 1000
+
+
 def lattice_diagrams(catalog_entries):
     rng = random.Random(13)
     return ([e.diagram for e in catalog_entries]
@@ -126,6 +164,7 @@ def test_kernel_basis_is_the_whole_lattice(catalog_entries):
     spans the same lattice as any other basis, the oracle's included."""
     for d in lattice_diagrams(catalog_entries):
         rows, _, ncols = dihedral_relation_matrix(d)
+        rows = dense(rows, ncols)
         basis = color_solve_dihedral(d, 0).basis
         for vec in basis:
             assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in rows)

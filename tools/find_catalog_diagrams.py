@@ -206,7 +206,7 @@ def has_kink_or_reducible_bigon(d: TangleDiagram) -> bool:
     for e, pair in inc.items():
         if pair[0][0] == "X" and pair[1][0] == "X" and pair[0][1] == pair[1][1]:
             return True  # kink
-    for face in _faces(d):
+    for face in _faces(d, inc):
         if len(face) != 2:
             continue
         (e1, _), (e2, _) = face
