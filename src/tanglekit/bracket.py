@@ -160,8 +160,7 @@ def jones(d: LinkDiagram, orientation: OrientedDiagram | None = None) -> Laurent
     orientations of the components.
     """
     od = orientation if orientation is not None else orient(d)
-    if od.base is not d and orientation is not None:
-        d = od.base
+    d = od.base
     w = writhe(od)
     br = kauffman_bracket(d)
     # multiply by (-A^3)^(-w): exponent shift -3w, sign (-1)^w

@@ -1,14 +1,16 @@
 """The catalog of essential 2-string tangles up to seven crossings.
 
-Entries are loaded from a bundled manifest plus diagram files.  Twelve
-entries carry algebraic expressions (sums of two rationals, possibly
-times an integral tangle) and are decided by the congruence criteria of
-:mod:`tanglekit.expr`; the remaining entries are decided through diagram
-obstructions: nontrivial dihedral c-colorings rule out unknottability,
-the coloring fraction of an integer-monochromatic tangle pins the unique
-rational splitting closure candidate, and candidate closures are then
-confirmed or rejected by building the closed diagram and computing its
-Jones polynomial, determinant and linking number.
+Each entry of the bundled manifest has one source: a diagram file, or
+an algebraic expression (a sum of two rationals, possibly times an
+integral tangle), realized as a diagram once, at load time, and decided
+by the congruence criteria of :mod:`tanglekit.expr`.  The other entries
+are decided through diagram obstructions: nontrivial dihedral
+c-colorings rule out unknottability, the coloring fraction of an
+integer-monochromatic tangle pins the unique rational splitting closure
+candidate, and candidate closures are then confirmed or rejected by the
+Jones polynomial, determinant and linking number of the closed diagram.
+A classification builds each closure once and computes each of its
+invariants once, on first use (:class:`ClosedLink`).
 
 Positive answers are invariant-certified: the named closure is exhibited
 and the closed diagram has the Jones polynomial and determinant of the
@@ -20,11 +22,12 @@ carries an evidence log, and Unknown is a legal outcome.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
-from pathlib import Path
 
 from .bracket import (
+    CrossingBudgetExceeded,
     jones,
     jones_unknot,
     jones_unlink,
@@ -34,8 +37,8 @@ from .bracket import (
 from .diagram import (
     DiagramError,
     LinkDiagram,
+    OrientedDiagram,
     TangleDiagram,
-    close_denominator,
     close_numerator,
     component_count,
     component_subdiagrams,
@@ -48,14 +51,14 @@ from .diagram import (
 )
 from .expr import (
     EmbedVerdict,
-    EvalResult,
     TangleExpr,
     Verdict,
     evaluate,
     expr_text,
     parse_expr,
 )
-from .fraction import Fraction, frac_mirror, frac_normalize, parse_fraction
+from .fraction import Fraction, frac_mirror, frac_normalize
+from .laurent import LaurentPoly
 from .quandle import (
     NotInvariant,
     coloring_fraction,
@@ -74,15 +77,6 @@ class CatalogEntry:
     diagram: TangleDiagram
     expression: TangleExpr | None
     essential: bool
-    expected: dict[str, Verdict]
-    notes: str = ""
-
-
-@dataclass
-class Classification:
-    entry: CatalogEntry
-    verdict: EmbedVerdict
-    evidence: list[str] = field(default_factory=list)
 
 
 # the closures tried for unknotting and unlinking certificates
@@ -95,66 +89,34 @@ def _data_text(name: str) -> str:
     return pkg.joinpath(name).read_text()
 
 
-def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
-    """Load and validate the catalog (bundled manifest by default).
+def load_catalog() -> list[CatalogEntry]:
+    """Load and validate the bundled catalog.
 
-    Every entry's diagram must validate (diagram files are validated as
-    they are parsed); when an expression is present,
-    its realization must agree with the stored diagram on the
-    determinants of both closures and on the monochromaticity report.
+    Each manifest row names exactly one source, a diagram file or an
+    expression; a row with both or neither is rejected.  A diagram file
+    is validated as it is parsed; an expression is realized once with
+    :func:`from_expression` and the realization is validated.
     """
-    if path is None:
-        manifest = json.loads(_data_text("catalog/manifest.json"))
-        reader = lambda fn: _data_text(f"catalog/{fn}")
-    else:
-        base = Path(path)
-        manifest = json.loads((base / "manifest.json").read_text())
-        reader = lambda fn: (base / fn).read_text()
-
     entries = []
-    for row in manifest:
+    for row in json.loads(_data_text("catalog/manifest.json")):
         name = row["name"]
-        expression = parse_expr(row["expression"]) if row.get("expression") else None
+        if bool(row.get("diagram")) == bool(row.get("expression")):
+            raise CatalogError(f"{name}: needs exactly one of a diagram file "
+                               "and an expression")
         if row.get("diagram"):
+            expression = None
             try:
-                diagram = parse_diagram(reader(row["diagram"]))
+                diagram = parse_diagram(_data_text(f"catalog/{row['diagram']}"))
             except DiagramError as ex:
                 raise CatalogError(f"{name}: invalid diagram: {ex}")
-        elif expression is not None:
+        else:
+            expression = parse_expr(row["expression"])
             diagram = from_expression(expression)
             err = validate(diagram)
             if err:
                 raise CatalogError(f"{name}: invalid diagram: {err}")
-        else:
-            raise CatalogError(f"{name}: neither diagram nor expression")
-        if expression is not None:
-            realized = from_expression(expression)
-            for label, closer in (("numerator", close_numerator),
-                                  ("denominator", close_denominator)):
-                da = determinant(closer(diagram))
-                db = determinant(closer(realized))
-                if da != db:
-                    raise CatalogError(
-                        f"{name}: diagram/expression disagree on the "
-                        f"{label} determinant: {da} != {db}")
-            ra = monochromatic_report(diagram)
-            rb = monochromatic_report(realized)
-            if (ra.c_trivial_for_all_n, ra.r0_monochromatic,
-                    ra.offending_moduli, ra.all_moduli) != (
-                    rb.c_trivial_for_all_n, rb.r0_monochromatic,
-                    rb.offending_moduli, rb.all_moduli):
-                raise CatalogError(
-                    f"{name}: diagram/expression disagree on monochromaticity")
-        expected = {}
-        for key, val in row.get("expected", {}).items():
-            status = val["status"]
-            closure = parse_fraction(val["closure"]) if val.get("closure") else None
-            expected[key] = Verdict(status=status, closure=closure,
-                                    reason=val.get("reason"))
-        entries.append(CatalogEntry(
-            name=name, diagram=diagram, expression=expression,
-            essential=bool(row.get("essential", True)),
-            expected=expected, notes=row.get("notes", "")))
+        entries.append(CatalogEntry(name=name, diagram=diagram, expression=expression,
+                                    essential=bool(row.get("essential", True))))
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
         raise CatalogError("duplicate entry names")
@@ -177,49 +139,96 @@ def closure_link(t: TangleDiagram, c: Fraction) -> LinkDiagram:
     return close_numerator(tangle_sum(t, from_rational(c)))
 
 
-def unknot_certified(L: LinkDiagram) -> bool:
-    return (component_count(L) == 1 and determinant(L) == 1
-            and jones(L) == jones_unknot())
+class ClosedLink:
+    """A link diagram whose invariants are each computed once, on first use.
+
+    The one orientation is shared by the Jones polynomial and the
+    linking number.
+    """
+
+    def __init__(self, diagram: LinkDiagram):
+        self.diagram = diagram
+
+    @cached_property
+    def components(self) -> int:
+        return component_count(self.diagram)
+
+    @cached_property
+    def determinant(self) -> int:
+        return determinant(self.diagram)
+
+    @cached_property
+    def orientation(self) -> OrientedDiagram:
+        return orient(self.diagram)
+
+    @cached_property
+    def linking_number(self) -> int:
+        return linking_number(self.orientation)
+
+    @cached_property
+    def jones(self) -> LaurentPoly:
+        return jones(self.diagram, self.orientation)
+
+    @cached_property
+    def split_union_jones(self) -> LaurentPoly:
+        return split_union_jones(self.diagram)
+
+    def is_unknot(self) -> bool:
+        return (self.components == 1 and self.determinant == 1
+                and self.jones == jones_unknot())
+
+    def is_unlink(self) -> bool:
+        return (self.components == 2 and self.determinant == 0
+                and self.linking_number == 0 and self.jones == jones_unlink(2)
+                and all(jones(c) == jones_unknot()
+                        for c in component_subdiagrams(self.diagram)))
 
 
-def unlink_certified(L: LinkDiagram) -> bool:
-    if component_count(L) != 2 or determinant(L) != 0:
-        return False
-    if linking_number(orient(L)) != 0:
-        return False
-    if jones(L) != jones_unlink(2):
-        return False
-    return all(jones(c) == jones_unknot() for c in component_subdiagrams(L))
+class Classification:
+    """The verdict and evidence log of one entry, with the closures and the
+    coloring fraction computed on the way, each at most once."""
+
+    def __init__(self, entry: CatalogEntry):
+        self.entry = entry
+        self.verdict: EmbedVerdict | None = None
+        self.evidence: list[str] = []
+        self._closures: dict[Fraction, ClosedLink] = {}
+
+    def closure(self, c: Fraction) -> ClosedLink:
+        """N(T + [c]), built on first use."""
+        if c not in self._closures:
+            self._closures[c] = ClosedLink(closure_link(self.entry.diagram, c))
+        return self._closures[c]
+
+    @cached_property
+    def coloring_fraction(self) -> Fraction | NotInvariant:
+        return coloring_fraction(self.entry.diagram)
 
 
-def _split_candidate_evidence(t: TangleDiagram, c: Fraction, evidence: list[str]):
-    """Test the unique rational splitting candidate closure c.
+def _split_candidate_evidence(L: ClosedLink, c: Fraction, evidence: list[str]):
+    """Test the unique rational splitting candidate closure L = N(T + [c]).
 
     Returns 'unlink', 'rejected' or 'inconclusive'.  Rejections certify
     that N(T + c) is not split: wrong component count, nonzero linking
     number, or a Jones polynomial different from the distant union of the
     component knots.
     """
-    from .bracket import CrossingBudgetExceeded
-
-    L = closure_link(t, c)
-    comps = component_count(L)
-    if comps == 1:
+    if L.components == 1:
         evidence.append(f"N(T + [{c}]) is a knot, so it is not a split link")
         return "rejected"
     try:
-        if unlink_certified(L):
+        if L.is_unlink():
             evidence.append(f"N(T + [{c}]) certifies as the 2-component unlink "
                             "(Jones, determinant, linking number, component knots)")
             return "unlink"
-        if comps == 2:
-            lk = linking_number(orient(L))
+        if L.components == 2:
+            lk = L.linking_number
             if lk != 0:
                 evidence.append(f"N(T + [{c}]) has linking number {lk} != 0, "
                                 "so it is not split")
                 return "rejected"
-            jl = jones(L)
-            ju = split_union_jones(L)
+            jl = L.jones
+            ju = L.split_union_jones
             if jl != ju:
                 evidence.append(f"N(T + [{c}]) has Jones {jl}, but the distant "
                                 f"union of its component knots has {ju}; not split")
@@ -244,13 +253,14 @@ def classify(entry: CatalogEntry) -> Classification:
     or unlink invariants.  Unknown is returned when nothing applies.
     """
     t = entry.diagram
-    evidence: list[str] = []
+    record = Classification(entry)
+    evidence = record.evidence
     unknot = Verdict.unknown()
     unlink = Verdict.unknown()
     split = Verdict.unknown()
 
     if entry.expression is not None:
-        result: EvalResult = evaluate(entry.expression)
+        result = evaluate(entry.expression)
         evidence.append(f"algebraic route on {expr_text(entry.expression)}")
         evidence.extend("  " + line for line in result.log)
         unknot, unlink, split = (result.verdict.unknottable,
@@ -285,12 +295,12 @@ def classify(entry: CatalogEntry) -> Classification:
 
     # splitting/unlinking candidate from the coloring fraction
     if split.status == "unknown":
-        cf = coloring_fraction(t)
+        cf = record.coloring_fraction
         if rep.r0_monochromatic and not isinstance(cf, NotInvariant):
             cand = frac_mirror(cf)
             evidence.append(f"integer-monochromatic with coloring fraction "
                             f"{cf}: unique rational splitting candidate [{cand}]")
-            outcome = _split_candidate_evidence(t, cand, evidence)
+            outcome = _split_candidate_evidence(record.closure(cand), cand, evidence)
             if outcome == "unlink":
                 unlink = Verdict.yes(cand)
                 split = Verdict.yes(cand)
@@ -305,8 +315,7 @@ def classify(entry: CatalogEntry) -> Classification:
     # positive unknotting closures from a small sweep
     if unknot.status == "unknown":
         for c in _SWEEP:
-            L = closure_link(t, c)
-            if unknot_certified(L):
+            if record.closure(c).is_unknot():
                 unknot = Verdict.yes(c)
                 evidence.append(f"N(T + [{c}]) certifies as the unknot "
                                 "(determinant 1, Jones 1); invariant-certified")
@@ -326,24 +335,23 @@ def classify(entry: CatalogEntry) -> Classification:
     # unlink candidates that may remain: the same sweep
     if unlink.status == "unknown":
         for c in _SWEEP:
-            L = closure_link(t, c)
-            if unlink_certified(L):
+            if record.closure(c).is_unlink():
                 unlink = Verdict.yes(c)
-                if split.status == "unknown" or not split.is_yes:
+                if not split.is_yes:
                     split = Verdict.yes(c)
                 evidence.append(f"N(T + [{c}]) certifies as the 2-unlink; "
                                 "invariant-certified")
                 break
 
-    if unlink.is_yes and not split.is_yes:
-        split = Verdict.yes(unlink.closure)
-    verdict = EmbedVerdict(unknot, unlink, split)
-    return Classification(entry=entry, verdict=verdict, evidence=evidence)
+    record.verdict = EmbedVerdict(unknot, unlink, split)
+    return record
 
 
 # ---------------------------------------------------------------------------
 # reproduction of the classification
 
+# The published classification, the one copy of the answers, read only by
+# the reproduction to diff against.  Every answer not listed is "no".
 EXPECTED_UNKNOTTABLE = {
     "5_1": Fraction(-1, 1),
     "6_1": Fraction(-1, 1),
@@ -412,8 +420,7 @@ def reproduce_tables(entries: list[CatalogEntry] | None = None) -> ReproduceRepo
               f"unlinking closure of {n}: {got_unlinkable.get(n)} vs [{c}]")
 
     for n, f in sorted(EXPECTED_FRACTIONS.items()):
-        entry = next(e for e in entries if e.name == n)
-        cf = coloring_fraction(entry.diagram)
+        cf = results[n].coloring_fraction
         check(cf == f, f"coloring fraction of {n}: {cf} vs {f}")
 
     r716 = results.get("7_16")
@@ -440,27 +447,25 @@ def reproduce_tables(entries: list[CatalogEntry] | None = None) -> ReproduceRepo
             }
             for n, r in sorted(results.items())
         },
-        "computed_obstruction_invariants": _obstruction_invariants(entries),
+        "computed_obstruction_invariants": _obstruction_invariants(results),
         "diffs": diffs,
     }
     return ReproduceReport(ok=ok, lines=lines, data=data)
 
 
-def _obstruction_invariants(entries) -> dict:
+def _obstruction_invariants(results: dict[str, Classification]) -> dict:
     """Record the computed not-split evidence values (documentation only;
     printed coefficient conventions elsewhere differ, so these are never
     compared against external sources)."""
     out = {}
     for name, frac in sorted(EXPECTED_FRACTIONS.items()):
-        entry = next((e for e in entries if e.name == name), None)
-        if entry is None:
-            continue
-        L = closure_link(entry.diagram, frac_mirror(frac))
-        row = {"determinant": determinant(L),
-               "linking_number": linking_number(orient(L)),
-               "jones": str(jones(L)),
-               "jones_of_component_union": str(split_union_jones(L))}
-        out[f"N({name} + [{frac_mirror(frac)}])"] = row
+        c = frac_mirror(frac)
+        L = results[name].closure(c)
+        out[f"N({name} + [{c}])"] = {
+            "determinant": L.determinant,
+            "linking_number": L.linking_number,
+            "jones": str(L.jones),
+            "jones_of_component_union": str(L.split_union_jones)}
     return out
 
 

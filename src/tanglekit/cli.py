@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction as QQ
 
@@ -305,7 +306,15 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed early", file=sys.stderr)
+        return 2
     except (UsageError, ExprSyntaxError, cat.CatalogError, DiagramError,
             CrossingBudgetExceeded, ValueError, RecursionError) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -229,10 +229,15 @@ def vertical_twists(n: int) -> TangleDiagram:
     return rotate(horizontal_twists(-n))
 
 
-def tangle_sum(t: TangleDiagram, u: TangleDiagram) -> TangleDiagram:
-    """Glue u's west side to t's east side (NE~NW and SE~SW)."""
-    return _glue((t, u), [((0, _NE), (1, _NW)), ((0, _SE), (1, _SW))],
-                 [(0, _NW), (1, _NE), (0, _SW), (1, _SE)])
+def tangle_sum(t: TangleDiagram, *more: TangleDiagram) -> TangleDiagram:
+    """Glue the summands west to east in one pass: each one's NE and SE to
+    the next one's NW and SW."""
+    parts = (t, *more)
+    joins = []
+    for i in range(len(parts) - 1):
+        joins += [((i, _NE), (i + 1, _NW)), ((i, _SE), (i + 1, _SW))]
+    last = len(parts) - 1
+    return _glue(parts, joins, [(0, _NW), (last, _NE), (0, _SW), (last, _SE)])
 
 
 def tangle_product(t: TangleDiagram, u: TangleDiagram) -> TangleDiagram:
@@ -624,8 +629,9 @@ def from_rational(f: Fraction) -> TangleDiagram:
 def from_expression(expr, resolver=None) -> TangleDiagram:
     """Realize a tangle expression as a diagram.
 
-    Rational leaves come from :func:`from_rational`; sums glue east to
-    west and products glue south to north.  When a product's naive gluing
+    Rational leaves come from :func:`from_rational`; a chain of sums is
+    glued east to west in one :func:`tangle_sum`, and products glue south
+    to north.  When a product's naive gluing
     would close a circle (the factors' end patterns both run across the
     glued disk), the first factor is re-embedded by quarter turns until
     the gluing stays a 2-string tangle; the result is the same tangle up
@@ -637,8 +643,8 @@ def from_expression(expr, resolver=None) -> TangleDiagram:
     if isinstance(expr, ex.RationalLeaf):
         return from_rational(expr.value)
     if isinstance(expr, ex.Sum):
-        return tangle_sum(from_expression(expr.left, resolver),
-                          from_expression(expr.right, resolver))
+        return tangle_sum(*(from_expression(term, resolver)
+                            for term in ex._flatten_sum(expr)))
     if isinstance(expr, ex.Product):
         top = from_expression(expr.top, resolver)
         bottom = from_expression(expr.bottom, resolver)

@@ -121,9 +121,6 @@ def make_verdict(unknottable: Verdict, unlinkable: Verdict,
     return EmbedVerdict(unknottable, unlinkable, splittable)
 
 
-ALL_UNKNOWN = EmbedVerdict(Verdict.unknown(), Verdict.unknown(), Verdict.unknown())
-
-
 # ---------------------------------------------------------------------------
 # expression trees
 
@@ -632,25 +629,28 @@ def _eval_sum(items: list[_Item], log) -> _Item:
 
 
 def _absorb_integrals(items: list[_Item]) -> list[_Item]:
-    out = list(items)
-    changed = True
-    while changed:
-        changed = False
-        for i, it in enumerate(out):
-            if it.rational is None or not it.rational.is_integral:
-                continue
-            for j, other in enumerate(out):
-                if i == j or other.rational is None or other.rational.is_infinite:
-                    continue
-                merged = frac_add_integral(other.rational, it.rational.num)
-                out[j] = _Item(rational=merged, verdict=rational_leaf_verdict(merged),
-                               essential=False, label=str(merged))
-                del out[i]
-                changed = True
-                break
-            if changed:
-                break
-    return out
+    """Add every integral rational summand into one rational summand.
+
+    The target is the first finite non-integral rational summand or, when
+    there is none, the last integral one; every other item keeps its
+    order.
+    """
+    integral = [i for i, it in enumerate(items)
+                if it.rational is not None and it.rational.is_integral]
+    if not integral:
+        return list(items)
+    target = next((i for i, it in enumerate(items)
+                   if it.rational is not None and not it.rational.is_infinite
+                   and not it.rational.is_integral), integral[-1])
+    added = set(integral) - {target}
+    if not added:
+        return list(items)
+    merged = frac_add_integral(items[target].rational,
+                               sum(items[i].rational.num for i in added))
+    absorbed = _Item(rational=merged, verdict=rational_leaf_verdict(merged),
+                     essential=False, label=str(merged))
+    return [absorbed if i == target else it
+            for i, it in enumerate(items) if i not in added]
 
 
 def _extend_all(v: EmbedVerdict, added: Fraction, log) -> EmbedVerdict:
@@ -693,6 +693,4 @@ def _pruned_unknown(items: list[_Item], log, reason: str) -> EmbedVerdict:
     split = Verdict.unknown(reason)
     if len(verdicts) == len(items) and all(v.splittable.is_no for v in verdicts):
         split = Verdict.no("no piece is splittable and one must be")
-    if unlink.is_yes and not split.is_yes:
-        split = Verdict.yes(unlink.closure)
     return EmbedVerdict(unknot, unlink, split)

@@ -227,3 +227,30 @@ def fraction_additivity_check(d1: TangleDiagram, d2: TangleDiagram) -> bool:
     if f1.is_infinite and f2.is_infinite:
         return True
     return fs == frac_add(f1, f2)
+
+
+def restarting_absorb_integrals(items: list) -> list:
+    """Integral summands absorbed one merge at a time, rescanning the list
+    from the start after each merge."""
+    from tanglekit.expr import _Item, rational_leaf_verdict
+    from tanglekit.fraction import frac_add_integral
+
+    out = list(items)
+    changed = True
+    while changed:
+        changed = False
+        for i, it in enumerate(out):
+            if it.rational is None or not it.rational.is_integral:
+                continue
+            for j, other in enumerate(out):
+                if i == j or other.rational is None or other.rational.is_infinite:
+                    continue
+                merged = frac_add_integral(other.rational, it.rational.num)
+                out[j] = _Item(rational=merged, verdict=rational_leaf_verdict(merged),
+                               essential=False, label=str(merged))
+                del out[i]
+                changed = True
+                break
+            if changed:
+                break
+    return out

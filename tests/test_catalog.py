@@ -5,6 +5,7 @@ import pytest
 from tanglekit.catalog import (
     CatalogError,
     get_entry,
+    load_catalog,
     reproduce_tables,
 )
 from tanglekit.diagram import close_numerator, from_expression, validate
@@ -14,6 +15,16 @@ from tanglekit.fraction import frac_normalize
 
 def F(p, q=1):
     return frac_normalize(p, q)
+
+
+def serve_manifest(monkeypatch, rows):
+    """Make the loader read ``rows`` as its manifest; diagram files are the
+    bundled ones."""
+    import tanglekit.catalog as cat
+
+    real = cat._data_text
+    monkeypatch.setattr(cat, "_data_text", lambda name: json.dumps(rows)
+                        if name == "catalog/manifest.json" else real(name))
 
 
 EXPECTED_NAMES = {
@@ -63,6 +74,25 @@ class TestLoad:
         with pytest.raises(CatalogError):
             get_entry("9_99", catalog_entries)
 
+    def test_served_manifest_loads(self, monkeypatch):
+        serve_manifest(monkeypatch, [{"name": "a", "diagram": "5_1.tangle"},
+                                     {"name": "b", "expression": "1/3 + 1/3"}])
+        entries = load_catalog()
+        assert [(e.name, e.expression is None) for e in entries] == [
+            ("a", True), ("b", False)]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([{"name": "x", "diagram": "5_1.tangle", "expression": "1/3 + 1/3"}],
+         "exactly one"),
+        ([{"name": "x", "diagram": None, "expression": None}], "exactly one"),
+        ([{"name": "x", "diagram": "5_1.tangle"},
+          {"name": "x", "expression": "1/3 + 1/3"}], "duplicate"),
+    ])
+    def test_malformed_manifest(self, monkeypatch, rows, message):
+        serve_manifest(monkeypatch, rows)
+        with pytest.raises(CatalogError, match=message):
+            load_catalog()
+
 
 class TestClassify:
     def test_6_3_unlinkable(self, classified):
@@ -106,20 +136,22 @@ class TestClassify:
         assert "knotted" in (r.verdict.unlinkable.reason or "") or \
             any("knotted" in line for line in r.evidence)
 
-    def test_answer_blind(self, catalog_entries, classified):
-        """The manifest's expected answers never reach the classifier."""
-        from dataclasses import replace
+    def test_answer_blind(self, catalog_entries, classified, monkeypatch):
+        """The published answers never reach the classifier."""
+        import tanglekit.catalog as cat
 
-        from tanglekit.catalog import classify
+        def sealed(self, *args):
+            raise AssertionError("classify read the published answers")
 
         class Sealed:
-            def __getattr__(self, name):
-                raise AssertionError(f"classify looked up expected {name!r}")
+            __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = sealed
+            __bool__ = sealed
 
-            __getitem__ = __getattr__
-
+        for table in ("EXPECTED_UNKNOTTABLE", "EXPECTED_UNLINKABLE",
+                      "EXPECTED_FRACTIONS"):
+            monkeypatch.setattr(cat, table, Sealed())
         for e in catalog_entries:
-            r = classify(replace(e, expected=Sealed()))
+            r = cat.classify(e)
             assert r.verdict == classified[e.name].verdict, e.name
             assert r.evidence == classified[e.name].evidence, e.name
 
@@ -134,7 +166,7 @@ class TestUnknownIsLegal:
 
         entry = CatalogEntry(
             name="synthetic_7_5ths", diagram=from_rational(F(7, 5)),
-            expression=None, essential=False, expected={})
+            expression=None, essential=False)
         r = classify(entry)
         assert r.verdict.unknottable.status == "unknown"
         assert r.verdict.unlinkable.is_yes

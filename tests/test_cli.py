@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tanglekit.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SUM_3000 = " + ".join(["1/3"] * 3000)
+NESTED_3000 = "(" * 3000 + "1/3" + ")" * 3000
 
 
 def run(capsys, *argv):
@@ -117,20 +125,47 @@ class TestDiagramCommands:
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
 
-    @pytest.mark.parametrize("expression", [
-        " + ".join(["1/3"] * 3000),
-        "(" * 3000 + "1/3" + ")" * 3000,
+    @pytest.mark.parametrize("command, expression", [
+        pytest.param("verdict", SUM_3000, id=SUM_3000),
+        pytest.param("verdict", NESTED_3000, id=NESTED_3000),
+        pytest.param("det", SUM_3000, id="det-3000-term-sum"),
     ])
-    def test_deep_expression_exit_2(self, capsys, expression):
-        """A 3000-term sum is evaluated; 3000 nested parentheses are
-        refused with exit 2."""
-        code, out, err = run(capsys, "verdict", expression)
+    def test_deep_expression_exit_2(self, capsys, command, expression):
+        """A 3000-term sum is evaluated and realized; 3000 nested
+        parentheses are refused with exit 2."""
+        code, out, err = run(capsys, command, expression)
         if expression.startswith("("):
             assert code == 2 and out == ""
             assert err.startswith("error:") and "Traceback" not in err
+        elif command == "det":
+            # det N(1/3 + ... + 1/3) = |sum of p_i times the other q_j|
+            assert code == 0 and err == ""
+            assert out == f"{3000 * 3 ** 2999}\n"
         else:
             assert code == 0 and err == ""
             assert out.startswith("unknottable: no (three or more rational summands")
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("argv", [["frac", "normalize", "2/4"],
+                                      ["verdict", "@7_13 + 1/2"]])
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_stdout_exit_2(self, argv, buffered):
+        """A reader that went away gives exit 2 and one error line."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tanglekit.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: output closed early\n"
 
 
 class TestClassifyReproduce:

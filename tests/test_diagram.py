@@ -75,6 +75,19 @@ class TestGluing:
         rhs = tangle_sum(a, tangle_sum(b, c))
         assert canonical_form(lhs) == canonical_form(rhs)
 
+    def test_sum_chain_glued_at_once(self):
+        # one n-ary gluing gives the left-nested chain of binary sums,
+        # edge for edge, loops included
+        rng = random.Random(6006)
+        for _ in range(200):
+            parts = [rng.choice([infinity_tangle(), zero_tangle()]) if rng.random() < 0.2
+                     else from_rational(random_fraction(rng, 5, 4))
+                     for _ in range(rng.randint(1, 6))]
+            chain = parts[0]
+            for part in parts[1:]:
+                chain = tangle_sum(chain, part)
+            assert tangle_sum(*parts) == chain
+
     def test_product_stacks(self):
         a, b = from_rational(F(1)), from_rational(F(1))
         p = tangle_product(a, b)

@@ -1,4 +1,7 @@
 import itertools
+import math
+import random
+import time
 
 import pytest
 
@@ -355,6 +358,40 @@ class TestEvaluate:
         r = evaluate(parse_expr("1/2 * 1/3 * 2/5"))
         assert r.log == ["product evaluated as the rotated sum "
                          "rot(1/2) + rot(1/3) + rot(2/5)"]
+
+    def test_absorb_integrals_matches_restarting_scan(self):
+        from oracles import restarting_absorb_integrals
+        from tanglekit.expr import _absorb_integrals, _Item
+
+        rng = random.Random(20261018)
+        piece = _Item(rational=None, verdict=EmbedVerdict(unk(), unk(), unk()),
+                      essential=True, label="@piece")
+        for _ in range(2000):
+            items = []
+            for k in range(rng.randint(1, 7)):
+                kind = rng.random()
+                if kind < 0.45:
+                    f = F(rng.randint(-4, 4))
+                elif kind < 0.8:
+                    q = rng.randint(2, 5)
+                    f = F(rng.choice([p for p in range(-7, 8) if math.gcd(p, q) == 1]), q)
+                elif kind < 0.9:
+                    f = Fraction(1, 0)
+                else:
+                    items.append(piece)
+                    continue
+                items.append(_Item(rational=f, verdict=rational_leaf_verdict(f),
+                                   essential=False, label=f"leaf{k}"))
+            assert _absorb_integrals(items) == restarting_absorb_integrals(items), items
+
+    def test_long_product_with_integral_rotations(self):
+        # each factor rotates to the integral summand [-3]; absorbing them
+        # must stay linear in the number of factors
+        start = time.perf_counter()
+        r = evaluate(parse_expr(" * ".join(["1/3"] * 3000)))
+        assert time.perf_counter() - start < 2
+        assert r.rational == F(1, 9000)
+        assert r.verdict == evaluate(parse_expr("1/9000")).verdict
 
     def test_montesinos_closure_unique_across_commutation(self):
         a = evaluate(parse_expr("1/2 + 1/3")).verdict.unknottable.closure

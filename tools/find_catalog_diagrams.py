@@ -27,7 +27,7 @@ from tanglekit.bracket import (  # noqa: E402
     linking_number,
     split_union_jones,
 )
-from tanglekit.catalog import closure_link, unknot_certified, unlink_certified  # noqa: E402
+from tanglekit.catalog import ClosedLink, closure_link  # noqa: E402
 from tanglekit.diagram import (  # noqa: E402
     BOUNDARY_LABELS,
     Crossing,
@@ -246,7 +246,7 @@ def unique_unknotting_closure(t: TangleDiagram, main: Fraction) -> bool:
     for c in SWEEP:
         if c == main:
             continue
-        if unknot_certified(closure_link(t, c)):
+        if ClosedLink(closure_link(t, c)).is_unknot():
             return False
     return True
 
@@ -305,17 +305,17 @@ def splits_at_fraction_candidate(t) -> bool:
         if component_count(L) == 1:
             return False
         return linking_number(orient(L)) == 0
-    return unlink_certified(closure_link(t, cand))
+    return ClosedLink(closure_link(t, cand)).is_unlink()
 
 
 def match_unknottable(t, closure: Fraction, n_jones=None, gf4=None) -> bool:
     rep = monochromatic_report(t)
     if not rep.c_trivial_for_all_n:
         return False
-    if not unknot_certified(closure_link(t, closure)):
+    if not ClosedLink(closure_link(t, closure)).is_unknot():
         return False
     if closure != Fraction(0, 1):
-        if unknot_certified(close_numerator(t)):
+        if ClosedLink(close_numerator(t)).is_unknot():
             return False
     if not unique_unknotting_closure(t, closure):
         return False
@@ -336,10 +336,10 @@ def match_six_three(t) -> bool:
     rep = monochromatic_report(t)
     if not rep.polychromatic_somewhere():
         return False
-    if not unlink_certified(close_numerator(t)):
+    if not ClosedLink(close_numerator(t)).is_unlink():
         return False
     for c in SWEEP:
-        if unknot_certified(closure_link(t, c)):
+        if ClosedLink(closure_link(t, c)).is_unknot():
             return False
         if c == Fraction(0, 1):
             continue
