@@ -34,13 +34,7 @@ import os
 from fractions import Fraction as QQ
 from math import comb
 
-from .diagram import (
-    LinkDiagram,
-    OrientedDiagram,
-    component_subdiagrams,
-    orient,
-    strands,
-)
+from .diagram import LinkDiagram, OrientedDiagram, component_subdiagrams, orient
 from .laurent import LaurentPoly
 
 DEFAULT_CROSSING_BUDGET = 24
@@ -134,19 +128,10 @@ def linking_number(od: OrientedDiagram) -> int:
     d = od.base
     if not isinstance(d, LinkDiagram):
         raise ValueError("linking number needs a link diagram")
-    comp_strands = strands(d)
-    if len(comp_strands) + d.loops != 2:
+    if len(set(od.strand_of)) + d.loops != 2:
         raise ValueError("linking number needs exactly 2 components")
-    edge_comp = {}
-    for i, s in enumerate(comp_strands):
-        for e, _, _ in s:
-            edge_comp[e] = i
-    total = 0
-    for ci, c in enumerate(d.crossings):
-        under_comp = edge_comp[c.ports[0]]
-        over_comp = edge_comp[c.ports[1]]
-        if under_comp != over_comp:
-            total += od.crossing_sign(ci)
+    total = sum(od.crossing_sign(ci) for ci in range(d.crossing_count)
+                if od.strand_of[4 * ci] != od.strand_of[4 * ci + 1])
     if total % 2 != 0:
         raise AssertionError("inter-component sign sum must be even")
     return total // 2
@@ -184,15 +169,6 @@ def jones_unlink(components: int) -> LaurentPoly:
     return delta ** (components - 1)
 
 
-def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
-    """Distant union of two link diagrams."""
-    offset = max((e for c in d1.crossings for e in c.ports), default=-1) + 1
-    from .diagram import Crossing
-
-    moved = tuple(Crossing(tuple(e + offset for e in c.ports)) for c in d2.crossings)
-    return LinkDiagram(crossings=d1.crossings + moved, loops=d1.loops + d2.loops)
-
-
 def jones_at_minus_one(poly: LaurentPoly) -> int:
     """|V(-1)| via sqrt_t = i; defined for knots (imaginary part vanishes)."""
     if poly.var != "sqrt_t":
@@ -206,7 +182,8 @@ def jones_at_minus_one(poly: LaurentPoly) -> int:
 
 
 def split_union_jones(d: LinkDiagram) -> LaurentPoly:
-    """Jones polynomial of the distant union of d's components.
+    """Jones polynomial of the distant union of d's n components:
+    (-t^(1/2) - t^(-1/2))^(n - 1) times the product of their polynomials.
 
     If d were a split link, its Jones polynomial would equal this value;
     inequality is therefore a not-split certificate.
@@ -214,7 +191,7 @@ def split_union_jones(d: LinkDiagram) -> LaurentPoly:
     comps = component_subdiagrams(d)
     if not comps:
         raise ValueError("empty diagram")
-    union = comps[0]
-    for c in comps[1:]:
-        union = disjoint_union(union, c)
-    return jones(union)
+    poly = jones_unlink(len(comps))
+    for c in comps:
+        poly = poly * jones(c)
+    return poly

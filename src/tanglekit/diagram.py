@@ -28,6 +28,14 @@ tuples, and a tangle's boundary is the 4-tuple of the edge ids at NW, NE,
 SW, SE (the order of ``BOUNDARY_LABELS``).  All constructors return fresh
 values.
 
+Walks run over the ends of edges, numbered by plain integers: ``4*ci +
+slot`` for the ports of crossing ci, then ``4*k + i`` for a tangle's
+boundary endpoints in ``BOUNDARY_LABELS`` order (k crossings).  Each end
+has a mate, the other end of its edge, and going straight through a
+crossing maps a port y to ``y ^ 2`` (Cori's encoding of a rotation system
+as permutations on darts).  A strand is the list of ends it leaves from;
+an orientation is the set of ports at which a strand enters its crossing.
+
 File format (one diagram per file): a header line ``tangle`` or ``link``;
 one line ``X i j k l`` per crossing listing edge ids counterclockwise
 starting at an under edge (an optional trailing ``o`` token is accepted
@@ -40,17 +48,15 @@ for byte.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .fraction import Fraction, continued_fraction
 
 BOUNDARY_LABELS = ("NW", "NE", "SW", "SE")
 _NW, _NE, _SW, _SE = range(4)
-# Circular order of the endpoints on the disk boundary.
-_CIRCLE_ORDER = ("NW", "NE", "SE", "SW")
-
-UNDER_SLOTS = (0, 2)
-OVER_SLOTS = (1, 3)
+# Position of NW, NE, SW, SE on the disk boundary, circle order NW, NE, SE, SW.
+_CIRCLE_POS = (0, 1, 3, 2)
 
 
 @dataclass(frozen=True)
@@ -98,27 +104,28 @@ Diagram = TangleDiagram | LinkDiagram
 
 
 # ---------------------------------------------------------------------------
-# incidence bookkeeping
+# ends of edges
 
-def edge_incidences(d: Diagram) -> dict[int, list[tuple]]:
-    """Map edge id -> its incidences ('X', ci, slot) and ('B', label)."""
-    inc: dict[int, list[tuple]] = {}
-    for ci, c in enumerate(d.crossings):
-        for slot, e in enumerate(c.ports):
-            inc.setdefault(e, []).append(("X", ci, slot))
+def _ends(d: Diagram) -> tuple[list[int], list[int]]:
+    """``at[y]``, the edge at end y, and ``mate[y]``, the other end of it."""
+    at = [e for c in d.crossings for e in c.ports]
     if isinstance(d, TangleDiagram):
-        for label, e in zip(BOUNDARY_LABELS, d.boundary):
-            inc.setdefault(e, []).append(("B", label))
-    return inc
-
-
-def _other_incidence(incs: list[tuple], this: tuple) -> tuple:
-    a, b = incs
-    return b if a == this else a
+        at += d.boundary
+    ends: dict[int, list[int]] = {}
+    for y, e in enumerate(at):
+        ends.setdefault(e, []).append(y)
+    mate = at[:]
+    for e, ys in ends.items():
+        if len(ys) != 2:
+            raise DiagramError(f"dangling port: edge {e} has {len(ys)} incidences")
+        a, b = ys
+        mate[a], mate[b] = b, a
+    return at, mate
 
 
 class UnionFind:
-    """Classes of fused edge ids; the smallest id of a class is its root."""
+    """Classes of fused ids (edges, or the vertices of a diagram's connected
+    pieces); the smallest id of a class is its root."""
 
     def __init__(self):
         self.parent: dict[int, int] = {}
@@ -299,64 +306,40 @@ def canonical_form(d: Diagram):
 # ---------------------------------------------------------------------------
 # strands, components, orientation
 
-def strands(d: Diagram, inc: dict[int, list[tuple]] | None = None) -> list[list[tuple]]:
-    """Strand passes, open strands first.
+def strands(d: Diagram, mate: list[int] | None = None) -> list[list[int]]:
+    """Strand passes, open strands first, each the list of ends it leaves from.
 
-    Each strand is a list of traversal steps (edge, from_incidence,
-    to_incidence).  Crossing-free loops (``d.loops``) are not listed.
-    ``inc`` is ``edge_incidences(d)`` when the caller has it already.
+    Walks start at the boundary ends NW, NE, SW, SE, then at the ports in
+    index order; this discovery order fixes the default orientation.
+    Crossing-free loops (``d.loops``) are not listed.  ``mate`` is
+    ``_ends(d)[1]`` when the caller has it already.
     """
-    if inc is None:
-        inc = edge_incidences(d)
-    crossings = d.crossings
-    # (edge, incidence) for both incidences of every edge walked
-    visited: set[tuple[int, tuple]] = set()
+    if mate is None:
+        mate = _ends(d)[1]
+    k4 = 4 * len(d.crossings)
+    seen = [False] * len(mate)
     result = []
-
-    def walk(e, here):
-        steps = []
-        while True:
-            far = _other_incidence(inc[e], here)
-            steps.append((e, here, far))
-            visited.add((e, far))
-            visited.add((e, here))
-            if far[0] == "B":
-                return steps
-            _, ci, slot = far
-            out = (slot + 2) % 4
-            here = ("X", ci, out)
-            e = crossings[ci].ports[out]
-            if (e, here) in visited:
-                return steps
-
-    if isinstance(d, TangleDiagram):
-        done_labels = set()
-        for label, e in zip(BOUNDARY_LABELS, d.boundary):
-            if label in done_labels:
-                continue
-            steps = walk(e, ("B", label))
-            result.append(steps)
-            end = steps[-1][2]
-            if end[0] == "B":
-                done_labels.add(end[1])
-    for ci, c in enumerate(crossings):
-        for slot, e in enumerate(c.ports):
-            start = ("X", ci, slot)
-            if (e, start) not in visited:
-                result.append(walk(e, start))
+    for y in [*range(k4, len(mate)), *range(k4)]:
+        strand = []
+        while not seen[y]:
+            strand.append(y)
+            z = mate[y]
+            seen[y] = seen[z] = True
+            if z >= k4:
+                break
+            y = z ^ 2
+        if strand:
+            result.append(strand)
     return result
 
 
-def open_strand_endpoints(d: TangleDiagram, st: list[list[tuple]] | None = None
-                          ) -> list[tuple[str, str]]:
-    """The endpoint pairing of the two open strands, labels sorted; ``st``
-    is ``strands(d)`` when the caller has it already."""
-    pairs = []
-    for strand in strands(d) if st is None else st:
-        a, b = strand[0][1], strand[-1][2]
-        if a[0] == "B" and b[0] == "B":
-            pairs.append(tuple(sorted((a[1], b[1]))))
-    return sorted(pairs)
+def open_strand_endpoints(d: TangleDiagram) -> list[tuple[str, str]]:
+    """The endpoint pairing of the two open strands, labels sorted."""
+    mate = _ends(d)[1]
+    k4 = 4 * len(d.crossings)
+    return sorted(tuple(sorted((BOUNDARY_LABELS[s[0] - k4],
+                                BOUNDARY_LABELS[mate[s[-1]] - k4])))
+                  for s in strands(d, mate) if s[0] >= k4)
 
 
 def component_count(d: LinkDiagram) -> int:
@@ -371,9 +354,11 @@ def component_subdiagrams(d: Diagram) -> list[LinkDiagram]:
     by an arc joining its two end edges.  For a link these are the
     component knots, for a tangle its strings closed by boundary arcs.
     """
+    at, mate = _ends(d)
+    k4 = 4 * len(d.crossings)
     out = []
-    for s in strands(d):
-        own = {e for e, _, _ in s}
+    for s in strands(d, mate):
+        own = {at[y] for y in s}
         edges = UnionFind()
         kept = []
         for c in d.crossings:
@@ -385,8 +370,8 @@ def component_subdiagrams(d: Diagram) -> list[LinkDiagram]:
                 edges.union(p[0], p[2])
             elif over:
                 edges.union(p[1], p[3])
-        if s[0][1][0] == "B":
-            edges.union(s[0][0], s[-1][0])
+        if s[0] >= k4:
+            edges.union(at[s[0]], at[s[-1]])
         crossings = tuple(Crossing(tuple(map(edges.find, p))) for p in kept)
         out.append(renumber(LinkDiagram(crossings, loops=0 if kept else 1)))
     return out + [LinkDiagram((), loops=1)] * d.loops
@@ -396,35 +381,23 @@ def component_subdiagrams(d: Diagram) -> list[LinkDiagram]:
 class OrientedDiagram:
     """A diagram with a direction assigned to every strand.
 
-    edge_dir maps each edge id to its (tail, head) incidences.
+    ``heads`` holds the ports at which a strand enters its crossing;
+    ``strand_of[y]`` is the index of the strand through end y.
     """
 
     base: Diagram
-    edge_dir: dict[int, tuple[tuple, tuple]]
+    heads: frozenset[int]
+    strand_of: tuple[int, ...]
 
     def over_entry_slot(self, ci: int) -> int:
-        c = self.base.crossings[ci]
-        for slot in OVER_SLOTS:
-            e = c.ports[slot]
-            if self.edge_dir[e][1] == ("X", ci, slot):
-                return slot
-        raise DiagramError(f"crossing {ci} has no oriented over entry")
-
-    def under_entry_slot(self, ci: int) -> int:
-        c = self.base.crossings[ci]
-        for slot in UNDER_SLOTS:
-            e = c.ports[slot]
-            if self.edge_dir[e][1] == ("X", ci, slot):
-                return slot
-        raise DiagramError(f"crossing {ci} has no oriented under entry")
+        return 1 if 4 * ci + 1 in self.heads else 3
 
     def crossing_sign(self, ci: int) -> int:
         """+1 when the under-strand passes right-to-left seen along the
         over-strand direction; that is, under enters one slot
         counterclockwise from the over entry."""
-        over_in = self.over_entry_slot(ci)
-        under_in = self.under_entry_slot(ci)
-        return 1 if under_in == (over_in + 1) % 4 else -1
+        under_in = (self.over_entry_slot(ci) + 1) % 4
+        return 1 if 4 * ci + under_in in self.heads else -1
 
 
 def orient(d: Diagram, choice: tuple[bool, ...] | None = None) -> OrientedDiagram:
@@ -433,16 +406,23 @@ def orient(d: Diagram, choice: tuple[bool, ...] | None = None) -> OrientedDiagra
     The default orients every strand along its discovery order.  Use
     :func:`all_orientations` to enumerate the 2^s assignments.
     """
-    st = strands(d)
+    mate = _ends(d)[1]
+    st = strands(d, mate)
     if choice is None:
         choice = (False,) * len(st)
     if len(choice) != len(st):
         raise DiagramError(f"expected {len(st)} direction bits, got {len(choice)}")
-    edge_dir: dict[int, tuple[tuple, tuple]] = {}
-    for bits, strand in zip(choice, st):
-        for e, a, b in strand:
-            edge_dir[e] = (b, a) if bits else (a, b)
-    return OrientedDiagram(base=d, edge_dir=edge_dir)
+    k4 = 4 * len(d.crossings)
+    strand_of = [0] * len(mate)
+    heads = []
+    for i, (back, strand) in enumerate(zip(choice, st)):
+        for y in strand:
+            z = mate[y]
+            strand_of[y] = strand_of[z] = i
+            head = y if back else z
+            if head < k4:
+                heads.append(head)
+    return OrientedDiagram(d, frozenset(heads), tuple(strand_of))
 
 
 def all_orientations(d: Diagram) -> list[OrientedDiagram]:
@@ -453,144 +433,78 @@ def all_orientations(d: Diagram) -> list[OrientedDiagram]:
 # ---------------------------------------------------------------------------
 # faces and validation
 
-def _faces(d: Diagram, inc: dict[int, list[tuple]]) -> list[list[tuple]]:
-    """Orbits of the face-tracing permutation; darts are (edge, to_inc).
-    ``inc`` is ``edge_incidences(d)``."""
-    for e, (a, b) in inc.items():
-        if a == b:
-            raise DiagramError(f"edge {e} has twice the same incidence")
-    crossings = d.crossings
-    seen = set()
+def _faces(mate: list[int], k4: int) -> list[list[int]]:
+    """Orbits of the face rule on ends: go along the edge, then turn to the
+    next port counterclockwise; at a boundary end (``y >= k4``) the face
+    wraps around.  Each face is the list of ends it leaves from."""
+    seen = [False] * len(mate)
     faces = []
-    for e, pair in inc.items():
-        for to in pair:
-            cur = (e, to)
-            if cur in seen:
-                continue
-            face = []
-            while cur not in seen:
-                seen.add(cur)
-                face.append(cur)
-                edge, at = cur
-                if at[0] == "X":
-                    # turn counterclockwise onto the next slot
-                    _, ci, slot = at
-                    slot = (slot + 1) % 4
-                    edge = crossings[ci].ports[slot]
-                    at = ("X", ci, slot)
-                # else a one-valent endpoint: the face wraps around it
-                a, b = inc[edge]
-                cur = (edge, b if a == at else a)
+    for y in range(len(mate)):
+        face = []
+        while not seen[y]:
+            seen[y] = True
+            face.append(y)
+            y = mate[y]
+            if y < k4:
+                y = (y & ~3) | ((y + 1) & 3)
+        if face:
             faces.append(face)
     return faces
-
-
-def _node(incidence: tuple) -> tuple:
-    """The vertex of an incidence: ('X', ci) for a crossing, or the
-    endpoint ('B', label) itself."""
-    return incidence if incidence[0] == "B" else incidence[:2]
-
-
-def _incidence_components(inc: dict[int, list[tuple]]) -> list[set]:
-    """Connected components of the crossing/endpoint graph (edges as links),
-    from the edge incidences."""
-    adj: dict[tuple, list] = {}
-    for a, b in inc.values():
-        va, vb = _node(a), _node(b)
-        adj.setdefault(va, []).append(vb)
-        adj.setdefault(vb, []).append(va)
-    comps = []
-    left = set(adj)
-    while left:
-        seed = left.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    left.discard(w)
-                    frontier.append(w)
-        comps.append(comp)
-    return comps
 
 
 def validate(d: Diagram) -> str | None:
     """Check the diagram invariants; return the first diagnostic, or None.
 
-    Checks, in order: every edge has exactly two incidences; the rotation
+    Checks, in order: every edge has exactly two ends; the rotation
     system is planar on every connected piece (Euler count); tangles have
-    exactly two open strands, no closed components, and their endpoints in
-    the circular order NW, NE, SE, SW on the outer face.
+    no closed components, and their endpoints in the circular order NW,
+    NE, SE, SW on one face, or on two pieces whose chords do not cross.
     """
-    inc = edge_incidences(d)
-    for e, pair in inc.items():
-        if len(pair) != 2:
-            return f"dangling port: edge {e} has {len(pair)} incidences"
+    try:
+        mate = _ends(d)[1]
+    except DiagramError as err:
+        return str(err)
     if isinstance(d, LinkDiagram):
         if d.crossing_count == 0 and d.loops == 0:
             return "empty diagram"
         if d.loops < 0:
             return "negative loop count"
-    if isinstance(d, TangleDiagram) and d.loops:
+    elif d.loops:
         return "closed component in tangle"
 
-    # planarity, per connected component of the underlying 4-valent graph
-    comps = _incidence_components(inc)
-    faces = _faces(d, inc)
-    for comp in comps:
-        ne = sum(1 for a, _ in inc.values() if _node(a) in comp)
-        nf = sum(1 for f in faces if _node(f[0][1]) in comp)
-        if len(comp) - ne + nf != 2:
-            return "planarity: Euler count fails"
+    # planarity: V - E + F = 2 on every connected piece, whose vertices
+    # are the crossings and the boundary ends; counted doubled, so each
+    # end, half an edge, takes 1
+    k4 = 4 * len(d.crossings)
+    node = [y >> 2 if y < k4 else y for y in range(len(mate))]
+    pieces = UnionFind()
+    for y, z in enumerate(mate):
+        pieces.union(node[y], node[z])
+    faces = _faces(mate, k4)
+    euler = Counter()
+    for v in set(node):
+        euler[pieces.find(v)] += 2
+    for v in node:
+        euler[pieces.find(v)] -= 1
+    for f in faces:
+        euler[pieces.find(node[f[0]])] += 2
+    if any(x != 4 for x in euler.values()):
+        return "planarity: Euler count fails"
 
     if isinstance(d, TangleDiagram):
-        st = strands(d, inc)
-        open_strands = [s for s in st if s[0][1][0] == "B" or s[-1][2][0] == "B"]
-        if len(open_strands) != 2:
-            return f"strand count: {len(open_strands)} open strands"
+        st = strands(d, mate)
         if len(st) > 2:
             return "closed component in tangle"
-        err = _check_boundary_order(d, comps, faces, st)
-        if err:
-            return err
-    return None
-
-
-def _check_boundary_order(d: TangleDiagram, comps, faces, st) -> str | None:
-    """Endpoints must sit on a common face in circle order NW, NE, SE, SW.
-
-    ``comps``, ``faces`` and ``st`` are the incidence components, faces and
-    strands of d."""
-    endpoint_comp = {}
-    for comp in comps:
-        for v in comp:
-            if v[0] == "B":
-                endpoint_comp[v[1]] = id(comp)
-    if len(set(endpoint_comp.values())) == 1:
-        for face in faces:
-            labels = [to[1] for _, to in face if to[0] == "B"]
-            if not labels:
-                continue
-            if set(labels) != set(BOUNDARY_LABELS):
-                continue
-            seq = labels
-            doubled = list(_CIRCLE_ORDER) * 2
-            fwd = any(seq == doubled[i:i + 4] for i in range(4))
-            rev = any(seq == doubled[i:i + 4][::-1] for i in range(4))
-            if fwd or rev:
-                return None
-        return "boundary order: endpoints not in circular order on one face"
-    # two separate open strands: their chords must not interleave
-    pairs = open_strand_endpoints(d, st)
-    order = {lab: i for i, lab in enumerate(_CIRCLE_ORDER)}
-    if len(pairs) == 2:
-        (a1, b1), (a2, b2) = pairs
-        i, j = sorted((order[a1], order[b1]))
-        k, l = sorted((order[a2], order[b2]))
-        interleaves = (i < k < j < l) or (k < i < l < j)
-        if interleaves:
+        if len({pieces.find(y) for y in range(k4, k4 + 4)}) == 1:
+            for face in faces:
+                pos = [_CIRCLE_POS[y - k4] for y in face if y >= k4]
+                steps = {(b - a) % 4 for a, b in zip(pos, pos[1:] + pos[:1])}
+                if len(pos) == 4 and len(steps) == 1:
+                    return None
+            return "boundary order: endpoints not in circular order on one face"
+        # two pieces, one open strand each: the chords cross when the
+        # strand from NW ends at SE
+        if mate[st[0][-1]] == k4 + _SE:
             return "planarity: boundary chords interleave"
     return None
 

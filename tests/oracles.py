@@ -1,7 +1,7 @@
 """Slow reference implementations that the fast library paths are tested
 against."""
 
-from tanglekit.diagram import LinkDiagram, TangleDiagram, tangle_sum
+from tanglekit.diagram import Crossing, LinkDiagram, TangleDiagram, tangle_sum
 from tanglekit.fraction import frac_add
 from tanglekit.laurent import LaurentPoly
 from tanglekit.quandle import NotInvariant, _c_constrained_matrix, coloring_fraction
@@ -65,6 +65,13 @@ def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
         term = (delta ** (circles - 1)).shift(a_exp).scale(mult)
         total = total + term
     return total
+
+
+def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
+    """Distant union of two link diagrams."""
+    offset = max((e for c in d1.crossings for e in c.ports), default=-1) + 1
+    moved = tuple(Crossing(tuple(e + offset for e in c.ports)) for c in d2.crossings)
+    return LinkDiagram(crossings=d1.crossings + moved, loops=d1.loops + d2.loops)
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -4,7 +4,6 @@ import pytest
 
 from tanglekit.bracket import (
     CrossingBudgetExceeded,
-    disjoint_union,
     jones,
     jones_at_minus_one,
     jones_unknot,
@@ -30,7 +29,8 @@ from tanglekit.diagram import (
 from tanglekit.fraction import Fraction, frac_normalize
 from tanglekit.laurent import LaurentPoly
 
-from conftest import add_kink, r2_pair_closure
+from conftest import add_kink, r2_pair_closure, random_tangle_diagram
+from oracles import disjoint_union
 
 
 def F(p, q=1):
@@ -202,6 +202,29 @@ class TestComponentExtraction:
     def test_hopf_is_not_split(self):
         hopf = close_numerator(from_rational(F(2)))
         assert jones(hopf) != split_union_jones(hopf)
+
+    def test_split_union_jones_is_jones_of_the_union(self, catalog_entries):
+        # the product formula against the Jones polynomial of the distant
+        # union of the components, built as one diagram
+        rng = random.Random(7007)
+        links = [close(e.diagram) for e in catalog_entries
+                 for close in (close_numerator, close_denominator)]
+        for _ in range(100):
+            t = random_tangle_diagram(rng)
+            links += [close_numerator(t), close_denominator(t)]
+        small = [L for L in links if L.crossing_count <= 6]
+        for n in (3, 3, 3, 4, 4, 4):
+            parts = rng.sample(small, n)
+            union = parts[0]
+            for part in parts[1:]:
+                union = disjoint_union(union, part)
+            links.append(union)
+        for L in links:
+            comps = component_subdiagrams(L)
+            union = comps[0]
+            for c in comps[1:]:
+                union = disjoint_union(union, c)
+            assert split_union_jones(L) == jones(union)
 
 
 class TestLaurent:

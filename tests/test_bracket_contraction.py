@@ -6,7 +6,6 @@ import pytest
 
 from tanglekit import bracket, catalog
 from tanglekit.bracket import (
-    disjoint_union,
     jones,
     jones_at_minus_one,
     kauffman_bracket,
@@ -24,7 +23,7 @@ from tanglekit.fraction import frac_normalize
 from tanglekit.quandle import determinant
 
 from conftest import add_kink, r2_pair_closure, random_fraction, random_tangle_diagram
-from oracles import state_sum_bracket
+from oracles import disjoint_union, state_sum_bracket
 
 MAX_ORACLE_CROSSINGS = 12
 # the 15-crossing splitting candidate of 7_17 takes the oracle about 1 s

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from tanglekit.bracket import linking_number
 from tanglekit.diagram import (
     Crossing,
     LinkDiagram,
     TangleDiagram,
+    _ends,
     all_orientations,
     canonical_form,
     close_denominator,
@@ -22,6 +24,7 @@ from tanglekit.diagram import (
     print_diagram,
     renumber,
     rotate,
+    strands,
     tangle_product,
     tangle_sum,
     validate,
@@ -30,7 +33,7 @@ from tanglekit.diagram import (
 from tanglekit.expr import parse_expr
 from tanglekit.fraction import Fraction, continued_fraction, frac_normalize
 
-from conftest import random_fraction
+from conftest import add_kink, random_fraction
 
 
 def F(p, q=1):
@@ -97,6 +100,11 @@ class TestGluing:
     def test_sum_can_close_a_circle(self):
         s = tangle_sum(infinity_tangle(), infinity_tangle())
         assert s.loops == 1
+        assert validate(s) == "closed component in tangle"
+        # capping the east side of 1/2 closes its NE-SE string into a
+        # circle that crosses the other string twice; no loop is counted
+        s = tangle_sum(from_rational(F(1, 2)), infinity_tangle())
+        assert s.loops == 0
         assert validate(s) == "closed component in tangle"
 
 
@@ -165,6 +173,14 @@ class TestValidateDiagnostics:
     def test_empty_link(self):
         assert validate(LinkDiagram(crossings=())) == "empty diagram"
 
+    def test_boundary_out_of_circle_order(self):
+        # the one-crossing tangle with its NE and SE endpoints swapped
+        nw, ne, sw, se = from_rational(F(1)).boundary
+        d = TangleDiagram(crossings=from_rational(F(1)).crossings,
+                          boundary=(nw, se, sw, ne))
+        assert (validate(d)
+                == "boundary order: endpoints not in circular order on one face")
+
 
 class TestOrientation:
     def test_two_string_tangle_has_four_orientations(self):
@@ -187,6 +203,55 @@ class TestOrientation:
 
         L = close_numerator(from_rational(F(3)))
         assert writhe(orient(L)) == 3
+
+
+def walk_corpus(catalog_entries) -> list:
+    """Catalog tangles, their closures and closures with a kink added."""
+    tangles = [e.diagram for e in catalog_entries]
+    links = [close(t) for t in tangles for close in (close_numerator, close_denominator)]
+    kinked = [add_kink(L, L.crossings[0].ports[slot], slot % 2)
+              for L in links[::3] if L.crossings for slot in (0, 1)]
+    return tangles + links + kinked
+
+
+class TestEndWalks:
+    def test_every_end_lies_in_one_strand(self, catalog_entries):
+        for d in walk_corpus(catalog_entries):
+            mate = _ends(d)[1]
+            left = [y for s in strands(d) for y in s]
+            assert sorted(left + [mate[y] for y in left]) == list(range(len(mate)))
+
+    def test_one_under_and_one_over_entry_per_crossing(self, catalog_entries):
+        for d in walk_corpus(catalog_entries):
+            for od in all_orientations(d):
+                for ci in range(d.crossing_count):
+                    assert len({4 * ci, 4 * ci + 2} & od.heads) == 1
+                    assert len({4 * ci + 1, 4 * ci + 3} & od.heads) == 1
+
+    def test_mirror_negates_every_crossing_sign(self, catalog_entries):
+        def sign_vectors(d):
+            return {tuple(od.crossing_sign(ci) for ci in range(d.crossing_count))
+                    for od in all_orientations(d)}
+
+        for d in walk_corpus(catalog_entries):
+            negated = {tuple(-x for x in v) for v in sign_vectors(d)}
+            assert sign_vectors(mirror(d)) == negated
+
+    def test_reversing_one_component_negates_linking_number(self, catalog_entries):
+        linked = 0
+        for d in walk_corpus(catalog_entries):
+            if isinstance(d, LinkDiagram) and len(strands(d)) == 2 and not d.loops:
+                lk = linking_number(orient(d))
+                assert linking_number(orient(d, (True, False))) == -lk
+                assert linking_number(orient(d, (False, True))) == -lk
+                linked += lk != 0
+        assert linked > 0
+
+    def test_oriented_diagrams_hash_by_value(self, catalog_entries):
+        for d in walk_corpus(catalog_entries):
+            copy = parse_diagram(print_diagram(d))
+            assert orient(copy) == orient(d) and hash(orient(copy)) == hash(orient(d))
+            assert len(set(all_orientations(d))) == 2 ** len(strands(d))
 
 
 class TestExpressionRealization:

@@ -35,6 +35,7 @@ from tanglekit.quandle import (
 from conftest import dense, random_fraction, random_tangle_diagram
 from oracles import (
     alternating_sum_check,
+    disjoint_union,
     fraction_additivity_check,
     has_nontrivial_c_coloring,
 )
@@ -282,8 +283,6 @@ class TestDeterminant:
             checked += 1
 
     def test_split_presentation_zero(self):
-        from tanglekit.bracket import disjoint_union
-
         a = close_numerator(from_rational(F(3)))
         b = close_numerator(from_rational(F(2)))
         assert determinant(disjoint_union(a, b)) == 0

@@ -33,13 +33,13 @@ from tanglekit.diagram import (  # noqa: E402
     Crossing,
     LinkDiagram,
     TangleDiagram,
+    _ends,
     _faces,
     all_orientations,
     canonical_form,
     close_numerator,
     component_count,
     component_subdiagrams,
-    edge_incidences,
     from_rational,
     orient,
     print_diagram,
@@ -202,23 +202,19 @@ def all_cut_tangles(L: LinkDiagram):
 
 
 def has_kink_or_reducible_bigon(d: TangleDiagram) -> bool:
-    inc = edge_incidences(d)
-    for e, pair in inc.items():
-        if pair[0][0] == "X" and pair[1][0] == "X" and pair[0][1] == pair[1][1]:
+    mate = _ends(d)[1]
+    k4 = 4 * d.crossing_count
+    for y in range(k4):
+        if mate[y] < k4 and mate[y] >> 2 == y >> 2:
             return True  # kink
-    for face in _faces(d, inc):
+    for face in _faces(mate, k4):
         if len(face) != 2:
             continue
-        (e1, _), (e2, _) = face
-        if e1 == e2:
+        ends = [face[0], mate[face[0]], face[1], mate[face[1]]]
+        if max(ends) >= k4:
             continue
-        if any(kind != "X" for kind, *_ in inc[e1] + inc[e2]):
-            continue
-        over1 = all(s in (1, 3) for _, _, s in inc[e1])
-        over2 = all(s in (1, 3) for _, _, s in inc[e2])
-        under1 = all(s in (0, 2) for _, _, s in inc[e1])
-        under2 = all(s in (0, 2) for _, _, s in inc[e2])
-        if (over1 and under2) or (over2 and under1):
+        # the bigon's two edges: one over at both crossings, one under
+        if [y & 1 for y in ends] in ([1, 1, 0, 0], [0, 0, 1, 1]):
             return True  # second Reidemeister bigon
     return False
 
