@@ -31,7 +31,6 @@ values are ever compared with computed values here.
 from __future__ import annotations
 
 import os
-from fractions import Fraction as QQ
 from math import comb
 
 from .diagram import LinkDiagram, OrientedDiagram, component_subdiagrams, orient
@@ -167,18 +166,6 @@ def jones_unlink(components: int) -> LaurentPoly:
     """(-t^(1/2) - t^(-1/2))^(components - 1)."""
     delta = LaurentPoly.make("sqrt_t", {1: -1, -1: -1})
     return delta ** (components - 1)
-
-
-def jones_at_minus_one(poly: LaurentPoly) -> int:
-    """|V(-1)| via sqrt_t = i; defined for knots (imaginary part vanishes)."""
-    if poly.var != "sqrt_t":
-        raise ValueError("expected a Jones polynomial in sqrt_t")
-    re, im = poly.substitute_gaussian(QQ(0), QQ(1))
-    if im != 0:
-        raise ValueError("V(-1) is not real; restrict the check to knots")
-    if re.denominator != 1:
-        raise AssertionError("V(-1) must be an integer")
-    return abs(int(re))
 
 
 def split_union_jones(d: LinkDiagram) -> LaurentPoly:

@@ -22,9 +22,8 @@ carries an evidence log, and Unknown is a legal outcome.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from functools import cached_property
-from importlib import resources
 
 from .bracket import (
     CrossingBudgetExceeded,
@@ -71,12 +70,15 @@ class CatalogError(ValueError):
     pass
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    diagram: TangleDiagram
-    expression: TangleExpr | None
-    essential: bool
+    __slots__ = ("name", "diagram", "expression", "essential")
+
+    def __init__(self, name: str, diagram: TangleDiagram,
+                 expression: TangleExpr | None, essential: bool):
+        self.name = name
+        self.diagram = diagram
+        self.expression = expression
+        self.essential = essential
 
 
 # the closures tried for unknotting and unlinking certificates
@@ -85,8 +87,14 @@ _SWEEP = [frac_normalize(*pq) for pq in
 
 
 def _data_text(name: str) -> str:
-    pkg = resources.files("tanglekit").joinpath("data")
-    return pkg.joinpath(name).read_text()
+    """A bundled data file, read from the package directory.
+
+    Not through ``importlib.resources``: from Python 3.12 on it imports
+    ``inspect``, which would add its import time to every cold start.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_catalog() -> list[CatalogEntry]:
@@ -369,11 +377,13 @@ EXPECTED_FRACTIONS = {
 }
 
 
-@dataclass
 class ReproduceReport:
-    ok: bool
-    lines: list[str]
-    data: dict
+    __slots__ = ("ok", "lines", "data")
+
+    def __init__(self, ok: bool, lines: list[str], data: dict):
+        self.ok = ok
+        self.lines = lines
+        self.data = data
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"

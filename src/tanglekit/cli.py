@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction as QQ
 
 from . import catalog as cat
 from .bracket import CrossingBudgetExceeded, jones, linking_number
@@ -182,7 +181,13 @@ def cmd_jones(args) -> int:
 
 
 def _parse_point(text: str):
-    """Rational or Gaussian-integer point: '3', '-1/2', '2+3i', 'i'."""
+    """Rational or Gaussian-integer point: '3', '-1/2', '2+3i', 'i'.
+
+    Returns the real and imaginary parts as ``fractions.Fraction``,
+    imported here so that only ``jones --at`` loads the module.
+    """
+    from fractions import Fraction as QQ
+
     text = text.replace(" ", "")
     if text.endswith("i"):
         body = text[:-1]
@@ -195,7 +200,7 @@ def _parse_point(text: str):
     return QQ(text), QQ(0)
 
 
-def _gauss_str(re: QQ, im: QQ) -> str:
+def _gauss_str(re, im) -> str:
     if im == 0:
         return str(re)
     if re == 0:

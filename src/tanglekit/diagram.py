@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
 
 from .fraction import Fraction, continued_fraction
+from .value import Value, setfield
 
 BOUNDARY_LABELS = ("NW", "NE", "SW", "SE")
 _NW, _NE, _SW, _SE = range(4)
@@ -59,11 +59,16 @@ _NW, _NE, _SW, _SE = range(4)
 _CIRCLE_POS = (0, 1, 3, 2)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Value):
     """Four edge ids counterclockwise; slots 0, 2 are the under-strand."""
 
-    ports: tuple[int, int, int, int]
+    __slots__ = ("ports",)
+
+    def __init__(self, ports: tuple[int, int, int, int]):
+        setfield(self, "ports", ports)
+
+    def _key(self):
+        return self.ports
 
     def canonical(self) -> tuple[int, int, int, int]:
         """Rotation-normalized ports (shifting by 2 preserves the data)."""
@@ -75,25 +80,38 @@ class DiagramError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TangleDiagram:
-    crossings: tuple[Crossing, ...]
-    boundary: tuple[int, int, int, int]   # edge ids at NW, NE, SW, SE
-    loops: int = 0
+class TangleDiagram(Value):
+    """Crossings, the edge ids at NW, NE, SW, SE, and crossing-free loops."""
 
-    def __post_init__(self):
-        if type(self.boundary) is not tuple or len(self.boundary) != 4:
+    __slots__ = ("crossings", "boundary", "loops")
+
+    def __init__(self, crossings: tuple[Crossing, ...],
+                 boundary: tuple[int, int, int, int], loops: int = 0):
+        if type(boundary) is not tuple or len(boundary) != 4:
             raise DiagramError("tangle must name all four endpoints NW, NE, SW, SE")
+        setfield(self, "crossings", crossings)
+        setfield(self, "boundary", boundary)
+        setfield(self, "loops", loops)
+
+    def _key(self):
+        return self.crossings, self.boundary, self.loops
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    crossings: tuple[Crossing, ...]
-    loops: int = 0
+class LinkDiagram(Value):
+    """Crossings and crossing-free loops."""
+
+    __slots__ = ("crossings", "loops")
+
+    def __init__(self, crossings: tuple[Crossing, ...], loops: int = 0):
+        setfield(self, "crossings", crossings)
+        setfield(self, "loops", loops)
+
+    def _key(self):
+        return self.crossings, self.loops
 
     @property
     def crossing_count(self) -> int:
@@ -264,7 +282,9 @@ def mirror(d: Diagram) -> Diagram:
     """Swap every over/under designation (the planar map is unchanged)."""
     flipped = tuple(Crossing((c.ports[1], c.ports[2], c.ports[3], c.ports[0]))
                     for c in d.crossings)
-    return replace(d, crossings=flipped)
+    if isinstance(d, TangleDiagram):
+        return TangleDiagram(flipped, d.boundary, d.loops)
+    return LinkDiagram(flipped, d.loops)
 
 
 def close_numerator(t: TangleDiagram) -> LinkDiagram:
@@ -377,17 +397,22 @@ def component_subdiagrams(d: Diagram) -> list[LinkDiagram]:
     return out + [LinkDiagram((), loops=1)] * d.loops
 
 
-@dataclass(frozen=True)
-class OrientedDiagram:
+class OrientedDiagram(Value):
     """A diagram with a direction assigned to every strand.
 
     ``heads`` holds the ports at which a strand enters its crossing;
     ``strand_of[y]`` is the index of the strand through end y.
     """
 
-    base: Diagram
-    heads: frozenset[int]
-    strand_of: tuple[int, ...]
+    __slots__ = ("base", "heads", "strand_of")
+
+    def __init__(self, base: Diagram, heads: frozenset[int], strand_of: tuple[int, ...]):
+        setfield(self, "base", base)
+        setfield(self, "heads", heads)
+        setfield(self, "strand_of", strand_of)
+
+    def _key(self):
+        return self.base, self.heads, self.strand_of
 
     def over_entry_slot(self, ci: int) -> int:
         return 1 if 4 * ci + 1 in self.heads else 3

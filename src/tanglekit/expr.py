@@ -33,7 +33,6 @@ mark them as derived rather than independently stated.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .fraction import (
     Fraction,
@@ -43,19 +42,26 @@ from .fraction import (
     frac_rotate,
     unknotting_closure,
 )
+from .value import Value, setfield
 
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """One of the three embedding answers for one property."""
 
-    status: str
-    closure: Fraction | None = None
-    reason: str | None = None
+    __slots__ = ("status", "closure", "reason")
+
+    def __init__(self, status: str, closure: Fraction | None = None,
+                 reason: str | None = None):
+        setfield(self, "status", status)
+        setfield(self, "closure", closure)
+        setfield(self, "reason", reason)
+
+    def _key(self):
+        return self.status, self.closure, self.reason
 
     @classmethod
     def yes(cls, closure: Fraction | None = None) -> "Verdict":
@@ -89,15 +95,18 @@ class VerdictConsistencyError(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class EmbedVerdict:
-    unknottable: Verdict
-    unlinkable: Verdict
-    splittable: Verdict
+class EmbedVerdict(Value):
+    __slots__ = ("unknottable", "unlinkable", "splittable")
 
-    def __post_init__(self):
-        if self.unlinkable.is_yes and not self.splittable.is_yes:
+    def __init__(self, unknottable: Verdict, unlinkable: Verdict, splittable: Verdict):
+        if unlinkable.is_yes and not splittable.is_yes:
             raise VerdictConsistencyError("unlinkable tangles are splittable")
+        setfield(self, "unknottable", unknottable)
+        setfield(self, "unlinkable", unlinkable)
+        setfield(self, "splittable", splittable)
+
+    def _key(self):
+        return self.unknottable, self.unlinkable, self.splittable
 
     def transform_closures(self, fn) -> "EmbedVerdict":
         def t(v: Verdict) -> Verdict:
@@ -124,36 +133,66 @@ def make_verdict(unknottable: Verdict, unlinkable: Verdict,
 # ---------------------------------------------------------------------------
 # expression trees
 
-@dataclass(frozen=True)
-class RationalLeaf:
-    value: Fraction
+class RationalLeaf(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        setfield(self, "value", value)
+
+    def _key(self):
+        return self.value
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "TangleExpr"
-    right: "TangleExpr"
+class Sum(Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "TangleExpr", right: "TangleExpr"):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+
+    def _key(self):
+        return self.left, self.right
 
 
-@dataclass(frozen=True)
-class Product:
-    top: "TangleExpr"
-    bottom: "TangleExpr"
+class Product(Value):
+    __slots__ = ("top", "bottom")
+
+    def __init__(self, top: "TangleExpr", bottom: "TangleExpr"):
+        setfield(self, "top", top)
+        setfield(self, "bottom", bottom)
+
+    def _key(self):
+        return self.top, self.bottom
 
 
-@dataclass(frozen=True)
-class Rotate:
-    child: "TangleExpr"
+class Rotate(Value):
+    __slots__ = ("child",)
+
+    def __init__(self, child: "TangleExpr"):
+        setfield(self, "child", child)
+
+    def _key(self):
+        return self.child
 
 
-@dataclass(frozen=True)
-class Mirror:
-    child: "TangleExpr"
+class Mirror(Value):
+    __slots__ = ("child",)
+
+    def __init__(self, child: "TangleExpr"):
+        setfield(self, "child", child)
+
+    def _key(self):
+        return self.child
 
 
-@dataclass(frozen=True)
-class NamedRef:
-    name: str
+class NamedRef(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
+
+    def _key(self):
+        return self.name
 
 
 TangleExpr = RationalLeaf | Sum | Product | Rotate | Mirror | NamedRef
@@ -466,33 +505,46 @@ def rational_leaf_verdict(f: Fraction) -> EmbedVerdict:
 # ---------------------------------------------------------------------------
 # evaluation
 
-@dataclass(frozen=True)
 class CatalogHint:
     """Closure data for a named tangle: its verdicts and essentiality."""
 
-    verdict: EmbedVerdict
-    essential: bool
+    __slots__ = ("verdict", "essential")
+
+    def __init__(self, verdict: EmbedVerdict, essential: bool):
+        self.verdict = verdict
+        self.essential = essential
 
 
-@dataclass
 class EvalResult:
-    verdict: EmbedVerdict
-    rational: Fraction | None
-    log: list[str] = field(default_factory=list)
+    __slots__ = ("verdict", "rational", "log")
+
+    def __init__(self, verdict: EmbedVerdict, rational: Fraction | None, log: list[str]):
+        self.verdict = verdict
+        self.rational = rational
+        self.log = log
 
 
 class UnresolvedReference(KeyError):
     pass
 
 
-@dataclass
 class _Item:
     """A normalized summand: a rational value or an evaluated piece."""
 
-    rational: Fraction | None
-    verdict: EmbedVerdict | None
-    essential: bool
-    label: str
+    __slots__ = ("rational", "verdict", "essential", "label")
+
+    def __init__(self, rational: Fraction | None, verdict: EmbedVerdict | None,
+                 essential: bool, label: str):
+        self.rational = rational
+        self.verdict = verdict
+        self.essential = essential
+        self.label = label
+
+    def __eq__(self, other):
+        if other.__class__ is not _Item:
+            return NotImplemented
+        return (self.rational, self.verdict, self.essential, self.label) == (
+            other.rational, other.verdict, other.essential, other.label)
 
 
 def evaluate(expr: TangleExpr, hints: dict[str, CatalogHint] | None = None) -> EvalResult:

@@ -20,21 +20,25 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .value import Value, setfield
 
 
-@dataclass(frozen=True, order=False)
-class Fraction:
+class Fraction(Value):
     """Reduced extended rational p/q with q >= 0; (1, 0) is infinity."""
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den < 0 or (self.den == 0 and self.num != 1):
-            raise ValueError(f"non-canonical fraction ({self.num}, {self.den})")
-        if self.den != 0 and math.gcd(abs(self.num), self.den) != 1:
-            raise ValueError(f"fraction ({self.num}, {self.den}) is not reduced")
+    def __init__(self, num: int, den: int):
+        if den < 0 or (den == 0 and num != 1):
+            raise ValueError(f"non-canonical fraction ({num}, {den})")
+        if den != 0 and math.gcd(abs(num), den) != 1:
+            raise ValueError(f"fraction ({num}, {den}) is not reduced")
+        setfield(self, "num", num)
+        setfield(self, "den", den)
+
+    def _key(self):
+        return self.num, self.den
 
     @property
     def is_infinite(self) -> bool:
@@ -154,8 +158,7 @@ def continued_fraction_value(entries: list[int]) -> Fraction:
     return frac_normalize(p, q)
 
 
-@dataclass(frozen=True)
-class TwoBridgeLink:
+class TwoBridgeLink(Value):
     """Schubert normal form b(alpha, beta) of a 2-bridge link.
 
     alpha = 0 is the 2-component unlink (stored as b(0, 1)) and alpha = 1
@@ -163,18 +166,22 @@ class TwoBridgeLink:
     gcd(alpha, beta) = 1.  The link has two components iff alpha is even.
     """
 
-    alpha: int
-    beta: int
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        if self.alpha == 0:
-            ok = self.beta == 1
-        elif self.alpha == 1:
-            ok = self.beta == 0
+    def __init__(self, alpha: int, beta: int):
+        if alpha == 0:
+            ok = beta == 1
+        elif alpha == 1:
+            ok = beta == 0
         else:
-            ok = 0 <= self.beta < self.alpha and math.gcd(self.alpha, self.beta) == 1
+            ok = 0 <= beta < alpha and math.gcd(alpha, beta) == 1
         if not ok:
-            raise ValueError(f"b({self.alpha}, {self.beta}) is not in normal form")
+            raise ValueError(f"b({alpha}, {beta}) is not in normal form")
+        setfield(self, "alpha", alpha)
+        setfield(self, "beta", beta)
+
+    def _key(self):
+        return self.alpha, self.beta
 
     @property
     def components(self) -> int:
@@ -222,11 +229,13 @@ def two_bridge_equivalent(a: TwoBridgeLink, b: TwoBridgeLink) -> bool:
     return (a.beta * b.beta) % a.alpha in (1 % a.alpha, (-1) % a.alpha)
 
 
-@dataclass(frozen=True)
 class RationalClosureVerdict:
-    unknot: bool
-    unlink: bool
-    split: bool
+    __slots__ = ("unknot", "unlink", "split")
+
+    def __init__(self, unknot: bool, unlink: bool, split: bool):
+        self.unknot = unknot
+        self.unlink = unlink
+        self.split = split
 
 
 def rational_closure_verdict(t: Fraction, u: Fraction) -> RationalClosureVerdict:

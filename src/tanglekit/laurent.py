@@ -8,14 +8,18 @@ t^(e/2).  Zero coefficients are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction as QQ
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    var: str
-    coeffs: tuple[tuple[int, int], ...]  # sorted (exponent, coefficient)
+class LaurentPoly(Value):
+    __slots__ = ("var", "coeffs")
+
+    def __init__(self, var: str, coeffs: tuple[tuple[int, int], ...]):
+        setfield(self, "var", var)
+        setfield(self, "coeffs", coeffs)  # sorted (exponent, coefficient)
+
+    def _key(self):
+        return self.var, self.coeffs
 
     @classmethod
     def make(cls, var: str, terms: dict[int, int]) -> "LaurentPoly":
@@ -81,8 +85,11 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def substitute_gaussian(self, re: QQ, im: QQ) -> tuple[QQ, QQ]:
-        """Evaluate at var = re + im*i over exact rationals."""
+    def substitute_gaussian(self, re, im):
+        """Evaluate at var = re + im*i, for re and im of
+        ``fractions.Fraction``; returns the real and imaginary parts."""
+        from fractions import Fraction as QQ
+
         vr, vi = QQ(0), QQ(0)
         for e, c in self.coeffs:
             pr, pi = _gauss_pow(re, im, e)
@@ -108,14 +115,14 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _gauss_pow(re: QQ, im: QQ, e: int) -> tuple[QQ, QQ]:
+def _gauss_pow(re, im, e: int):
     if e < 0:
         norm = re * re + im * im
         if norm == 0:
             raise ZeroDivisionError("evaluation at 0 with negative exponent")
         re, im = re / norm, -im / norm
         e = -e
-    pr, pi = QQ(1), QQ(0)
+    pr, pi = 1, 0
     br, bi = re, im
     while e:
         if e & 1:

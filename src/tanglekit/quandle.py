@@ -20,8 +20,6 @@ fraction, which pins down every sign convention in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import (
     Diagram,
     LinkDiagram,
@@ -31,6 +29,7 @@ from .diagram import (
 )
 from .fraction import Fraction, frac_normalize
 from .snf import SmithForm, integer_determinant, smith_normal_form
+from .value import Value, setfield
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +63,19 @@ def quandle_check(table: list[list[int]]) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class FiniteQuandle:
+class FiniteQuandle(Value):
     """Finite quandle given by its multiplication table (checked)."""
 
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("table",)
 
-    def __post_init__(self):
-        err = quandle_check([list(r) for r in self.table])
+    def __init__(self, table: tuple[tuple[int, ...], ...]):
+        err = quandle_check([list(r) for r in table])
         if err:
             raise ValueError(err)
+        setfield(self, "table", table)
+
+    def _key(self):
+        return self.table
 
     @property
     def size(self) -> int:
@@ -174,7 +176,6 @@ def boundary_arcs(d: TangleDiagram, arc_of: dict[int, int]) -> tuple[int, ...]:
     return tuple(arc_of[e] for e in d.boundary)
 
 
-@dataclass
 class ColoringLattice:
     """Solution space of the dihedral crossing relations.
 
@@ -185,10 +186,14 @@ class ColoringLattice:
     ``boundary`` holds the arc indices at NW, NE, SW, SE.
     """
 
-    modulus: int
-    arc_count: int
-    smith: SmithForm
-    boundary: tuple[int, ...] | None
+    __slots__ = ("modulus", "arc_count", "smith", "boundary")
+
+    def __init__(self, modulus: int, arc_count: int, smith: SmithForm,
+                 boundary: tuple[int, ...] | None):
+        self.modulus = modulus
+        self.arc_count = arc_count
+        self.smith = smith
+        self.boundary = boundary
 
     @property
     def invariant_factors(self) -> list[int]:
@@ -243,7 +248,6 @@ def _c_constrained_matrix(d: TangleDiagram) -> tuple[list[dict[int, int]], int]:
     return rows, ncols
 
 
-@dataclass(frozen=True)
 class MonochromaticReport:
     """All-moduli summary of the c-colorings of a tangle.
 
@@ -253,11 +257,17 @@ class MonochromaticReport:
     every integer c-coloring is constant.
     """
 
-    c_trivial_for_all_n: bool
-    offending_moduli: frozenset[int]
-    all_moduli: bool
-    r0_monochromatic: bool
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("c_trivial_for_all_n", "offending_moduli", "all_moduli",
+                 "r0_monochromatic", "invariant_factors")
+
+    def __init__(self, c_trivial_for_all_n: bool, offending_moduli: frozenset[int],
+                 all_moduli: bool, r0_monochromatic: bool,
+                 invariant_factors: tuple[int, ...]):
+        self.c_trivial_for_all_n = c_trivial_for_all_n
+        self.offending_moduli = offending_moduli
+        self.all_moduli = all_moduli
+        self.r0_monochromatic = r0_monochromatic
+        self.invariant_factors = invariant_factors
 
     def polychromatic_somewhere(self) -> bool:
         return self.all_moduli or bool(self.offending_moduli)
@@ -306,11 +316,16 @@ def monochromatic_report(d: TangleDiagram) -> MonochromaticReport:
 # ---------------------------------------------------------------------------
 # coloring fraction
 
-@dataclass(frozen=True)
-class NotInvariant:
+class NotInvariant(Value):
     """Returned when the boundary lattice mod constants has rank != 1."""
 
-    rank: int
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int):
+        setfield(self, "rank", rank)
+
+    def _key(self):
+        return self.rank
 
     def __str__(self):
         return f"not invariant (boundary rank {self.rank})"

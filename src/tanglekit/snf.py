@@ -40,10 +40,8 @@ all arithmetic is exact in the integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass
 class SmithForm:
     """u @ a @ v = diag(d_1, ..., d_r, 0, ...) for some unimodular u and v.
 
@@ -54,11 +52,21 @@ class SmithForm:
     was computed without transforms.
     """
 
-    factors: list[int]
-    rank: int
-    v: list[list[int]] | None
-    rows: int
-    cols: int
+    __slots__ = ("factors", "rank", "v", "rows", "cols")
+
+    def __init__(self, factors: list[int], rank: int, v: list[list[int]] | None,
+                 rows: int, cols: int):
+        self.factors = factors
+        self.rank = rank
+        self.v = v
+        self.rows = rows
+        self.cols = cols
+
+    def __eq__(self, other):
+        if other.__class__ is not SmithForm:
+            return NotImplemented
+        return (self.factors, self.rank, self.v, self.rows, self.cols) == (
+            other.factors, other.rank, other.v, other.rows, other.cols)
 
     def kernel_basis(self) -> list[list[int]]:
         """Basis of the integer kernel of a: the last cols - rank columns of v."""

@@ -1,6 +1,8 @@
 """Slow reference implementations that the fast library paths are tested
 against."""
 
+from fractions import Fraction as QQ
+
 from tanglekit.diagram import Crossing, LinkDiagram, TangleDiagram, tangle_sum
 from tanglekit.fraction import frac_add
 from tanglekit.laurent import LaurentPoly
@@ -65,6 +67,18 @@ def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
         term = (delta ** (circles - 1)).shift(a_exp).scale(mult)
         total = total + term
     return total
+
+
+def jones_at_minus_one(poly: LaurentPoly) -> int:
+    """|V(-1)| via sqrt_t = i; defined for knots (imaginary part vanishes)."""
+    if poly.var != "sqrt_t":
+        raise ValueError("expected a Jones polynomial in sqrt_t")
+    re, im = poly.substitute_gaussian(QQ(0), QQ(1))
+    if im != 0:
+        raise ValueError("V(-1) is not real; restrict the check to knots")
+    if re.denominator != 1:
+        raise AssertionError("V(-1) must be an integer")
+    return abs(int(re))
 
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:

@@ -55,6 +55,7 @@ from oracles import (
     alternating_sum_check,
     fraction_additivity_check,
     has_nontrivial_c_coloring,
+    jones_at_minus_one,
 )
 
 
@@ -359,7 +360,6 @@ class TestCriterion7PropertySuites:
 
     def test_jones_at_minus_one_against_determinant(self, entries):
         t0 = time.time()
-        from tanglekit.bracket import jones_at_minus_one
         from tanglekit.diagram import component_count
 
         ok = True

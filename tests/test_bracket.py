@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from tanglekit.bracket import (
     CrossingBudgetExceeded,
     jones,
-    jones_at_minus_one,
     jones_unknot,
     jones_unlink,
     kauffman_bracket,
@@ -30,7 +30,7 @@ from tanglekit.fraction import Fraction, frac_normalize
 from tanglekit.laurent import LaurentPoly
 
 from conftest import add_kink, r2_pair_closure, random_tangle_diagram
-from oracles import disjoint_union
+from oracles import disjoint_union, jones_at_minus_one
 
 
 def F(p, q=1):
@@ -100,17 +100,21 @@ class TestJones:
         }
         assert {str(jt), str(jm)} == expected
 
-    def test_orientation_reversal_invariance(self):
-        from tanglekit.diagram import all_orientations, strands
+    def test_orientation_reversal_invariance(self, catalog_entries):
+        from tanglekit.diagram import component_count, strands
 
-        L = close_numerator(from_rational(F(4)))
-        ods = all_orientations(L)
-        values = {str(jones(L, od)) for od in ods}
-        # reversing all components together fixes the polynomial, so at
-        # most 2 distinct values arise among the 4 assignments
-        assert len(values) <= 2
-        rev = [not b for b in [False] * len(strands(L))]
-        assert str(jones(L, ods[0])) == str(jones(L, ods[-1]))
+        torus = close_numerator(from_rational(F(4)))
+        links = [torus] + [L for e in catalog_entries
+                           for L in (close_numerator(e.diagram),
+                                     close_denominator(e.diagram))
+                           if component_count(L) == 2]
+        for L in links:
+            for bits in itertools.product((False, True), repeat=len(strands(L))):
+                flipped = tuple(not b for b in bits)
+                assert jones(L, orient(L, bits)) == jones(L, orient(L, flipped))
+        # reversing one component of N([4]) changes the polynomial
+        assert len({jones(torus, orient(torus, bits))
+                    for bits in itertools.product((False, True), repeat=2)}) == 2
 
     def test_multiplicativity_distant_union(self):
         a = close_numerator(from_rational(F(3)))

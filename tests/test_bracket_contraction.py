@@ -5,11 +5,7 @@ import random
 import pytest
 
 from tanglekit import bracket, catalog
-from tanglekit.bracket import (
-    jones,
-    jones_at_minus_one,
-    kauffman_bracket,
-)
+from tanglekit.bracket import jones, kauffman_bracket
 from tanglekit.diagram import (
     Crossing,
     LinkDiagram,
@@ -23,7 +19,7 @@ from tanglekit.fraction import frac_normalize
 from tanglekit.quandle import determinant
 
 from conftest import add_kink, r2_pair_closure, random_fraction, random_tangle_diagram
-from oracles import disjoint_union, state_sum_bracket
+from oracles import disjoint_union, jones_at_minus_one, state_sum_bracket
 
 MAX_ORACLE_CROSSINGS = 12
 # the 15-crossing splitting candidate of 7_17 takes the oracle about 1 s

@@ -194,3 +194,50 @@ class TestClassifyReproduce:
         code1, out1, _ = run(capsys, "--format", "json", "reproduce")
         code2, out2, _ = run(capsys, "--format", "json", "reproduce")
         assert out1 == out2 and code1 == 0
+
+
+COLD_IMPORTS = """
+import io, json, sys
+
+OFF_PATH = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def loaded():
+    return [m for m in OFF_PATH if m in sys.modules]
+
+
+def run(argv):
+    out, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = tanglekit.cli.main(argv)
+    finally:
+        out, sys.stdout = sys.stdout.getvalue(), out
+    return code, out
+
+
+steps = {}
+import tanglekit
+steps["import tanglekit"] = loaded()
+import tanglekit.cli
+steps["import tanglekit.cli"] = loaded()
+code, _ = run(["--format", "json", "reproduce"])
+steps["reproduce"] = loaded()
+at = run(["jones", "@5_1", "--at", "1/2"])
+print(json.dumps({"steps": steps, "code": code, "at": at, "after_at": loaded()}))
+"""
+
+
+class TestColdImports:
+    def test_start_up_modules_stay_off_the_import_path(self):
+        """``dataclasses`` (with ``inspect``) and ``fractions`` (with
+        ``decimal``) cost start-up time that ``reproduce`` does not need."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORTS],
+                              capture_output=True, env=env, timeout=120, check=True)
+        seen = json.loads(proc.stdout)
+        assert seen["steps"] == {"import tanglekit": [], "import tanglekit.cli": [],
+                                 "reproduce": []}
+        assert seen["code"] == 0
+        # only jones --at evaluates over fractions.Fraction
+        assert seen["at"] == [0, "-13040\n"]
+        assert "fractions" in seen["after_at"]

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -285,10 +284,15 @@ class TestValueType:
 
     def test_boundary_cannot_be_assigned(self):
         d = from_rational(F(3, 2))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        before, key = print_diagram(d), hash(d)
+        with pytest.raises(AttributeError):
             d.boundary = (0, 1, 2, 3)
+        with pytest.raises(AttributeError):
+            del d.boundary
         with pytest.raises(TypeError):
             d.boundary[0] = 99
+        assert print_diagram(d) == before and hash(d) == key
+        assert d == from_rational(F(3, 2))
 
 
 class TestFileFormat:
