@@ -9,7 +9,8 @@ c-colorings rule out unknottability, the coloring fraction of an
 integer-monochromatic tangle pins the unique rational splitting closure
 candidate, and candidate closures are then confirmed or rejected by the
 Jones polynomial, determinant and linking number of the closed diagram.
-A classification builds each closure once and computes each of its
+A classification eliminates the entry's relation matrix once, for both
+coloring questions, builds each closure once and computes each of its
 invariants once, on first use (:class:`ClosedLink`).
 
 Positive answers are invariant-certified: the named closure is exhibited
@@ -26,7 +27,6 @@ import os
 from functools import cached_property
 
 from .bracket import (
-    CrossingBudgetExceeded,
     jones,
     jones_unknot,
     jones_unlink,
@@ -59,10 +59,10 @@ from .expr import (
 from .fraction import Fraction, frac_mirror, frac_normalize
 from .laurent import LaurentPoly
 from .quandle import (
+    ColoringLattice,
     NotInvariant,
-    coloring_fraction,
+    color_solve_dihedral,
     determinant,
-    monochromatic_report,
 )
 
 
@@ -194,7 +194,7 @@ class ClosedLink:
 
 class Classification:
     """The verdict and evidence log of one entry, with the closures and the
-    coloring fraction computed on the way, each at most once."""
+    coloring lattice computed on the way, each at most once."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
@@ -209,8 +209,13 @@ class Classification:
         return self._closures[c]
 
     @cached_property
+    def colorings(self) -> ColoringLattice:
+        """One elimination for both coloring questions."""
+        return color_solve_dihedral(self.entry.diagram, 0)
+
+    @cached_property
     def coloring_fraction(self) -> Fraction | NotInvariant:
-        return coloring_fraction(self.entry.diagram)
+        return self.colorings.coloring_fraction()
 
 
 def _split_candidate_evidence(L: ClosedLink, c: Fraction, evidence: list[str]):
@@ -224,27 +229,22 @@ def _split_candidate_evidence(L: ClosedLink, c: Fraction, evidence: list[str]):
     if L.components == 1:
         evidence.append(f"N(T + [{c}]) is a knot, so it is not a split link")
         return "rejected"
-    try:
-        if L.is_unlink():
-            evidence.append(f"N(T + [{c}]) certifies as the 2-component unlink "
-                            "(Jones, determinant, linking number, component knots)")
-            return "unlink"
-        if L.components == 2:
-            lk = L.linking_number
-            if lk != 0:
-                evidence.append(f"N(T + [{c}]) has linking number {lk} != 0, "
-                                "so it is not split")
-                return "rejected"
-            jl = L.jones
-            ju = L.split_union_jones
-            if jl != ju:
-                evidence.append(f"N(T + [{c}]) has Jones {jl}, but the distant "
-                                f"union of its component knots has {ju}; not split")
-                return "rejected"
-    except CrossingBudgetExceeded:
-        evidence.append(f"N(T + [{c}]) exceeds the bracket crossing budget; "
-                        "only the cheap obstructions were tried")
-        return "inconclusive"
+    if L.is_unlink():
+        evidence.append(f"N(T + [{c}]) certifies as the 2-component unlink "
+                        "(Jones, determinant, linking number, component knots)")
+        return "unlink"
+    if L.components == 2:
+        lk = L.linking_number
+        if lk != 0:
+            evidence.append(f"N(T + [{c}]) has linking number {lk} != 0, "
+                            "so it is not split")
+            return "rejected"
+        jl = L.jones
+        ju = L.split_union_jones
+        if jl != ju:
+            evidence.append(f"N(T + [{c}]) has Jones {jl}, but the distant "
+                            f"union of its component knots has {ju}; not split")
+            return "rejected"
     evidence.append(f"no certificate either way for N(T + [{c}])")
     return "inconclusive"
 
@@ -253,12 +253,14 @@ def classify(entry: CatalogEntry) -> Classification:
     """Decide the three embedding properties of a catalog entry.
 
     Pipeline: the algebraic criteria when an expression is present; then
-    coloring obstructions (a nontrivial dihedral c-coloring at any
-    modulus rules out unknottability; the coloring fraction of an
-    integer-monochromatic tangle leaves one rational splitting closure
-    candidate, confirmed or rejected on the closed diagram); positive
-    answers come from exhibiting a closure whose diagram carries unknot
-    or unlink invariants.  Unknown is returned when nothing applies.
+    coloring obstructions, both read from one Smith form (a nontrivial
+    dihedral c-coloring at any modulus rules out unknottability; the
+    coloring fraction leaves one rational splitting closure candidate,
+    confirmed or rejected on the closed diagram); positive answers come
+    from exhibiting a closure whose diagram carries unknot or unlink
+    invariants.  Unknown is returned when nothing applies.  A validated
+    entry is integer-monochromatic, and c-colored only mod the primes of
+    its torsion (see :mod:`tanglekit.quandle`).
     """
     t = entry.diagram
     record = Classification(entry)
@@ -275,10 +277,9 @@ def classify(entry: CatalogEntry) -> Classification:
                                  result.verdict.unlinkable,
                                  result.verdict.splittable)
 
-    rep = monochromatic_report(t)
+    rep = record.colorings.monochromatic_report()
     if rep.polychromatic_somewhere():
-        moduli = ("every modulus" if rep.all_moduli
-                  else ", ".join(str(p) for p in sorted(rep.offending_moduli)))
+        moduli = ", ".join(str(p) for p in sorted(rep.offending_moduli))
         msg = f"nontrivial dihedral c-coloring mod {moduli}"
         if unknot.is_no:
             evidence.append(f"coloring route agrees: {msg} independently "
@@ -304,7 +305,9 @@ def classify(entry: CatalogEntry) -> Classification:
     # splitting/unlinking candidate from the coloring fraction
     if split.status == "unknown":
         cf = record.coloring_fraction
-        if rep.r0_monochromatic and not isinstance(cf, NotInvariant):
+        if isinstance(cf, NotInvariant):
+            evidence.append(f"coloring fraction is {cf}; no candidate derived")
+        else:
             cand = frac_mirror(cf)
             evidence.append(f"integer-monochromatic with coloring fraction "
                             f"{cf}: unique rational splitting candidate [{cand}]")
@@ -317,8 +320,6 @@ def classify(entry: CatalogEntry) -> Classification:
                                    "is rejected by closure invariants")
                 if not unlink.is_no:
                     unlink = Verdict.no("not splittable, and an unlink is split")
-        elif isinstance(cf, NotInvariant):
-            evidence.append(f"coloring fraction is {cf}; no candidate derived")
 
     # positive unknotting closures from a small sweep
     if unknot.status == "unknown":

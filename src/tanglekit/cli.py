@@ -46,21 +46,21 @@ class UsageError(ValueError):
     pass
 
 
-def _load_diagram_arg(value: str, entries=None):
-    """Resolve @name (catalog), a file path, or an inline expression."""
-    if value.startswith("@"):
-        entry = cat.get_entry(value[1:], entries)
-        return entry.diagram
+def _load_diagram_arg(value: str):
+    """Resolve a file path, or an inline expression whose @name references
+    (a bare @name included) are catalog entries."""
     try:
         with open(value) as fh:
             return parse_diagram(fh.read())
     except OSError:
         pass
     try:
-        return from_expression(parse_expr(value))
+        expr = parse_expr(value)
     except ExprSyntaxError as ex:
         raise UsageError(f"not a catalog name, diagram file or expression: "
                          f"{value!r} ({ex})")
+    entries = cat.load_catalog() if referenced_names(expr) else []
+    return from_expression(expr, lambda name: cat.get_entry(name, entries).diagram)
 
 
 def _emit(args, text: str, data):
@@ -170,8 +170,10 @@ def cmd_jones(args) -> int:
     L = _closed(args)
     poly = jones(L)
     if args.at is not None:
-        re, im = _parse_point(args.at)
-        vr, vi = poly.substitute_gaussian(re, im)
+        try:
+            vr, vi = poly.substitute_gaussian(*_parse_point(args.at))
+        except ZeroDivisionError:
+            raise UsageError(f"cannot evaluate at {args.at}: division by zero")
         text = _gauss_str(vr, vi)
         _emit(args, text, {"value": text})
         return 0

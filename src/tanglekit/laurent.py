@@ -34,10 +34,6 @@ class LaurentPoly(Value):
     def one(cls, var: str) -> "LaurentPoly":
         return cls.make(var, {0: 1})
 
-    @classmethod
-    def monomial(cls, var: str, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls.make(var, {exponent: coefficient})
-
     def _check(self, other: "LaurentPoly"):
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
@@ -69,9 +65,6 @@ class LaurentPoly(Value):
     def shift(self, delta: int) -> "LaurentPoly":
         """Multiply by var^delta."""
         return LaurentPoly(self.var, tuple((e + delta, c) for e, c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:

@@ -11,11 +11,26 @@ are computed from one integer matrix through its Smith normal form.
 
 A tangle coloring is a c-coloring when its four boundary arcs share one
 color, and a d-coloring otherwise.  Every coloring satisfies the
-alternating boundary sum rule NW + SE = NE + SW; consequently an integer
-d-coloring has (NE - NW, NE - SE) != (0, 0) and the ratio of these two
-differences is a well-defined extended rational, the coloring fraction.
-On a rational tangle diagram the coloring fraction recovers the tangle
-fraction, which pins down every sign convention in this package.
+alternating boundary sum rule NW + SE = NE + SW, so modulo the constant
+colorings its boundary colors are fixed by the pair (NE - NW, NE - SE):
+an integer d-coloring has (NE - NW, NE - SE) != (0, 0), and the ratio of
+these two differences is a well-defined extended rational, the coloring
+fraction.  On a rational tangle diagram the coloring fraction recovers
+the tangle fraction, which pins down every sign convention in this
+package.
+
+For a tangle diagram that passes ``validate`` the boundary colors modulo
+the constants span exactly one line over every field.  Over Q and F_p,
+p odd, colorings modulo the constants are the first cohomology of the
+double branched cover of the ball (Przytycki, *3-coloring and other
+elementary invariants of knots*, 1998), and half-lives-half-dies on its
+boundary torus leaves a line; over F_2 the crossing rule reads in = out,
+so colors are constant along each of the two strings.  Hence
+dim(colorings) = 1 + dim(c-colorings) over every field, and one Smith
+form of the plain relation matrix answers every coloring question:
+nontrivial c-colorings mod p exist exactly when its nullity exceeds two
+or p divides an invariant factor (the primes of Krebes' gcd(det N, det D)
+obstruction, JKTR 1999), and its kernel gives the coloring fraction.
 """
 
 from __future__ import annotations
@@ -183,7 +198,8 @@ class ColoringLattice:
     ``count`` is its size and ``generators`` generate it.  For n = 0 the
     integer solution lattice is described by ``basis`` (a Z-basis) and
     the ``invariant_factors`` of the relation matrix.  For tangles,
-    ``boundary`` holds the arc indices at NW, NE, SW, SE.
+    ``boundary`` holds the arc indices at NW, NE, SW, SE, and the same
+    Smith form gives the monochromatic report and the coloring fraction.
     """
 
     __slots__ = ("modulus", "arc_count", "smith", "boundary")
@@ -220,6 +236,24 @@ class ColoringLattice:
             raise ValueError("link diagrams have no boundary colors")
         return tuple(solution[a] for a in self.boundary)
 
+    def monochromatic_report(self) -> MonochromaticReport:
+        """See :func:`monochromatic_report`."""
+        return MonochromaticReport(self.smith)
+
+    def coloring_fraction(self) -> Fraction | NotInvariant:
+        """See :func:`coloring_fraction`."""
+        pairs = []
+        for v in self.basis:
+            nw, ne, _, se = self.boundary_colors(v)
+            if (ne - nw, ne - se) != (0, 0):
+                pairs.append((ne - nw, ne - se))
+        if not pairs:
+            return NotInvariant(rank=0)
+        x, y = pairs[0]
+        if any(x * b != y * a for a, b in pairs):
+            return NotInvariant(rank=2)
+        return frac_normalize(x, y)
+
 
 def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
     """Solve the dihedral coloring system mod n (n = 0: over the integers).
@@ -239,35 +273,27 @@ def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
 # ---------------------------------------------------------------------------
 # c-colorings and monochromaticity
 
-def _c_constrained_matrix(d: TangleDiagram) -> tuple[list[dict[int, int]], int]:
-    """Crossing relations plus rows forcing all boundary arcs equal, sparse
-    as in :func:`dihedral_relation_matrix`."""
-    rows, arc_of, ncols = dihedral_relation_matrix(d)
-    first, *others = sorted({arc_of[e] for e in d.boundary})
-    rows += [{first: 1, other: -1} for other in others]
-    return rows, ncols
-
-
 class MonochromaticReport:
-    """All-moduli summary of the c-colorings of a tangle.
+    """All-moduli summary of the c-colorings of a tangle, read from the
+    Smith form of its plain relation matrix.
 
-    ``offending_moduli`` lists the primes p such that nontrivial
-    c-colorings exist mod p; when ``all_moduli`` is set (free rank beyond
-    the constants) every modulus admits one.  ``r0_monochromatic`` means
-    every integer c-coloring is constant.
+    Two dimensions of the nullity are the constants and the line of
+    boundary colors; any more give c-colorings at every modulus
+    (``all_moduli``), and each torsion factor adds them mod its primes
+    (``offending_moduli``).  ``r0_monochromatic`` means every integer
+    c-coloring is constant.
     """
 
     __slots__ = ("c_trivial_for_all_n", "offending_moduli", "all_moduli",
-                 "r0_monochromatic", "invariant_factors")
+                 "r0_monochromatic")
 
-    def __init__(self, c_trivial_for_all_n: bool, offending_moduli: frozenset[int],
-                 all_moduli: bool, r0_monochromatic: bool,
-                 invariant_factors: tuple[int, ...]):
-        self.c_trivial_for_all_n = c_trivial_for_all_n
-        self.offending_moduli = offending_moduli
-        self.all_moduli = all_moduli
-        self.r0_monochromatic = r0_monochromatic
-        self.invariant_factors = invariant_factors
+    def __init__(self, smith: SmithForm):
+        nullity = smith.cols - smith.rank
+        torsion = [f for f in smith.factors if f > 1]
+        self.offending_moduli = frozenset().union(*map(_prime_divisors, torsion))
+        self.all_moduli = nullity > 2
+        self.r0_monochromatic = nullity == 2
+        self.c_trivial_for_all_n = nullity == 2 and not torsion
 
     def polychromatic_somewhere(self) -> bool:
         return self.all_moduli or bool(self.offending_moduli)
@@ -289,28 +315,14 @@ def _prime_divisors(n: int) -> set[int]:
 
 
 def monochromatic_report(d: TangleDiagram) -> MonochromaticReport:
-    """Classify the c-colorings of d across all moduli at once.
+    """Classify the c-colorings of d across all moduli at once, from one
+    Smith form of the plain relation matrix without transforms.
 
-    The Smith normal form of the c-constrained system decides every
-    modulus simultaneously: free rank beyond the constant coloring gives
-    nontrivial c-colorings mod every n, and an invariant factor f > 1
-    gives them exactly mod the divisors of f.
+    Exact for tangle diagrams that pass ``validate``, by dim(colorings) =
+    1 + dim(c-colorings) over every field (see the module docstring).
     """
-    rows, ncols = _c_constrained_matrix(d)
-    sf = smith_normal_form(rows, ncols, transforms=False)
-    nullity = ncols - sf.rank
-    torsion = tuple(f for f in sf.factors if f > 1)
-    primes = set()
-    for f in torsion:
-        primes |= _prime_divisors(f)
-    all_moduli = nullity >= 2
-    return MonochromaticReport(
-        c_trivial_for_all_n=(nullity == 1 and not torsion),
-        offending_moduli=frozenset(primes),
-        all_moduli=all_moduli,
-        r0_monochromatic=(nullity == 1),
-        invariant_factors=torsion,
-    )
+    rows, _, ncols = dihedral_relation_matrix(d)
+    return MonochromaticReport(smith_normal_form(rows, ncols, transforms=False))
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +346,16 @@ class NotInvariant(Value):
 def coloring_fraction(d: TangleDiagram) -> Fraction | NotInvariant:
     """(NE - NW)/(NE - SE) of a generator of the integer boundary lattice.
 
-    The integer coloring lattice is projected to the four boundary colors
-    and reduced modulo the constant coloring.  When the quotient has rank
-    one the ratio is independent of the chosen element and is returned in
-    lowest terms, with both infinite values collapsed to inf; otherwise
-    NotInvariant carries the rank.
+    Each basis vector of the integer coloring lattice (one Smith form,
+    with its column transform) gives its boundary colors modulo the
+    constants as the pair (NE - NW, NE - SE), by the alternating sum rule.
+    When these pairs span rank one the ratio is independent of the chosen
+    element and is returned in lowest terms, with both infinite values
+    collapsed to inf; otherwise NotInvariant carries the rank.  The rank
+    is one for tangle diagrams that pass ``validate`` (see the module
+    docstring).
     """
-    lattice = color_solve_dihedral(d, 0)
-    projections = [lattice.boundary_colors(v) for v in lattice.basis]
-    rows = [list(p) for p in projections] + [[1, 1, 1, 1]]
-    rank = smith_normal_form(rows, transforms=False).rank
-    if rank != 2:
-        return NotInvariant(rank=rank - 1)
-    for a, b, c, dd in projections:
-        da, dd2 = b - a, b - dd
-        if (da, dd2) != (0, 0):
-            return frac_normalize(da, dd2)
-    return NotInvariant(rank=rank - 1)
+    return color_solve_dihedral(d, 0).coloring_fraction()
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Smith normal form and determinants of sparse integer matrices.
 
-One elimination core with three consumers in :mod:`tanglekit.quandle`:
-integer coloring lattices, all-moduli monochromaticity reports, and link
+One elimination core with two consumers in :mod:`tanglekit.quandle`:
+the Smith form of a diagram's relation matrix, which gives its integer
+coloring lattice and its c-colorings at every modulus, and link
 determinants.  Their matrices are dihedral relation matrices, one row per
 crossing with three nonzeros (2, -1, -1), so nearly every row has a unit
 entry and a diagram of k crossings gives about k rows with 3k nonzeros.
 Rows are ``{column: value}`` dicts with a column -> rows index, and a
 pivot step touches only the rows that meet its column and the columns
 that meet its row.  :mod:`tanglekit.quandle` builds its rows in this form
-and hands them over as they are; a dense matrix (a list of rows) is
-converted on entry.
+and hands them over as they are.
 
 Pivots follow Markowitz (Management Science 1957): a unit entry whenever
 one exists, taken early once its cost (other nonzeros in its row times
@@ -52,21 +52,14 @@ class SmithForm:
     was computed without transforms.
     """
 
-    __slots__ = ("factors", "rank", "v", "rows", "cols")
+    __slots__ = ("factors", "rank", "v", "cols")
 
     def __init__(self, factors: list[int], rank: int, v: list[list[int]] | None,
-                 rows: int, cols: int):
+                 cols: int):
         self.factors = factors
         self.rank = rank
         self.v = v
-        self.rows = rows
         self.cols = cols
-
-    def __eq__(self, other):
-        if other.__class__ is not SmithForm:
-            return NotImplemented
-        return (self.factors, self.rank, self.v, self.rows, self.cols) == (
-            other.factors, other.rank, other.v, other.rows, other.cols)
 
     def kernel_basis(self) -> list[list[int]]:
         """Basis of the integer kernel of a: the last cols - rank columns of v."""
@@ -234,22 +227,17 @@ def _axpy(dst: dict[int, int], src: dict[int, int], k: int):
             del dst[j]
 
 
-def _sparse(a: list[list[int]]) -> list[dict[int, int]]:
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
+def smith_normal_form(a: list[dict[int, int]], ncols: int,
+                      transforms: bool = True) -> SmithForm:
+    """Smith normal form of an integer matrix given as sparse rows
+    ``{column: value}`` over ``ncols`` columns.
 
-
-def smith_normal_form(a, ncols: int | None = None, transforms: bool = True) -> SmithForm:
-    """Smith normal form of an integer matrix.
-
-    ``a`` is a dense matrix, or, when ``ncols`` is given, sparse rows
-    ``{column: value}`` over ``ncols`` columns, which are used as working
-    storage and left changed.  Pivots are searched in row order and, within
-    a row, in key order.  Returns the invariant factors normalized positive
-    with d_1 | d_2 | ... and, with ``transforms``, the unimodular column
-    transform.  Handles empty matrices.
+    The rows are used as working storage and left changed.  Pivots are
+    searched in row order and, within a row, in key order.  Returns the
+    invariant factors normalized positive with d_1 | d_2 | ... and, with
+    ``transforms``, the unimodular column transform.  Handles empty
+    matrices.
     """
-    if ncols is None:
-        a, ncols = _sparse(a), len(a[0]) if a else 0
     e = _Elimination(a, ncols, transforms)
     pivots = []
     while (at := e.pivot()) is not None:
@@ -281,19 +269,16 @@ def smith_normal_form(a, ncols: int | None = None, transforms: bool = True) -> S
         for k, c in enumerate(col_order):
             for i, x in e.v[c].items():
                 v[i][k] = x
-    return SmithForm(factors=factors, rank=len(factors), v=v, rows=len(a), cols=ncols)
+    return SmithForm(factors=factors, rank=len(factors), v=v, cols=ncols)
 
 
-def integer_determinant(a, ncols: int | None = None) -> int:
+def integer_determinant(a: list[dict[int, int]], ncols: int) -> int:
     """Determinant of a square integer matrix by sparse unimodular row
     reduction.
 
-    ``a`` is a dense matrix, or, when ``ncols`` is given, ``ncols`` sparse
-    rows ``{column: value}`` over as many columns, used as working storage
-    as in :func:`smith_normal_form`.
+    ``a`` is ``ncols`` sparse rows ``{column: value}`` over as many
+    columns, used as working storage as in :func:`smith_normal_form`.
     """
-    if ncols is None:
-        a, ncols = _sparse(a), len(a)
     e = _Elimination(a, ncols, transforms=False)
     pivot, clear_column, retire, rows = e.pivot, e.clear_column, e.retire, e.rows
     det = 1

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +30,24 @@ def classified(catalog_entries):
     return {e.name: classify(e) for e in catalog_entries}
 
 
+@pytest.fixture(scope="session")
+def tool():
+    """tools/find_catalog_diagrams.py, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "find_catalog_diagrams.py"
+    spec = importlib.util.spec_from_file_location("find_catalog_diagrams", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def dense(rows: list[dict[int, int]], ncols: int) -> list[list[int]]:
     """Sparse ``{column: value}`` rows as a dense matrix."""
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def sparse(a: list[list[int]]) -> list[dict[int, int]]:
+    """A dense matrix as sparse ``{column: value}`` rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def random_fraction(rng: random.Random, max_abs=13, max_den=13) -> Fraction:

@@ -6,7 +6,7 @@ from fractions import Fraction as QQ
 from tanglekit.diagram import Crossing, LinkDiagram, TangleDiagram, tangle_sum
 from tanglekit.fraction import frac_add
 from tanglekit.laurent import LaurentPoly
-from tanglekit.quandle import NotInvariant, _c_constrained_matrix, coloring_fraction
+from tanglekit.quandle import NotInvariant, coloring_fraction, dihedral_relation_matrix
 from tanglekit.snf import SmithForm, smith_normal_form
 
 
@@ -177,7 +177,7 @@ def dense_smith_normal_form(a: list[list[int]]) -> SmithForm:
     assert mat_mul(mat_mul(u, a), v) == m
     assert all(m[i][j] == 0 for i in range(rows) for j in range(cols)
                if i != j or i >= len(factors))
-    return SmithForm(factors=factors, rank=len(factors), v=v, rows=rows, cols=cols)
+    return SmithForm(factors=factors, rank=len(factors), v=v, cols=cols)
 
 
 def check_smith_form(a: list[list[int]], sf: SmithForm):
@@ -221,10 +221,44 @@ def bareiss_determinant(a: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def c_constrained_matrix(d: TangleDiagram) -> tuple[list[dict[int, int]], int]:
+    """The crossing relations plus rows forcing all boundary arcs equal,
+    sparse as in ``dihedral_relation_matrix``: its solutions are the
+    c-colorings."""
+    rows, arc_of, ncols = dihedral_relation_matrix(d)
+    first, *others = sorted({arc_of[e] for e in d.boundary})
+    rows += [{first: 1, other: -1} for other in others]
+    return rows, ncols
+
+
 def has_nontrivial_c_coloring(d: TangleDiagram, n: int) -> bool:
     """Is there a mod-n c-coloring using more than one color (n >= 2)?"""
-    rows, ncols = _c_constrained_matrix(d)
+    rows, ncols = c_constrained_matrix(d)
     return smith_normal_form(rows, ncols, transforms=False).solutions_mod(n) > n
+
+
+def prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1, by trial division."""
+    out, p = set(), 2
+    while n > 1:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out
+
+
+def c_constrained_report(d: TangleDiagram) -> tuple[bool, set[int], bool, bool]:
+    """``monochromatic_report``'s (c_trivial_for_all_n, offending_moduli,
+    all_moduli, r0_monochromatic) read from the c-constrained matrix: its
+    nullity counts the integer c-colorings, the constants included, and
+    each torsion factor adds c-colorings mod its primes."""
+    rows, ncols = c_constrained_matrix(d)
+    sf = smith_normal_form(rows, ncols, transforms=False)
+    nullity = ncols - sf.rank
+    torsion = [f for f in sf.factors if f > 1]
+    primes = set().union(*(prime_factors(f) for f in torsion))
+    return nullity == 1 and not torsion, primes, nullity >= 2, nullity == 1
 
 
 def alternating_sum_check(colors: tuple[int, int, int, int]) -> bool:

@@ -102,6 +102,31 @@ class TestDiagramCommands:
         code, _, err = run(capsys, "jones", "[30]")
         assert code == 2 and err.startswith("error:") and "budget" in err
 
+    @pytest.mark.parametrize("point", ["0", "1/0"])
+    def test_jones_at_undefined_point_exit_2(self, capsys, point):
+        """t^(1/2) = 0 meets negative powers; 1/0 is no point at all."""
+        code, out, err = run(capsys, "jones", "@5_1", "--at", point)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot evaluate at {point}: division by zero\n"
+
+    @pytest.mark.parametrize("expression, same_as", [
+        ("@7_13 + 1", "3/4 + 1"),
+        ("1/2 + @7_13", "1/2 + 3/4"),
+        ("mirror(@7_13)", "mirror(3/4)"),
+        ("@7_13 * [2]", "3/4 * [2]"),
+    ])
+    def test_catalog_reference_inside_expression(self, capsys, expression, same_as):
+        """The coloring fraction of a glued tangle depends only on the
+        fractions of its parts, and 7_13 has fraction 3/4."""
+        code, out, err = run(capsys, "fraction-invariant", expression)
+        assert code == 0 and err == ""
+        assert (code, out, err) == run(capsys, "fraction-invariant", same_as)
+
+    def test_unknown_reference_inside_expression_exit_2(self, capsys):
+        code, out, err = run(capsys, "det", "1/2 + @nope")
+        assert code == 2 and out == ""
+        assert err == "error: no catalog entry named nope\n"
+
     def test_loop_line_without_count_exit_2(self, capsys, tmp_path):
         path = tmp_path / "loops.link"
         path.write_text("link\nO\n")
@@ -173,6 +198,13 @@ class TestClassifyReproduce:
         code, out, _ = run(capsys, "classify", "6_3")
         assert code == 0
         assert "unlinkable: yes(0)" in out
+
+    def test_classify_over_crossing_budget_exit_2(self, capsys, monkeypatch):
+        """The splitting candidate closure of 7_13 has 11 crossings."""
+        monkeypatch.setenv("TANGLEKIT_CROSSING_BUDGET", "10")
+        code, out, err = run(capsys, "classify", "7_13")
+        assert code == 2 and out == ""
+        assert err == "error: 11 crossings exceeds budget 10\n"
 
     def test_classify_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "classify", "5_1")

@@ -6,6 +6,8 @@ import pytest
 
 from tanglekit.catalog import _data_text, get_entry
 from tanglekit.diagram import (
+    Crossing,
+    TangleDiagram,
     all_orientations,
     close_denominator,
     close_numerator,
@@ -31,13 +33,16 @@ from tanglekit.quandle import (
     parse_quandle_table,
     quandle_check,
 )
+from tanglekit.snf import smith_normal_form
 
 from conftest import dense, random_fraction, random_tangle_diagram
 from oracles import (
     alternating_sum_check,
+    c_constrained_report,
     disjoint_union,
     fraction_additivity_check,
     has_nontrivial_c_coloring,
+    prime_factors,
 )
 
 
@@ -136,6 +141,14 @@ class TestFiniteSearch:
         assert len(hits) < 4, "and not every orientation (oriented quandle)"
 
 
+def beside(t: TangleDiagram, L) -> TangleDiagram:
+    """T with the link diagram L drawn apart from it: a tangle with a closed
+    component, which ``validate`` refuses."""
+    shift = 1 + max(max(t.boundary), *(e for c in t.crossings for e in c.ports))
+    moved = tuple(Crossing(tuple(e + shift for e in c.ports)) for c in L.crossings)
+    return TangleDiagram(crossings=t.crossings + moved, boundary=t.boundary)
+
+
 class TestMonochromaticity:
     def test_6_4_c_trivial_all_moduli(self):
         d = from_expression(parse_expr("(1/3 + -1/2) * [-2]"))
@@ -159,6 +172,43 @@ class TestMonochromaticity:
                 expect = (rep.all_moduli
                           or any(n % p == 0 for p in rep.offending_moduli))
                 assert has_nontrivial_c_coloring(e.diagram, n) == expect
+
+    def test_one_elimination_answers_every_coloring_question(self, catalog_entries, tool):
+        """dim(colorings) = 1 + dim(c-colorings) over every field, so the plain
+        relation matrix gives what the c-constrained one gives.
+
+        On valid tangles (the catalog, and 200 each from the test generator
+        and from the search tool's planar growth) the plain matrix has nullity
+        two, and the primes of its torsion are those of gcd(det N, det D).  On
+        tangles with a distant closed component the identity holds as well,
+        with nullity three: c-colorings at every modulus."""
+        rng = random.Random(41)
+        valid = [e.diagram for e in catalog_entries]
+        valid += [random_tangle_diagram(rng) for _ in range(200)]
+        grown = []
+        while len(grown) < 200:
+            t = tool.random_tangle(rng, rng.randint(3, 9))
+            if t is not None and validate(t) is None:
+                grown.append(t)
+        valid += grown
+        links = [close_numerator(from_rational(F(n))) for n in (1, 2, 3, 5)]
+        closed = [beside(from_rational(f), L)
+                  for f in (F(1, 3), F(2, 3), F(5, 2), F(-3, 4)) for L in links]
+        assert all(validate(d) is not None for d in closed)
+
+        for d in valid + closed:
+            rows, _, ncols = dihedral_relation_matrix(d)
+            nullity = ncols - smith_normal_form(rows, ncols, transforms=False).rank
+            assert nullity == (2 if validate(d) is None else 3)
+            rep = monochromatic_report(d)
+            assert (rep.c_trivial_for_all_n, rep.offending_moduli, rep.all_moduli,
+                    rep.r0_monochromatic) == c_constrained_report(d)
+            for p in (2, 3, 5, 7, 11, 13):
+                assert has_nontrivial_c_coloring(d, p) == (
+                    rep.all_moduli or p in rep.offending_moduli)
+        for d in valid:
+            g = math.gcd(determinant(close_numerator(d)), determinant(close_denominator(d)))
+            assert g > 0 and monochromatic_report(d).offending_moduli == prime_factors(g)
 
 
 class TestColoringFraction:

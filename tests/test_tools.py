@@ -1,24 +1,9 @@
 """The catalog diagram search tool recognizes the diagrams it produced."""
 
-import importlib.util
-from pathlib import Path
-
-import pytest
-
 from tanglekit.diagram import canonical_form, close_numerator, rotate
 from tanglekit.fraction import Fraction
 
 from conftest import add_kink, r2_pair_closure
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "find_catalog_diagrams.py"
-
-
-@pytest.fixture(scope="module")
-def tool():
-    spec = importlib.util.spec_from_file_location("find_catalog_diagrams", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_targets_match_shipped_diagrams(tool, catalog_entries):
