@@ -81,7 +81,7 @@ class CatalogEntry:
         self.essential = essential
 
 
-# the closures tried for unknotting and unlinking certificates
+# the closures tried for unknotting certificates
 _SWEEP = [frac_normalize(*pq) for pq in
           [(0, 1), (-1, 1), (1, 1), (-2, 1), (2, 1), (1, 2), (-1, 2)]]
 
@@ -186,10 +186,12 @@ class ClosedLink:
                 and self.jones == jones_unknot())
 
     def is_unlink(self) -> bool:
+        """The unlink's Jones polynomial, equal to the distant union's, forces
+        V(K1) V(K2) = 1, so each component knot has V = 1 (V(1) = 1 and
+        V'(1) = 0 for every knot)."""
         return (self.components == 2 and self.determinant == 0
                 and self.linking_number == 0 and self.jones == jones_unlink(2)
-                and all(jones(c) == jones_unknot()
-                        for c in component_subdiagrams(self.diagram)))
+                and self.split_union_jones == self.jones)
 
 
 class Classification:
@@ -258,9 +260,14 @@ def classify(entry: CatalogEntry) -> Classification:
     coloring fraction leaves one rational splitting closure candidate,
     confirmed or rejected on the closed diagram); positive answers come
     from exhibiting a closure whose diagram carries unknot or unlink
-    invariants.  Unknown is returned when nothing applies.  A validated
-    entry is integer-monochromatic, and c-colored only mod the primes of
-    its torsion (see :mod:`tanglekit.quandle`).
+    invariants.  Unknotting closures are sought in a small sweep, an
+    unlinking closure only at the splitting candidate: every unlink has
+    determinant 0, and by the determinant law det N(T + [r/s]) =
+    |a*s + e*b*r| (Krebes; a = det N(T), b = det D(T), e the sign of the
+    coloring fraction) no other closure has.  Unknown is returned when
+    nothing applies.  A validated entry is integer-monochromatic, and
+    c-colored only mod the primes of its torsion (see
+    :mod:`tanglekit.quandle`).
     """
     t = entry.diagram
     record = Classification(entry)
@@ -340,17 +347,6 @@ def classify(entry: CatalogEntry) -> Classification:
             evidence.append(reason)
         if unlink.status == "unknown":
             unlink = Verdict.no(reason + " (an unlink is split)")
-
-    # unlink candidates that may remain: the same sweep
-    if unlink.status == "unknown":
-        for c in _SWEEP:
-            if record.closure(c).is_unlink():
-                unlink = Verdict.yes(c)
-                if not split.is_yes:
-                    split = Verdict.yes(c)
-                evidence.append(f"N(T + [{c}]) certifies as the 2-unlink; "
-                                "invariant-certified")
-                break
 
     record.verdict = EmbedVerdict(unknot, unlink, split)
     return record

@@ -67,9 +67,6 @@ class Crossing(Value):
     def __init__(self, ports: tuple[int, int, int, int]):
         setfield(self, "ports", ports)
 
-    def _key(self):
-        return self.ports
-
     def canonical(self) -> tuple[int, int, int, int]:
         """Rotation-normalized ports (shifting by 2 preserves the data)."""
         shifted = self.ports[2:] + self.ports[:2]
@@ -93,9 +90,6 @@ class TangleDiagram(Value):
         setfield(self, "boundary", boundary)
         setfield(self, "loops", loops)
 
-    def _key(self):
-        return self.crossings, self.boundary, self.loops
-
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
@@ -109,9 +103,6 @@ class LinkDiagram(Value):
     def __init__(self, crossings: tuple[Crossing, ...], loops: int = 0):
         setfield(self, "crossings", crossings)
         setfield(self, "loops", loops)
-
-    def _key(self):
-        return self.crossings, self.loops
 
     @property
     def crossing_count(self) -> int:
@@ -208,43 +199,20 @@ def infinity_tangle() -> TangleDiagram:
 
 
 def horizontal_twists(n: int) -> TangleDiagram:
-    """The integral tangle [n]: |n| horizontal half-twists chained east."""
+    """The integral tangle [n]: |n| horizontal half-twists chained east.
+
+    Crossing i meets edges 2i (NW), 2i + 1 (SW), 2i + 2 (NE) and 2i + 3
+    (SE), in slot order SW, SE, NE, NW for n > 0 (under-strand SW-NE) and
+    NW, SW, SE, NE for n < 0 (under-strand NW-SE)."""
     if n == 0:
         return zero_tangle()
     k = abs(n)
-    crossings = []
-    # per-crossing geometric positions of the slots, counterclockwise
     if n > 0:
-        # under-strand on the SW-NE diagonal: slots are SW, SE, NE, NW
-        pos = {"SW": 0, "SE": 1, "NE": 2, "NW": 3}
+        ports = ((2 * i + 1, 2 * i + 3, 2 * i + 2, 2 * i) for i in range(k))
     else:
-        # under-strand on the NW-SE diagonal: slots are NW, SW, SE, NE
-        pos = {"NW": 0, "SW": 1, "SE": 2, "NE": 3}
-    # edges: 0 = NW arc, 1 = SW arc, then two new edges per joint, finally NE/SE
-    ports_by_crossing = [[None] * 4 for _ in range(k)]
-    next_edge = 0
-
-    def assign(ci, corner, e):
-        ports_by_crossing[ci][pos[corner]] = e
-
-    nw = next_edge; next_edge += 1
-    sw = next_edge; next_edge += 1
-    assign(0, "NW", nw)
-    assign(0, "SW", sw)
-    for ci in range(k - 1):
-        top = next_edge; next_edge += 1
-        bot = next_edge; next_edge += 1
-        assign(ci, "NE", top)
-        assign(ci, "SE", bot)
-        assign(ci + 1, "NW", top)
-        assign(ci + 1, "SW", bot)
-    ne = next_edge; next_edge += 1
-    se = next_edge; next_edge += 1
-    assign(k - 1, "NE", ne)
-    assign(k - 1, "SE", se)
-    crossings = tuple(Crossing(tuple(p)) for p in ports_by_crossing)
-    return TangleDiagram(crossings=crossings,
-                         boundary=(nw, ne, sw, se))
+        ports = ((2 * i, 2 * i + 1, 2 * i + 3, 2 * i + 2) for i in range(k))
+    return TangleDiagram(crossings=tuple(map(Crossing, ports)),
+                         boundary=(0, 2 * k, 1, 2 * k + 1))
 
 
 def vertical_twists(n: int) -> TangleDiagram:
@@ -410,9 +378,6 @@ class OrientedDiagram(Value):
         setfield(self, "base", base)
         setfield(self, "heads", heads)
         setfield(self, "strand_of", strand_of)
-
-    def _key(self):
-        return self.base, self.heads, self.strand_of
 
     def over_entry_slot(self, ci: int) -> int:
         return 1 if 4 * ci + 1 in self.heads else 3

@@ -60,9 +60,6 @@ class Verdict(Value):
         setfield(self, "closure", closure)
         setfield(self, "reason", reason)
 
-    def _key(self):
-        return self.status, self.closure, self.reason
-
     @classmethod
     def yes(cls, closure: Fraction | None = None) -> "Verdict":
         return cls(status=YES, closure=closure)
@@ -105,9 +102,6 @@ class EmbedVerdict(Value):
         setfield(self, "unlinkable", unlinkable)
         setfield(self, "splittable", splittable)
 
-    def _key(self):
-        return self.unknottable, self.unlinkable, self.splittable
-
     def transform_closures(self, fn) -> "EmbedVerdict":
         def t(v: Verdict) -> Verdict:
             if v.is_yes and v.closure is not None:
@@ -139,9 +133,6 @@ class RationalLeaf(Value):
     def __init__(self, value: Fraction):
         setfield(self, "value", value)
 
-    def _key(self):
-        return self.value
-
 
 class Sum(Value):
     __slots__ = ("left", "right")
@@ -149,9 +140,6 @@ class Sum(Value):
     def __init__(self, left: "TangleExpr", right: "TangleExpr"):
         setfield(self, "left", left)
         setfield(self, "right", right)
-
-    def _key(self):
-        return self.left, self.right
 
 
 class Product(Value):
@@ -161,18 +149,12 @@ class Product(Value):
         setfield(self, "top", top)
         setfield(self, "bottom", bottom)
 
-    def _key(self):
-        return self.top, self.bottom
-
 
 class Rotate(Value):
     __slots__ = ("child",)
 
     def __init__(self, child: "TangleExpr"):
         setfield(self, "child", child)
-
-    def _key(self):
-        return self.child
 
 
 class Mirror(Value):
@@ -181,18 +163,12 @@ class Mirror(Value):
     def __init__(self, child: "TangleExpr"):
         setfield(self, "child", child)
 
-    def _key(self):
-        return self.child
-
 
 class NamedRef(Value):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         setfield(self, "name", name)
-
-    def _key(self):
-        return self.name
 
 
 TangleExpr = RationalLeaf | Sum | Product | Rotate | Mirror | NamedRef
@@ -261,98 +237,84 @@ def _tokenize(text: str):
     return out
 
 
+# the groups an expression opens, with the node each one wraps its chain in
+_GROUPS = {"(": lambda e: e, "rot": Rotate, "mirror": Mirror}
+
+
 def parse_expr(text: str) -> TangleExpr:
     """Parse the expression grammar.
 
     Atoms: ``[p/q]``, bare ``p/q``, integers, ``inf``, ``rot(...)``,
     ``mirror(...)``, ``@name`` and parenthesized expressions.  ``+`` and
     ``*`` chain left-associatively but may not be mixed without
-    parentheses.
+    parentheses.  One loop reads the tokens; each open group waits on a
+    stack with the chain it interrupted, so nesting costs no recursion.
     """
     tokens = _tokenize(text)
-    idx = 0
+    i = 0
 
-    def peek():
-        return tokens[idx]
-
-    def take(expected=None):
-        nonlocal idx
-        kind, val, pos = tokens[idx]
-        if expected is not None and val != expected:
+    def take(expected):
+        nonlocal i
+        kind, val, pos = tokens[i]
+        if val != expected:
             raise ExprSyntaxError(f"expected {expected!r}, found {val or 'end'!r}", pos)
-        idx += 1
-        return kind, val, pos
+        i += 1
 
-    def parse_fraction_atom():
-        kind, val, pos = take()
+    def number(kind, val, pos):
+        """The fraction whose numerator is the token just read."""
+        nonlocal i
         if kind != "int":
             raise ExprSyntaxError(f"expected a number, found {val or 'end'!r}", pos)
         num = int(val)
-        if peek()[1] == "/":
-            take("/")
-            kind2, val2, pos2 = take()
-            if kind2 != "int":
-                raise ExprSyntaxError("expected a denominator", pos2)
-            return frac_normalize(num, int(val2))
-        return Fraction(num, 1)
+        if tokens[i][1] != "/":
+            return Fraction(num, 1)
+        kind, val, pos = tokens[i + 1]
+        if kind != "int":
+            raise ExprSyntaxError("expected a denominator", pos)
+        i += 2
+        return frac_normalize(num, int(val))
 
-    def parse_atom():
-        kind, val, pos = peek()
+    groups = []          # (wrapper, chain, operator) of each open group
+    node = op = None     # the chain being read and its operator
+    while True:
+        kind, val, pos = tokens[i]
+        i += 1
+        if val in _GROUPS:
+            if val != "(":
+                take("(")
+            groups.append((_GROUPS[val], node, op))
+            node = op = None
+            continue
         if val == "[":
-            take("[")
-            if peek()[1] == "inf":
-                take()
-                f = Fraction(1, 0)
-            else:
-                f = parse_fraction_atom()
+            kind, val, pos = tokens[i]
+            i += 1
+            atom = RationalLeaf(Fraction(1, 0) if val == "inf" else number(kind, val, pos))
             take("]")
-            return RationalLeaf(f)
-        if val == "(":
-            take("(")
-            e = parse_chain()
-            take(")")
-            return e
-        if val == "rot":
-            take()
-            take("(")
-            e = parse_chain()
-            take(")")
-            return Rotate(e)
-        if val == "mirror":
-            take()
-            take("(")
-            e = parse_chain()
-            take(")")
-            return Mirror(e)
-        if val == "inf":
-            take()
-            return RationalLeaf(Fraction(1, 0))
-        if kind == "name":
-            take()
-            return NamedRef(val[1:])
-        if kind == "int":
-            return RationalLeaf(parse_fraction_atom())
-        raise ExprSyntaxError(f"expected an atom, found {val or 'end'!r}", pos)
-
-    def parse_chain():
-        node = parse_atom()
-        op = None
-        while peek()[1] in ("+", "*"):
-            kind, val, pos = take()
-            if op is None:
+        elif val == "inf":
+            atom = RationalLeaf(Fraction(1, 0))
+        elif kind == "name":
+            atom = NamedRef(val[1:])
+        elif kind == "int":
+            atom = RationalLeaf(number(kind, val, pos))
+        else:
+            raise ExprSyntaxError(f"expected an atom, found {val or 'end'!r}", pos)
+        # the atom ends a term of the chain, and perhaps groups
+        while True:
+            node = atom if node is None else (Sum if op == "+" else Product)(node, atom)
+            kind, val, pos = tokens[i]
+            if val in ("+", "*"):
+                if op not in (None, val):
+                    raise ExprSyntaxError("mixed + and * need explicit parentheses", pos)
                 op = val
-            elif val != op:
-                raise ExprSyntaxError(
-                    "mixed + and * need explicit parentheses", pos)
-            rhs = parse_atom()
-            node = Sum(node, rhs) if val == "+" else Product(node, rhs)
-        return node
-
-    node = parse_chain()
-    kind, val, pos = peek()
-    if kind != "end":
-        raise ExprSyntaxError(f"trailing input {val!r}", pos)
-    return node
+                i += 1
+                break
+            if not groups:
+                if kind != "end":
+                    raise ExprSyntaxError(f"trailing input {val!r}", pos)
+                return node
+            take(")")
+            wrap, outer, op = groups.pop()
+            atom, node = wrap(node), outer
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +501,6 @@ class _Item:
         self.verdict = verdict
         self.essential = essential
         self.label = label
-
-    def __eq__(self, other):
-        if other.__class__ is not _Item:
-            return NotImplemented
-        return (self.rational, self.verdict, self.essential, self.label) == (
-            other.rational, other.verdict, other.essential, other.label)
 
 
 def evaluate(expr: TangleExpr, hints: dict[str, CatalogHint] | None = None) -> EvalResult:

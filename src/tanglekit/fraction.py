@@ -37,9 +37,6 @@ class Fraction(Value):
         setfield(self, "num", num)
         setfield(self, "den", den)
 
-    def _key(self):
-        return self.num, self.den
-
     @property
     def is_infinite(self) -> bool:
         return self.den == 0
@@ -179,9 +176,6 @@ class TwoBridgeLink(Value):
             raise ValueError(f"b({alpha}, {beta}) is not in normal form")
         setfield(self, "alpha", alpha)
         setfield(self, "beta", beta)
-
-    def _key(self):
-        return self.alpha, self.beta
 
     @property
     def components(self) -> int:

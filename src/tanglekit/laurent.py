@@ -18,9 +18,6 @@ class LaurentPoly(Value):
         setfield(self, "var", var)
         setfield(self, "coeffs", coeffs)  # sorted (exponent, coefficient)
 
-    def _key(self):
-        return self.var, self.coeffs
-
     @classmethod
     def make(cls, var: str, terms: dict[int, int]) -> "LaurentPoly":
         clean = {e: c for e, c in terms.items() if c != 0}

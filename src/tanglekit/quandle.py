@@ -89,9 +89,6 @@ class FiniteQuandle(Value):
             raise ValueError(err)
         setfield(self, "table", table)
 
-    def _key(self):
-        return self.table
-
     @property
     def size(self) -> int:
         return len(self.table)
@@ -335,9 +332,6 @@ class NotInvariant(Value):
 
     def __init__(self, rank: int):
         setfield(self, "rank", rank)
-
-    def _key(self):
-        return self.rank
 
     def __str__(self):
         return f"not invariant (boundary rank {self.rank})"

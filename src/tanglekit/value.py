@@ -4,14 +4,17 @@ Importing ``dataclasses`` pulls in ``inspect`` and, with it, ``ast``,
 ``dis`` and ``tokenize``, and each decorated class generates its methods
 through ``exec``, a cost every cold start of the command line would pay.
 
-A value class lists its fields in ``__slots__``, sets each one once in
-``__init__`` with ``setfield``, and returns its fields from ``_key``: a
-tuple, or the field itself when there is one.  Assigning or deleting an
-attribute afterwards raises ``AttributeError``.  Two values are equal
+A value class lists its fields in ``__slots__`` and sets each one once in
+``__init__`` with ``setfield``.  Its key is derived once, when the class
+is made, from ``__slots__``: the tuple of its fields in slot order, or the
+field itself when there is one.  Assigning or deleting an attribute
+afterwards raises ``AttributeError``.  Two values are equal
 when they have the same class and equal keys, and a value hashes like
 its key.  The repr names the class and each field, ``Name(field=value,
 ...)``, as a dataclass's does.
 """
+
+from operator import attrgetter
 
 # assigns a field past Value.__setattr__; for use in __init__ only
 setfield = object.__setattr__
@@ -20,13 +23,18 @@ setfield = object.__setattr__
 class Value:
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls.__slots__)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

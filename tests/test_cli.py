@@ -11,6 +11,7 @@ from tanglekit.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 SUM_3000 = " + ".join(["1/3"] * 3000)
 NESTED_3000 = "(" * 3000 + "1/3" + ")" * 3000
+ROT_3000 = "rot(" * 3000 + "1/3" + ")" * 3000
 
 
 def run(capsys, *argv):
@@ -154,14 +155,23 @@ class TestDiagramCommands:
         pytest.param("verdict", SUM_3000, id=SUM_3000),
         pytest.param("verdict", NESTED_3000, id=NESTED_3000),
         pytest.param("det", SUM_3000, id="det-3000-term-sum"),
+        pytest.param("det", NESTED_3000, id="det-3000-nested-parentheses"),
+        pytest.param("verdict", ROT_3000, id="verdict-3000-nested-rot"),
+        pytest.param("det", ROT_3000, id="det-3000-nested-rot"),
     ])
     def test_deep_expression_exit_2(self, capsys, command, expression):
-        """A 3000-term sum is evaluated and realized; 3000 nested
-        parentheses are refused with exit 2."""
+        """A 3000-term sum is evaluated and realized, and 3000 nested
+        parentheses parse without recursion; 3000 nested rotations parse,
+        but evaluation recurses once per rotation, so they are refused
+        with exit 2 and one error line."""
         code, out, err = run(capsys, command, expression)
-        if expression.startswith("("):
+        if expression == NESTED_3000:
+            assert (code, out, err) == run(capsys, command, "1/3")
+            assert code == 0 and out and err == ""
+        elif expression == ROT_3000:
             assert code == 2 and out == ""
-            assert err.startswith("error:") and "Traceback" not in err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "Traceback" not in err
         elif command == "det":
             # det N(1/3 + ... + 1/3) = |sum of p_i times the other q_j|
             assert code == 0 and err == ""

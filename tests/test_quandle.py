@@ -18,7 +18,7 @@ from tanglekit.diagram import (
     validate,
 )
 from tanglekit.expr import parse_expr
-from tanglekit.fraction import Fraction, frac_normalize
+from tanglekit.fraction import Fraction, frac_mirror, frac_normalize
 from tanglekit.quandle import (
     NotInvariant,
     arcs,
@@ -331,6 +331,36 @@ class TestDeterminant:
             assert determinant(close_denominator(d)) == math.prod(qs)
             assert coloring_fraction(d) == F(total, math.prod(qs))
             checked += 1
+
+    def test_determinant_law_on_random_tangles(self, tool):
+        """det N(T + [r/s]) = |a*s + e*b*r| with a = det N(T), b = det D(T)
+        and e the sign of the coloring fraction (Krebes, JKTR 1999), so
+        that the determinant is 0 at the closure [-cf] and nowhere else."""
+        from tanglekit.catalog import closure_link
+
+        closures = {frac_normalize(r, s) for r in range(-4, 5)
+                    for s in range(5) if math.gcd(r, s) == 1}
+        rng = random.Random(41)
+        tangles = [random_tangle_diagram(rng) for _ in range(100)]
+        while len(tangles) < 200:
+            t = tool.random_tangle(rng, rng.randint(2, 7))
+            if t is not None and validate(t) is None:
+                tangles.append(t)
+        zeros = 0
+        for t in tangles:
+            a = determinant(close_numerator(t))
+            b = determinant(close_denominator(t))
+            cf = coloring_fraction(t)
+            assert not isinstance(cf, NotInvariant)
+            e = -1 if cf.num < 0 else 1
+            candidate = frac_mirror(cf)
+            for c in closures:
+                det = determinant(closure_link(t, c))
+                assert det == abs(a * c.den + e * b * c.num), (t, c)
+                assert (det == 0) == (c == candidate), (t, c)
+                zeros += det == 0
+            assert determinant(closure_link(t, candidate)) == 0
+        assert zeros > 10
 
     def test_split_presentation_zero(self):
         a = close_numerator(from_rational(F(3)))

@@ -111,8 +111,10 @@ def test_random_diagram_matrices():
 
 def test_sparse_rows_as_dense_input(catalog_entries):
     """The relation rows eliminate to the same factors without transforms
-    as with them, and the square relation rows of a closure give the
-    determinant of their dense matrix."""
+    as with them, and the square relation rows of a closure, row 0
+    replaced by the unit row e_0, give the determinant of their dense
+    matrix: the (0, 0) cofactor, which is not always 0 as the full
+    determinant is."""
     def plain(d):
         rows, _, ncols = dihedral_relation_matrix(d)
         return rows, ncols
@@ -120,6 +122,7 @@ def test_sparse_rows_as_dense_input(catalog_entries):
     rng = random.Random(17)
     tangles = ([e.diagram for e in catalog_entries]
                + [random_tangle_diagram(rng) for _ in range(20)])
+    nonzero = 0
     for d in tangles:
         # the elimination uses sparse rows as working storage: build afresh
         for build in (plain, c_constrained_matrix):
@@ -129,8 +132,11 @@ def test_sparse_rows_as_dense_input(catalog_entries):
         for link in (close_numerator(d), close_denominator(d)):
             rows, ncols = plain(link)
             if rows and ncols == len(rows):
+                rows[0] = {0: 1}
                 expect = bareiss_determinant(dense(rows, ncols))
                 assert integer_determinant(rows, ncols) == expect
+                nonzero += expect != 0
+    assert nonzero > 40
 
 
 def test_determinant_every_minor(catalog_entries):
