@@ -9,13 +9,39 @@ and 1 with 2.
 
 The sum is not enumerated.  Crossings are contracted one at a time
 (Kauffman's state model read as a Temperley-Lieb contraction; Bar-Natan's
-crossing-by-crossing order), each next crossing the one sharing most
-edges with the open boundary.  A partial state is a non-crossing matching
+crossing-by-crossing order).  A partial state is a non-crossing matching
 of the open edges, telling which open ends the contracted part joins;
-states with equal matchings are merged, each keeping a tally of
-(a - b, closed circles) counts.  Work grows with the number of matchings
-of the boundary, not with 2^k.  The plain state sum is kept in the tests
-as the oracle this contraction is checked against.
+states with equal matchings are merged.  Work grows with the number of
+matchings of the boundary, not with 2^k.  The plain state sum and the
+earlier contraction, which kept a dict of (a - b, closed circles) counts
+per matching, are kept in the tests as oracles.
+
+Schedule.  ``_schedule`` picks the next crossing greedily: the one
+sharing most edges with the open boundary, the lowest index on ties.
+Shared counts are kept only for crossings on the boundary, and they only
+grow.  Each open edge keeps one place on the frontier from step to step,
+and a matching is the tuple of the places of the far ends, so that a
+step rewrites only the few places its crossing touches.
+
+Packing.  A matching's tally sum c_e A^e is kept as one integer, its value
+at A = X = 2^B (Kronecker substitution), so merging two states is one
+addition.  Each smoothing makes two arcs: an arc that stays open weighs
+A^2, an arc that closes a circle weighs delta A^2 = -(A^4 + 1), and the
+A-smoothing weighs A^2 more than the B-smoothing.  Exponents stay
+non-negative, and the contraction ends with the value at X of
+A^(5k) sum A^(a-b) delta^circles.  Multiplied by (-(X^4 + 1))^(loops-1),
+or for loops = 0 divided exactly by -(X^4 + 1) (every state has a
+circle), it is the value of A^(5k + 2 loops - 2) <D>, read once in
+balanced base X from its lowest nonzero slot.
+
+Why B = 3k + loops + 2 suffices.  Integer arithmetic is exact, so the
+final integer is the final polynomial's value at X, however the sums
+before it overflowed their slots; its slots read back the coefficients
+when each has |c| < X/2.  |c| is at most the l1 norm of <D>, which is at most
+the sum over the 2^k states of |delta^(circles+loops-1)|_1 =
+2^(circles+loops-1).  Every circle of a state runs through one of the 2k
+arcs of the smoothed crossings (crossing-free loops are counted apart),
+so circles <= 2k, and |c| <= 2^(3k+loops-1) < 2^(B-1).
 
 The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4);
 it is reported in the sqrt_t variable of :mod:`tanglekit.laurent`, and
@@ -31,7 +57,7 @@ values are ever compared with computed values here.
 from __future__ import annotations
 
 import os
-from math import comb
+from collections import defaultdict
 
 from .diagram import LinkDiagram, OrientedDiagram, component_subdiagrams, orient
 from .laurent import LaurentPoly
@@ -48,7 +74,10 @@ def crossing_budget() -> int:
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_CROSSING_BUDGET
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{_BUDGET_ENV} must be an integer, not {raw!r}") from None
 
 
 def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
@@ -60,61 +89,128 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     if k == 0 and d.loops == 0:
         raise ValueError("bracket of the empty diagram is undefined")
 
-    # matching (sorted (edge, partner) pairs, both directions) ->
-    # {(a - b, closed circles): number of partial states}
-    states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
-    for ci in _contraction_order(d):
-        p = d.crossings[ci].ports
-        smoothings = ((((p[0], p[1]), (p[2], p[3])), 1),
-                      (((p[0], p[3]), (p[1], p[2])), -1))
-        merged: dict[tuple, dict[tuple[int, int], int]] = {}
+    bits = 3 * k + d.loops + 2
+    b2, b4, b8 = 2 * bits, 4 * bits, 8 * bits
+
+    # matching (far end of each open edge, as a place on the frontier)
+    # -> packed tally
+    states: dict[tuple[int, ...], int] = {(): 1}
+    before: tuple[int, ...] = ()
+    for ports, after in _schedule(d):
+        # places: the open edges, then the four ports; a port already open
+        # keeps its place, and a fresh edge is its own far end
+        grown = before + ports
+        ends = tuple(range(len(before), len(grown)))
+        p0, p1, p2, p3 = map(grown.index, ports)
+        smoothings = ((p0, p1, p2, p3, b2), (p0, p3, p1, p2, 0))
+        # open edges placed past the new frontier move into closed places
+        moves = [(grown.index(e), j) for j, e in enumerate(after) if grown[j] != e]
+        size = len(after)
+        merged: defaultdict[tuple[int, ...], int] = defaultdict(int)
         for matching, tally in states.items():
-            for arcs, step in smoothings:
-                partner = dict(matching)
-                closed = 0
-                for x, y in arcs:
-                    # far ends of the paths at x and y; a fresh edge is its
-                    # own far end and stays open
-                    fx = partner.pop(x, x)
-                    fy = partner.pop(y, y)
-                    if fx == y:
-                        closed += 1
-                    else:
-                        partner[fx] = fy
-                        partner[fy] = fx
-                out = merged.setdefault(tuple(sorted(partner.items())), {})
-                for (a_exp, circles), mult in tally.items():
-                    key = (a_exp + step, circles + closed)
-                    out[key] = out.get(key, 0) + mult
+            for x, y, u, v, lift in smoothings:
+                far = [*matching, *ends]
+                fx, fy = far[x], far[y]
+                if fx == y:
+                    closed = 1
+                else:
+                    closed = 0
+                    far[fx], far[fy] = fy, fx
+                fu, fv = far[u], far[v]
+                if fu == v:
+                    closed += 1
+                else:
+                    far[fu], far[fv] = fv, fu
+                for src, dst in moves:
+                    f = far[dst] = far[src]
+                    far[f] = dst
+                del far[size:]
+                # times the lift (A^2 for the A-smoothing), A^2 per open
+                # arc and -(A^4 + 1) per arc that closed a circle
+                if not closed:
+                    merged[tuple(far)] += tally << lift + b4
+                elif closed == 1:
+                    t = tally << lift + b2
+                    merged[tuple(far)] -= (t << b4) + t
+                else:
+                    t = tally << lift
+                    merged[tuple(far)] += (t << b8) + (t << b4 + 1) + t
         states = merged
-    if set(states) != {()}:
+        before = after
+
+    # times delta^n A^(2n) = (-(A^4 + 1))^n for n = loops - 1 (exact for
+    # n = -1: every state has a circle), total is the value of
+    # A^(5k + 2n) <d>
+    (total,) = states.values()
+    n = d.loops - 1
+    if n < 0:
+        total = -(total // ((1 << b4) + 1))
+    else:
+        total *= (-(1 << b4) - 1) ** n
+    slot = ((total & -total).bit_length() - 1) // bits
+    total >>= slot * bits
+    mask, sign = (1 << bits) - 1, 1 << bits - 1
+    coeffs = []
+    while total:
+        c = total & mask
+        total >>= bits
+        if c & sign:
+            c -= 1 << bits
+            total += 1
+        if c:
+            coeffs.append((slot - 5 * k - 2 * n, c))
+        slot += 1
+    return LaurentPoly("A", tuple(coeffs))
+
+
+def _schedule(d: LinkDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Contraction steps in greedy order: each crossing's ports and the
+    open edges after it.
+
+    Next comes the crossing sharing most edges with the open boundary
+    (lowest index on ties).  Shared counts are kept only for crossings on
+    the boundary and only grow: an edge opens at one crossing and closes
+    at its other end.  An open edge keeps its place from step to step: a
+    step appends the crossing's ports to the open edges, and open edges
+    past the new end of the boundary move into the places of closed ones.
+    """
+    k = d.crossing_count
+    where: dict[int, list[int]] = {}
+    for ci, c in enumerate(d.crossings):
+        for e in c.ports:
+            where.setdefault(e, []).append(ci)
+    if any(len(cs) != 2 for cs in where.values()):
         raise ValueError("diagram has edges with an unmatched end")
-
-    # delta^n = (-A^2 - A^-2)^n = (-1)^n sum_k C(n, k) A^(2n - 4k)
-    terms: dict[int, int] = {}
-    for (a_exp, circles), mult in states[()].items():
-        n = circles + d.loops - 1
-        signed = -mult if n % 2 else mult
-        for k in range(n + 1):
-            e = a_exp + 2 * n - 4 * k
-            terms[e] = terms.get(e, 0) + signed * comb(n, k)
-    return LaurentPoly.make("A", terms)
-
-
-def _contraction_order(d: LinkDiagram) -> list[int]:
-    """Crossings in greedy order: next, the one sharing most edges with the
-    open boundary of those already taken (lowest index on ties)."""
-    open_edges: set[int] = set()
-    left = list(range(d.crossing_count))
-    order = []
-    while left:
-        ci = max(left, key=lambda i: (
-            sum(e in open_edges for e in d.crossings[i].ports), -i))
-        left.remove(ci)
-        order.append(ci)
-        for e in d.crossings[ci].ports:
-            open_edges ^= {e}
-    return order
+    taken = [False] * k
+    # crossing on the boundary -> k * shared edges - index, the greedy key
+    key: dict[int, int] = {}
+    is_open: set[int] = set()
+    frontier: tuple[int, ...] = ()
+    steps = []
+    for _ in range(k):
+        if key:
+            ci = max(key, key=key.__getitem__)
+            del key[ci]
+        else:
+            ci = taken.index(False)
+        taken[ci] = True
+        ports = d.crossings[ci].ports
+        for e in ports:
+            if e in is_open:
+                is_open.remove(e)
+            else:
+                is_open.add(e)
+                a, b = where[e]
+                other = a + b - ci
+                if not taken[other]:
+                    key[other] = key.get(other, -other) + k
+        grown = frontier + ports
+        frontier = grown[:len(is_open)]
+        if not is_open.issuperset(frontier):
+            spare = [e for e in grown[len(frontier):] if e in is_open]
+            frontier = tuple([e if e in is_open else spare.pop() for e in frontier])
+        steps.append((ports, frontier))
+    return steps
 
 
 def writhe(od: OrientedDiagram) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import catalog as cat
@@ -301,6 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reproduce", help="reproduce the classification tables")
     r.add_argument("--out", default=None, help="write the JSON report here")
     r.set_defaults(fn=cmd_reproduce)
+
+    # argparse lets only plain negative numbers through as positionals; no
+    # option here starts with "-" and a digit, so "-2/5" is a value too
+    negative = re.compile(r"-\d")
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = negative
     return p
 
 

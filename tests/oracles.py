@@ -2,6 +2,7 @@
 against."""
 
 from fractions import Fraction as QQ
+from math import comb
 
 from tanglekit.diagram import Crossing, LinkDiagram, TangleDiagram, tangle_sum
 from tanglekit.fraction import frac_add
@@ -67,6 +68,71 @@ def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
         term = (delta ** (circles - 1)).shift(a_exp).scale(mult)
         total = total + term
     return total
+
+
+def greedy_contraction_order(d: LinkDiagram) -> list[int]:
+    """Crossings in greedy order: next, the one sharing most edges with the
+    open boundary of those already taken (lowest index on ties), every
+    crossing rescored at every step."""
+    open_edges: set[int] = set()
+    left = list(range(d.crossing_count))
+    order = []
+    while left:
+        ci = max(left, key=lambda i: (
+            sum(e in open_edges for e in d.crossings[i].ports), -i))
+        left.remove(ci)
+        order.append(ci)
+        for e in d.crossings[ci].ports:
+            open_edges ^= {e}
+    return order
+
+
+def tally_contraction_bracket(d: LinkDiagram) -> LaurentPoly:
+    """Kauffman bracket by crossing-by-crossing contraction in the greedy
+    order, with a dict of (a - b, closed circles) counts per matching of
+    the open edges; no crossing budget."""
+    if d.crossing_count == 0 and d.loops == 0:
+        raise ValueError("bracket of the empty diagram is undefined")
+
+    # matching (sorted (edge, partner) pairs, both directions) ->
+    # {(a - b, closed circles): number of partial states}
+    states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    for ci in greedy_contraction_order(d):
+        p = d.crossings[ci].ports
+        smoothings = ((((p[0], p[1]), (p[2], p[3])), 1),
+                      (((p[0], p[3]), (p[1], p[2])), -1))
+        merged: dict[tuple, dict[tuple[int, int], int]] = {}
+        for matching, tally in states.items():
+            for arcs, step in smoothings:
+                partner = dict(matching)
+                closed = 0
+                for x, y in arcs:
+                    # far ends of the paths at x and y; a fresh edge is its
+                    # own far end and stays open
+                    fx = partner.pop(x, x)
+                    fy = partner.pop(y, y)
+                    if fx == y:
+                        closed += 1
+                    else:
+                        partner[fx] = fy
+                        partner[fy] = fx
+                out = merged.setdefault(tuple(sorted(partner.items())), {})
+                for (a_exp, circles), mult in tally.items():
+                    key = (a_exp + step, circles + closed)
+                    out[key] = out.get(key, 0) + mult
+        states = merged
+    if set(states) != {()}:
+        raise ValueError("diagram has edges with an unmatched end")
+
+    # delta^n = (-A^2 - A^-2)^n = (-1)^n sum_k C(n, k) A^(2n - 4k)
+    terms: dict[int, int] = {}
+    for (a_exp, circles), mult in states[()].items():
+        n = circles + d.loops - 1
+        signed = -mult if n % 2 else mult
+        for k in range(n + 1):
+            e = a_exp + 2 * n - 4 * k
+            terms[e] = terms.get(e, 0) + signed * comb(n, k)
+    return LaurentPoly.make("A", terms)
 
 
 def jones_at_minus_one(poly: LaurentPoly) -> int:

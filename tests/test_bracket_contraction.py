@@ -1,4 +1,5 @@
-"""The planar-contraction bracket against the 2^k state-sum oracle."""
+"""The planar-contraction bracket against the 2^k state-sum oracle, and
+the packed kernel against the dict-tally contraction beyond its reach."""
 
 import random
 
@@ -19,7 +20,13 @@ from tanglekit.fraction import frac_normalize
 from tanglekit.quandle import determinant
 
 from conftest import add_kink, r2_pair_closure, random_fraction, random_tangle_diagram
-from oracles import disjoint_union, jones_at_minus_one, state_sum_bracket
+from oracles import (
+    disjoint_union,
+    greedy_contraction_order,
+    jones_at_minus_one,
+    state_sum_bracket,
+    tally_contraction_bracket,
+)
 
 MAX_ORACLE_CROSSINGS = 12
 # the 15-crossing splitting candidate of 7_17 takes the oracle about 1 s
@@ -99,3 +106,57 @@ def test_unmatched_edge_end_rejected():
 def test_beyond_oracle_reach():
     L = close_numerator(from_rational(frac_normalize(23, 1)))
     assert jones_at_minus_one(jones(L)) == determinant(L) == 23
+
+
+def random_closure(rng: random.Random, lo: int, hi: int, parts: int = 2) -> LinkDiagram:
+    """N(T1 + ... + T_parts + [r/s]) of lo..hi crossings from small random
+    tangles."""
+    while True:
+        t = tangle_sum(*(random_tangle_diagram(rng) for _ in range(parts)))
+        L = close_numerator(tangle_sum(t, from_rational(random_fraction(rng, 9, 7))))
+        if lo <= L.crossing_count <= hi:
+            return L
+
+
+def test_packed_kernel_matches_tally_oracle(catalog_entries, monkeypatch):
+    """The packed slots hold the coefficients: on large closures, on extra
+    loops, kinks and distant unions (more circles than k + 1 and larger
+    coefficients per crossing), and past the default crossing budget."""
+    rng = random.Random(20261018)
+    diagrams = [L for e in catalog_entries
+                for L in (close_numerator(e.diagram), close_denominator(e.diagram))]
+    diagrams += [random_closure(rng, 15, 24) for _ in range(350)]
+    for _ in range(535):
+        L = random_closure(rng, 1, 12, parts=1)
+        edge = rng.choice(L.crossings).ports[rng.randrange(4)]
+        union = L
+        for _ in range(rng.randint(1, 4)):
+            union = disjoint_union(union, close_numerator(
+                from_rational(random_fraction(rng, 3, 2))))
+        diagrams += [LinkDiagram(L.crossings, loops=rng.randint(0, 3)),
+                     add_kink(L, edge, rng.randrange(2)),
+                     LinkDiagram(union.crossings, union.loops + rng.randint(0, 3))]
+    big = random_closure(rng, 30, 40, parts=4)
+    monkeypatch.setenv("TANGLEKIT_CROSSING_BUDGET", str(big.crossing_count))
+    diagrams.append(big)
+    assert len(diagrams) >= 2000
+    for L in diagrams:
+        assert kauffman_bracket(L) == tally_contraction_bracket(L), L
+
+
+def test_schedule_is_the_greedy_order(catalog_entries):
+    """Same crossings in the same order as the rescoring greedy rule, and
+    after each step exactly the open edges, each in one place."""
+    rng = random.Random(1018)
+    links = [L for e in catalog_entries
+             for L in (close_numerator(e.diagram), close_denominator(e.diagram))]
+    links += [random_closure(rng, 1, 24) for _ in range(200)]
+    for L in links:
+        steps = bracket._schedule(L)
+        order = greedy_contraction_order(L)
+        assert [ports for ports, _ in steps] == [L.crossings[i].ports for i in order]
+        open_edges: set[int] = set()
+        for (_, after), ci in zip(steps, order):
+            for e in L.crossings[ci].ports:
+                open_edges ^= {e}
+            assert sorted(after) == sorted(open_edges), L

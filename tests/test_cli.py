@@ -66,6 +66,39 @@ class TestVerdict:
         assert err.startswith("error:") and "nope" in err
 
 
+class TestNegativePositionals:
+    """A leading negative fraction or expression is a value, as after --."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verdict", "-2/5"),
+        ("det", "-2/5"),
+        ("jones", "-1/3"),
+        ("frac", "rotate", "-1/3"),
+        ("--format", "json", "verdict", "-2/5 * 1/3"),
+    ], ids=["verdict", "det", "jones", "frac-rotate", "verdict-json-expression"])
+    def test_same_as_after_double_dash(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert (code, out, err) == run(capsys, *argv[:-1], "--", argv[-1])
+
+    def test_options_still_parse(self, capsys):
+        assert run(capsys, "frac", "add", "1/3", "-n", "-2")[:2] == (0, "-5/3\n")
+        assert run(capsys, "frac", "add", "-1/3", "-n", "2")[:2] == (0, "5/3\n")
+        assert run(capsys, "jones", "-1/3", "--at", "i")[:2] == (0, "1\n")
+        # a negative point was read as a missing value, like the positionals
+        assert run(capsys, "jones", "@5_1", "--at", "-1/2")[:2] == (0, "-13040\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("verdict", "-x"),
+        ("verdict", "-2/5", "extra"),
+        ("frac", "add", "1/3", "-n"),
+        ("jones", "-1/3", "--at"),
+    ], ids=["unknown-option", "extra-argument", "n-without-value", "at-without-value"])
+    def test_usage_errors_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
+
+
 class TestDiagramCommands:
     def test_fraction_invariant_catalog(self, capsys):
         code, out, _ = run(capsys, "fraction-invariant", "@7_13")
@@ -215,6 +248,14 @@ class TestClassifyReproduce:
         code, out, err = run(capsys, "classify", "7_13")
         assert code == 2 and out == ""
         assert err == "error: 11 crossings exceeds budget 10\n"
+
+    @pytest.mark.parametrize("value", ["abc", ""], ids=["word", "empty"])
+    def test_invalid_crossing_budget_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TANGLEKIT_CROSSING_BUDGET", value)
+        code, out, err = run(capsys, "classify", "5_1")
+        assert code == 2 and out == ""
+        assert err == (f"error: TANGLEKIT_CROSSING_BUDGET must be an integer, "
+                       f"not {value!r}\n")
 
     def test_classify_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "classify", "5_1")
