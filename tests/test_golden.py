@@ -4,8 +4,12 @@
 reproduce`` and ``tanglekit --format json reproduce``; ``verdicts.txt`` is
 the transcript of ``tanglekit --format json verdict --`` on ``EXPRESSIONS``,
 each run as ``$ argv``, ``[exit code]``, stdout, then ``[stderr]`` and
-stderr when there is any.  Regenerate the files only for an intended
-output change, with ``PYTHONPATH=src python tests/test_golden.py``.
+stderr when there is any.  ``diagrams.txt`` is the transcript of
+``color``, ``color -n 3``, ``fraction-invariant`` and ``det`` in JSON on
+every catalog entry and on ``SUMS``: the bases and generators printed
+there follow the Smith form's pivot order, so they pin it.  Regenerate
+the files only for an intended output change, with ``PYTHONPATH=src
+python tests/test_golden.py``.
 """
 
 import contextlib
@@ -14,6 +18,7 @@ import shlex
 import sys
 from pathlib import Path
 
+from tanglekit.catalog import load_catalog
 from tanglekit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -67,6 +72,19 @@ EXPRESSIONS = [
     "@nope + 1/3",
 ]
 
+# Sums of 20-50 crossings, drawn once from random.Random(1212): two to
+# six terms, each a fraction p/q with 2 <= q <= 21 or a catalog entry.
+SUMS = [
+    "11/20 + @7_12 + 1/6 + -9/11",
+    "@7_6 + @7_3 + -2/3 + -9/14 + 8/21",
+    "-1/20 + 1/3 + -1/2",
+    "-3/4 + -8/17 + @7_9 + @6_1 + @7_16 + -5/21",
+    "-5/16 + @7_8 + 3/14 + @7_15 + 5/9 + @7_16",
+    "-5/16 + 5/6 + 1/13 + -9/19",
+]
+
+DIAGRAM_COMMANDS = [["color"], ["color", "-n", "3"], ["fraction-invariant"], ["det"]]
+
 
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -75,10 +93,9 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def verdict_transcript() -> str:
+def transcript(argvs) -> str:
     parts = []
-    for expression in EXPRESSIONS:
-        argv = ["--format", "json", "verdict", "--", expression]
+    for argv in argvs:
         code, out, err = run(argv)
         parts.append(f"$ {shlex.join(argv)}\n[exit {code}]\n{out}")
         if err:
@@ -93,7 +110,12 @@ def outputs() -> dict[str, str]:
         code, out, err = run(argv)
         assert (code, err) == (0, ""), (argv, code, err)
         files[name] = out
-    files["verdicts.txt"] = verdict_transcript()
+    files["verdicts.txt"] = transcript(["--format", "json", "verdict", "--", expression]
+                                       for expression in EXPRESSIONS)
+    targets = [f"@{e.name}" for e in load_catalog()] + SUMS
+    files["diagrams.txt"] = transcript(["--format", "json", *command, "--", target]
+                                       for target in targets
+                                       for command in DIAGRAM_COMMANDS)
     return files
 
 
