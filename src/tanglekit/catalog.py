@@ -61,7 +61,7 @@ from .laurent import LaurentPoly
 from .quandle import (
     ColoringLattice,
     NotInvariant,
-    color_solve_dihedral,
+    boundary_lattice,
     determinant,
 )
 
@@ -213,7 +213,7 @@ class Classification:
     @cached_property
     def colorings(self) -> ColoringLattice:
         """One elimination for both coloring questions."""
-        return color_solve_dihedral(self.entry.diagram, 0)
+        return boundary_lattice(self.entry.diagram)
 
     @cached_property
     def coloring_fraction(self) -> Fraction | NotInvariant:

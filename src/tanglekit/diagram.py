@@ -120,29 +120,39 @@ def _ends(d: Diagram) -> tuple[list[int], list[int]]:
     at = [e for c in d.crossings for e in c.ports]
     if isinstance(d, TangleDiagram):
         at += d.boundary
-    ends: dict[int, list[int]] = {}
-    for y, e in enumerate(at):
-        ends.setdefault(e, []).append(y)
     mate = at[:]
-    for e, ys in ends.items():
-        if len(ys) != 2:
-            raise DiagramError(f"dangling port: edge {e} has {len(ys)} incidences")
-        a, b = ys
-        mate[a], mate[b] = b, a
+    first: dict[int, int] = {}
+    for y, e in enumerate(at):
+        x = first.pop(e, None)
+        if x is None:
+            first[e] = y
+        else:
+            mate[x], mate[y] = y, x
+    # every edge has an even number of ends, two on average: two each
+    if first or 2 * len(set(at)) != len(at):
+        e, n = next((e, n) for e, n in Counter(at).items() if n != 2)
+        raise DiagramError(f"dangling port: edge {e} has {n} incidences")
     return at, mate
 
 
 class UnionFind:
     """Classes of fused ids (edges, or the vertices of a diagram's connected
-    pieces); the smallest id of a class is its root."""
+    pieces); the smallest id of a class is its root, and every parent is
+    smaller than its child."""
 
     def __init__(self):
         self.parent: dict[int, int] = {}
 
     def find(self, e: int) -> int:
+        """The root of e's class; the path walked is halved on the way,
+        each id on it pointed at its grandparent."""
         parent = self.parent
         while e in parent:
-            e = parent[e]
+            p = parent[e]
+            if p not in parent:
+                return p
+            parent[e] = g = parent[p]
+            e = g
         return e
 
     def union(self, a: int, b: int) -> bool:
@@ -166,26 +176,35 @@ def _glue(parts: tuple[TangleDiagram, ...], joins, outer=None) -> Diagram:
     Endpoints are named (part, boundary position).  ``joins`` lists the
     pairs to fuse; ``outer`` names the new tangle's NW, NE, SW, SE, and
     without it the result is a link.  Fusing the two ends of one arc
-    closes it into a crossing-free loop.
+    closes it into a crossing-free loop.  Edges come out numbered 0, 1,
+    2, ... in order of first appearance, as :func:`renumber` numbers
+    them, in the pass that fuses them.
     """
-    crossings, ends, loops = [], [], 0
-    offset = 0
+    ports, ends, loops, offset = [], [], 0, 0
     for d in parts:
-        ids = [e for c in d.crossings for e in c.ports] + list(d.boundary)
+        own = [e for c in d.crossings for e in c.ports]
+        ids = own + list(d.boundary)
         shift = offset - min(ids)
-        crossings += [[e + shift for e in c.ports] for c in d.crossings]
+        offset = max(ids) + shift + 1
+        ports += [e + shift for e in own] if shift else own
         ends.append([e + shift for e in d.boundary])
         loops += d.loops
-        offset = max(ids) + shift + 1
     edges = UnionFind()
     for (i, a), (j, b) in joins:
         if not edges.union(ends[i][a], ends[j][b]):
             loops += 1
-    crossings = tuple(Crossing(tuple(map(edges.find, c))) for c in crossings)
+    # each id to its class root, then each root to its first appearance
+    root = list(range(offset))
+    for e in edges.parent:
+        root[e] = edges.find(e)
+    ports = list(map(root.__getitem__, ports))
+    boundary = [root[ends[i][a]] for i, a in outer] if outer is not None else []
+    number = {e: n for n, e in enumerate(dict.fromkeys(ports + boundary))}
+    it = iter(map(number.__getitem__, ports))
+    crossings = tuple(map(Crossing, zip(it, it, it, it)))
     if outer is None:
-        return renumber(LinkDiagram(crossings, loops))
-    boundary = tuple(edges.find(ends[i][a]) for i, a in outer)
-    return renumber(TangleDiagram(crossings, boundary, loops))
+        return LinkDiagram(crossings, loops)
+    return TangleDiagram(crossings, tuple(map(number.__getitem__, boundary)), loops)
 
 
 def zero_tangle() -> TangleDiagram:
@@ -469,23 +488,21 @@ def validate(d: Diagram) -> str | None:
     node = [y >> 2 if y < k4 else y for y in range(len(mate))]
     pieces = UnionFind()
     for y, z in enumerate(mate):
-        pieces.union(node[y], node[z])
+        if y < z:
+            pieces.union(node[y], node[z])
     faces = _faces(mate, k4)
-    euler = Counter()
-    for v in set(node):
-        euler[pieces.find(v)] += 2
-    for v in node:
-        euler[pieces.find(v)] -= 1
-    for f in faces:
-        euler[pieces.find(node[f[0]])] += 2
-    if any(x != 4 for x in euler.values()):
+    piece = {v: pieces.find(v) for v in set(node)}
+    vertices = Counter(piece.values())
+    ends = Counter(map(piece.__getitem__, node))
+    face_count = Counter(piece[node[f[0]]] for f in faces)
+    if any(2 * n - ends[p] + 2 * face_count[p] != 4 for p, n in vertices.items()):
         return "planarity: Euler count fails"
 
     if isinstance(d, TangleDiagram):
         st = strands(d, mate)
         if len(st) > 2:
             return "closed component in tangle"
-        if len({pieces.find(y) for y in range(k4, k4 + 4)}) == 1:
+        if len({piece[y] for y in range(k4, k4 + 4)}) == 1:
             for face in faces:
                 pos = [_CIRCLE_POS[y - k4] for y in face if y >= k4]
                 steps = {(b - a) % 4 for a, b in zip(pos, pos[1:] + pos[:1])}

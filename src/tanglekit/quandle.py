@@ -196,7 +196,9 @@ class ColoringLattice:
     integer solution lattice is described by ``basis`` (a Z-basis) and
     the ``invariant_factors`` of the relation matrix.  For tangles,
     ``boundary`` holds the arc indices at NW, NE, SW, SE, and the same
-    Smith form gives the monochromatic report and the coloring fraction.
+    Smith form gives the monochromatic report and the coloring fraction,
+    which need only the boundary rows of its column transform (see
+    :func:`boundary_lattice`).
     """
 
     __slots__ = ("modulus", "arc_count", "smith", "boundary")
@@ -239,11 +241,11 @@ class ColoringLattice:
 
     def coloring_fraction(self) -> Fraction | NotInvariant:
         """See :func:`coloring_fraction`."""
-        pairs = []
-        for v in self.basis:
-            nw, ne, _, se = self.boundary_colors(v)
-            if (ne - nw, ne - se) != (0, 0):
-                pairs.append((ne - nw, ne - se))
+        if self.boundary is None:
+            raise ValueError("link diagrams have no boundary colors")
+        nw, ne, _, se = (self.smith.kernel_row(a) for a in self.boundary)
+        pairs = [(b - a, b - c) for a, b, c in zip(nw, ne, se)]
+        pairs = [pair for pair in pairs if pair != (0, 0)]
         if not pairs:
             return NotInvariant(rank=0)
         x, y = pairs[0]
@@ -265,6 +267,19 @@ def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
     sf = smith_normal_form(rows, ncols)
     boundary = boundary_arcs(d, arc_of) if isinstance(d, TangleDiagram) else None
     return ColoringLattice(modulus=n, arc_count=ncols, smith=sf, boundary=boundary)
+
+
+def boundary_lattice(d: TangleDiagram) -> ColoringLattice:
+    """The integer coloring lattice of d with its column transform kept on
+    the boundary arcs only.
+
+    That is all the monochromatic report and the coloring fraction read;
+    ``basis`` and ``generators`` raise ValueError on it.
+    """
+    rows, arc_of, ncols = dihedral_relation_matrix(d)
+    boundary = boundary_arcs(d, arc_of)
+    sf = smith_normal_form(rows, ncols, sorted(set(boundary)))
+    return ColoringLattice(modulus=0, arc_count=ncols, smith=sf, boundary=boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +328,13 @@ def _prime_divisors(n: int) -> set[int]:
 
 def monochromatic_report(d: TangleDiagram) -> MonochromaticReport:
     """Classify the c-colorings of d across all moduli at once, from one
-    Smith form of the plain relation matrix without transforms.
+    Smith form of the plain relation matrix that keeps no column transform.
 
     Exact for tangle diagrams that pass ``validate``, by dim(colorings) =
     1 + dim(c-colorings) over every field (see the module docstring).
     """
     rows, _, ncols = dihedral_relation_matrix(d)
-    return MonochromaticReport(smith_normal_form(rows, ncols, transforms=False))
+    return MonochromaticReport(smith_normal_form(rows, ncols, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +356,15 @@ def coloring_fraction(d: TangleDiagram) -> Fraction | NotInvariant:
     """(NE - NW)/(NE - SE) of a generator of the integer boundary lattice.
 
     Each basis vector of the integer coloring lattice (one Smith form,
-    with its column transform) gives its boundary colors modulo the
-    constants as the pair (NE - NW, NE - SE), by the alternating sum rule.
-    When these pairs span rank one the ratio is independent of the chosen
-    element and is returned in lowest terms, with both infinite values
-    collapsed to inf; otherwise NotInvariant carries the rank.  The rank
-    is one for tangle diagrams that pass ``validate`` (see the module
-    docstring).
+    with the boundary rows of its column transform) gives its boundary
+    colors modulo the constants as the pair (NE - NW, NE - SE), by the
+    alternating sum rule.  When these pairs span rank one the ratio is
+    independent of the chosen element and is returned in lowest terms,
+    with both infinite values collapsed to inf; otherwise NotInvariant
+    carries the rank.  The rank is one for tangle diagrams that pass
+    ``validate`` (see the module docstring).
     """
-    return color_solve_dihedral(d, 0).coloring_fraction()
+    return boundary_lattice(d).coloring_fraction()
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,33 @@ Pivots follow Markowitz (Management Science 1957): a unit entry whenever
 one exists, taken early once its cost (other nonzeros in its row times
 other nonzeros in its column) is at most that of a row and a column of
 three, so that elimination fills in little; otherwise the entry of
-smallest magnitude.  A unit pivot clears its column and row exactly.  A
-larger pivot is reduced Euclid-style until it is alone in its row and
-column, and must then divide every remaining entry; if some entry is not
-a multiple, its column is added to the pivot column and the reduction
-goes on with a smaller pivot.  Every later entry is then a multiple of
-the pivot, so the pivots come out as the divisibility chain of invariant
-factors (the argument of Kannan and Bachem, SIAM J. Comput. 1979).
+smallest magnitude.  The search reads the rows in index order and stops
+at the first cheap unit.  A long run of rows without one is parked: each
+parked row waits in a heap under the key of its best entry and goes back
+to the scan as soon as a step is about to change it or a column it
+meets.  The search answers as a full rescan would, but a long run of
+such rows (a sum of thousands of rational tangles leaves one) is not
+rescanned at every pivot.
+
+A unit pivot is one step: row operations clear its column, and then its
+row is alone in that column, so the column operations that clear the row
+change that row alone; they are recorded on the column transform and the
+row is retired.  A larger pivot is reduced Euclid-style until it is alone
+in its row and column, and must then divide every remaining entry; if
+some entry is not a multiple, its column is added to the pivot column and
+the reduction goes on with a smaller pivot.  Every later entry is then a
+multiple of the pivot, so the pivots come out as the divisibility chain
+of invariant factors (the argument of Kannan and Bachem, SIAM J. Comput.
+1979).
 
 Only the column operations are recorded, in the column transform ``v``,
-and only when asked for: its last columns span the integer kernel, which
-the coloring lattices need.  Nothing reads the row transform, so it is
-not kept; the all-moduli report needs the factors alone and records no
-transform at all.
+and only on the rows of ``v`` the caller asks for: a column operation
+acts on each row of ``v`` by itself, so the rows kept come out exactly
+as in the full transform.  The last columns of ``v`` span the integer
+kernel, which the coloring lattices need in full; the coloring fraction
+reads the four boundary rows only, and the all-moduli report needs the
+factors alone and keeps no row.  Nothing reads the row transform, so it
+is not kept.
 
 The determinant runs the same core with row operations only: each pivot
 clears its column from the rows not yet pivoted, which leaves the matrix
@@ -40,6 +54,14 @@ all arithmetic is exact in the integers.
 from __future__ import annotations
 
 import math
+from bisect import insort
+from collections.abc import Sequence
+from heapq import heappop, heappush
+
+# A run of rows without a cheap unit that the pivot search passes is
+# parked once it is longer than this; a shorter run is cheaper to rescan
+# than to park and requeue.
+_PARK_AFTER = 16
 
 
 class SmithForm:
@@ -48,22 +70,38 @@ class SmithForm:
     ``factors`` are the nonzero diagonal entries d_1 | d_2 | ... | d_r
     (the invariant factors) and ``rank`` is r.  Only ``v`` is kept: column
     j < r of a @ v is d_j times column j of u^-1, and the last
-    cols - rank columns of a @ v are zero.  ``v`` is None when the form
-    was computed without transforms.
+    cols - rank columns of a @ v are zero.  ``v`` lists the rows of v,
+    with None for each row the form was computed without, and is None
+    itself when no row was kept.
     """
 
     __slots__ = ("factors", "rank", "v", "cols")
 
-    def __init__(self, factors: list[int], rank: int, v: list[list[int]] | None,
+    def __init__(self, factors: list[int], rank: int, v: list[list[int] | None] | None,
                  cols: int):
         self.factors = factors
         self.rank = rank
         self.v = v
         self.cols = cols
 
+    def _full_v(self) -> list[list[int]]:
+        v = self.v
+        if v is None or any(row is None for row in v):
+            raise ValueError("this Smith form kept only some rows of its column "
+                             "transform; a kernel basis needs all of them")
+        return v
+
     def kernel_basis(self) -> list[list[int]]:
         """Basis of the integer kernel of a: the last cols - rank columns of v."""
-        return [[self.v[i][j] for i in range(self.cols)] for j in range(self.rank, self.cols)]
+        v = self._full_v()
+        return [[v[i][j] for i in range(self.cols)] for j in range(self.rank, self.cols)]
+
+    def kernel_row(self, i: int) -> list[int]:
+        """Entry i of each kernel basis vector: row i of v past the rank."""
+        row = self.v[i] if self.v is not None else None
+        if row is None:
+            raise ValueError(f"row {i} of the column transform was not kept")
+        return row[self.rank:]
 
     def solutions_mod(self, n: int) -> int:
         """Number of solutions of a x = 0 (mod n), n >= 1."""
@@ -81,12 +119,13 @@ class SmithForm:
         factor d contributes (n/gcd(d, n)) times the column when
         gcd(d, n) > 1.
         """
+        v = self._full_v()
         gens = []
         for j, d in enumerate(self.factors):
             g = math.gcd(d, n)
             if g > 1:
                 scale = n // g
-                gens.append([(scale * self.v[i][j]) % n for i in range(self.cols)])
+                gens.append([(scale * v[i][j]) % n for i in range(self.cols)])
         for col in self.kernel_basis():
             gens.append([x % n for x in col])
         return gens
@@ -96,49 +135,157 @@ class _Elimination:
     """The not yet pivoted part of a sparse integer matrix.
 
     ``rows[i]`` maps column -> nonzero value (the caller's dicts, changed
-    in place); ``cols[j]`` lists the active rows with a nonzero in column
-    j, and ``active`` holds the rows not yet pivoted, in index order.
-    With ``transforms`` set, every column operation is repeated on ``v``
-    (the columns of the column transform), sparse too.
+    in place), and ``cols[j]`` lists the active rows, those not yet
+    pivoted, with a nonzero in column j.  ``v[j]`` is column j of the
+    column transform on the kept rows, sparse too; ``v`` is None when no
+    row is kept.
+
+    The pivot search reads the active rows in ``scan``, a sorted list,
+    except the parked ones: the heap ``parked`` holds the key of each
+    parked row's best entry, ``key_of`` maps each parked row to its key,
+    and ``parked_in[j]`` lists the parked rows with a nonzero in column
+    j.  Every step first passes the columns whose rows or counts it is
+    about to change to ``touch``, which returns the parked rows that meet
+    them to the scan before their keys can go stale.
     """
 
-    def __init__(self, rows: list[dict[int, int]], ncols: int, transforms: bool):
+    def __init__(self, rows: list[dict[int, int]], ncols: int,
+                 v_rows: Sequence[int] | None):
         self.rows = rows
         self.cols: list[list[int]] = [[] for _ in range(ncols)]
         cols = self.cols
         for i, row in enumerate(rows):
             for j in row:
                 cols[j].append(i)
-        self.active = dict.fromkeys(range(len(rows)))
-        self.v = [{j: 1} for j in range(ncols)] if transforms else None
+        self.scan = list(range(len(rows)))
+        self.parked: list[tuple[int, int, int, int]] = []
+        self.key_of: dict[int, tuple[int, int, int, int]] = {}
+        self.parked_in: dict[int, set[int]] = {}
+        if v_rows is None:
+            self.v = [{j: 1} for j in range(ncols)]
+        elif v_rows:
+            self.v = [{} for _ in range(ncols)]
+            for i in v_rows:
+                self.v[i][i] = 1
+        else:
+            self.v = None
 
     def pivot(self) -> tuple[int, int] | None:
         """The first unit entry of Markowitz cost (row nonzeros - 1) x
         (column nonzeros - 1) at most 4, as in a row and a column of
         three, else the unit entry of least cost, else an entry of least
-        magnitude; None when the active rows are zero."""
-        best = None
-        best_cost = 0
-        smallest = None
-        smallest_abs = 0
-        rows, cols = self.rows, self.cols
-        for r in self.active:
+        magnitude, ties going to the first row and, within a row, to the
+        first column in key order; None when the active rows are zero."""
+        rows, cols, scan = self.rows, self.cols, self.scan
+        for passed, r in enumerate(scan):
             row = rows[r]
             others = len(row) - 1
             for c, x in row.items():
-                if x == 1 or x == -1:
-                    cost = others * (len(cols[c]) - 1)
-                    if best is None or cost < best_cost:
-                        if cost <= 4:
-                            return r, c
-                        best, best_cost = (r, c), cost
-                elif best is None and (smallest is None or abs(x) < smallest_abs):
-                    smallest, smallest_abs = (r, c), abs(x)
-        return best or smallest
+                if (x == 1 or x == -1) and others * (len(cols[c]) - 1) <= 4:
+                    if passed > _PARK_AFTER:
+                        self._park(passed)
+                    return r, c
+        keys = [key for r in scan if (key := self._key(r))]
+        if len(scan) > _PARK_AFTER:
+            self._park(len(scan))
+        parked, key_of = self.parked, self.key_of
+        while parked and key_of.get(parked[0][2]) != parked[0]:
+            heappop(parked)
+        if parked:
+            keys.append(parked[0])
+        best = min(keys, default=None)
+        return None if best is None else (best[2], best[3])
+
+    def _key(self, r: int) -> tuple[int, int, int, int] | None:
+        """Row r's best pivot entry, for a row without a unit of cost at
+        most 4, as (1, cost, r, column) for its first unit of least cost,
+        else (2, magnitude, r, column) for its first entry of least
+        magnitude; None for a zero row."""
+        cols = self.cols
+        row = self.rows[r]
+        others = len(row) - 1
+        key = None
+        for c, x in row.items():
+            if x == 1 or x == -1:
+                cost = others * (len(cols[c]) - 1)
+                if key is None or key[0] == 2 or cost < key[1]:
+                    key = 1, cost, r, c
+            elif key is None or (key[0] == 2 and abs(x) < key[1]):
+                key = 2, abs(x), r, c
+        return key
+
+    def _park(self, count: int):
+        """Park the first ``count`` rows of the scan under their keys; a
+        zero row stays zero and is dropped."""
+        key_of, parked, parked_in = self.key_of, self.parked, self.parked_in
+        for r in self.scan[:count]:
+            key = self._key(r)
+            if key is not None:
+                key_of[r] = key
+                heappush(parked, key)
+                for j in self.rows[r]:
+                    parked_in.setdefault(j, set()).add(r)
+        del self.scan[:count]
+
+    def touch(self, columns):
+        """Return to the scan the parked rows that meet these columns,
+        before a step changes those rows or the columns' counts."""
+        parked_in = self.parked_in
+        if not parked_in or parked_in.keys().isdisjoint(columns):
+            return
+        for j in columns:
+            for i in parked_in.pop(j, ()):
+                del self.key_of[i]
+                for other in self.rows[i]:
+                    if other != j:
+                        meet = parked_in[other]
+                        meet.discard(i)
+                        if not meet:
+                            del parked_in[other]
+                insort(self.scan, i)
+
+    def unit_step(self, r: int, c: int):
+        """Pivot on the unit p = rows[r][c] in one step.  Row operations
+        clear column c; then row r's column operations change row r
+        alone, so they are recorded on v only, and row r, left as p in
+        column c, is retired."""
+        rows, cols = self.rows, self.cols
+        pivot_row = rows[r]
+        if self.parked_in:
+            self.touch(pivot_row)
+        p = pivot_row.pop(c)
+        for i in cols[c]:
+            if i == r:
+                continue
+            # row i -= (row i's entry in c) * p * row r, which clears c
+            row = rows[i]
+            k = -p * row.pop(c)
+            for j, x in pivot_row.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = k * x
+                    cols[j].append(i)
+                elif y := y + k * x:
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].remove(i)
+        cols[c] = []
+        self.scan.remove(r)
+        for j in pivot_row:
+            cols[j].remove(r)
+        v = self.v
+        if v is not None and (vc := v[c]):
+            # column j -= (row r's entry in j) * p * column c
+            for j, x in pivot_row.items():
+                _axpy(v[j], vc, -p * x)
+        pivot_row.clear()
+        pivot_row[c] = p
 
     def add_col(self, src: int, multiples: list[tuple[int, int]]):
         """Column dst += k * column src for each (dst, k) in multiples."""
         rows, cols, v = self.rows, self.cols, self.v
+        self.touch([src] + [dst for dst, _ in multiples])
         for dst, k in multiples:
             for i in cols[src]:
                 row = rows[i]
@@ -160,6 +307,7 @@ class _Elimination:
         rows, cols = self.rows, self.cols
         while len(cols[c]) > 1:
             pivot_row = rows[r]
+            self.touch(pivot_row)
             p = pivot_row[c]
             left = [r]
             for i in cols[c]:
@@ -204,7 +352,7 @@ class _Elimination:
 
     def not_divisible(self, r: int, p: int) -> int | None:
         """A column with an active entry outside row r that p does not divide."""
-        for i in self.active:
+        for i in sorted([*self.scan, *self.key_of]):
             if i != r:
                 for j, x in self.rows[i].items():
                     if x % p:
@@ -213,7 +361,8 @@ class _Elimination:
 
     def retire(self, r: int):
         """Take row r out of the active part once its pivot column is clear."""
-        del self.active[r]
+        self.touch(self.rows[r])
+        self.scan.remove(r)
         for j in self.rows[r]:
             self.cols[j].remove(r)
 
@@ -228,44 +377,50 @@ def _axpy(dst: dict[int, int], src: dict[int, int], k: int):
 
 
 def smith_normal_form(a: list[dict[int, int]], ncols: int,
-                      transforms: bool = True) -> SmithForm:
+                      v_rows: Sequence[int] | None = None) -> SmithForm:
     """Smith normal form of an integer matrix given as sparse rows
     ``{column: value}`` over ``ncols`` columns.
 
     The rows are used as working storage and left changed.  Pivots are
     searched in row order and, within a row, in key order.  Returns the
-    invariant factors normalized positive with d_1 | d_2 | ... and, with
-    ``transforms``, the unimodular column transform.  Handles empty
-    matrices.
+    invariant factors normalized positive with d_1 | d_2 | ... and the
+    rows ``v_rows`` of the unimodular column transform: all of them when
+    ``v_rows`` is None, none when it is empty.  Handles empty matrices.
     """
-    e = _Elimination(a, ncols, transforms)
-    pivots = []
+    e = _Elimination(a, ncols, v_rows)
+    pivots, factors = [], []  # pivot columns and |pivots|, in the order found
     while (at := e.pivot()) is not None:
         r, c = at
-        while True:
-            r = e.clear_column(r, c)
-            c = e.clear_row(r, c)
-            if len(e.cols[c]) > 1:
-                continue
-            p = e.rows[r][c]
-            if abs(p) > 1:
-                offender = e.not_divisible(r, p)
-                if offender is not None:
-                    # the pivot column takes an entry p does not divide
-                    e.add_col(offender, [(c, 1)])
+        p = e.rows[r][c]
+        if p == 1 or p == -1:
+            e.unit_step(r, c)
+        else:
+            while True:
+                r = e.clear_column(r, c)
+                c = e.clear_row(r, c)
+                if len(e.cols[c]) > 1:
                     continue
-            break
-        e.retire(r)
-        pivots.append((r, c))
-
-    factors = [abs(e.rows[r][c]) for r, c in pivots]
+                p = e.rows[r][c]
+                if abs(p) > 1:
+                    offender = e.not_divisible(r, p)
+                    if offender is not None:
+                        # the pivot column takes an entry p does not divide
+                        e.add_col(offender, [(c, 1)])
+                        continue
+                break
+            e.retire(r)
+        pivots.append(c)
+        factors.append(abs(p))
     v = None
-    if transforms:
+    if e.v is not None:
         # pivot columns first, in the order found (a divisibility chain),
         # then the rest in index order; the free columns span the kernel
-        pivot_cols = {c for _, c in pivots}
-        col_order = [c for _, c in pivots] + [j for j in range(ncols) if j not in pivot_cols]
-        v = [[0] * ncols for _ in range(ncols)]
+        pivot_cols = set(pivots)
+        col_order = pivots + [j for j in range(ncols) if j not in pivot_cols]
+        kept = range(ncols) if v_rows is None else v_rows
+        v = [None] * ncols
+        for i in kept:
+            v[i] = [0] * ncols
         for k, c in enumerate(col_order):
             for i, x in e.v[c].items():
                 v[i][k] = x
@@ -279,8 +434,8 @@ def integer_determinant(a: list[dict[int, int]], ncols: int) -> int:
     ``a`` is ``ncols`` sparse rows ``{column: value}`` over as many
     columns, used as working storage as in :func:`smith_normal_form`.
     """
-    e = _Elimination(a, ncols, transforms=False)
-    pivot, clear_column, retire, rows = e.pivot, e.clear_column, e.retire, e.rows
+    e = _Elimination(a, ncols, ())
+    pivot, unit_step, rows = e.pivot, e.unit_step, e.rows
     det = 1
     pivot_col = [0] * ncols
     for _ in range(ncols):
@@ -288,10 +443,15 @@ def integer_determinant(a: list[dict[int, int]], ncols: int) -> int:
         if at is None:
             return 0
         r, c = at
-        r = clear_column(r, c)
-        det *= rows[r][c]
+        p = rows[r][c]
+        if p == 1 or p == -1:
+            unit_step(r, c)
+        else:
+            r = e.clear_column(r, c)
+            p = rows[r][c]
+            e.retire(r)
+        det *= p
         pivot_col[r] = c
-        retire(r)
     return _permutation_sign(pivot_col) * det
 
 

@@ -74,6 +74,16 @@ def random_tangle_diagram(rng: random.Random) -> TangleDiagram:
             return t
 
 
+def montesinos_sum(rng: random.Random, lo: int = 20, hi: int = 50) -> TangleDiagram:
+    """Valid sum of 2-5 rational tangles p/q, |p| <= 12, 1 <= q <= 13, of
+    lo to hi crossings."""
+    while True:
+        terms = [from_rational(random_fraction(rng, 12, 13)) for _ in range(rng.randint(2, 5))]
+        t = tangle_sum(*terms)
+        if lo <= t.crossing_count <= hi and validate(t) is None:
+            return t
+
+
 def add_kink(L: LinkDiagram, edge: int, variant: int = 0) -> LinkDiagram:
     """First Reidemeister move: insert a kink on the given edge."""
     fresh = max(x for c in L.crossings for x in c.ports) + 1

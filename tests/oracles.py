@@ -4,7 +4,14 @@ against."""
 from fractions import Fraction as QQ
 from math import comb
 
-from tanglekit.diagram import Crossing, LinkDiagram, TangleDiagram, tangle_sum
+from tanglekit.diagram import (
+    Crossing,
+    LinkDiagram,
+    TangleDiagram,
+    UnionFind,
+    renumber,
+    tangle_sum,
+)
 from tanglekit.fraction import frac_add
 from tanglekit.laurent import LaurentPoly
 from tanglekit.quandle import NotInvariant, coloring_fraction, dihedral_relation_matrix
@@ -133,6 +140,30 @@ def tally_contraction_bracket(d: LinkDiagram) -> LaurentPoly:
             e = a_exp + 2 * n - 4 * k
             terms[e] = terms.get(e, 0) + signed * comb(n, k)
     return LaurentPoly.make("A", terms)
+
+
+def two_pass_glue(parts, joins, outer=None):
+    """``diagram._glue`` as two passes: fuse the shifted copies through a
+    union-find into a diagram labeled by class roots, then ``renumber``
+    it."""
+    crossings, ends, loops = [], [], 0
+    offset = 0
+    for d in parts:
+        ids = [e for c in d.crossings for e in c.ports] + list(d.boundary)
+        shift = offset - min(ids)
+        crossings += [[e + shift for e in c.ports] for c in d.crossings]
+        ends.append([e + shift for e in d.boundary])
+        loops += d.loops
+        offset = max(ids) + shift + 1
+    edges = UnionFind()
+    for (i, a), (j, b) in joins:
+        if not edges.union(ends[i][a], ends[j][b]):
+            loops += 1
+    crossings = tuple(Crossing(tuple(map(edges.find, c))) for c in crossings)
+    if outer is None:
+        return renumber(LinkDiagram(crossings, loops))
+    boundary = tuple(edges.find(ends[i][a]) for i, a in outer)
+    return renumber(TangleDiagram(crossings, boundary, loops))
 
 
 def jones_at_minus_one(poly: LaurentPoly) -> int:
@@ -300,7 +331,7 @@ def c_constrained_matrix(d: TangleDiagram) -> tuple[list[dict[int, int]], int]:
 def has_nontrivial_c_coloring(d: TangleDiagram, n: int) -> bool:
     """Is there a mod-n c-coloring using more than one color (n >= 2)?"""
     rows, ncols = c_constrained_matrix(d)
-    return smith_normal_form(rows, ncols, transforms=False).solutions_mod(n) > n
+    return smith_normal_form(rows, ncols, v_rows=()).solutions_mod(n) > n
 
 
 def prime_factors(n: int) -> set[int]:
@@ -320,7 +351,7 @@ def c_constrained_report(d: TangleDiagram) -> tuple[bool, set[int], bool, bool]:
     nullity counts the integer c-colorings, the constants included, and
     each torsion factor adds c-colorings mod its primes."""
     rows, ncols = c_constrained_matrix(d)
-    sf = smith_normal_form(rows, ncols, transforms=False)
+    sf = smith_normal_form(rows, ncols, v_rows=())
     nullity = ncols - sf.rank
     torsion = [f for f in sf.factors if f > 1]
     primes = set().union(*(prime_factors(f) for f in torsion))

@@ -7,7 +7,9 @@ from tanglekit.diagram import (
     Crossing,
     LinkDiagram,
     TangleDiagram,
+    UnionFind,
     _ends,
+    _glue,
     all_orientations,
     canonical_form,
     close_denominator,
@@ -32,7 +34,8 @@ from tanglekit.diagram import (
 from tanglekit.expr import parse_expr
 from tanglekit.fraction import Fraction, continued_fraction, frac_normalize
 
-from conftest import add_kink, random_fraction
+from conftest import add_kink, montesinos_sum, random_fraction, random_tangle_diagram
+from oracles import two_pass_glue
 
 
 def F(p, q=1):
@@ -89,6 +92,49 @@ class TestGluing:
             for part in parts[1:]:
                 chain = tangle_sum(chain, part)
             assert tangle_sum(*parts) == chain
+
+    def test_glue_numbers_edges_as_two_passes_did(self):
+        """Each gluing equals the two-pass construction: fuse the copies
+        through a union-find, then renumber.  Parts come renumbered, with
+        their edge ids shifted, and mirrored."""
+        nw, ne, sw, se = range(4)
+        specs = [
+            (2, [((0, ne), (1, nw)), ((0, se), (1, sw))], [(0, nw), (1, ne), (0, sw), (1, se)]),
+            (3, [((0, ne), (1, nw)), ((0, se), (1, sw)), ((1, ne), (2, nw)), ((1, se), (2, sw))],
+             [(0, nw), (2, ne), (0, sw), (2, se)]),
+            (2, [((0, sw), (1, nw)), ((0, se), (1, ne))], [(0, nw), (0, ne), (1, sw), (1, se)]),
+            (1, [((0, ne), (0, nw)), ((0, se), (0, sw))], None),
+            (1, [((0, nw), (0, sw)), ((0, ne), (0, se))], None),
+        ]
+        rng = random.Random(1203)
+        tangles = ([random_tangle_diagram(rng) for _ in range(300)]
+                   + [montesinos_sum(rng) for _ in range(200)]
+                   + [zero_tangle(), infinity_tangle()])
+        for n, t in enumerate(tangles):
+            if n % 3 == 1:
+                t = TangleDiagram(tuple(Crossing(tuple(e + 7 for e in c.ports))
+                                        for c in t.crossings),
+                                  tuple(e + 7 for e in t.boundary))
+            elif n % 3 == 2:
+                t = mirror(t)
+            for count, joins, outer in specs:
+                parts = tuple(rng.choice(tangles) for _ in range(count - 1))
+                parts = (t,) + parts
+                assert _glue(parts, joins, outer) == two_pass_glue(parts, joins, outer)
+
+    def test_union_find_halves_paths_below_each_child(self):
+        rng = random.Random(1204)
+        uf = UnionFind()
+        members = {x: {x} for x in range(300)}
+        for step in range(3000):
+            a, b = rng.randrange(300), rng.randrange(300)
+            merged = members[a] | members[b]
+            assert uf.union(a, b) == (members[a] is not members[b])
+            for x in merged:
+                members[x] = merged
+            if step % 500 == 0:
+                assert all(uf.find(x) == min(members[x]) for x in range(300))
+                assert all(p < child for child, p in uf.parent.items())
 
     def test_product_stacks(self):
         a, b = from_rational(F(1)), from_rational(F(1))

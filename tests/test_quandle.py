@@ -198,7 +198,7 @@ class TestMonochromaticity:
 
         for d in valid + closed:
             rows, _, ncols = dihedral_relation_matrix(d)
-            nullity = ncols - smith_normal_form(rows, ncols, transforms=False).rank
+            nullity = ncols - smith_normal_form(rows, ncols, v_rows=()).rank
             assert nullity == (2 if validate(d) is None else 3)
             rep = monochromatic_report(d)
             assert (rep.c_trivial_for_all_n, rep.offending_moduli, rep.all_moduli,

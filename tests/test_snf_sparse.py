@@ -7,14 +7,19 @@ import pytest
 
 from tanglekit import snf
 from tanglekit.diagram import close_denominator, close_numerator
+from tanglekit.fraction import frac_normalize
 from tanglekit.quandle import (
+    boundary_arcs,
+    boundary_lattice,
     color_solve_dihedral,
+    coloring_fraction,
     determinant,
     dihedral_relation_matrix,
 )
+from tanglekit.diagram import from_rational
 from tanglekit.snf import integer_determinant, smith_normal_form
 
-from conftest import dense, random_tangle_diagram, sparse
+from conftest import dense, montesinos_sum, random_tangle_diagram, sparse
 from oracles import (
     bareiss_determinant,
     c_constrained_matrix,
@@ -84,6 +89,33 @@ def test_non_unit_and_divisibility_paths_run(monkeypatch):
     assert any(x is not None for x in offenders)
 
 
+def test_parking_never_changes_a_pivot(monkeypatch):
+    """A parked row goes back to the scan before any step changes it or
+    a column it meets, so parking every row the search passes gives the
+    factors, transforms and determinants of parking none."""
+    rng = random.Random("snf/parking")
+    mats = []
+    for _ in range(40):
+        n = rng.randint(3, 40)
+        m = n if rng.random() < 0.5 else rng.randint(3, 40)
+        mats += [coloring_shaped(rng, n, m), no_units(rng, n, m)]
+    for _ in range(40):
+        mats += diagram_matrices(random_tangle_diagram(rng))
+
+    def run():
+        out = []
+        for a in mats:
+            sf = smith_normal_form(sparse(a), len(a[0]))
+            det = integer_determinant(sparse(a), len(a)) if len(a) == len(a[0]) else None
+            out.append((sf.factors, sf.v, det))
+        return out
+
+    monkeypatch.setattr(snf, "_PARK_AFTER", len(max(mats, key=len)))
+    never = run()
+    monkeypatch.setattr(snf, "_PARK_AFTER", 0)
+    assert run() == never
+
+
 def diagram_matrices(d):
     """The plain and c-constrained relation matrices of a tangle and the
     closure minors its determinants are taken of."""
@@ -110,8 +142,8 @@ def test_random_diagram_matrices():
 
 
 def test_sparse_rows_as_dense_input(catalog_entries):
-    """The relation rows eliminate to the same factors without transforms
-    as with them, and the square relation rows of a closure, row 0
+    """The relation rows eliminate to the same factors without a column
+    transform as with it, and the square relation rows of a closure, row 0
     replaced by the unit row e_0, give the determinant of their dense
     matrix: the (0, 0) cofactor, which is not always 0 as the full
     determinant is."""
@@ -127,7 +159,7 @@ def test_sparse_rows_as_dense_input(catalog_entries):
         # the elimination uses sparse rows as working storage: build afresh
         for build in (plain, c_constrained_matrix):
             sf = smith_normal_form(*build(d))
-            lean = smith_normal_form(*build(d), transforms=False)
+            lean = smith_normal_form(*build(d), v_rows=())
             assert lean.v is None and lean.factors == sf.factors
         for link in (close_numerator(d), close_denominator(d)):
             rows, ncols = plain(link)
@@ -221,3 +253,59 @@ def test_determinant_edge_cases():
     for perm in itertools.permutations(range(4)):
         a = [[1 if perm[i] == j else 0 for j in range(4)] for i in range(4)]
         assert integer_determinant(sparse(a), 4) == bareiss_determinant(a)
+
+
+def seeded_tangles():
+    """300 small tangles and 200 Montesinos sums of 20-50 crossings."""
+    rng = random.Random(1212)
+    return ([random_tangle_diagram(rng) for _ in range(300)]
+            + [montesinos_sum(rng) for _ in range(200)])
+
+
+def test_coloring_pass_on_seeded_tangles():
+    """The column transform kept on the boundary arcs alone equals the
+    full transform on those rows, so the coloring fraction read from it
+    is the full lattice's; the factors are the dense oracle's and every
+    closure's first minor has the Bareiss determinant."""
+    minors = 0
+    for t in seeded_tangles():
+        rows, arc_of, ncols = dihedral_relation_matrix(t)
+        a = dense(rows, ncols)
+        full = smith_normal_form(rows, ncols)
+        keep = sorted(set(boundary_arcs(t, arc_of)))
+        part = smith_normal_form(dihedral_relation_matrix(t)[0], ncols, keep)
+        assert part.factors == full.factors == dense_smith_normal_form(a).factors
+        assert [row is not None for row in part.v] == [i in keep for i in range(ncols)]
+        assert all(part.v[i] == full.v[i] for i in keep)
+        assert coloring_fraction(t) == color_solve_dihedral(t, 0).coloring_fraction()
+        for link in (close_numerator(t), close_denominator(t)):
+            rows, _, n = dihedral_relation_matrix(link)
+            if link.loops or n != link.crossing_count:
+                continue
+            minor = [row[1:] for row in dense(rows, n)[1:]]
+            expect = bareiss_determinant(minor)
+            assert integer_determinant(sparse(minor), n - 1) == expect
+            assert determinant(link) == abs(expect)
+            minors += 1
+    assert minors > 900
+
+
+def test_partial_transform_gives_no_kernel_basis():
+    a = [[2, -1, -1, 0], [0, 2, -1, -1]]
+    for v_rows in ((), [0, 3]):
+        sf = smith_normal_form(sparse(a), 4, v_rows)
+        assert sf.factors == [1, 1]
+        with pytest.raises(ValueError, match="kept only some rows"):
+            sf.kernel_basis()
+        with pytest.raises(ValueError, match="kept only some rows"):
+            sf.kernel_basis_mod(3)
+        with pytest.raises(ValueError, match="row 1 of the column transform was not kept"):
+            sf.kernel_row(1)
+    full = smith_normal_form(sparse(a), 4)
+    assert smith_normal_form(sparse(a), 4, [0, 3]).kernel_row(3) == full.v[3][2:]
+    lat = boundary_lattice(from_rational(frac_normalize(3, 5)))
+    assert lat.coloring_fraction() == frac_normalize(3, 5)
+    with pytest.raises(ValueError, match="kept only some rows"):
+        lat.basis
+    with pytest.raises(ValueError, match="kept only some rows"):
+        lat.generators
