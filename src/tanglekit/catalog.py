@@ -9,8 +9,8 @@ c-colorings rule out unknottability, the coloring fraction of an
 integer-monochromatic tangle pins the unique rational splitting closure
 candidate, and candidate closures are then confirmed or rejected by the
 Jones polynomial, determinant and linking number of the closed diagram.
-A classification eliminates the entry's relation matrix once, for both
-coloring questions, builds each closure once and computes each of its
+A classification reduces the entry's relation rows once, for both
+coloring questions (its coloring record), builds each closure once and computes each of its
 invariants once, on first use (:class:`ClosedLink`).
 
 Positive answers are invariant-certified: the named closure is exhibited
@@ -59,9 +59,9 @@ from .expr import (
 from .fraction import Fraction, frac_mirror, frac_normalize
 from .laurent import LaurentPoly
 from .quandle import (
-    ColoringLattice,
+    ColoringRecord,
     NotInvariant,
-    boundary_lattice,
+    coloring_record,
     determinant,
 )
 
@@ -196,7 +196,7 @@ class ClosedLink:
 
 class Classification:
     """The verdict and evidence log of one entry, with the closures and the
-    coloring lattice computed on the way, each at most once."""
+    coloring record computed on the way, each at most once."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
@@ -210,14 +210,14 @@ class Classification:
             self._closures[c] = ClosedLink(closure_link(self.entry.diagram, c))
         return self._closures[c]
 
-    @cached_property
-    def colorings(self) -> ColoringLattice:
-        """One elimination for both coloring questions."""
-        return boundary_lattice(self.entry.diagram)
+    @property
+    def colorings(self) -> ColoringRecord:
+        """One reduction for both coloring questions, cached on the diagram."""
+        return coloring_record(self.entry.diagram)
 
-    @cached_property
+    @property
     def coloring_fraction(self) -> Fraction | NotInvariant:
-        return self.colorings.coloring_fraction()
+        return self.colorings.fraction
 
 
 def _split_candidate_evidence(L: ClosedLink, c: Fraction, evidence: list[str]):
@@ -284,7 +284,7 @@ def classify(entry: CatalogEntry) -> Classification:
                                  result.verdict.unlinkable,
                                  result.verdict.splittable)
 
-    rep = record.colorings.monochromatic_report()
+    rep = record.colorings.report
     if rep.polychromatic_somewhere():
         moduli = ", ".join(str(p) for p in sorted(rep.offending_moduli))
         msg = f"nontrivial dihedral c-coloring mod {moduli}"

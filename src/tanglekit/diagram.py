@@ -78,9 +78,12 @@ class DiagramError(ValueError):
 
 
 class TangleDiagram(Value):
-    """Crossings, the edge ids at NW, NE, SW, SE, and crossing-free loops."""
+    """Crossings, the edge ids at NW, NE, SW, SE, and crossing-free loops.
 
-    __slots__ = ("crossings", "boundary", "loops")
+    ``_colorings`` caches :func:`tanglekit.quandle.coloring_record`.
+    """
+
+    __slots__ = ("crossings", "boundary", "loops", "_colorings")
 
     def __init__(self, crossings: tuple[Crossing, ...],
                  boundary: tuple[int, int, int, int], loops: int = 0):
@@ -89,6 +92,7 @@ class TangleDiagram(Value):
         setfield(self, "crossings", crossings)
         setfield(self, "boundary", boundary)
         setfield(self, "loops", loops)
+        setfield(self, "_colorings", None)
 
     @property
     def crossing_count(self) -> int:
@@ -96,13 +100,18 @@ class TangleDiagram(Value):
 
 
 class LinkDiagram(Value):
-    """Crossings and crossing-free loops."""
+    """Crossings and crossing-free loops.
 
-    __slots__ = ("crossings", "loops")
+    ``_determinant`` is a closure's determinant, known from its tangle's
+    coloring record, or None.
+    """
+
+    __slots__ = ("crossings", "loops", "_determinant")
 
     def __init__(self, crossings: tuple[Crossing, ...], loops: int = 0):
         setfield(self, "crossings", crossings)
         setfield(self, "loops", loops)
+        setfield(self, "_determinant", None)
 
     @property
     def crossing_count(self) -> int:
@@ -275,13 +284,23 @@ def mirror(d: Diagram) -> Diagram:
 
 
 def close_numerator(t: TangleDiagram) -> LinkDiagram:
-    """Join NE to NW and SE to SW by unknotted arcs."""
-    return _glue((t,), [((0, _NE), (0, _NW)), ((0, _SE), (0, _SW))])
+    """Join NE to NW and SE to SW by unknotted arcs.
+
+    When t's coloring record exists, the link takes its determinant from
+    it; the link keeps no reference to t."""
+    link = _glue((t,), [((0, _NE), (0, _NW)), ((0, _SE), (0, _SW))])
+    if t._colorings is not None:
+        setfield(link, "_determinant", t._colorings.det_numerator)
+    return link
 
 
 def close_denominator(t: TangleDiagram) -> LinkDiagram:
-    """Join NW to SW and NE to SE by unknotted arcs."""
-    return _glue((t,), [((0, _NW), (0, _SW)), ((0, _NE), (0, _SE))])
+    """Join NW to SW and NE to SE by unknotted arcs; the determinant is
+    taken from t's coloring record as in :func:`close_numerator`."""
+    link = _glue((t,), [((0, _NW), (0, _SW)), ((0, _NE), (0, _SE))])
+    if t._colorings is not None:
+        setfield(link, "_determinant", t._colorings.det_denominator)
+    return link
 
 
 def renumber(d: Diagram) -> Diagram:

@@ -31,6 +31,34 @@ form of the plain relation matrix answers every coloring question:
 nontrivial c-colorings mod p exist exactly when its nullity exceeds two
 or p divides an invariant factor (the primes of Krebes' gcd(det N, det D)
 obstruction, JKTR 1999), and its kernel gives the coloring fraction.
+
+One Smith form of a tangle's relation matrix M, with its column
+transform v kept on the rows of the four boundary arcs, answers these
+questions and gives both closure determinants too (:class:`ColoringRecord`):
+
+* Report and fraction.  The report reads M's nullity and torsion, and
+  the fraction the boundary rows of M's integer kernel, the free columns
+  of v.
+* The cokernel.  Let A be Z^arcs modulo the row space of M.  The Smith
+  form splits it as Z/d_j for each invariant factor d_j > 1 and Z for each
+  free column of v, and the class of the unit vector e_p has coordinate
+  v[p][j] in the summand of column j.  Its free rank is M's nullity.
+* Closure determinants.  N(T) and D(T) have T's crossings and T's arcs
+  with the boundary arcs fused: NW with NE and SW with SE for N(T), NW
+  with SW and NE with SE for D(T).  So the closure's relation matrix is M
+  with those columns added together, and its cokernel is A with the
+  classes of e_NW - e_NE and e_SW - e_SE (for D(T), e_NW - e_SW and
+  e_NE - e_SE) set to zero, which only needs v's boundary rows.  All
+  first minors of a link's coloring matrix agree up to sign, so the
+  determinant of a closure of k crossings is their gcd, the product of
+  the first k - 1 invariant factors: the order of the quotient's torsion
+  when its free rank, the closure's nullity, is one, and 0 when it is
+  more.  A closure with more arcs than crossings has a component that
+  never passes under, which lifts off as a split component, so its
+  nullity is at least two and its determinant 0 here as well.
+  :func:`determinant` still runs the closure's own crossing and loop
+  checks first: a crossing-free strand closes into a loop that the
+  matrix does not see.
 """
 
 from __future__ import annotations
@@ -196,9 +224,8 @@ class ColoringLattice:
     integer solution lattice is described by ``basis`` (a Z-basis) and
     the ``invariant_factors`` of the relation matrix.  For tangles,
     ``boundary`` holds the arc indices at NW, NE, SW, SE, and the same
-    Smith form gives the monochromatic report and the coloring fraction,
-    which need only the boundary rows of its column transform (see
-    :func:`boundary_lattice`).
+    Smith form gives the coloring fraction, as :class:`ColoringRecord`
+    does from a transform kept on the boundary rows alone.
     """
 
     __slots__ = ("modulus", "arc_count", "smith", "boundary")
@@ -235,23 +262,25 @@ class ColoringLattice:
             raise ValueError("link diagrams have no boundary colors")
         return tuple(solution[a] for a in self.boundary)
 
-    def monochromatic_report(self) -> MonochromaticReport:
-        """See :func:`monochromatic_report`."""
-        return MonochromaticReport(self.smith)
-
     def coloring_fraction(self) -> Fraction | NotInvariant:
         """See :func:`coloring_fraction`."""
         if self.boundary is None:
             raise ValueError("link diagrams have no boundary colors")
-        nw, ne, _, se = (self.smith.kernel_row(a) for a in self.boundary)
-        pairs = [(b - a, b - c) for a, b, c in zip(nw, ne, se)]
-        pairs = [pair for pair in pairs if pair != (0, 0)]
-        if not pairs:
-            return NotInvariant(rank=0)
-        x, y = pairs[0]
-        if any(x * b != y * a for a, b in pairs):
-            return NotInvariant(rank=2)
-        return frac_normalize(x, y)
+        return _fraction(self.smith, self.boundary)
+
+
+def _fraction(smith: SmithForm, boundary: tuple[int, ...]) -> Fraction | NotInvariant:
+    """The coloring fraction from the kernel rows of the boundary columns
+    (see :func:`coloring_fraction`)."""
+    nw, ne, _, se = (smith.kernel_row(a) for a in boundary)
+    pairs = [(b - a, b - c) for a, b, c in zip(nw, ne, se)]
+    pairs = [pair for pair in pairs if pair != (0, 0)]
+    if not pairs:
+        return NotInvariant(rank=0)
+    x, y = pairs[0]
+    if any(x * b != y * a for a, b in pairs):
+        return NotInvariant(rank=2)
+    return frac_normalize(x, y)
 
 
 def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
@@ -269,17 +298,52 @@ def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
     return ColoringLattice(modulus=n, arc_count=ncols, smith=sf, boundary=boundary)
 
 
-def boundary_lattice(d: TangleDiagram) -> ColoringLattice:
-    """The integer coloring lattice of d with its column transform kept on
-    the boundary arcs only.
+class ColoringRecord:
+    """What the coloring obstructions read of a tangle diagram, from one
+    Smith form of its relation matrix (see the module docstring): the
+    all-moduli c-coloring ``report``, the coloring ``fraction``, and the
+    determinants ``det_numerator`` and ``det_denominator`` of its two
+    closures' relation matrices, which :func:`determinant` returns once
+    the closure's own crossing and loop checks pass."""
 
-    That is all the monochromatic report and the coloring fraction read;
-    ``basis`` and ``generators`` raise ValueError on it.
-    """
-    rows, arc_of, ncols = dihedral_relation_matrix(d)
-    boundary = boundary_arcs(d, arc_of)
-    sf = smith_normal_form(rows, ncols, sorted(set(boundary)))
-    return ColoringLattice(modulus=0, arc_count=ncols, smith=sf, boundary=boundary)
+    __slots__ = ("report", "fraction", "det_numerator", "det_denominator")
+
+    def __init__(self, t: TangleDiagram):
+        rows, arc_of, ncols = dihedral_relation_matrix(t)
+        nw, ne, sw, se = boundary = boundary_arcs(t, arc_of)
+        smith = smith_normal_form(rows, ncols, sorted(set(boundary)))
+        self.report = MonochromaticReport(smith)
+        self.fraction = _fraction(smith, boundary)
+        self.det_numerator = _closure_determinant(smith, ((nw, ne), (sw, se)))
+        self.det_denominator = _closure_determinant(smith, ((nw, sw), (ne, se)))
+
+
+def _closure_determinant(smith: SmithForm, joins) -> int:
+    """The torsion order of the cokernel with the classes of e_p - e_q
+    set to zero for each join (p, q) of boundary arcs, when that leaves
+    free rank one; else 0."""
+    v, rank = smith.v, smith.rank
+    cols = [j for j, col in enumerate(v) if col is not None]
+    relations = [{i: smith.factors[j]} for i, j in enumerate(cols) if j < rank]
+    for p, q in joins:
+        relations.append({i: x for i, j in enumerate(cols)
+                          if (x := v[j].get(p, 0) - v[j].get(q, 0))})
+    quotient = smith_normal_form(relations, len(cols), ())
+    if len(cols) - quotient.rank != 1:
+        return 0
+    det = 1
+    for d in quotient.factors:
+        det *= d
+    return det
+
+
+def coloring_record(t: TangleDiagram) -> ColoringRecord:
+    """t's coloring record, computed on first use and cached on t."""
+    record = t._colorings
+    if record is None:
+        record = ColoringRecord(t)
+        setfield(t, "_colorings", record)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +391,13 @@ def _prime_divisors(n: int) -> set[int]:
 
 
 def monochromatic_report(d: TangleDiagram) -> MonochromaticReport:
-    """Classify the c-colorings of d across all moduli at once, from one
-    Smith form of the plain relation matrix that keeps no column transform.
+    """Classify the c-colorings of d across all moduli at once, from the
+    Smith form of the plain relation matrix, read off d's coloring record.
 
     Exact for tangle diagrams that pass ``validate``, by dim(colorings) =
     1 + dim(c-colorings) over every field (see the module docstring).
     """
-    rows, _, ncols = dihedral_relation_matrix(d)
-    return MonochromaticReport(smith_normal_form(rows, ncols, ()))
+    return coloring_record(d).report
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +418,16 @@ class NotInvariant(Value):
 def coloring_fraction(d: TangleDiagram) -> Fraction | NotInvariant:
     """(NE - NW)/(NE - SE) of a generator of the integer boundary lattice.
 
-    Each basis vector of the integer coloring lattice (one Smith form,
-    with the boundary rows of its column transform) gives its boundary
-    colors modulo the constants as the pair (NE - NW, NE - SE), by the
-    alternating sum rule.  When these pairs span rank one the ratio is
+    Each basis vector of the integer coloring lattice (read off d's
+    coloring record) gives its boundary colors modulo the constants as
+    the pair (NE - NW, NE - SE), by the alternating sum rule.  When these
+    pairs span rank one the ratio is
     independent of the chosen element and is returned in lowest terms,
     with both infinite values collapsed to inf; otherwise NotInvariant
     carries the rank.  The rank is one for tangle diagrams that pass
     ``validate`` (see the module docstring).
     """
-    return boundary_lattice(d).coloring_fraction()
+    return coloring_record(d).fraction
 
 
 # ---------------------------------------------------------------------------
@@ -465,21 +528,23 @@ def determinant(d: LinkDiagram, drop_row: int = 0, drop_col: int = 0) -> int:
     The value is independent of which row and column are deleted.  The
     0-crossing unknot has determinant 1; diagrams with extra crossing-free
     loops, or with a component that never passes under, present a split
-    picture and get determinant 0.
+    picture and get determinant 0.  A closure built from a tangle whose
+    coloring record exists already carries its determinant.
     """
     k = d.crossing_count
     if k == 0:
         return 1 if d.loops == 1 else 0
     if d.loops > 0:
         return 0
+    if not (0 <= drop_row < k and 0 <= drop_col < k):
+        raise ValueError("row/column to delete is out of range")
+    if d._determinant is not None:
+        return d._determinant
     rows, _, ncols = dihedral_relation_matrix(d)
     if ncols != k:
         # some component has no undercrossing and lifts off the diagram
         return 0
-    if not (0 <= drop_row < k and 0 <= drop_col < ncols):
-        raise ValueError("row/column to delete is out of range")
-    del rows[drop_row]
-    # columns past drop_col move one to the left, so keys stay in order
-    minor = [{j - (j > drop_col): x for j, x in row.items() if j != drop_col}
-             for row in rows]
-    return abs(integer_determinant(minor, k - 1))
+    # the dropped row replaced by the unit row at the dropped column: by
+    # expansion along that row, its determinant is the minor up to sign
+    rows[drop_row] = {drop_col: 1}
+    return abs(integer_determinant(rows, k))

@@ -68,25 +68,29 @@ class SmithForm:
     """u @ a @ v = diag(d_1, ..., d_r, 0, ...) for some unimodular u and v.
 
     ``factors`` are the nonzero diagonal entries d_1 | d_2 | ... | d_r
-    (the invariant factors) and ``rank`` is r.  Only ``v`` is kept: column
-    j < r of a @ v is d_j times column j of u^-1, and the last
-    cols - rank columns of a @ v are zero.  ``v`` lists the rows of v,
-    with None for each row the form was computed without, and is None
-    itself when no row was kept.
+    (the invariant factors) and ``rank`` is r.  Only v is kept, and only
+    the columns of it that the kernel and the torsion need: column j < r
+    of a @ v is d_j times column j of u^-1, and the last cols - rank
+    columns of a @ v are zero.  ``v[j]`` is column j of v as a sparse
+    ``{row: value}`` dict for each j >= rank and each d_j > 1, and None
+    for the columns of unit factors.  The columns hold the rows ``kept``
+    only, every row when ``kept`` is None; ``v`` is None when no row was
+    kept.
     """
 
-    __slots__ = ("factors", "rank", "v", "cols")
+    __slots__ = ("factors", "rank", "v", "cols", "kept")
 
-    def __init__(self, factors: list[int], rank: int, v: list[list[int] | None] | None,
-                 cols: int):
+    def __init__(self, factors: list[int], rank: int, v: list[dict[int, int] | None] | None,
+                 cols: int, kept: frozenset[int] | None = None):
         self.factors = factors
         self.rank = rank
         self.v = v
         self.cols = cols
+        self.kept = kept
 
-    def _full_v(self) -> list[list[int]]:
+    def _full_v(self) -> list[dict[int, int] | None]:
         v = self.v
-        if v is None or any(row is None for row in v):
+        if v is None or self.kept is not None:
             raise ValueError("this Smith form kept only some rows of its column "
                              "transform; a kernel basis needs all of them")
         return v
@@ -94,14 +98,13 @@ class SmithForm:
     def kernel_basis(self) -> list[list[int]]:
         """Basis of the integer kernel of a: the last cols - rank columns of v."""
         v = self._full_v()
-        return [[v[i][j] for i in range(self.cols)] for j in range(self.rank, self.cols)]
+        return [[col.get(i, 0) for i in range(self.cols)] for col in v[self.rank:]]
 
     def kernel_row(self, i: int) -> list[int]:
         """Entry i of each kernel basis vector: row i of v past the rank."""
-        row = self.v[i] if self.v is not None else None
-        if row is None:
+        if self.v is None or (self.kept is not None and i not in self.kept):
             raise ValueError(f"row {i} of the column transform was not kept")
-        return row[self.rank:]
+        return [col.get(i, 0) for col in self.v[self.rank:]]
 
     def solutions_mod(self, n: int) -> int:
         """Number of solutions of a x = 0 (mod n), n >= 1."""
@@ -125,7 +128,8 @@ class SmithForm:
             g = math.gcd(d, n)
             if g > 1:
                 scale = n // g
-                gens.append([(scale * v[i][j]) % n for i in range(self.cols)])
+                col = v[j]
+                gens.append([(scale * col.get(i, 0)) % n for i in range(self.cols)])
         for col in self.kernel_basis():
             gens.append([x % n for x in col])
         return gens
@@ -137,8 +141,9 @@ class _Elimination:
     ``rows[i]`` maps column -> nonzero value (the caller's dicts, changed
     in place), and ``cols[j]`` lists the active rows, those not yet
     pivoted, with a nonzero in column j.  ``v[j]`` is column j of the
-    column transform on the kept rows, sparse too; ``v`` is None when no
-    row is kept.
+    column transform on the kept rows, sparse too, until a unit pivot in
+    column j makes it one nothing reads again; ``v`` is None when no row
+    is kept.
 
     The pivot search reads the active rows in ``scan``, a sorted list,
     except the parked ones: the heap ``parked`` holds the key of each
@@ -248,7 +253,8 @@ class _Elimination:
         """Pivot on the unit p = rows[r][c] in one step.  Row operations
         clear column c; then row r's column operations change row r
         alone, so they are recorded on v only, and row r, left as p in
-        column c, is retired."""
+        column c, is retired.  Column c of v is dropped: no later step
+        reads or changes it, and a unit factor's column is not kept."""
         rows, cols = self.rows, self.cols
         pivot_row = rows[r]
         if self.parked_in:
@@ -275,10 +281,12 @@ class _Elimination:
         for j in pivot_row:
             cols[j].remove(r)
         v = self.v
-        if v is not None and (vc := v[c]):
-            # column j -= (row r's entry in j) * p * column c
-            for j, x in pivot_row.items():
-                _axpy(v[j], vc, -p * x)
+        if v is not None:
+            if vc := v[c]:
+                # column j -= (row r's entry in j) * p * column c
+                for j, x in pivot_row.items():
+                    _axpy(v[j], vc, -p * x)
+            v[c] = None
         pivot_row.clear()
         pivot_row[c] = p
 
@@ -385,7 +393,9 @@ def smith_normal_form(a: list[dict[int, int]], ncols: int,
     searched in row order and, within a row, in key order.  Returns the
     invariant factors normalized positive with d_1 | d_2 | ... and the
     rows ``v_rows`` of the unimodular column transform: all of them when
-    ``v_rows`` is None, none when it is empty.  Handles empty matrices.
+    ``v_rows`` is None, none when it is empty.  Of the transform, only the
+    free columns and those of factors above 1 are kept (see
+    :class:`SmithForm`).  Handles empty matrices.
     """
     e = _Elimination(a, ncols, v_rows)
     pivots, factors = [], []  # pivot columns and |pivots|, in the order found
@@ -416,15 +426,10 @@ def smith_normal_form(a: list[dict[int, int]], ncols: int,
         # pivot columns first, in the order found (a divisibility chain),
         # then the rest in index order; the free columns span the kernel
         pivot_cols = set(pivots)
-        col_order = pivots + [j for j in range(ncols) if j not in pivot_cols]
-        kept = range(ncols) if v_rows is None else v_rows
-        v = [None] * ncols
-        for i in kept:
-            v[i] = [0] * ncols
-        for k, c in enumerate(col_order):
-            for i, x in e.v[c].items():
-                v[i][k] = x
-    return SmithForm(factors=factors, rank=len(factors), v=v, cols=ncols)
+        v = [e.v[c] if f > 1 else None for c, f in zip(pivots, factors)]
+        v += [e.v[j] for j in range(ncols) if j not in pivot_cols]
+    kept = None if v_rows is None else frozenset(v_rows)
+    return SmithForm(factors=factors, rank=len(factors), v=v, cols=ncols, kept=kept)
 
 
 def integer_determinant(a: list[dict[int, int]], ncols: int) -> int:

@@ -12,6 +12,10 @@ afterwards raises ``AttributeError``.  Two values are equal
 when they have the same class and equal keys, and a value hashes like
 its key.  The repr names the class and each field, ``Name(field=value,
 ...)``, as a dataclass's does.
+
+A slot whose name starts with an underscore is not a field: it holds
+something derived from the fields and cached by its own module (with
+``setfield``), and takes no part in the key or the repr.
 """
 
 from operator import attrgetter
@@ -25,7 +29,8 @@ class Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -43,5 +48,5 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"

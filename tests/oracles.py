@@ -274,22 +274,34 @@ def dense_smith_normal_form(a: list[list[int]]) -> SmithForm:
     assert mat_mul(mat_mul(u, a), v) == m
     assert all(m[i][j] == 0 for i in range(rows) for j in range(cols)
                if i != j or i >= len(factors))
-    return SmithForm(factors=factors, rank=len(factors), v=v, cols=cols)
+    columns = [{i: v[i][j] for i in range(cols) if v[i][j]} for j in range(cols)]
+    return SmithForm(factors=factors, rank=len(factors), v=columns, cols=cols)
 
 
 def check_smith_form(a: list[list[int]], sf: SmithForm):
     """Assert what a Smith form of a must satisfy without its row transform:
-    the oracle's factors and rank, a unimodular v, a @ v zero past the rank
-    and its column j < rank divisible by d_j."""
+    the oracle's factors and rank, no column of v kept for a unit factor,
+    a @ v zero on the free columns and divisible by d_j on the column of
+    each d_j > 1, and free columns that span the whole integer kernel:
+    as many as the nullity, with invariant factors all 1."""
     oracle = dense_smith_normal_form(a)
     assert sf.factors == oracle.factors and sf.rank == oracle.rank, a
-    assert abs(bareiss_determinant(sf.v)) == 1, a
+    assert all((col is None) == (j < sf.rank and sf.factors[j] == 1)
+               for j, col in enumerate(sf.v)), a
     if not a or not a[0]:
         return
-    av = mat_mul(a, sf.v)
-    for row in av:
-        assert all(x == 0 for x in row[sf.rank:]), a
-        assert all(x % d == 0 for x, d in zip(row, sf.factors)), a
+    for j, col in enumerate(sf.v):
+        if col is None:
+            continue
+        d = sf.factors[j] if j < sf.rank else 0
+        for row in a:
+            x = sum(row[i] * y for i, y in col.items())
+            assert (x % d == 0) if d else x == 0, a
+    basis = sf.kernel_basis()
+    assert len(basis) == sf.cols - sf.rank, a
+    if basis:
+        spanned = dense_smith_normal_form(basis)
+        assert spanned.rank == len(basis) and set(spanned.factors) == {1}, a
 
 
 def bareiss_determinant(a: list[list[int]]) -> int:

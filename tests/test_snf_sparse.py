@@ -10,9 +10,9 @@ from tanglekit.diagram import close_denominator, close_numerator
 from tanglekit.fraction import frac_normalize
 from tanglekit.quandle import (
     boundary_arcs,
-    boundary_lattice,
     color_solve_dihedral,
     coloring_fraction,
+    coloring_record,
     determinant,
     dihedral_relation_matrix,
 )
@@ -275,8 +275,10 @@ def test_coloring_pass_on_seeded_tangles():
         keep = sorted(set(boundary_arcs(t, arc_of)))
         part = smith_normal_form(dihedral_relation_matrix(t)[0], ncols, keep)
         assert part.factors == full.factors == dense_smith_normal_form(a).factors
-        assert [row is not None for row in part.v] == [i in keep for i in range(ncols)]
-        assert all(part.v[i] == full.v[i] for i in keep)
+        assert part.kept == set(keep) and full.kept is None
+        assert [col is None for col in part.v] == [col is None for col in full.v]
+        assert all(col is None or part_col == {i: x for i, x in col.items() if i in keep}
+                   for part_col, col in zip(part.v, full.v))
         assert coloring_fraction(t) == color_solve_dihedral(t, 0).coloring_fraction()
         for link in (close_numerator(t), close_denominator(t)):
             rows, _, n = dihedral_relation_matrix(link)
@@ -302,10 +304,6 @@ def test_partial_transform_gives_no_kernel_basis():
         with pytest.raises(ValueError, match="row 1 of the column transform was not kept"):
             sf.kernel_row(1)
     full = smith_normal_form(sparse(a), 4)
-    assert smith_normal_form(sparse(a), 4, [0, 3]).kernel_row(3) == full.v[3][2:]
-    lat = boundary_lattice(from_rational(frac_normalize(3, 5)))
-    assert lat.coloring_fraction() == frac_normalize(3, 5)
-    with pytest.raises(ValueError, match="kept only some rows"):
-        lat.basis
-    with pytest.raises(ValueError, match="kept only some rows"):
-        lat.generators
+    assert smith_normal_form(sparse(a), 4, [0, 3]).kernel_row(3) == full.kernel_row(3)
+    assert full.kernel_row(3) == [full.v[2][3], full.v[3][3]]
+    assert coloring_record(from_rational(frac_normalize(3, 5))).fraction == frac_normalize(3, 5)
