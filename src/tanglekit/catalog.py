@@ -9,9 +9,9 @@ c-colorings rule out unknottability, the coloring fraction of an
 integer-monochromatic tangle pins the unique rational splitting closure
 candidate, and candidate closures are then confirmed or rejected by the
 Jones polynomial, determinant and linking number of the closed diagram.
-A classification reduces the entry's relation rows once, for both
-coloring questions (its coloring record), builds each closure once and computes each of its
-invariants once, on first use (:class:`ClosedLink`).
+A classification eliminates the entry's relation matrix once, for both
+coloring questions (its coloring record), builds each closure once and
+computes each of its invariants once, on first use (:class:`ClosedLink`).
 
 Positive answers are invariant-certified: the named closure is exhibited
 and the closed diagram has the Jones polynomial and determinant of the
@@ -212,7 +212,7 @@ class Classification:
 
     @property
     def colorings(self) -> ColoringRecord:
-        """One reduction for both coloring questions, cached on the diagram."""
+        """One elimination for both coloring questions, cached on the diagram."""
         return coloring_record(self.entry.diagram)
 
     @property

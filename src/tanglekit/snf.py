@@ -38,10 +38,11 @@ Only the column operations are recorded, in the column transform ``v``,
 and only on the rows of ``v`` the caller asks for: a column operation
 acts on each row of ``v`` by itself, so the rows kept come out exactly
 as in the full transform.  The last columns of ``v`` span the integer
-kernel, which the coloring lattices need in full; the coloring fraction
-reads the four boundary rows only, and the all-moduli report needs the
-factors alone and keeps no row.  Nothing reads the row transform, so it
-is not kept.
+kernel, which the coloring lattices need in full; a tangle's coloring
+record reads the four boundary rows only.  Of the columns, only the free
+ones and those of factors above 1 are read, so each unit pivot's column
+is dropped once its step has used it, and ``v`` is kept as sparse
+columns.  Nothing reads the row transform, so it is not kept.
 
 The determinant runs the same core with row operations only: each pivot
 clears its column from the rows not yet pivoted, which leaves the matrix

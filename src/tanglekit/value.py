@@ -13,9 +13,9 @@ when they have the same class and equal keys, and a value hashes like
 its key.  The repr names the class and each field, ``Name(field=value,
 ...)``, as a dataclass's does.
 
-A slot whose name starts with an underscore is not a field: it holds
-something derived from the fields and cached by its own module (with
-``setfield``), and takes no part in the key or the repr.
+A slot whose name starts with an underscore is not a field: it caches
+something derived from the fields, set with ``setfield`` after
+construction, and takes no part in the key or the repr.
 """
 
 from operator import attrgetter
