@@ -59,7 +59,6 @@ from .expr import (
 from .fraction import Fraction, frac_mirror, frac_normalize
 from .laurent import LaurentPoly
 from .quandle import (
-    ColoringRecord,
     NotInvariant,
     coloring_record,
     determinant,
@@ -195,8 +194,9 @@ class ClosedLink:
 
 
 class Classification:
-    """The verdict and evidence log of one entry, with the closures and the
-    coloring record computed on the way, each at most once."""
+    """The verdict and evidence log of one entry, with the closures computed
+    on the way, each at most once (the coloring record is cached on the
+    diagram itself)."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
@@ -211,13 +211,8 @@ class Classification:
         return self._closures[c]
 
     @property
-    def colorings(self) -> ColoringRecord:
-        """One elimination for both coloring questions, cached on the diagram."""
-        return coloring_record(self.entry.diagram)
-
-    @property
     def coloring_fraction(self) -> Fraction | NotInvariant:
-        return self.colorings.fraction
+        return coloring_record(self.entry.diagram).fraction
 
 
 def _split_candidate_evidence(L: ClosedLink, c: Fraction, evidence: list[str]):
@@ -284,7 +279,7 @@ def classify(entry: CatalogEntry) -> Classification:
                                  result.verdict.unlinkable,
                                  result.verdict.splittable)
 
-    rep = record.colorings.report
+    rep = coloring_record(t).report
     if rep.polychromatic_somewhere():
         moduli = ", ".join(str(p) for p in sorted(rep.offending_moduli))
         msg = f"nontrivial dihedral c-coloring mod {moduli}"

@@ -282,8 +282,9 @@ def check_smith_form(a: list[list[int]], sf: SmithForm):
     """Assert what a Smith form of a must satisfy without its row transform:
     the oracle's factors and rank, no column of v kept for a unit factor,
     a @ v zero on the free columns and divisible by d_j on the column of
-    each d_j > 1, and free columns that span the whole integer kernel:
-    as many as the nullity, with invariant factors all 1."""
+    each d_j > 1, kept columns that extend to a unimodular matrix (taken
+    together, invariant factors all 1), and as many free columns as the
+    nullity, so that they span the whole integer kernel."""
     oracle = dense_smith_normal_form(a)
     assert sf.factors == oracle.factors and sf.rank == oracle.rank, a
     assert all((col is None) == (j < sf.rank and sf.factors[j] == 1)
@@ -297,11 +298,11 @@ def check_smith_form(a: list[list[int]], sf: SmithForm):
         for row in a:
             x = sum(row[i] * y for i, y in col.items())
             assert (x % d == 0) if d else x == 0, a
-    basis = sf.kernel_basis()
-    assert len(basis) == sf.cols - sf.rank, a
-    if basis:
-        spanned = dense_smith_normal_form(basis)
-        assert spanned.rank == len(basis) and set(spanned.factors) == {1}, a
+    kept = [[col.get(i, 0) for i in range(sf.cols)] for col in sf.v if col is not None]
+    if kept:
+        spanned = dense_smith_normal_form(kept)
+        assert spanned.rank == len(kept) and set(spanned.factors) == {1}, a
+    assert len(sf.kernel_basis()) == sf.cols - sf.rank, a
 
 
 def bareiss_determinant(a: list[list[int]]) -> int:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tanglekit import snf
-from tanglekit.diagram import close_denominator, close_numerator
+from tanglekit.diagram import TangleDiagram, close_denominator, close_numerator
 from tanglekit.fraction import frac_normalize
 from tanglekit.quandle import (
     boundary_arcs,
@@ -266,7 +266,9 @@ def test_coloring_pass_on_seeded_tangles():
     """The column transform kept on the boundary arcs alone equals the
     full transform on those rows, so the coloring fraction read from it
     is the full lattice's; the factors are the dense oracle's and every
-    closure's first minor has the Bareiss determinant."""
+    closure's first minor has the Bareiss determinant, both on the direct
+    path (a closure of a copy without a coloring record) and as carried
+    from the tangle's record."""
     minors = 0
     for t in seeded_tangles():
         rows, arc_of, ncols = dihedral_relation_matrix(t)
@@ -280,14 +282,18 @@ def test_coloring_pass_on_seeded_tangles():
         assert all(col is None or part_col == {i: x for i, x in col.items() if i in keep}
                    for part_col, col in zip(part.v, full.v))
         assert coloring_fraction(t) == color_solve_dihedral(t, 0).coloring_fraction()
-        for link in (close_numerator(t), close_denominator(t)):
+        bare = TangleDiagram(t.crossings, t.boundary, t.loops)
+        for close in (close_numerator, close_denominator):
+            link, carried = close(bare), close(t)
+            assert link._determinant is None and carried._determinant is not None
+            assert determinant(carried) == determinant(link)
             rows, _, n = dihedral_relation_matrix(link)
             if link.loops or n != link.crossing_count:
                 continue
             minor = [row[1:] for row in dense(rows, n)[1:]]
             expect = bareiss_determinant(minor)
             assert integer_determinant(sparse(minor), n - 1) == expect
-            assert determinant(link) == abs(expect)
+            assert determinant(link) == determinant(carried) == abs(expect)
             minors += 1
     assert minors > 900
 
