@@ -52,6 +52,22 @@ has linking number zero between any two components, and its Jones
 polynomial is (-t^(1/2) - t^(-1/2)) times the product of the factors'.
 The printed coefficient conventions of other sources vary; only computed
 values are ever compared with computed values here.
+
+Kinks.  The distant union's factors are the Jones polynomials of the
+component knots, and most of them are unknots once their kinks are
+gone.  The Gauss word of component i lists the crossings of i with
+itself in the order i passes them, each twice.  Two adjacent passages
+through one crossing c enclose a loop that meets no other crossing of
+the component: a simple closed curve on the sphere, with the rest of
+the component, which is connected and does not cross it, on one side.
+The other side is an empty disk, so c is a kink, a first Reidemeister
+move removes it, and the word loses the two adjacent letters.  Hence
+cancelling adjacent equal letters with a stack and then trimming equal
+letters from both ends (the word is cyclic) is repeated Reidemeister I
+(:func:`kink_free_words`).  A knot diagram with fewer than three
+crossings is the unknot, whose factor is 1, so only a component whose
+word keeps three crossings or more is bracketed
+(:func:`possibly_knotted`).
 """
 
 from __future__ import annotations
@@ -59,7 +75,15 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 
-from .diagram import LinkDiagram, OrientedDiagram, component_subdiagrams, orient
+from .diagram import (
+    Diagram,
+    LinkDiagram,
+    OrientedDiagram,
+    component_count,
+    component_knot,
+    orient,
+    walk,
+)
 from .laurent import LaurentPoly
 
 DEFAULT_CROSSING_BUDGET = 24
@@ -175,12 +199,7 @@ def _schedule(d: LinkDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     past the new end of the boundary move into the places of closed ones.
     """
     k = d.crossing_count
-    where: dict[int, list[int]] = {}
-    for ci, c in enumerate(d.crossings):
-        for e in c.ports:
-            where.setdefault(e, []).append(ci)
-    if any(len(cs) != 2 for cs in where.values()):
-        raise ValueError("diagram has edges with an unmatched end")
+    mate = walk(d).mate
     taken = [False] * k
     # crossing on the boundary -> k * shared edges - index, the greedy key
     key: dict[int, int] = {}
@@ -195,13 +214,12 @@ def _schedule(d: LinkDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
             ci = taken.index(False)
         taken[ci] = True
         ports = d.crossings[ci].ports
-        for e in ports:
+        for y, e in enumerate(ports, 4 * ci):
             if e in is_open:
                 is_open.remove(e)
             else:
                 is_open.add(e)
-                a, b = where[e]
-                other = a + b - ci
+                other = mate[y] >> 2
                 if not taken[other]:
                     key[other] = key.get(other, -other) + k
         grown = frontier + ports
@@ -264,17 +282,55 @@ def jones_unlink(components: int) -> LaurentPoly:
     return delta ** (components - 1)
 
 
+def kink_free_words(d: Diagram) -> list[list[int]]:
+    """Each strand's Gauss word on its own crossings, kinks cancelled.
+
+    The word lists the crossings of strand i with itself, each twice, in
+    the order the strand passes them (an open strand is closed by a
+    boundary arc, which passes none); adjacent equal letters cancel, the
+    word read cyclically (see the module docstring).
+    """
+    w = walk(d)
+    strand_of = w.strand_of
+    k4 = 4 * len(d.crossings)
+    words = []
+    for i, strand in enumerate(w.strands):
+        stack = []
+        for y in strand:
+            # y ^ 1 is a port of the other pass through y's crossing
+            if y < k4 and strand_of[y ^ 1] == i:
+                c = y >> 2
+                if stack and stack[-1] == c:
+                    stack.pop()
+                else:
+                    stack.append(c)
+        lo, hi = 0, len(stack)
+        while lo < hi and stack[lo] == stack[hi - 1]:
+            lo += 1
+            hi -= 1
+        words.append(stack[lo:hi])
+    return words
+
+
+def possibly_knotted(d: Diagram) -> list[tuple[int, LinkDiagram]]:
+    """(i, component knot i) for the strands whose kink-free word keeps
+    three crossings or more; every other component knot is the unknot."""
+    return [(i, component_knot(d, i)) for i, word in enumerate(kink_free_words(d))
+            if len(word) >= 6]
+
+
 def split_union_jones(d: LinkDiagram) -> LaurentPoly:
     """Jones polynomial of the distant union of d's n components:
-    (-t^(1/2) - t^(-1/2))^(n - 1) times the product of their polynomials.
+    (-t^(1/2) - t^(-1/2))^(n - 1) times the product of their polynomials,
+    where only :func:`possibly_knotted` components have a factor other than 1.
 
     If d were a split link, its Jones polynomial would equal this value;
     inequality is therefore a not-split certificate.
     """
-    comps = component_subdiagrams(d)
-    if not comps:
+    n = component_count(d)
+    if not n:
         raise ValueError("empty diagram")
-    poly = jones_unlink(len(comps))
-    for c in comps:
-        poly = poly * jones(c)
+    poly = jones_unlink(n)
+    for _, knot in possibly_knotted(d):
+        poly = poly * jones(knot)
     return poly

@@ -31,16 +31,15 @@ from .bracket import (
     jones_unknot,
     jones_unlink,
     linking_number,
+    possibly_knotted,
     split_union_jones,
 )
 from .diagram import (
     DiagramError,
     LinkDiagram,
-    OrientedDiagram,
     TangleDiagram,
     close_numerator,
     component_count,
-    component_subdiagrams,
     from_expression,
     from_rational,
     orient,
@@ -149,14 +148,15 @@ def closure_link(t: TangleDiagram, c: Fraction) -> LinkDiagram:
 class ClosedLink:
     """A link diagram whose invariants are each computed once, on first use.
 
-    The one orientation is shared by the Jones polynomial and the
-    linking number.
+    The component count and the default orientation, which the Jones
+    polynomial and the linking number share, come from the diagram's
+    cached walk.
     """
 
     def __init__(self, diagram: LinkDiagram):
         self.diagram = diagram
 
-    @cached_property
+    @property
     def components(self) -> int:
         return component_count(self.diagram)
 
@@ -165,16 +165,12 @@ class ClosedLink:
         return determinant(self.diagram)
 
     @cached_property
-    def orientation(self) -> OrientedDiagram:
-        return orient(self.diagram)
-
-    @cached_property
     def linking_number(self) -> int:
-        return linking_number(self.orientation)
+        return linking_number(orient(self.diagram))
 
     @cached_property
     def jones(self) -> LaurentPoly:
-        return jones(self.diagram, self.orientation)
+        return jones(self.diagram)
 
     @cached_property
     def split_union_jones(self) -> LaurentPoly:
@@ -296,8 +292,7 @@ def classify(entry: CatalogEntry) -> Classification:
         evidence.append("every dihedral c-coloring is trivial (all moduli)")
 
     # a knotted string blocks unlinkability
-    knotted = [i for i, sc in enumerate(component_subdiagrams(t))
-               if jones(sc) != jones_unknot()]
+    knotted = [i for i, sc in possibly_knotted(t) if jones(sc) != jones_unknot()]
     if knotted and not unlink.is_no:
         unlink = Verdict.no("a string is knotted (its closure has nontrivial "
                             "Jones polynomial)")

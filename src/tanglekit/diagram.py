@@ -36,6 +36,15 @@ crossing maps a port y to ``y ^ 2`` (Cori's encoding of a rotation system
 as permutations on darts).  A strand is the list of ends it leaves from;
 an orientation is the set of ports at which a strand enters its crossing.
 
+A link diagram walks its ends once.  The first of :func:`component_count`,
+:func:`orient`, :func:`component_subdiagrams` and the bracket's schedule
+to need them builds a :class:`Walk` (the mate of each end, the strands
+and the default orientation) and caches it in the link's ``_walk`` slot,
+outside its value key, as ``_determinant`` is.  The record is plain
+data: an :class:`OrientedDiagram` refers back to its diagram, so one is
+built from the record on each call instead, and no link is kept alive
+by a reference cycle that only the cyclic garbage collector could free.
+
 File format (one diagram per file): a header line ``tangle`` or ``link``;
 one line ``X i j k l`` per crossing listing edge ids counterclockwise
 starting at an under edge (an optional trailing ``o`` token is accepted
@@ -103,15 +112,16 @@ class LinkDiagram(Value):
     """Crossings and crossing-free loops.
 
     ``_determinant`` is a closure's determinant, known from its tangle's
-    coloring record, or None.
+    coloring record, or None.  ``_walk`` caches :func:`walk`.
     """
 
-    __slots__ = ("crossings", "loops", "_determinant")
+    __slots__ = ("crossings", "loops", "_determinant", "_walk")
 
     def __init__(self, crossings: tuple[Crossing, ...], loops: int = 0):
         setfield(self, "crossings", crossings)
         setfield(self, "loops", loops)
         setfield(self, "_determinant", None)
+        setfield(self, "_walk", None)
 
     @property
     def crossing_count(self) -> int:
@@ -124,8 +134,8 @@ Diagram = TangleDiagram | LinkDiagram
 # ---------------------------------------------------------------------------
 # ends of edges
 
-def _ends(d: Diagram) -> tuple[list[int], list[int]]:
-    """``at[y]``, the edge at end y, and ``mate[y]``, the other end of it."""
+def _ends(d: Diagram) -> list[int]:
+    """``mate[y]``, the other end of the edge at end y."""
     at = [e for c in d.crossings for e in c.ports]
     if isinstance(d, TangleDiagram):
         at += d.boundary
@@ -141,7 +151,7 @@ def _ends(d: Diagram) -> tuple[list[int], list[int]]:
     if first or 2 * len(set(at)) != len(at):
         e, n = next((e, n) for e, n in Counter(at).items() if n != 2)
         raise DiagramError(f"dangling port: edge {e} has {n} incidences")
-    return at, mate
+    return mate
 
 
 class UnionFind:
@@ -338,10 +348,10 @@ def strands(d: Diagram, mate: list[int] | None = None) -> list[list[int]]:
     Walks start at the boundary ends NW, NE, SW, SE, then at the ports in
     index order; this discovery order fixes the default orientation.
     Crossing-free loops (``d.loops``) are not listed.  ``mate`` is
-    ``_ends(d)[1]`` when the caller has it already.
+    ``_ends(d)`` when the caller has it already.
     """
     if mate is None:
-        mate = _ends(d)[1]
+        mate = _ends(d)
     k4 = 4 * len(d.crossings)
     seen = [False] * len(mate)
     result = []
@@ -361,15 +371,78 @@ def strands(d: Diagram, mate: list[int] | None = None) -> list[list[int]]:
 
 def open_strand_endpoints(d: TangleDiagram) -> list[tuple[str, str]]:
     """The endpoint pairing of the two open strands, labels sorted."""
-    mate = _ends(d)[1]
+    mate = _ends(d)
     k4 = 4 * len(d.crossings)
     return sorted(tuple(sorted((BOUNDARY_LABELS[s[0] - k4],
                                 BOUNDARY_LABELS[mate[s[-1]] - k4])))
                   for s in strands(d, mate) if s[0] >= k4)
 
 
+class Walk:
+    """The strands of a diagram and its default orientation, as plain
+    data: ``mate`` as from :func:`_ends`, the ``strands`` as from
+    :func:`strands`, and the default orientation's ``heads`` (a tuple:
+    a link keeps its walk, and a frozenset of 20 ports takes ten times
+    the memory) and ``strand_of`` (see :class:`OrientedDiagram`).  It
+    holds no reference to the diagram, so a link caching it makes no
+    cycle."""
+
+    __slots__ = ("mate", "strands", "heads", "strand_of")
+
+    def __init__(self, mate, strands, heads, strand_of):
+        self.mate = mate
+        self.strands = strands
+        self.heads = heads
+        self.strand_of = strand_of
+
+
+def walk(d: Diagram) -> Walk:
+    """d's ends walked once, cached on a link diagram (a tangle's is built
+    afresh on each call)."""
+    if isinstance(d, LinkDiagram) and d._walk is not None:
+        return d._walk
+    mate = _ends(d)
+    st = strands(d, mate)
+    k4 = 4 * len(d.crossings)
+    strand_of = [0] * len(mate)
+    heads = []
+    for i, strand in enumerate(st):
+        for y in strand:
+            z = mate[y]
+            strand_of[y] = strand_of[z] = i
+            if z < k4:
+                heads.append(z)
+    w = Walk(mate, st, tuple(heads), tuple(strand_of))
+    if isinstance(d, LinkDiagram):
+        setfield(d, "_walk", w)
+    return w
+
+
 def component_count(d: LinkDiagram) -> int:
-    return len(strands(d)) + d.loops
+    return len(walk(d).strands) + d.loops
+
+
+def component_knot(d: Diagram, i: int) -> LinkDiagram:
+    """Strand i of d alone, as in :func:`component_subdiagrams`."""
+    w = walk(d)
+    strand_of = w.strand_of
+    edges = UnionFind()
+    kept = []
+    for ci, c in enumerate(d.crossings):
+        p = c.ports
+        under, over = strand_of[4 * ci] == i, strand_of[4 * ci + 1] == i
+        if under and over:
+            kept.append(p)
+        elif under:
+            edges.union(p[0], p[2])
+        elif over:
+            edges.union(p[1], p[3])
+    s = w.strands[i]
+    k4 = 4 * len(d.crossings)
+    if s[0] >= k4:
+        edges.union(d.boundary[s[0] - k4], d.boundary[w.mate[s[-1]] - k4])
+    crossings = tuple(Crossing(tuple(map(edges.find, p))) for p in kept)
+    return renumber(LinkDiagram(crossings, loops=0 if kept else 1))
 
 
 def component_subdiagrams(d: Diagram) -> list[LinkDiagram]:
@@ -380,26 +453,7 @@ def component_subdiagrams(d: Diagram) -> list[LinkDiagram]:
     by an arc joining its two end edges.  For a link these are the
     component knots, for a tangle its strings closed by boundary arcs.
     """
-    at, mate = _ends(d)
-    k4 = 4 * len(d.crossings)
-    out = []
-    for s in strands(d, mate):
-        own = {at[y] for y in s}
-        edges = UnionFind()
-        kept = []
-        for c in d.crossings:
-            p = c.ports
-            under, over = p[0] in own, p[1] in own
-            if under and over:
-                kept.append(p)
-            elif under:
-                edges.union(p[0], p[2])
-            elif over:
-                edges.union(p[1], p[3])
-        if s[0] >= k4:
-            edges.union(at[s[0]], at[s[-1]])
-        crossings = tuple(Crossing(tuple(map(edges.find, p))) for p in kept)
-        out.append(renumber(LinkDiagram(crossings, loops=0 if kept else 1)))
+    out = [component_knot(d, i) for i in range(len(walk(d).strands))]
     return out + [LinkDiagram((), loops=1)] * d.loops
 
 
@@ -431,30 +485,24 @@ class OrientedDiagram(Value):
 def orient(d: Diagram, choice: tuple[bool, ...] | None = None) -> OrientedDiagram:
     """Assign directions to strands; choice[i] reverses strand i.
 
-    The default orients every strand along its discovery order.  Use
-    :func:`all_orientations` to enumerate the 2^s assignments.
+    The default orients every strand along its discovery order, and is
+    read from :func:`walk`; an explicit choice is computed on each call.
+    Use :func:`all_orientations` to enumerate the 2^s assignments.
     """
-    mate = _ends(d)[1]
-    st = strands(d, mate)
+    w = walk(d)
     if choice is None:
-        choice = (False,) * len(st)
-    if len(choice) != len(st):
-        raise DiagramError(f"expected {len(st)} direction bits, got {len(choice)}")
+        return OrientedDiagram(d, frozenset(w.heads), w.strand_of)
+    if len(choice) != len(w.strands):
+        raise DiagramError(f"expected {len(w.strands)} direction bits, got {len(choice)}")
     k4 = 4 * len(d.crossings)
-    strand_of = [0] * len(mate)
-    heads = []
-    for i, (back, strand) in enumerate(zip(choice, st)):
-        for y in strand:
-            z = mate[y]
-            strand_of[y] = strand_of[z] = i
-            head = y if back else z
-            if head < k4:
-                heads.append(head)
-    return OrientedDiagram(d, frozenset(heads), tuple(strand_of))
+    mate = w.mate
+    heads = [y if back else mate[y] for back, strand in zip(choice, w.strands)
+             for y in strand]
+    return OrientedDiagram(d, frozenset(h for h in heads if h < k4), w.strand_of)
 
 
 def all_orientations(d: Diagram) -> list[OrientedDiagram]:
-    s = len(strands(d))
+    s = len(walk(d).strands)
     return [orient(d, bits) for bits in itertools.product((False, True), repeat=s)]
 
 
@@ -489,7 +537,7 @@ def validate(d: Diagram) -> str | None:
     NE, SE, SW on one face, or on two pieces whose chords do not cross.
     """
     try:
-        mate = _ends(d)[1]
+        mate = _ends(d)
     except DiagramError as err:
         return str(err)
     if isinstance(d, LinkDiagram):

@@ -63,6 +63,8 @@ questions and gives both closure determinants too (:class:`ColoringRecord`):
 
 from __future__ import annotations
 
+from math import gcd
+
 from .diagram import (
     Diagram,
     LinkDiagram,
@@ -321,13 +323,20 @@ class ColoringRecord:
 def _closure_determinant(smith: SmithForm, joins) -> int:
     """The torsion order of the cokernel with the classes of e_p - e_q
     set to zero for each join (p, q) of boundary arcs, when that leaves
-    free rank one; else 0."""
+    free rank one; else 0.
+
+    In the common shape, no torsion and nullity two, the quotient is Z^2
+    modulo the rows of the 2 x 2 join matrix: free rank one exactly when
+    that matrix has rank one, and then its torsion order is the gcd of
+    the entries.  Other shapes take the quotient's Smith form."""
     v, rank = smith.v, smith.rank
     cols = [j for j, col in enumerate(v) if col is not None]
+    joined = [[v[j].get(p, 0) - v[j].get(q, 0) for j in cols] for p, q in joins]
+    if cols == [rank, rank + 1]:
+        (a, b), (c, d) = joined
+        return 0 if a * d != b * c else gcd(a, b, c, d)
     relations = [{i: smith.factors[j]} for i, j in enumerate(cols) if j < rank]
-    for p, q in joins:
-        relations.append({i: x for i, j in enumerate(cols)
-                          if (x := v[j].get(p, 0) - v[j].get(q, 0))})
+    relations += [{i: x for i, x in enumerate(row) if x} for row in joined]
     quotient = smith_normal_form(relations, len(cols), ())
     if len(cols) - quotient.rank != 1:
         return 0

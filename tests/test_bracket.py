@@ -9,7 +9,9 @@ from tanglekit.bracket import (
     jones_unknot,
     jones_unlink,
     kauffman_bracket,
+    kink_free_words,
     linking_number,
+    possibly_knotted,
     split_union_jones,
     writhe,
 )
@@ -29,7 +31,7 @@ from tanglekit.diagram import (
 from tanglekit.fraction import Fraction, frac_normalize
 from tanglekit.laurent import LaurentPoly
 
-from conftest import add_kink, r2_pair_closure, random_tangle_diagram
+from conftest import add_kink, montesinos_sum, r2_pair_closure, random_tangle_diagram
 from oracles import disjoint_union, jones_at_minus_one
 
 
@@ -229,6 +231,82 @@ class TestComponentExtraction:
             for c in comps[1:]:
                 union = disjoint_union(union, c)
             assert split_union_jones(L) == jones(union)
+
+
+def unreduced_split_union_jones(L: LinkDiagram) -> LaurentPoly:
+    """The distant union's Jones polynomial with every component knot
+    bracketed, none skipped."""
+    comps = component_subdiagrams(L)
+    poly = jones_unlink(len(comps))
+    for c in comps:
+        poly = poly * jones(c)
+    return poly
+
+
+def kink_stack(rng: random.Random, L: LinkDiagram, count: int) -> LinkDiagram:
+    """L with count kinks added one after another on random edges, the
+    new kinks' edges included."""
+    for _ in range(count):
+        edges = sorted({e for c in L.crossings for e in c.ports})
+        L = add_kink(L, rng.choice(edges), rng.randrange(2))
+    return L
+
+
+@pytest.fixture(scope="module")
+def certificate_links():
+    """Closures of seeded random and Montesinos tangles, plain and
+    mirrored, and distant unions of small ones."""
+    rng = random.Random(1414)
+    links = []
+    for _ in range(60):
+        t = random_tangle_diagram(rng)
+        links += [close_numerator(t), close_denominator(t)]
+    for _ in range(15):
+        t = montesinos_sum(rng, 6, 14)
+        links += [close_numerator(t), close_denominator(t)]
+    small = [L for L in links if 3 <= L.crossing_count <= 7]
+    links += [disjoint_union(*rng.sample(small, 2)) for _ in range(20)]
+    return links + [mirror(L) for L in links]
+
+
+class TestKinkCancellation:
+    def test_split_union_jones_matches_every_component_bracketed(self, certificate_links):
+        knotted = cancelled = 0
+        for L in certificate_links:
+            assert split_union_jones(L) == unreduced_split_union_jones(L)
+            for word, c in zip(kink_free_words(L), component_subdiagrams(L)):
+                knotted += len(word) == 6 and jones(c) != jones_unknot()
+                cancelled += len(word) < 6 <= 2 * c.crossing_count
+        # trefoil components, and components a kink reduces below three
+        # crossings, are both among the inputs
+        assert knotted and cancelled
+
+    def test_kink_stacks_cancel(self, certificate_links):
+        rng = random.Random(1415)
+        for L in certificate_links[::3]:
+            if not L.crossings:
+                continue
+            kinked = kink_stack(rng, L, rng.randint(1, 4))
+            assert validate(kinked) is None
+            assert (sorted(map(len, kink_free_words(kinked)))
+                    == sorted(map(len, kink_free_words(L))))
+            assert split_union_jones(kinked) == unreduced_split_union_jones(kinked)
+            assert split_union_jones(kinked) == split_union_jones(L)
+
+    def test_cancelled_count_within_component(self, certificate_links):
+        for L in certificate_links:
+            comps = component_subdiagrams(L)
+            for word, c in zip(kink_free_words(L), comps):
+                assert len(word) % 2 == 0 and len(set(word)) == len(word) // 2
+                assert len(word) // 2 <= c.crossing_count
+
+    def test_kinked_unknots_skip_the_bracket(self):
+        rng = random.Random(1416)
+        unknot = kink_stack(rng, close_numerator(from_rational(F(1))), 6)
+        assert kink_free_words(unknot) == [[]] and possibly_knotted(unknot) == []
+        trefoil = close_numerator(from_rational(F(3)))
+        assert [len(w) for w in kink_free_words(trefoil)] == [6]
+        assert [i for i, _ in possibly_knotted(disjoint_union(unknot, trefoil))] == [1]
 
 
 class TestLaurent:

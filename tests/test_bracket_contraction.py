@@ -9,6 +9,7 @@ from tanglekit import bracket, catalog
 from tanglekit.bracket import jones, kauffman_bracket
 from tanglekit.diagram import (
     Crossing,
+    DiagramError,
     LinkDiagram,
     close_denominator,
     close_numerator,
@@ -99,7 +100,7 @@ def test_extra_loops(loops):
 
 
 def test_unmatched_edge_end_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DiagramError, match="dangling port: edge 0 has 1 incidences"):
         kauffman_bracket(LinkDiagram(crossings=(Crossing((0, 1, 1, 2)),)))
 
 

@@ -1,8 +1,9 @@
+import gc
 import random
 
 import pytest
 
-from tanglekit.bracket import linking_number
+from tanglekit.bracket import jones, linking_number, split_union_jones
 from tanglekit.diagram import (
     Crossing,
     LinkDiagram,
@@ -29,10 +30,12 @@ from tanglekit.diagram import (
     tangle_product,
     tangle_sum,
     validate,
+    walk,
     zero_tangle,
 )
 from tanglekit.expr import parse_expr
 from tanglekit.fraction import Fraction, continued_fraction, frac_normalize
+from tanglekit.quandle import determinant
 
 from conftest import add_kink, montesinos_sum, random_fraction, random_tangle_diagram
 from oracles import two_pass_glue
@@ -262,7 +265,7 @@ def walk_corpus(catalog_entries) -> list:
 class TestEndWalks:
     def test_every_end_lies_in_one_strand(self, catalog_entries):
         for d in walk_corpus(catalog_entries):
-            mate = _ends(d)[1]
+            mate = _ends(d)
             left = [y for s in strands(d) for y in s]
             assert sorted(left + [mate[y] for y in left]) == list(range(len(mate)))
 
@@ -339,6 +342,53 @@ class TestValueType:
             d.boundary[0] = 99
         assert print_diagram(d) == before and hash(d) == key
         assert d == from_rational(F(3, 2))
+
+
+class TestWalkRecord:
+    def test_cached_walk_is_not_part_of_the_value(self):
+        L, twin = (close_numerator(from_rational(F(5, 3))) for _ in range(2))
+        before = (repr(L), hash(L))
+        assert component_count(L) == 1 and L._walk is walk(L) and twin._walk is None
+        assert L == twin and (repr(L), hash(L)) == before == (repr(twin), hash(twin))
+        assert "_walk" not in repr(L)
+        for name, value in (("_walk", None), ("loops", 1)):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(L, name, value)
+        with pytest.raises(AttributeError):
+            del L._walk
+
+    def test_explicit_orientation_is_not_cached(self):
+        hopf = close_numerator(from_rational(F(2)))
+        default = orient(hopf)
+        record = hopf._walk
+        flipped = orient(hopf, (False, True))
+        assert hopf._walk is record and frozenset(record.heads) == default.heads
+        assert default.heads != flipped.heads
+        assert orient(hopf, (False, False)) == default == orient(hopf)
+        assert orient(hopf) is not default
+        assert linking_number(flipped) == -linking_number(default)
+
+    def test_certificate_leaves_no_reference_cycle(self):
+        """A cached walk that referred back to its link would keep every
+        link alive until the cyclic collector ran."""
+        from tanglekit.catalog import ClosedLink
+
+        rng = random.Random(1417)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(30):
+                t = tangle_sum(random_tangle_diagram(rng), from_rational(random_fraction(rng)))
+                L = close_numerator(t)
+                component_count(L), determinant(L), jones(L), split_union_jones(L)
+                if component_count(L) == 2:
+                    linking_number(orient(L))
+                closed = ClosedLink(L)
+                closed.is_unknot(), closed.is_unlink()
+            del t, L, closed
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFileFormat:

@@ -202,7 +202,7 @@ def all_cut_tangles(L: LinkDiagram):
 
 
 def has_kink_or_reducible_bigon(d: TangleDiagram) -> bool:
-    mate = _ends(d)[1]
+    mate = _ends(d)
     k4 = 4 * d.crossing_count
     for y in range(k4):
         if mate[y] < k4 and mate[y] >> 2 == y >> 2:
