@@ -213,7 +213,7 @@ def _schedule(d: LinkDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         else:
             ci = taken.index(False)
         taken[ci] = True
-        ports = d.crossings[ci].ports
+        ports = d.crossings[ci]
         for y, e in enumerate(ports, 4 * ci):
             if e in is_open:
                 is_open.remove(e)

@@ -23,10 +23,11 @@ Conventions fixed here and relied on elsewhere:
   :func:`tanglekit.fraction.continued_fraction`, innermost block first,
   alternating vertical/horizontal and ending in a horizontal block.
 
-Diagrams are immutable, hashable values: crossings are tuples of port
-tuples, and a tangle's boundary is the 4-tuple of the edge ids at NW, NE,
-SW, SE (the order of ``BOUNDARY_LABELS``).  All constructors return fresh
-values.
+Diagrams are immutable, hashable values.  A diagram's crossings are a
+tuple of plain 4-tuples of edge ids in slot order (no object per
+crossing), and a tangle's boundary is the 4-tuple of the edge ids at NW,
+NE, SW, SE (the order of ``BOUNDARY_LABELS``).  All constructors return
+fresh values.
 
 Walks run over the ends of edges, numbered by plain integers: ``4*ci +
 slot`` for the ports of crossing ci, then ``4*k + i`` for a tangle's
@@ -68,20 +69,6 @@ _NW, _NE, _SW, _SE = range(4)
 _CIRCLE_POS = (0, 1, 3, 2)
 
 
-class Crossing(Value):
-    """Four edge ids counterclockwise; slots 0, 2 are the under-strand."""
-
-    __slots__ = ("ports",)
-
-    def __init__(self, ports: tuple[int, int, int, int]):
-        setfield(self, "ports", ports)
-
-    def canonical(self) -> tuple[int, int, int, int]:
-        """Rotation-normalized ports (shifting by 2 preserves the data)."""
-        shifted = self.ports[2:] + self.ports[:2]
-        return min(self.ports, shifted)
-
-
 class DiagramError(ValueError):
     pass
 
@@ -94,7 +81,7 @@ class TangleDiagram(Value):
 
     __slots__ = ("crossings", "boundary", "loops", "_colorings")
 
-    def __init__(self, crossings: tuple[Crossing, ...],
+    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...],
                  boundary: tuple[int, int, int, int], loops: int = 0):
         if type(boundary) is not tuple or len(boundary) != 4:
             raise DiagramError("tangle must name all four endpoints NW, NE, SW, SE")
@@ -117,7 +104,7 @@ class LinkDiagram(Value):
 
     __slots__ = ("crossings", "loops", "_determinant", "_walk")
 
-    def __init__(self, crossings: tuple[Crossing, ...], loops: int = 0):
+    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], loops: int = 0):
         setfield(self, "crossings", crossings)
         setfield(self, "loops", loops)
         setfield(self, "_determinant", None)
@@ -136,7 +123,7 @@ Diagram = TangleDiagram | LinkDiagram
 
 def _ends(d: Diagram) -> list[int]:
     """``mate[y]``, the other end of the edge at end y."""
-    at = [e for c in d.crossings for e in c.ports]
+    at = [e for c in d.crossings for e in c]
     if isinstance(d, TangleDiagram):
         at += d.boundary
     mate = at[:]
@@ -201,7 +188,7 @@ def _glue(parts: tuple[TangleDiagram, ...], joins, outer=None) -> Diagram:
     """
     ports, ends, loops, offset = [], [], 0, 0
     for d in parts:
-        own = [e for c in d.crossings for e in c.ports]
+        own = [e for c in d.crossings for e in c]
         ids = own + list(d.boundary)
         shift = offset - min(ids)
         offset = max(ids) + shift + 1
@@ -220,7 +207,7 @@ def _glue(parts: tuple[TangleDiagram, ...], joins, outer=None) -> Diagram:
     boundary = [root[ends[i][a]] for i, a in outer] if outer is not None else []
     number = {e: n for n, e in enumerate(dict.fromkeys(ports + boundary))}
     it = iter(map(number.__getitem__, ports))
-    crossings = tuple(map(Crossing, zip(it, it, it, it)))
+    crossings = tuple(zip(it, it, it, it))
     if outer is None:
         return LinkDiagram(crossings, loops)
     return TangleDiagram(crossings, tuple(map(number.__getitem__, boundary)), loops)
@@ -249,7 +236,7 @@ def horizontal_twists(n: int) -> TangleDiagram:
         ports = ((2 * i + 1, 2 * i + 3, 2 * i + 2, 2 * i) for i in range(k))
     else:
         ports = ((2 * i, 2 * i + 1, 2 * i + 3, 2 * i + 2) for i in range(k))
-    return TangleDiagram(crossings=tuple(map(Crossing, ports)),
+    return TangleDiagram(crossings=tuple(ports),
                          boundary=(0, 2 * k, 1, 2 * k + 1))
 
 
@@ -286,8 +273,7 @@ def rotate(t: TangleDiagram) -> TangleDiagram:
 
 def mirror(d: Diagram) -> Diagram:
     """Swap every over/under designation (the planar map is unchanged)."""
-    flipped = tuple(Crossing((c.ports[1], c.ports[2], c.ports[3], c.ports[0]))
-                    for c in d.crossings)
+    flipped = tuple((b, c, e, a) for a, b, c, e in d.crossings)
     if isinstance(d, TangleDiagram):
         return TangleDiagram(flipped, d.boundary, d.loops)
     return LinkDiagram(flipped, d.loops)
@@ -322,7 +308,7 @@ def renumber(d: Diagram) -> Diagram:
             mapping[e] = len(mapping)
         return mapping[e]
 
-    crossings = tuple(Crossing(tuple(get(e) for e in c.ports)) for c in d.crossings)
+    crossings = tuple(tuple(get(e) for e in c) for c in d.crossings)
     if isinstance(d, TangleDiagram):
         boundary = tuple(get(e) for e in d.boundary)
         return TangleDiagram(crossings=crossings, boundary=boundary, loops=d.loops)
@@ -333,7 +319,8 @@ def canonical_form(d: Diagram):
     """Hashable normal form: renumbered crossings with rotation-normalized
     port tuples, plus boundary/loops.  Equal forms mean equal labeled graphs."""
     d = renumber(d)
-    cr = tuple(c.canonical() for c in d.crossings)
+    # shifting a crossing's ports by two slots preserves the data
+    cr = tuple(min(c, c[2:] + c[:2]) for c in d.crossings)
     if isinstance(d, TangleDiagram):
         return ("tangle", cr, d.boundary, d.loops)
     return ("link", cr, d.loops)
@@ -428,8 +415,7 @@ def component_knot(d: Diagram, i: int) -> LinkDiagram:
     strand_of = w.strand_of
     edges = UnionFind()
     kept = []
-    for ci, c in enumerate(d.crossings):
-        p = c.ports
+    for ci, p in enumerate(d.crossings):
         under, over = strand_of[4 * ci] == i, strand_of[4 * ci + 1] == i
         if under and over:
             kept.append(p)
@@ -441,7 +427,7 @@ def component_knot(d: Diagram, i: int) -> LinkDiagram:
     k4 = 4 * len(d.crossings)
     if s[0] >= k4:
         edges.union(d.boundary[s[0] - k4], d.boundary[w.mate[s[-1]] - k4])
-    crossings = tuple(Crossing(tuple(map(edges.find, p))) for p in kept)
+    crossings = tuple(tuple(map(edges.find, p)) for p in kept)
     return renumber(LinkDiagram(crossings, loops=0 if kept else 1))
 
 
@@ -509,10 +495,19 @@ def all_orientations(d: Diagram) -> list[OrientedDiagram]:
 # ---------------------------------------------------------------------------
 # faces and validation
 
+def _turns(mate: list[int], k4: int) -> list[int]:
+    """The face rule on ends: the end after y on its face.  Go along the
+    edge, then turn to the next port counterclockwise; at a boundary end
+    (``y >= k4``) the face wraps around."""
+    ccw = list(range(1, k4 + 1))
+    ccw[3::4] = range(0, k4, 4)
+    ccw += range(k4, len(mate))
+    return list(map(ccw.__getitem__, mate))
+
+
 def _faces(mate: list[int], k4: int) -> list[list[int]]:
-    """Orbits of the face rule on ends: go along the edge, then turn to the
-    next port counterclockwise; at a boundary end (``y >= k4``) the face
-    wraps around.  Each face is the list of ends it leaves from."""
+    """Orbits of :func:`_turns`, each the list of ends it leaves from."""
+    turn = _turns(mate, k4)
     seen = [False] * len(mate)
     faces = []
     for y in range(len(mate)):
@@ -520,9 +515,7 @@ def _faces(mate: list[int], k4: int) -> list[list[int]]:
         while not seen[y]:
             seen[y] = True
             face.append(y)
-            y = mate[y]
-            if y < k4:
-                y = (y & ~3) | ((y + 1) & 3)
+            y = turn[y]
         if face:
             faces.append(face)
     return faces
@@ -531,50 +524,78 @@ def _faces(mate: list[int], k4: int) -> list[list[int]]:
 def validate(d: Diagram) -> str | None:
     """Check the diagram invariants; return the first diagnostic, or None.
 
-    Checks, in order: every edge has exactly two ends; the rotation
-    system is planar on every connected piece (Euler count); tangles have
-    no closed components, and their endpoints in the circular order NW,
-    NE, SE, SW on one face, or on two pieces whose chords do not cross.
+    Checks, in order: every edge has exactly two ends; the loop count is
+    not negative; the rotation system is planar on every connected piece
+    (Euler count); tangles have no closed components, and their
+    endpoints in the circular order NW, NE, SE, SW on one face, or on two
+    pieces whose chords do not cross.
     """
     try:
         mate = _ends(d)
     except DiagramError as err:
         return str(err)
+    if d.loops < 0:
+        return "negative loop count"
     if isinstance(d, LinkDiagram):
         if d.crossing_count == 0 and d.loops == 0:
             return "empty diagram"
-        if d.loops < 0:
-            return "negative loop count"
     elif d.loops:
         return "closed component in tangle"
 
     # planarity: V - E + F = 2 on every connected piece, whose vertices
-    # are the crossings and the boundary ends; counted doubled, so each
-    # end, half an edge, takes 1
+    # are the crossings and the boundary ends.  One search over mate
+    # labels each end with its piece, all four ports of a crossing at
+    # once.  Counted doubled, a crossing (four half edges) takes -2, a
+    # boundary end +1 and a face, in the piece of its first end, +2.
     k4 = 4 * len(d.crossings)
-    node = [y >> 2 if y < k4 else y for y in range(len(mate))]
-    pieces = UnionFind()
-    for y, z in enumerate(mate):
-        if y < z:
-            pieces.union(node[y], node[z])
-    faces = _faces(mate, k4)
-    piece = {v: pieces.find(v) for v in set(node)}
-    vertices = Counter(piece.values())
-    ends = Counter(map(piece.__getitem__, node))
-    face_count = Counter(piece[node[f[0]]] for f in faces)
-    if any(2 * n - ends[p] + 2 * face_count[p] != 4 for p, n in vertices.items()):
+    n = len(mate)
+    piece = [-1] * n
+    euler = []
+    for start in range(n):
+        if piece[start] >= 0:
+            continue
+        p = len(euler)
+        term = 0
+        todo = [start]
+        while todo:
+            y = todo.pop()
+            if piece[y] >= 0:
+                continue
+            if y < k4:
+                y &= ~3
+                piece[y] = piece[y + 1] = piece[y + 2] = piece[y + 3] = p
+                todo += mate[y:y + 4]
+                term -= 2
+            else:
+                piece[y] = p
+                todo.append(mate[y])
+                term += 1
+        euler.append(term)
+    turn = _turns(mate, k4)
+    seen = [False] * n
+    for y in range(n):
+        if not seen[y]:
+            euler[piece[y]] += 2
+            while not seen[y]:
+                seen[y] = True
+                y = turn[y]
+    if any(t != 4 for t in euler):
         return "planarity: Euler count fails"
 
     if isinstance(d, TangleDiagram):
         st = strands(d, mate)
         if len(st) > 2:
             return "closed component in tangle"
-        if len({piece[y] for y in range(k4, k4 + 4)}) == 1:
-            for face in faces:
-                pos = [_CIRCLE_POS[y - k4] for y in face if y >= k4]
-                steps = {(b - a) % 4 for a, b in zip(pos, pos[1:] + pos[:1])}
-                if len(pos) == 4 and len(steps) == 1:
-                    return None
+        if piece[k4] == piece[k4 + 1] == piece[k4 + 2] == piece[k4 + 3]:
+            # the face through NW is the only one that can hold all four
+            pos, y = [_CIRCLE_POS[_NW]], turn[k4]
+            while y != k4:
+                if y > k4:
+                    pos.append(_CIRCLE_POS[y - k4])
+                y = turn[y]
+            steps = {(b - a) % 4 for a, b in zip(pos, pos[1:] + pos[:1])}
+            if len(pos) == 4 and len(steps) == 1:
+                return None
             return "boundary order: endpoints not in circular order on one face"
         # two pieces, one open strand each: the chords cross when the
         # strand from NW ends at SE
@@ -663,13 +684,20 @@ def print_diagram(d: Diagram) -> str:
     lines = []
     lines.append("tangle" if isinstance(d, TangleDiagram) else "link")
     for c in d.crossings:
-        lines.append("X " + " ".join(str(e) for e in c.ports))
+        lines.append("X " + " ".join(map(str, c)))
     if d.loops:
         lines.append(f"O {d.loops}")
     if isinstance(d, TangleDiagram):
         lines.append("B " + " ".join(f"{lab}={e}"
                                      for lab, e in zip(BOUNDARY_LABELS, d.boundary)))
     return "\n".join(lines) + "\n"
+
+
+def _integers(tokens, ln: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise DiagramError(f"expected integers: {ln!r}") from None
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -690,11 +718,11 @@ def parse_diagram(text: str) -> Diagram:
                 body = body[:-1]
             if len(body) != 4:
                 raise DiagramError(f"crossing line needs four edge ids: {ln!r}")
-            crossings.append(Crossing(tuple(int(x) for x in body)))
+            crossings.append(_integers(body, ln))
         elif parts[0] == "O":
             if len(parts) != 2:
                 raise DiagramError(f"loop line needs one count: {ln!r}")
-            loops = int(parts[1])
+            loops, = _integers(parts[1:], ln)
         elif parts[0] == "B":
             boundary = {}
             for item in parts[1:]:
@@ -703,7 +731,7 @@ def parse_diagram(text: str) -> Diagram:
                     raise DiagramError(f"unknown endpoint label {lab!r}")
                 if lab in boundary:
                     raise DiagramError(f"repeated endpoint label {lab!r}")
-                boundary[lab] = int(e)
+                boundary[lab], = _integers((e,), ln)
         else:
             raise DiagramError(f"unknown line {ln!r}")
     if kind == "tangle":

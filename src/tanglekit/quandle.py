@@ -163,8 +163,8 @@ def arcs(d: Diagram) -> dict[int, int]:
     """
     over = UnionFind()
     for c in d.crossings:
-        over.union(c.ports[1], c.ports[3])
-    edges = {e for c in d.crossings for e in c.ports}
+        over.union(c[1], c[3])
+    edges = {e for c in d.crossings for e in c}
     if isinstance(d, TangleDiagram):
         edges.update(d.boundary)
     # a parent id is smaller than its child's, so in increasing order a
@@ -192,8 +192,7 @@ def dihedral_relation_matrix(d: Diagram) -> tuple[list[dict[int, int]], dict[int
     arc_of = arcs(d)
     ncols = (max(arc_of.values()) + 1) if arc_of else 0
     rows = []
-    for c in d.crossings:
-        p = c.ports
+    for p in d.crossings:
         lo, over, hi = arc_of[p[0]], arc_of[p[1]], arc_of[p[2]]
         if lo > hi:
             lo, hi = hi, lo
@@ -460,9 +459,9 @@ def color_search_finite(od: OrientedDiagram, q: FiniteQuandle) -> list[tuple[int
     constraints = []  # (z_arc, x_arc, y_arc): z = x * y
     for ci, c in enumerate(d.crossings):
         over_in = od.over_entry_slot(ci)
-        x_arc = arc_of[c.ports[(over_in + 1) % 4]]
-        z_arc = arc_of[c.ports[(over_in + 3) % 4]]
-        y_arc = arc_of[c.ports[over_in]]
+        x_arc = arc_of[c[(over_in + 1) % 4]]
+        z_arc = arc_of[c[(over_in + 3) % 4]]
+        y_arc = arc_of[c[over_in]]
         constraints.append((z_arc, x_arc, y_arc))
     # right inverse: inv[z][y] = the unique x with x * y = z
     m = q.size

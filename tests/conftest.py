@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from tanglekit.diagram import (
-    Crossing,
     LinkDiagram,
     TangleDiagram,
     from_rational,
@@ -86,23 +85,23 @@ def montesinos_sum(rng: random.Random, lo: int = 20, hi: int = 50) -> TangleDiag
 
 def add_kink(L: LinkDiagram, edge: int, variant: int = 0) -> LinkDiagram:
     """First Reidemeister move: insert a kink on the given edge."""
-    fresh = max(x for c in L.crossings for x in c.ports) + 1
+    fresh = max(x for c in L.crossings for x in c) + 1
     b, g = fresh, fresh + 1
     replaced = [False]
     rows = []
     for c in L.crossings:
         ports = []
-        for x in c.ports:
+        for x in c:
             if x == edge and not replaced[0]:
                 replaced[0] = True
                 ports.append(b)
             else:
                 ports.append(x)
-        rows.append(Crossing(tuple(ports)))
+        rows.append(tuple(ports))
     if variant == 0:
-        kink = Crossing((edge, b, g, g))
+        kink = (edge, b, g, g)
     else:
-        kink = Crossing((edge, g, g, b))
+        kink = (edge, g, g, b)
     return LinkDiagram(crossings=tuple(rows) + (kink,), loops=L.loops)
 
 

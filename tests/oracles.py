@@ -1,15 +1,20 @@
 """Slow reference implementations that the fast library paths are tested
 against."""
 
+from collections import Counter
 from fractions import Fraction as QQ
 from math import comb
 
 from tanglekit.diagram import (
-    Crossing,
+    _CIRCLE_POS,
+    _SE,
+    DiagramError,
     LinkDiagram,
     TangleDiagram,
     UnionFind,
+    _ends,
     renumber,
+    strands,
     tangle_sum,
 )
 from tanglekit.fraction import frac_add
@@ -34,12 +39,11 @@ def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
 
     a_pairs = []
     b_pairs = []
-    for c in d.crossings:
-        p = c.ports
+    for p in d.crossings:
         a_pairs.append(((p[0], p[1]), (p[2], p[3])))
         b_pairs.append(((p[0], p[3]), (p[1], p[2])))
 
-    edges = sorted({e for c in d.crossings for e in c.ports})
+    edges = sorted({e for c in d.crossings for e in c})
     index = {e: i for i, e in enumerate(edges)}
     ne = len(edges)
     delta = LaurentPoly.make("A", {2: -1, -2: -1})
@@ -86,10 +90,10 @@ def greedy_contraction_order(d: LinkDiagram) -> list[int]:
     order = []
     while left:
         ci = max(left, key=lambda i: (
-            sum(e in open_edges for e in d.crossings[i].ports), -i))
+            sum(e in open_edges for e in d.crossings[i]), -i))
         left.remove(ci)
         order.append(ci)
-        for e in d.crossings[ci].ports:
+        for e in d.crossings[ci]:
             open_edges ^= {e}
     return order
 
@@ -105,7 +109,7 @@ def tally_contraction_bracket(d: LinkDiagram) -> LaurentPoly:
     # {(a - b, closed circles): number of partial states}
     states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
     for ci in greedy_contraction_order(d):
-        p = d.crossings[ci].ports
+        p = d.crossings[ci]
         smoothings = ((((p[0], p[1]), (p[2], p[3])), 1),
                       (((p[0], p[3]), (p[1], p[2])), -1))
         merged: dict[tuple, dict[tuple[int, int], int]] = {}
@@ -149,9 +153,9 @@ def two_pass_glue(parts, joins, outer=None):
     crossings, ends, loops = [], [], 0
     offset = 0
     for d in parts:
-        ids = [e for c in d.crossings for e in c.ports] + list(d.boundary)
+        ids = [e for c in d.crossings for e in c] + list(d.boundary)
         shift = offset - min(ids)
-        crossings += [[e + shift for e in c.ports] for c in d.crossings]
+        crossings += [[e + shift for e in c] for c in d.crossings]
         ends.append([e + shift for e in d.boundary])
         loops += d.loops
         offset = max(ids) + shift + 1
@@ -159,11 +163,77 @@ def two_pass_glue(parts, joins, outer=None):
     for (i, a), (j, b) in joins:
         if not edges.union(ends[i][a], ends[j][b]):
             loops += 1
-    crossings = tuple(Crossing(tuple(map(edges.find, c))) for c in crossings)
+    crossings = tuple(tuple(map(edges.find, c)) for c in crossings)
     if outer is None:
         return renumber(LinkDiagram(crossings, loops))
     boundary = tuple(edges.find(ends[i][a]) for i, a in outer)
     return renumber(TangleDiagram(crossings, boundary, loops))
+
+
+def traced_faces(mate: list[int], k4: int) -> list[list[int]]:
+    """Faces as orbits on ends, the turn computed at each step: go along
+    the edge, then to the next port counterclockwise; a boundary end
+    wraps around."""
+    seen = [False] * len(mate)
+    faces = []
+    for y in range(len(mate)):
+        face = []
+        while not seen[y]:
+            seen[y] = True
+            face.append(y)
+            y = mate[y]
+            if y < k4:
+                y = (y & ~3) | ((y + 1) & 3)
+        if face:
+            faces.append(face)
+    return faces
+
+
+def union_find_validate(d) -> str | None:
+    """``diagram.validate`` with the pieces found by a union-find over the
+    crossings and boundary ends and counted with one ``Counter`` each for
+    vertices, ends and faces; a tangle's negative loop count reads as a
+    closed component."""
+    try:
+        mate = _ends(d)
+    except DiagramError as err:
+        return str(err)
+    if isinstance(d, LinkDiagram):
+        if d.crossing_count == 0 and d.loops == 0:
+            return "empty diagram"
+        if d.loops < 0:
+            return "negative loop count"
+    elif d.loops:
+        return "closed component in tangle"
+
+    k4 = 4 * len(d.crossings)
+    node = [y >> 2 if y < k4 else y for y in range(len(mate))]
+    pieces = UnionFind()
+    for y, z in enumerate(mate):
+        if y < z:
+            pieces.union(node[y], node[z])
+    faces = traced_faces(mate, k4)
+    piece = {v: pieces.find(v) for v in set(node)}
+    vertices = Counter(piece.values())
+    ends = Counter(map(piece.__getitem__, node))
+    face_count = Counter(piece[node[f[0]]] for f in faces)
+    if any(2 * n - ends[p] + 2 * face_count[p] != 4 for p, n in vertices.items()):
+        return "planarity: Euler count fails"
+
+    if isinstance(d, TangleDiagram):
+        st = strands(d, mate)
+        if len(st) > 2:
+            return "closed component in tangle"
+        if len({piece[y] for y in range(k4, k4 + 4)}) == 1:
+            for face in faces:
+                pos = [_CIRCLE_POS[y - k4] for y in face if y >= k4]
+                steps = {(b - a) % 4 for a, b in zip(pos, pos[1:] + pos[:1])}
+                if len(pos) == 4 and len(steps) == 1:
+                    return None
+            return "boundary order: endpoints not in circular order on one face"
+        if mate[st[0][-1]] == k4 + _SE:
+            return "planarity: boundary chords interleave"
+    return None
 
 
 def jones_at_minus_one(poly: LaurentPoly) -> int:
@@ -180,8 +250,8 @@ def jones_at_minus_one(poly: LaurentPoly) -> int:
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     """Distant union of two link diagrams."""
-    offset = max((e for c in d1.crossings for e in c.ports), default=-1) + 1
-    moved = tuple(Crossing(tuple(e + offset for e in c.ports)) for c in d2.crossings)
+    offset = max((e for c in d1.crossings for e in c), default=-1) + 1
+    moved = tuple(tuple(e + offset for e in c) for c in d2.crossings)
     return LinkDiagram(crossings=d1.crossings + moved, loops=d1.loops + d2.loops)
 
 

@@ -137,7 +137,7 @@ class TestReidemeisterInvariance:
     def test_r1_kink_bracket_factor(self):
         tre = close_numerator(from_rational(F(3)))
         base = kauffman_bracket(tre)
-        edge = tre.crossings[0].ports[0]
+        edge = tre.crossings[0][0]
         factors = set()
         for variant in (0, 1):
             kinked = add_kink(tre, edge, variant)
@@ -153,7 +153,7 @@ class TestReidemeisterInvariance:
         for e in catalog_entries[:5]:
             L = close_numerator(e.diagram)
             base = jones(L)
-            edge = L.crossings[0].ports[1]
+            edge = L.crossings[0][1]
             assert jones(add_kink(L, edge, 0)) == base
 
     def test_r2_pair_insertion(self, catalog_entries):
@@ -247,7 +247,7 @@ def kink_stack(rng: random.Random, L: LinkDiagram, count: int) -> LinkDiagram:
     """L with count kinks added one after another on random edges, the
     new kinks' edges included."""
     for _ in range(count):
-        edges = sorted({e for c in L.crossings for e in c.ports})
+        edges = sorted({e for c in L.crossings for e in c})
         L = add_kink(L, rng.choice(edges), rng.randrange(2))
     return L
 

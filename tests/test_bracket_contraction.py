@@ -8,7 +8,6 @@ import pytest
 from tanglekit import bracket, catalog
 from tanglekit.bracket import jones, kauffman_bracket
 from tanglekit.diagram import (
-    Crossing,
     DiagramError,
     LinkDiagram,
     close_denominator,
@@ -82,7 +81,7 @@ def test_random_closures_and_moves():
         L = close_numerator(tangle_sum(t, from_rational(c)))
         if not 0 < L.crossing_count <= MAX_ORACLE_CROSSINGS:
             continue
-        edge = rng.choice(L.crossings).ports[rng.randrange(4)]
+        edge = rng.choice(L.crossings)[rng.randrange(4)]
         other = close_numerator(from_rational(random_fraction(rng, 3, 2)))
         variants = [L, add_kink(L, edge, 0), add_kink(L, edge, 1),
                     r2_pair_closure(t, c), disjoint_union(L, other)]
@@ -101,7 +100,7 @@ def test_extra_loops(loops):
 
 def test_unmatched_edge_end_rejected():
     with pytest.raises(DiagramError, match="dangling port: edge 0 has 1 incidences"):
-        kauffman_bracket(LinkDiagram(crossings=(Crossing((0, 1, 1, 2)),)))
+        kauffman_bracket(LinkDiagram(crossings=((0, 1, 1, 2),)))
 
 
 def test_beyond_oracle_reach():
@@ -129,7 +128,7 @@ def test_packed_kernel_matches_tally_oracle(catalog_entries, monkeypatch):
     diagrams += [random_closure(rng, 15, 24) for _ in range(350)]
     for _ in range(535):
         L = random_closure(rng, 1, 12, parts=1)
-        edge = rng.choice(L.crossings).ports[rng.randrange(4)]
+        edge = rng.choice(L.crossings)[rng.randrange(4)]
         union = L
         for _ in range(rng.randint(1, 4)):
             union = disjoint_union(union, close_numerator(
@@ -155,9 +154,9 @@ def test_schedule_is_the_greedy_order(catalog_entries):
     for L in links:
         steps = bracket._schedule(L)
         order = greedy_contraction_order(L)
-        assert [ports for ports, _ in steps] == [L.crossings[i].ports for i in order]
+        assert [ports for ports, _ in steps] == [L.crossings[i] for i in order]
         open_edges: set[int] = set()
         for (_, after), ci in zip(steps, order):
-            for e in L.crossings[ci].ports:
+            for e in L.crossings[ci]:
                 open_edges ^= {e}
             assert sorted(after) == sorted(open_edges), L

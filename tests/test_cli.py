@@ -176,6 +176,11 @@ class TestDiagramCommands:
          "tangle\nX 0 1 2 3\nX 3 2 4 5\nB NW=0 NE=1 SW=4 SE=9\n", "dangling port"),
         (["det"], "tangle\nX 0 1 2 3\nB NW=3 NE=2 SW=0 NW=1\n", "repeated"),
         (["det"], "tangle\nX 0 1 2 3\nB NW=3 NE=2 SW=0\n", "all four endpoints"),
+        (["det"], "tangle\nX 0 1 a 3\nB NW=3 NE=2 SW=0 SE=1\n",
+         "error: expected integers: 'X 0 1 a 3'\n"),
+        (["det"], "tangle\nX 0 1 2 3\nB NW=0 NE=1 SW=2 SE\n",
+         "error: expected integers: 'B NW=0 NE=1 SW=2 SE'\n"),
+        (["jones"], "link\nX 0 1 1 0\nO 1.5\n", "error: expected integers: 'O 1.5'\n"),
     ])
     def test_invalid_diagram_file_exit_2(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "bad.diagram"

@@ -1,11 +1,14 @@
 import gc
+import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tanglekit.bracket import jones, linking_number, split_union_jones
 from tanglekit.diagram import (
-    Crossing,
+    DiagramError,
     LinkDiagram,
     TangleDiagram,
     UnionFind,
@@ -38,7 +41,7 @@ from tanglekit.fraction import Fraction, continued_fraction, frac_normalize
 from tanglekit.quandle import determinant
 
 from conftest import add_kink, montesinos_sum, random_fraction, random_tangle_diagram
-from oracles import two_pass_glue
+from oracles import two_pass_glue, union_find_validate
 
 
 def F(p, q=1):
@@ -115,7 +118,7 @@ class TestGluing:
                    + [zero_tangle(), infinity_tangle()])
         for n, t in enumerate(tangles):
             if n % 3 == 1:
-                t = TangleDiagram(tuple(Crossing(tuple(e + 7 for e in c.ports))
+                t = TangleDiagram(tuple(tuple(e + 7 for e in c)
                                         for c in t.crossings),
                                   tuple(e + 7 for e in t.boundary))
             elif n % 3 == 2:
@@ -189,8 +192,7 @@ class TestMirrorRotate:
             d = from_rational(F(p, q))
             dd = mirror(mirror(d))
             assert dd.boundary == d.boundary
-            assert [c.canonical() for c in dd.crossings] == \
-                [c.canonical() for c in d.crossings]
+            assert dd.crossings == tuple(c[2:] + c[:2] for c in d.crossings)
             assert canonical_form(mirror(d)) != canonical_form(d)
 
     def test_rotate_four_times_identity(self):
@@ -204,14 +206,14 @@ class TestMirrorRotate:
 class TestValidateDiagnostics:
     def test_dangling_port(self):
         d = TangleDiagram(
-            crossings=(Crossing((0, 1, 2, 3)),),
+            crossings=((0, 1, 2, 3),),
             boundary=(0, 1, 2, 4))
         assert "dangling port" in validate(d)
 
     def test_nonplanar_rotation_system(self):
         # a twisted pairing wiring two crossings into a genus-1 system
-        d = LinkDiagram(crossings=(Crossing((0, 1, 2, 3)),
-                                   Crossing((0, 2, 1, 3))))
+        d = LinkDiagram(crossings=((0, 1, 2, 3),
+                                   (0, 2, 1, 3)))
         assert validate(d) == "planarity: Euler count fails"
 
     def test_interleaved_boundary_chords(self):
@@ -228,6 +230,65 @@ class TestValidateDiagnostics:
                           boundary=(nw, se, sw, ne))
         assert (validate(d)
                 == "boundary order: endpoints not in circular order on one face")
+
+    def test_negative_loop_count_in_either_kind(self):
+        t = from_rational(F(3, 2))
+        for d in (TangleDiagram(t.crossings, t.boundary, -1),
+                  TangleDiagram((), (0, 0, 1, 1), -2),
+                  LinkDiagram(close_numerator(t).crossings, -1),
+                  LinkDiagram((), -1)):
+            assert validate(d) == "negative loop count"
+            with pytest.raises(DiagramError, match="^negative loop count$"):
+                parse_diagram(print_diagram(d))
+
+
+def mutants(d, rng):
+    """Broken and unbroken variants of d: two ports swapped, one port
+    relabelled in -3..12, a tangle's boundary shuffled, and a tangle's
+    crossings re-read as a link."""
+    flat = [e for c in d.crossings for e in c]
+    out = []
+    if flat:
+        for _ in range(2):
+            swapped = flat[:]
+            i, j = rng.randrange(len(flat)), rng.randrange(len(flat))
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            relabelled = flat[:]
+            relabelled[rng.randrange(len(flat))] = rng.randint(-3, 12)
+            for ports in (swapped, relabelled):
+                it = iter(ports)
+                crossings = tuple(zip(it, it, it, it))
+                out.append(TangleDiagram(crossings, d.boundary, d.loops)
+                           if isinstance(d, TangleDiagram)
+                           else LinkDiagram(crossings, d.loops))
+    if isinstance(d, TangleDiagram):
+        for _ in range(2):
+            boundary = list(d.boundary)
+            rng.shuffle(boundary)
+            out.append(TangleDiagram(d.crossings, tuple(boundary), d.loops))
+        out.append(LinkDiagram(d.crossings, d.loops))
+    return out
+
+
+class TestValidateOracle:
+    def test_validate_matches_union_find_oracle(self, catalog_entries):
+        rng = random.Random(1501)
+        tangles = ([random_tangle_diagram(rng) for _ in range(400)]
+                   + [montesinos_sum(rng) for _ in range(150)]
+                   + [e.diagram for e in catalog_entries])
+        seen = Counter()
+        for t in tangles:
+            for d in (t, close_numerator(t), close_denominator(t)):
+                for m in [d, *mutants(d, rng)]:
+                    got = validate(m)
+                    assert got == union_find_validate(m), print_diagram(m)
+                    seen[got if got is None else got.split(" edge")[0]] += 1
+        assert sum(seen.values()) >= 10_000
+        # every diagnostic but the loop count's is reached
+        assert set(seen) == {
+            None, "dangling port:", "empty diagram", "planarity: Euler count fails",
+            "planarity: boundary chords interleave", "closed component in tangle",
+            "boundary order: endpoints not in circular order on one face"}
 
 
 class TestOrientation:
@@ -257,7 +318,7 @@ def walk_corpus(catalog_entries) -> list:
     """Catalog tangles, their closures and closures with a kink added."""
     tangles = [e.diagram for e in catalog_entries]
     links = [close(t) for t in tangles for close in (close_numerator, close_denominator)]
-    kinked = [add_kink(L, L.crossings[0].ports[slot], slot % 2)
+    kinked = [add_kink(L, L.crossings[0][slot], slot % 2)
               for L in links[::3] if L.crossings for slot in (0, 1)]
     return tangles + links + kinked
 
@@ -417,3 +478,48 @@ class TestFileFormat:
     def test_bad_header(self):
         with pytest.raises(Exception):
             parse_diagram("nonsense\n")
+
+    @pytest.mark.parametrize("line", ["X 0 1 a 3", "O two", "B NW=0 NE=1 SW=2 SE"])
+    def test_non_integer_field_quotes_its_line(self, line):
+        lines = {"X": "X 0 1 2 3", "O": "O 0", "B": "B NW=3 NE=2 SW=0 SE=1"}
+        lines[line[0]] = line
+        with pytest.raises(DiagramError) as err:
+            parse_diagram("tangle\n" + "\n".join(lines.values()) + "\n")
+        assert repr(line) in str(err.value)
+
+
+# arbitrary small port tuples, boundaries and loop counts, and valid
+# diagrams from small rationals, mirrored, rotated and closed
+ports = st.tuples(*[st.integers(-2, 7)] * 4)
+arbitrary = st.one_of(
+    st.builds(TangleDiagram, st.lists(ports, max_size=4).map(tuple), ports,
+              st.integers(-1, 2)),
+    st.builds(LinkDiagram, st.lists(ports, max_size=4).map(tuple), st.integers(-1, 2)))
+
+
+@st.composite
+def built(draw):
+    p, q = draw(st.integers(-9, 9)), draw(st.integers(0, 7))
+    t = from_rational(F(p, q) if math.gcd(p, q) == 1 else F(1))
+    t = draw(st.sampled_from([t, mirror(t), rotate(t)]))
+    return draw(st.sampled_from([t, close_numerator(t), close_denominator(t)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(arbitrary)
+def test_validate_returns_a_diagnostic_and_never_raises(d):
+    result = validate(d)
+    assert result is None or type(result) is str
+    if d.loops >= 0:
+        assert result == union_find_validate(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(arbitrary, built()))
+def test_printed_diagram_parses_back_or_is_refused(d):
+    try:
+        back = parse_diagram(print_diagram(d))
+    except DiagramError:
+        assert validate(d) is not None
+    else:
+        assert back == d and validate(d) is None

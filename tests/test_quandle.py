@@ -6,7 +6,6 @@ import pytest
 
 from tanglekit.catalog import _data_text, get_entry
 from tanglekit.diagram import (
-    Crossing,
     TangleDiagram,
     all_orientations,
     close_denominator,
@@ -144,8 +143,8 @@ class TestFiniteSearch:
 def beside(t: TangleDiagram, L) -> TangleDiagram:
     """T with the link diagram L drawn apart from it: a tangle with a closed
     component, which ``validate`` refuses."""
-    shift = 1 + max(max(t.boundary), *(e for c in t.crossings for e in c.ports))
-    moved = tuple(Crossing(tuple(e + shift for e in c.ports)) for c in L.crossings)
+    shift = 1 + max(max(t.boundary), *(e for c in t.crossings for e in c))
+    moved = tuple(tuple(e + shift for e in c) for c in L.crossings)
     return TangleDiagram(crossings=t.crossings + moved, boundary=t.boundary)
 
 

@@ -31,7 +31,7 @@ def test_kink_and_bigon_predicate(tool, catalog_entries):
         t = e.diagram
         assert not tool.has_kink_or_reducible_bigon(t), e.name
         L = close_numerator(t)
-        for edge in sorted({x for c in L.crossings for x in c.ports}):
+        for edge in sorted({x for c in L.crossings for x in c}):
             for variant in (0, 1):
                 assert tool.has_kink_or_reducible_bigon(add_kink(L, edge, variant))
         assert tool.has_kink_or_reducible_bigon(r2_pair_closure(t, Fraction(0, 1)))

@@ -4,7 +4,6 @@ class and fields, no assignment or deletion, and their printed forms."""
 import pytest
 
 from tanglekit.diagram import (
-    Crossing,
     LinkDiagram,
     OrientedDiagram,
     TangleDiagram,
@@ -46,7 +45,6 @@ L1, L2, L3 = RationalLeaf(Fraction(1, 2)), RationalLeaf(Fraction(1, 3)), NamedRe
 VALUES = [
     (Fraction, (-3, 2), (3, 7)),
     (TwoBridgeLink, (5, 2), (7, 3)),
-    (Crossing, ((0, 1, 2, 3),), ((1, 2, 3, 0),)),
     (TangleDiagram, ((), (0, 0, 1, 1), 0), (hopf().crossings, (0, 1, 0, 1), 1)),
     (LinkDiagram, (hopf().crossings, 0), (trefoil().crossings, 1)),
     (OrientedDiagram, tuple(getattr(orient(hopf()), f) for f in OrientedDiagram.__slots__),

@@ -30,7 +30,6 @@ from tanglekit.bracket import (  # noqa: E402
 from tanglekit.catalog import ClosedLink, closure_link  # noqa: E402
 from tanglekit.diagram import (  # noqa: E402
     BOUNDARY_LABELS,
-    Crossing,
     LinkDiagram,
     TangleDiagram,
     _ends,
@@ -147,7 +146,7 @@ def random_tangle(rng: random.Random, k: int) -> TangleDiagram | None:
     if any(x is None for c in crossings for x in c):
         return None
     return renumber(TangleDiagram(
-        crossings=tuple(Crossing(tuple(c)) for c in crossings),
+        crossings=tuple(tuple(c) for c in crossings),
         boundary=tuple(boundary[lab] for lab in BOUNDARY_LABELS)))
 
 
@@ -161,7 +160,7 @@ def cut_edges(L: LinkDiagram, e: int, f: int) -> list[TangleDiagram]:
     out = []
     if L.loops:
         return out
-    fresh = max((x for c in L.crossings for x in c.ports), default=-1) + 1
+    fresh = max((x for c in L.crossings for x in c), default=-1) + 1
     e1, e2, f1, f2 = fresh, fresh + 1, fresh + 2, fresh + 3
 
     def rewritten(old, new_a, new_b, crossings):
@@ -169,7 +168,7 @@ def cut_edges(L: LinkDiagram, e: int, f: int) -> list[TangleDiagram]:
         res = []
         for c in crossings:
             row = []
-            for x in c.ports:
+            for x in c:
                 if x == old:
                     row.append(new_a if done == 0 else new_b)
                     done += 1
@@ -179,11 +178,10 @@ def cut_edges(L: LinkDiagram, e: int, f: int) -> list[TangleDiagram]:
         return res, done
 
     rows, n_e = rewritten(e, e1, e2, L.crossings)
-    rows = [Crossing(p) for p in rows]
     rows2, n_f = rewritten(f, f1, f2, rows)
     if n_e != 2 or n_f != 2:
         return out
-    crossings = tuple(Crossing(p) for p in rows2)
+    crossings = tuple(rows2)
     # boundaries in NW, NE, SW, SE order
     for boundary in ((e1, e2, f1, f2), (e1, e2, f2, f1),
                      (e2, e1, f1, f2), (e2, e1, f2, f1)):
@@ -195,7 +193,7 @@ def cut_edges(L: LinkDiagram, e: int, f: int) -> list[TangleDiagram]:
 
 def all_cut_tangles(L: LinkDiagram):
     """Every tangle with a plain-arc closure equal to the diagram L."""
-    edges = sorted({x for c in L.crossings for x in c.ports})
+    edges = sorted({x for c in L.crossings for x in c})
     for i, e in enumerate(edges):
         for f in edges[i + 1:]:
             yield from cut_edges(L, e, f)
