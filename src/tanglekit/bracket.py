@@ -108,8 +108,12 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     """Bracket polynomial in A; the crossing-free single loop has bracket 1."""
     k = d.crossing_count
     budget = crossing_budget()
-    if k > budget:
-        raise CrossingBudgetExceeded(f"{k} crossings exceeds budget {budget}")
+    # loops widen the packed slots as crossings do, so they count too
+    if k + d.loops > budget:
+        if not d.loops:
+            raise CrossingBudgetExceeded(f"{k} crossings exceeds budget {budget}")
+        raise CrossingBudgetExceeded(
+            f"{k} crossings and {d.loops} loops exceed budget {budget}")
     if k == 0 and d.loops == 0:
         raise ValueError("bracket of the empty diagram is undefined")
 

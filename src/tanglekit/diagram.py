@@ -27,7 +27,10 @@ Diagrams are immutable, hashable values.  A diagram's crossings are a
 tuple of plain 4-tuples of edge ids in slot order (no object per
 crossing), and a tangle's boundary is the 4-tuple of the edge ids at NW,
 NE, SW, SE (the order of ``BOUNDARY_LABELS``).  All constructors return
-fresh values.
+fresh values.  Gluing tangles (sums, products) numbers the edges 0, 1,
+2, ... afresh; a closure keeps its tangle's crossings and edge ids, with
+each fused pair of boundary edges under the smaller id, and shares every
+crossing tuple it does not rename.
 
 Walks run over the ends of edges, numbered by plain integers: ``4*ci +
 slot`` for the ports of crossing ci, then ``4*k + i`` for a tangle's
@@ -176,15 +179,15 @@ class UnionFind:
 # ---------------------------------------------------------------------------
 # construction: elementary tangles and gluing
 
-def _glue(parts: tuple[TangleDiagram, ...], joins, outer=None) -> Diagram:
+def _glue(parts: tuple[TangleDiagram, ...], joins, outer) -> TangleDiagram:
     """Disjoint copies of the parts with pairs of endpoints fused.
 
     Endpoints are named (part, boundary position).  ``joins`` lists the
-    pairs to fuse; ``outer`` names the new tangle's NW, NE, SW, SE, and
-    without it the result is a link.  Fusing the two ends of one arc
-    closes it into a crossing-free loop.  Edges come out numbered 0, 1,
-    2, ... in order of first appearance, as :func:`renumber` numbers
-    them, in the pass that fuses them.
+    pairs to fuse and ``outer`` names the new tangle's NW, NE, SW, SE.
+    Fusing the two ends of one arc closes it into a crossing-free loop.
+    Edges come out numbered 0, 1, 2, ... in order of first appearance, as
+    :func:`renumber` numbers them, in the pass that fuses them; closures
+    are not glued (see :func:`_close`).
     """
     ports, ends, loops, offset = [], [], 0, 0
     for d in parts:
@@ -204,13 +207,11 @@ def _glue(parts: tuple[TangleDiagram, ...], joins, outer=None) -> Diagram:
     for e in edges.parent:
         root[e] = edges.find(e)
     ports = list(map(root.__getitem__, ports))
-    boundary = [root[ends[i][a]] for i, a in outer] if outer is not None else []
+    boundary = [root[ends[i][a]] for i, a in outer]
     number = {e: n for n, e in enumerate(dict.fromkeys(ports + boundary))}
     it = iter(map(number.__getitem__, ports))
-    crossings = tuple(zip(it, it, it, it))
-    if outer is None:
-        return LinkDiagram(crossings, loops)
-    return TangleDiagram(crossings, tuple(map(number.__getitem__, boundary)), loops)
+    return TangleDiagram(tuple(zip(it, it, it, it)),
+                         tuple(map(number.__getitem__, boundary)), loops)
 
 
 def zero_tangle() -> TangleDiagram:
@@ -279,24 +280,47 @@ def mirror(d: Diagram) -> Diagram:
     return LinkDiagram(flipped, d.loops)
 
 
+def _close(t: TangleDiagram, pairs, det: int | None) -> LinkDiagram:
+    """t with the boundary edges at each pair of positions fused.
+
+    The link keeps t's crossing order, slot order and edge ids.  Each
+    fused edge takes the smallest id of its class, so only the crossings
+    holding a renamed id (at most four) are rebuilt, and every other
+    crossing tuple is t's own.  A pair already fused closes an arc into
+    a crossing-free loop.  ``det`` is the link's determinant when known;
+    the link keeps no reference to t."""
+    b = t.boundary
+    edges = UnionFind()
+    loops = t.loops
+    for i, j in pairs:
+        if not edges.union(b[i], b[j]):
+            loops += 1
+    crossings = t.crossings
+    if edges.parent:
+        root = {e: edges.find(e) for e in edges.parent}
+        renamed = root.keys()
+        crossings = tuple(c if renamed.isdisjoint(c) else tuple(root.get(e, e) for e in c)
+                          for c in crossings)
+    link = LinkDiagram(crossings, loops)
+    if det is not None:
+        setfield(link, "_determinant", det)
+    return link
+
+
 def close_numerator(t: TangleDiagram) -> LinkDiagram:
     """Join NE to NW and SE to SW by unknotted arcs.
 
-    When t's coloring record exists, the link takes its determinant from
-    it; the link keeps no reference to t."""
-    link = _glue((t,), [((0, _NE), (0, _NW)), ((0, _SE), (0, _SW))])
-    if t._colorings is not None:
-        setfield(link, "_determinant", t._colorings.det_numerator)
-    return link
+    The link has t's crossings and edge ids (see :func:`_close`), and
+    takes its determinant from t's coloring record when that exists."""
+    rec = t._colorings
+    return _close(t, ((_NE, _NW), (_SE, _SW)), None if rec is None else rec.det_numerator)
 
 
 def close_denominator(t: TangleDiagram) -> LinkDiagram:
-    """Join NW to SW and NE to SE by unknotted arcs; the determinant is
-    taken from t's coloring record as in :func:`close_numerator`."""
-    link = _glue((t,), [((0, _NW), (0, _SW)), ((0, _NE), (0, _SE))])
-    if t._colorings is not None:
-        setfield(link, "_determinant", t._colorings.det_denominator)
-    return link
+    """Join NW to SW and NE to SE by unknotted arcs; edge ids and the
+    determinant are as in :func:`close_numerator`."""
+    rec = t._colorings
+    return _close(t, ((_NW, _SW), (_NE, _SE)), None if rec is None else rec.det_denominator)
 
 
 def renumber(d: Diagram) -> Diagram:
@@ -583,8 +607,22 @@ def validate(d: Diagram) -> str | None:
         return "planarity: Euler count fails"
 
     if isinstance(d, TangleDiagram):
-        st = strands(d, mate)
-        if len(st) > 2:
+        # walk the two open strands, from NW and from the next boundary
+        # end that NW's strand does not reach; the ends they leave short
+        # of all ends lie on closed components
+        covered = 0
+        far = []
+        for y in (k4, k4 + 1):
+            if far and far[0] == y:
+                y = k4 + 2
+            while True:
+                z = mate[y]
+                covered += 2
+                if z >= k4:
+                    break
+                y = z ^ 2
+            far.append(z)
+        if covered < n:
             return "closed component in tangle"
         if piece[k4] == piece[k4 + 1] == piece[k4 + 2] == piece[k4 + 3]:
             # the face through NW is the only one that can hold all four
@@ -599,7 +637,7 @@ def validate(d: Diagram) -> str | None:
             return "boundary order: endpoints not in circular order on one face"
         # two pieces, one open strand each: the chords cross when the
         # strand from NW ends at SE
-        if mate[st[0][-1]] == k4 + _SE:
+        if far[0] == k4 + _SE:
             return "planarity: boundary chords interleave"
     return None
 
@@ -708,7 +746,7 @@ def parse_diagram(text: str) -> Diagram:
     if kind not in ("tangle", "link"):
         raise DiagramError(f"unknown diagram header {kind!r}")
     crossings = []
-    loops = 0
+    loops = None
     boundary = None
     for ln in lines[1:]:
         parts = ln.split()
@@ -722,8 +760,12 @@ def parse_diagram(text: str) -> Diagram:
         elif parts[0] == "O":
             if len(parts) != 2:
                 raise DiagramError(f"loop line needs one count: {ln!r}")
+            if loops is not None:
+                raise DiagramError(f"repeated loop line: {ln!r}")
             loops, = _integers(parts[1:], ln)
         elif parts[0] == "B":
+            if boundary is not None:
+                raise DiagramError(f"repeated boundary line: {ln!r}")
             boundary = {}
             for item in parts[1:]:
                 lab, _, e = item.partition("=")
@@ -739,12 +781,12 @@ def parse_diagram(text: str) -> Diagram:
             raise DiagramError("tangle file lacks a B line")
         if len(boundary) != 4:
             raise DiagramError("tangle must name all four endpoints NW, NE, SW, SE")
-        d = TangleDiagram(crossings=tuple(crossings), loops=loops,
+        d = TangleDiagram(crossings=tuple(crossings), loops=loops or 0,
                           boundary=tuple(boundary[lab] for lab in BOUNDARY_LABELS))
     elif boundary is not None:
         raise DiagramError("link file must not carry a B line")
     else:
-        d = LinkDiagram(crossings=tuple(crossings), loops=loops)
+        d = LinkDiagram(crossings=tuple(crossings), loops=loops or 0)
     err = validate(d)
     if err:
         raise DiagramError(err)

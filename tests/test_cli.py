@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,25 @@ class TestDiagramCommands:
     def test_over_crossing_budget_exit_2(self, capsys):
         code, _, err = run(capsys, "jones", "[30]")
         assert code == 2 and err.startswith("error:") and "budget" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("link\nO 99999999999999999999\n",
+         "0 crossings and 99999999999999999999 loops exceed budget 24"),
+        ("link\nX 0 1 1 0\nX 2 3 3 2\nO 40000\n",
+         "2 crossings and 40000 loops exceed budget 24"),
+    ], ids=["huge-loop-count", "two-kinks-40000-loops"])
+    def test_loops_count_against_crossing_budget_exit_2(self, capsys, monkeypatch,
+                                                        tmp_path, text, message):
+        """Crossing-free loops widen the bracket's packed slots as
+        crossings do, so a large loop count is refused before any
+        arithmetic, at once."""
+        monkeypatch.delenv("TANGLEKIT_CROSSING_BUDGET", raising=False)
+        path = tmp_path / "loops.link"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "jones", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("point", ["0", "1/0"])
     def test_jones_at_undefined_point_exit_2(self, capsys, point):

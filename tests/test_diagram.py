@@ -38,7 +38,7 @@ from tanglekit.diagram import (
 )
 from tanglekit.expr import parse_expr
 from tanglekit.fraction import Fraction, continued_fraction, frac_normalize
-from tanglekit.quandle import determinant
+from tanglekit.quandle import coloring_record, determinant
 
 from conftest import add_kink, montesinos_sum, random_fraction, random_tangle_diagram
 from oracles import two_pass_glue, union_find_validate
@@ -109,8 +109,6 @@ class TestGluing:
             (3, [((0, ne), (1, nw)), ((0, se), (1, sw)), ((1, ne), (2, nw)), ((1, se), (2, sw))],
              [(0, nw), (2, ne), (0, sw), (2, se)]),
             (2, [((0, sw), (1, nw)), ((0, se), (1, ne))], [(0, nw), (0, ne), (1, sw), (1, se)]),
-            (1, [((0, ne), (0, nw)), ((0, se), (0, sw))], None),
-            (1, [((0, nw), (0, sw)), ((0, ne), (0, se))], None),
         ]
         rng = random.Random(1203)
         tangles = ([random_tangle_diagram(rng) for _ in range(300)]
@@ -174,6 +172,42 @@ class TestClosures:
             lhs = canonical_form(close_denominator(d))
             rhs = canonical_form(close_numerator(rotate(d)))
             assert lhs == rhs
+
+    def test_closure_renumbered_is_the_glued_closure(self, catalog_entries):
+        """A closure fuses the boundary edges in place: renumbered, it is
+        the two-pass gluing of the one tangle; every crossing it does not
+        rename is the tangle's own tuple, and it adds no edge id.  Built
+        after the coloring record, it carries the determinant of the
+        closure of a record-free copy."""
+        rng = random.Random(1601)
+        tangles = ([e.diagram for e in catalog_entries]
+                   + [zero_tangle(), infinity_tangle()]
+                   + [random_tangle_diagram(rng) for _ in range(300)]
+                   + [montesinos_sum(rng, 4, 20) for _ in range(100)])
+        tangles += [tangle_sum(rng.choice(tangles), rng.choice(tangles)) for _ in range(100)]
+        tangles += [tangle_product(rng.choice(tangles), rng.choice(tangles))
+                    for _ in range(100)]
+        tangles += [mirror(t) for t in tangles] + [rotate(t) for t in tangles]
+        tangles += [TangleDiagram(tuple(tuple(e + 7 for e in c) for c in t.crossings),
+                                  tuple(e + 7 for e in t.boundary), t.loops)
+                    for t in tangles[::5]]
+        nw, ne, sw, se = range(4)
+        closures = (
+            (close_numerator, [((0, ne), (0, nw)), ((0, se), (0, sw))], "det_numerator"),
+            (close_denominator, [((0, nw), (0, sw)), ((0, ne), (0, se))], "det_denominator"))
+        for t in tangles:
+            ids = {e for c in t.crossings for e in c} | set(t.boundary)
+            record = coloring_record(t) if validate(t) is None else None
+            for close, joins, field in closures:
+                link = close(t)
+                assert renumber(link) == two_pass_glue((t,), joins), t
+                assert {e for c in link.crossings for e in c} <= ids
+                rebuilt = [i for i, c in enumerate(link.crossings) if c is not t.crossings[i]]
+                assert len(rebuilt) <= 4
+                if record is not None:
+                    plain = close(TangleDiagram(t.crossings, t.boundary, t.loops))
+                    assert plain._determinant is None and plain == link
+                    assert link._determinant == getattr(record, field) == determinant(plain), t
 
     def test_component_count_matches_two_bridge(self):
         from tanglekit.fraction import numerator_two_bridge
@@ -486,6 +520,19 @@ class TestFileFormat:
         with pytest.raises(DiagramError) as err:
             parse_diagram("tangle\n" + "\n".join(lines.values()) + "\n")
         assert repr(line) in str(err.value)
+
+    def test_repeated_loop_line_quotes_it(self):
+        with pytest.raises(DiagramError, match="repeated loop line: 'O 1'"):
+            parse_diagram("link\nX 0 1 1 0\nO 2\nO 1\n")
+        with pytest.raises(DiagramError, match="repeated loop line: 'O 0'"):
+            parse_diagram("tangle\nX 0 1 2 3\nO 0\nB NW=3 NE=2 SW=0 SE=1\nO 0\n")
+
+    def test_repeated_boundary_line_quotes_it(self):
+        with pytest.raises(DiagramError, match="repeated boundary line: 'B NW=3'"):
+            parse_diagram("tangle\nX 0 1 2 3\nB NW=3 NE=2 SW=0 SE=1\nB NW=3\n")
+        with pytest.raises(DiagramError, match="repeated boundary line"):
+            parse_diagram("tangle\nX 0 1 2 3\nB NW=3 NE=2 SW=0 SE=1\n"
+                          "B NW=3 NE=2 SW=0 SE=1\n")
 
 
 # arbitrary small port tuples, boundaries and loop counts, and valid
