@@ -645,15 +645,26 @@ def validate(d: Diagram) -> str | None:
 # ---------------------------------------------------------------------------
 # expression realization
 
+# The most crossings :func:`from_rational` builds.  Realization is linear
+# in the crossing count, and a fraction of twenty digits can ask for 10^19.
+RATIONAL_CROSSING_LIMIT = 100_000
+
+
 def from_rational(f: Fraction) -> TangleDiagram:
     """Diagram of the rational tangle [f] from its twist vector.
 
     Blocks alternate vertical then horizontal, innermost first, ending in
-    a horizontal block; the crossing count is the sum of |entries|.
+    a horizontal block; the crossing count is the sum of |entries|.  A
+    count over ``RATIONAL_CROSSING_LIMIT`` (100,000) raises
+    :class:`DiagramError` before anything is built.
     """
     if f.is_infinite:
         return infinity_tangle()
     entries = continued_fraction(f)
+    count = sum(map(abs, entries))
+    if count > RATIONAL_CROSSING_LIMIT:
+        raise DiagramError(f"rational tangle {f} needs {count} crossings, over "
+                           f"the limit of {RATIONAL_CROSSING_LIMIT}")
     m = len(entries)
     t: TangleDiagram | None = None
     for i, c in enumerate(entries, start=1):

@@ -32,9 +32,42 @@ nontrivial c-colorings mod p exist exactly when its nullity exceeds two
 or p divides an invariant factor (the primes of Krebes' gcd(det N, det D)
 obstruction, JKTR 1999), and its kernel gives the coloring fraction.
 
-One Smith form of a tangle's relation matrix M, with its column
-transform v kept on the rows of the four boundary arcs, answers these
-questions and gives both closure determinants too (:class:`ColoringRecord`):
+A tangle's relation matrix M is eliminated the way one colors by hand,
+propagating colors from a few free arcs, as Kauffman and Lambropoulou
+(*On the classification of rational tangles*, 2004) read a rational
+tangle's fraction (:class:`ColoringRecord`):
+
+* Unit pivots.  A color is an integer vector over the seeds, the arcs
+  left free.  A crossing whose over-arc and one under side are colored
+  paints the other side 2*over - side, along its arc and over every
+  crossing that arc passes: the relation has coefficient -1 there.  When
+  nothing propagates, the over-arc of a pending crossing, one with a
+  colored side first, becomes a new seed (else an under side, and last
+  the end of a crossing-free strand).  A crossing whose three arcs are
+  colored already leaves its relation 2*over - a - b in seed coordinates.
+* Leftover relations.  Each painted arc and the crossing that painted it
+  pair off in a triangular block with unit diagonal, so M is equivalent
+  to the identity on that block beside L, the leftover relations over
+  the seeds: M's invariant factors above 1, its nullity and its
+  cokernel are L's, and the class of e_p below is that of arc p's
+  color, a row over the seeds, modulo L's rows.  So only L, mostly 1-4
+  rows over 3-6 seeds on sums of 2-5 rationals, takes a Smith form, and
+  its column operations act on the colors of the four boundary ends in
+  place of v's boundary rows.
+* Width.  A color is packed into one integer, a signed coefficient in a
+  field of ``width`` bits per seed, so painting is one integer
+  expression.  A painted color is 2*over - side of earlier ones, so
+  coefficients stay below 3^k and a leftover's below 4 * 3^k.  The width
+  starts at 64 bits and doubles whenever a mask test finds a coefficient
+  out of range, so it stops doubling once it reaches 2k + 6.  Past 16
+  seeds (a long sum of rationals needs one or two per summand), or once
+  the colors in use, seeds times width bits on each arc, would pass 8 MiB,
+  the record takes M itself: every arc a seed, every relation left over.
+  ``_MAX_SEEDS`` and ``_PACKED_BITS`` say what each limit rests on.
+
+With the column transform v of M's Smith form kept on the rows of the
+four boundary arcs, the record answers these questions and gives both
+closure determinants too:
 
 * Report and fraction.  The report reads M's nullity and torsion, and
   the fraction the boundary rows of M's integer kernel, the free columns
@@ -66,11 +99,16 @@ from __future__ import annotations
 from math import gcd
 
 from .diagram import (
+    _NE,
+    _NW,
+    _SE,
+    _SW,
     Diagram,
     LinkDiagram,
     OrientedDiagram,
     TangleDiagram,
     UnionFind,
+    _ends,
 )
 from .fraction import Fraction, frac_normalize
 from .snf import SmithForm, integer_determinant, smith_normal_form
@@ -226,7 +264,7 @@ class ColoringLattice:
     the ``invariant_factors`` of the relation matrix.  For tangles,
     ``boundary`` holds the arc indices at NW, NE, SW, SE, and the same
     Smith form gives the coloring fraction, as :class:`ColoringRecord`
-    does from a transform kept on the boundary rows alone.
+    does from the few relations its color propagation leaves over.
     """
 
     __slots__ = ("modulus", "arc_count", "smith", "boundary")
@@ -299,24 +337,176 @@ def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
     return ColoringLattice(modulus=n, arc_count=ncols, smith=sf, boundary=boundary)
 
 
+# Propagation gives up past this many seeds, and the record takes the
+# Smith form of the whole relation matrix: a long sum of rationals needs a
+# seed or two per summand, and its leftover relations, with coefficients
+# that grow along the sum, take longer to eliminate than the sparse matrix
+# (measured in-process on random sums of rationals: the two took about as
+# long at 20 seeds).
+# No benchmark workload reaches this many seeds, so the limit is unverified
+# end to end.
+_MAX_SEEDS = 16
+# It also gives up when the colors in use, seeds times width bits on each
+# of the k + 2 arcs, would pass this many bits (8 MiB).  On Fibonacci
+# fractions F_n/F_(n+1), two seeds with coefficients near phi^k,
+# propagation took no longer than the whole matrix up to 45 Mi bits
+# (F_5800, 4,096-bit fields: 18.8 against 22.7 ms), and 1.3-1.9 times as
+# long from 94 Mi bits on (F_6000, F_8000, F_12000; in-process, best of 7).
+_PACKED_BITS = 1 << 26
+
+
 class ColoringRecord:
-    """What the coloring obstructions read of a tangle diagram, from one
-    Smith form of its relation matrix (see the module docstring): the
-    all-moduli c-coloring ``report``, the coloring ``fraction``, and the
-    determinants ``det_numerator`` and ``det_denominator`` of its two
-    closures' relation matrices, which :func:`determinant` returns once
-    the closure's own crossing and loop checks pass."""
+    """What the coloring obstructions read of a tangle diagram, from its
+    colors by propagation and one Smith form of the leftover relations
+    (see the module docstring): the all-moduli c-coloring ``report``, the
+    coloring ``fraction``, and the determinants ``det_numerator`` and
+    ``det_denominator`` of its two closures' relation matrices, which
+    :func:`determinant` returns once the closure's own crossing and loop
+    checks pass."""
 
     __slots__ = ("report", "fraction", "det_numerator", "det_denominator")
 
     def __init__(self, t: TangleDiagram):
-        rows, arc_of, ncols = dihedral_relation_matrix(t)
-        nw, ne, sw, se = boundary = boundary_arcs(t, arc_of)
-        smith = smith_normal_form(rows, ncols, sorted(set(boundary)))
+        found = _propagate(t)
+        if found is None:
+            # every arc a seed: the leftovers are the whole relation matrix
+            rows, arc_of, ncols = dihedral_relation_matrix(t)
+            found = rows, [{arc_of[e]: 1} for e in t.boundary], ncols
+        leftovers, ends, seeds = found
+        # the transform kept on the boundary ends NW, NE, SW, SE, rows 0-3
+        smith = smith_normal_form(leftovers, seeds, lift=ends)
         self.report = MonochromaticReport(smith)
-        self.fraction = _fraction(smith, boundary)
-        self.det_numerator = _closure_determinant(smith, ((nw, ne), (sw, se)))
-        self.det_denominator = _closure_determinant(smith, ((nw, sw), (ne, se)))
+        self.fraction = _fraction(smith, range(4))
+        self.det_numerator = _closure_determinant(smith, ((_NW, _NE), (_SW, _SE)))
+        self.det_denominator = _closure_determinant(smith, ((_NW, _SW), (_NE, _SE)))
+
+
+def _propagate(t: TangleDiagram) -> tuple[list[dict[int, int]], list[dict[int, int]], int] | None:
+    """Color t's arcs by propagation (see the module docstring): the
+    leftover relations and the colors of the ends NW, NE, SW, SE, as
+    sparse ``{seed: coefficient}`` rows, and the number of seeds.  None
+    past ``_MAX_SEEDS`` seeds, or past ``_PACKED_BITS`` (see there)."""
+    mate = _ends(t)
+    width = 64
+    while (found := _paint(mate, width)) is None:
+        width *= 2
+    return found or None  # False: past the seeds or the bits
+
+
+def _paint(mate: list[int], width: int):
+    """:func:`_propagate` at one width; None when a painted color has a
+    coefficient of magnitude 2^(width - 3) or more, and False when it
+    needs more than ``_MAX_SEEDS`` seeds or when its k + 2 arcs' colors
+    would pass ``_PACKED_BITS``.
+
+    A color is packed into one integer, ``width`` bits per seed, with
+    signed coefficients: seed j is ``1 << (j * width)``, and a painted
+    color is computed from earlier ones as an integer.  While every
+    coefficient has magnitude below 2^(width - 3), a painted color's are
+    below 3 * 2^(width - 3) and a leftover's below 2^(width - 1), so each
+    decodes exactly; adding 2^(width - 3) to every coefficient then puts
+    each one in [0, 2^(width - 2)) exactly when it is in range, so the
+    two top bits of every field of the sum are clear, which one mask
+    tests.
+    """
+    k4 = len(mate) - 4
+    k = k4 // 4
+    color: list[int | None] = [None] * len(mate)
+    done = [False] * k  # crossings that painted, or left their relation
+    queue: list[int] = []  # crossings that gained a color
+    push = queue.append
+    sided: list[int] = []  # crossings seen with a colored side and no over color
+    leftovers: list[int] = []
+    seeds = 0
+    low = high = 0  # 2^(width - 3) and the two top bits in each seed's field
+    first = 0  # crossings before it are done
+
+    def extend(y: int, c: int):
+        """Paint the arc beyond end y: over every crossing it passes, and
+        the end where it stops (an under port or a boundary end)."""
+        z = mate[y]
+        while z < k4 and z & 1 and color[z] is None:
+            color[z] = color[z ^ 2] = c
+            push(z >> 2)
+            z = mate[z ^ 2]
+        if color[z] is None:  # else a closed over-circle came back round
+            color[z] = c
+            if z < k4:
+                push(z >> 2)
+
+    while True:
+        while queue:
+            ci = queue.pop()
+            if done[ci]:
+                continue
+            y = 4 * ci
+            over, a, b = color[y + 1], color[y], color[y + 2]
+            if over is None:
+                if a is not None or b is not None:
+                    sided.append(ci)
+            elif a is not None and b is not None:
+                done[ci] = True
+                if r := 2 * over - a - b:
+                    leftovers.append(r)
+            elif a is not None or b is not None:
+                # the unit pivot: the uncolored side is 2*over - the other
+                done[ci] = True
+                if a is None:
+                    c = 2 * over - b
+                else:
+                    c = 2 * over - a
+                    y += 2
+                if (c + low) & high:
+                    return None
+                color[y] = c
+                extend(y, c)
+        # nothing propagates: a new seed on the over-arc of a pending
+        # crossing, one with a colored side first, else on an under side,
+        # else on a crossing-free strand
+        while sided and color[4 * sided[-1] + 1] is not None:
+            sided.pop()
+        if sided:
+            y = 4 * sided.pop() + 1
+        else:
+            while first < k and done[first]:
+                first += 1
+            if first < k:
+                y = 4 * first + (color[4 * first + 1] is None)
+            else:
+                y = next((y for y in range(k4, k4 + 4) if color[y] is None), None)
+                if y is None:
+                    break
+        if seeds == _MAX_SEEDS or (k + 2) * (seeds + 1) * width > _PACKED_BITS:
+            return False
+        c = 1 << (seeds * width)
+        seeds += 1
+        low += c << (width - 3)
+        high += c * (3 << (width - 2))
+        color[y] = c
+        if y < k4:
+            push(y >> 2)
+            if y & 1:
+                color[y ^ 2] = c
+                extend(y ^ 2, c)
+        extend(y, c)
+    rows = [_unpack(r, width) for r in leftovers]
+    return rows, [_unpack(color[y], width) for y in range(k4, k4 + 4)], seeds
+
+
+def _unpack(x: int, width: int) -> dict[int, int]:
+    """The signed coefficients of a packed color, each of magnitude below
+    2^(width - 1), as a sparse ``{seed: coefficient}`` row."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    out = {}
+    j = 0
+    while x:
+        if c := ((x + half) & mask) - half:
+            out[j] = c
+            x -= c
+        x >>= width
+        j += 1
+    return out
 
 
 def _closure_determinant(smith: SmithForm, joins) -> int:
@@ -364,23 +554,30 @@ class MonochromaticReport:
     Two dimensions of the nullity are the constants and the line of
     boundary colors; any more give c-colorings at every modulus
     (``all_moduli``), and each torsion factor adds them mod its primes
-    (``offending_moduli``).  ``r0_monochromatic`` means every integer
-    c-coloring is constant.
+    (``offending_moduli``, factored on first read: trial division of a
+    large prime factor takes far longer than the Smith form).
+    ``r0_monochromatic`` means every integer c-coloring is constant.
     """
 
-    __slots__ = ("c_trivial_for_all_n", "offending_moduli", "all_moduli",
-                 "r0_monochromatic")
+    __slots__ = ("c_trivial_for_all_n", "all_moduli", "r0_monochromatic",
+                 "_torsion", "_primes")
 
     def __init__(self, smith: SmithForm):
         nullity = smith.cols - smith.rank
-        torsion = [f for f in smith.factors if f > 1]
-        self.offending_moduli = frozenset().union(*map(_prime_divisors, torsion))
+        self._torsion = [f for f in smith.factors if f > 1]
+        self._primes = None
         self.all_moduli = nullity > 2
         self.r0_monochromatic = nullity == 2
-        self.c_trivial_for_all_n = nullity == 2 and not torsion
+        self.c_trivial_for_all_n = nullity == 2 and not self._torsion
+
+    @property
+    def offending_moduli(self) -> frozenset[int]:
+        if self._primes is None:
+            self._primes = frozenset().union(*map(_prime_divisors, self._torsion))
+        return self._primes
 
     def polychromatic_somewhere(self) -> bool:
-        return self.all_moduli or bool(self.offending_moduli)
+        return self.all_moduli or bool(self._torsion)
 
 
 def _prime_divisors(n: int) -> set[int]:

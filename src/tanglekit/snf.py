@@ -35,14 +35,18 @@ of invariant factors (the argument of Kannan and Bachem, SIAM J. Comput.
 1979).
 
 Only the column operations are recorded, in the column transform ``v``,
-and only on the rows of ``v`` the caller asks for: a column operation
-acts on each row of ``v`` by itself, so the rows kept come out exactly
-as in the full transform.  The last columns of ``v`` span the integer
-kernel, which the coloring lattices need in full; a tangle's coloring
-record reads the four boundary rows only.  Of the columns, only the free
-ones and those of factors above 1 are read, so each unit pivot's column
-is dropped once its step has used it, and ``v`` is kept as sparse
-columns.  Nothing reads the row transform, so it is not kept.
+and only as much of it as the caller asks for: all of ``v``, none of it,
+or the rows of w @ v for rows w the caller hands in, since a column
+operation acts on each row by itself (rows of ``v`` itself are w @ v for
+unit rows w).  The last columns of ``v`` span the integer kernel, which
+the coloring lattices need in full; a tangle's coloring record
+eliminates its leftover relations over a few seeds and hands in the
+colors of its four boundary ends, rows over the seeds, so it gets back
+v's boundary rows of the whole relation matrix (see
+:mod:`tanglekit.quandle`).  Of the columns, only the free ones and those
+of factors above 1 are read, so each unit pivot's column is dropped once
+its step has used it, and ``v`` is kept as sparse columns.  Nothing
+reads the row transform, so it is not kept.
 
 The determinant runs the same core with row operations only: each pivot
 clears its column from the rows not yet pivoted, which leaves the matrix
@@ -74,9 +78,10 @@ class SmithForm:
     of a @ v is d_j times column j of u^-1, and the last cols - rank
     columns of a @ v are zero.  ``v[j]`` is column j of v as a sparse
     ``{row: value}`` dict for each j >= rank and each d_j > 1, and None
-    for the columns of unit factors.  The columns hold the rows ``kept``
-    only, every row when ``kept`` is None; ``v`` is None when no row was
-    kept.
+    for the columns of unit factors.  The columns hold every row of v
+    when ``kept`` is None; when rows w were lifted, ``kept`` holds 0, ...,
+    len(w) - 1 and they hold the rows of w @ v.  ``v`` is None when no
+    row was kept.
     """
 
     __slots__ = ("factors", "rank", "v", "cols", "kept")
@@ -142,9 +147,9 @@ class _Elimination:
     ``rows[i]`` maps column -> nonzero value (the caller's dicts, changed
     in place), and ``cols[j]`` lists the active rows, those not yet
     pivoted, with a nonzero in column j.  ``v[j]`` is column j of the
-    column transform on the kept rows, sparse too, until a unit pivot in
-    column j makes it one nothing reads again; ``v`` is None when no row
-    is kept.
+    column transform (or of w @ v for the rows w of ``lift``), sparse
+    too, until a unit pivot in column j makes it one nothing reads again;
+    ``v`` is None when no row is kept.
 
     The pivot search reads the active rows in ``scan``, a sorted list,
     except the parked ones: the heap ``parked`` holds the key of each
@@ -156,7 +161,8 @@ class _Elimination:
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int,
-                 v_rows: Sequence[int] | None):
+                 v_rows: Sequence[int] | None,
+                 lift: Sequence[dict[int, int]] | None = None):
         self.rows = rows
         self.cols: list[list[int]] = [[] for _ in range(ncols)]
         cols = self.cols
@@ -167,12 +173,13 @@ class _Elimination:
         self.parked: list[tuple[int, int, int, int]] = []
         self.key_of: dict[int, tuple[int, int, int, int]] = {}
         self.parked_in: dict[int, set[int]] = {}
-        if v_rows is None:
-            self.v = [{j: 1} for j in range(ncols)]
-        elif v_rows:
+        if lift is not None:
             self.v = [{} for _ in range(ncols)]
-            for i in v_rows:
-                self.v[i][i] = 1
+            for i, w in enumerate(lift):
+                for j, x in w.items():
+                    self.v[j][i] = x
+        elif v_rows is None:
+            self.v = [{j: 1} for j in range(ncols)]
         else:
             self.v = None
 
@@ -386,19 +393,25 @@ def _axpy(dst: dict[int, int], src: dict[int, int], k: int):
 
 
 def smith_normal_form(a: list[dict[int, int]], ncols: int,
-                      v_rows: Sequence[int] | None = None) -> SmithForm:
+                      v_rows: Sequence[int] | None = None,
+                      lift: Sequence[dict[int, int]] | None = None) -> SmithForm:
     """Smith normal form of an integer matrix given as sparse rows
     ``{column: value}`` over ``ncols`` columns.
 
     The rows are used as working storage and left changed.  Pivots are
     searched in row order and, within a row, in key order.  Returns the
     invariant factors normalized positive with d_1 | d_2 | ... and the
-    rows ``v_rows`` of the unimodular column transform: all of them when
-    ``v_rows`` is None, none when it is empty.  Of the transform, only the
-    free columns and those of factors above 1 are kept (see
-    :class:`SmithForm`).  Handles empty matrices.
+    unimodular column transform v: all of its rows when ``v_rows`` is
+    None, none when it is empty.  Given ``lift``, sparse rows w_0, w_1,
+    ... over the columns, it keeps instead row i of w @ v as row i: the
+    column operations act on those rows as on rows of v, so unit rows w
+    pick rows of v.  Of the transform, only the free columns and those of
+    factors above 1 are kept (see :class:`SmithForm`).  Handles empty
+    matrices.
     """
-    e = _Elimination(a, ncols, v_rows)
+    if v_rows:
+        raise ValueError("rows of v are picked by lifting unit rows")
+    e = _Elimination(a, ncols, v_rows, lift)
     pivots, factors = [], []  # pivot columns and |pivots|, in the order found
     while (at := e.pivot()) is not None:
         r, c = at
@@ -429,7 +442,7 @@ def smith_normal_form(a: list[dict[int, int]], ncols: int,
         pivot_cols = set(pivots)
         v = [e.v[c] if f > 1 else None for c, f in zip(pivots, factors)]
         v += [e.v[j] for j in range(ncols) if j not in pivot_cols]
-    kept = None if v_rows is None else frozenset(v_rows)
+    kept = None if lift is None else frozenset(range(len(lift)))
     return SmithForm(factors=factors, rank=len(factors), v=v, cols=ncols, kept=kept)
 
 

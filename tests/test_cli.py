@@ -239,6 +239,35 @@ class TestDiagramCommands:
             assert out.startswith("unknottable: no (three or more rational summands")
 
 
+F83 = "[61305790721611591/99194853094755497]"
+TOO_MANY_CROSSINGS = ("error: rational tangle 99999999999999999999/7 needs "
+                      "14285714285714285721 crossings, over the limit of 100000\n")
+
+
+class TestNoHang:
+    """Inputs that once ran until killed run in a child with a timeout, so
+    that a regression fails instead of stalling the suite."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        pytest.param(["fraction-invariant", f"{F83} + {F83}"],
+                     (0, "122611581443223182/99194853094755497\n", ""),
+                     id="large-prime-torsion"),
+        pytest.param(["fraction-invariant", "99999999999999999999/7"],
+                     (2, "", TOO_MANY_CROSSINGS), id="fraction-invariant-huge-rational"),
+        pytest.param(["det", "99999999999999999999/7"],
+                     (2, "", TOO_MANY_CROSSINGS), id="det-huge-rational"),
+    ])
+    def test_exits_within_five_seconds(self, argv, expected):
+        """The sum of two 82-crossing rationals has one torsion factor,
+        the 83rd Fibonacci number, a prime of 17 digits that trial division
+        would take hours to find; the fraction needs no prime.  The huge
+        rational would need about 1.4 * 10^19 crossings."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "tanglekit.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
 class TestClosedOutput:
     @pytest.mark.parametrize("argv", [["frac", "normalize", "2/4"],
                                       ["verdict", "@7_13 + 1/2"]])

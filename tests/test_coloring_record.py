@@ -1,15 +1,20 @@
-"""The coloring record: one Smith form of a tangle's relation matrix for
-the all-moduli report, the coloring fraction and both closure
-determinants, against the separate eliminations and the dense oracles."""
+"""The coloring record: colors by propagation and one Smith form of the
+leftover relations for the all-moduli report, the coloring fraction and
+both closure determinants, against the full-matrix Smith form, the
+separate eliminations and the dense oracles."""
 
 import random
+from math import gcd
 
 import pytest
 
 from tanglekit.diagram import (
+    DiagramError,
     TangleDiagram,
+    _ends,
     close_denominator,
     close_numerator,
+    from_expression,
     from_rational,
     horizontal_twists,
     mirror,
@@ -19,9 +24,13 @@ from tanglekit.diagram import (
     validate,
     zero_tangle,
 )
-from tanglekit.fraction import frac_normalize
+from tanglekit import quandle
+from tanglekit.expr import parse_expr
+from tanglekit.fraction import continued_fraction_value, frac_normalize
 from tanglekit.quandle import (
     MonochromaticReport,
+    _paint,
+    _propagate,
     color_solve_dihedral,
     coloring_fraction,
     coloring_record,
@@ -170,3 +179,123 @@ def test_record_is_not_part_of_the_value():
     assert link == plain and hash(link) == hash(plain) and repr(link) == repr(plain)
     with pytest.raises(AttributeError, match="cannot assign to field '_determinant'"):
         link._determinant = 1
+
+
+def benchmark_shaped_sum(rng: random.Random) -> TangleDiagram:
+    """A sum of 2-5 rationals p/q with 2 <= q <= 40 and |p| <= 40, of 20
+    to 50 crossings."""
+    while True:
+        terms = []
+        for _ in range(rng.randint(2, 5)):
+            q = rng.randint(2, 40)
+            p = rng.choice([p for p in range(-40, 41) if gcd(p, q) == 1])
+            terms.append(from_rational(frac_normalize(p, q)))
+        t = tangle_sum(*terms)
+        if 20 <= t.crossing_count <= 50:
+            return t
+
+
+def test_record_on_benchmark_shaped_sums():
+    """Sums shaped like the coloring benchmark's inputs take the
+    propagation; plain, mirrored and rotated, with Bareiss on the
+    closures of every fourth."""
+    rng = random.Random(1703)
+    for i in range(120):
+        t = benchmark_shaped_sum(rng)
+        assert _propagate(t) is not None
+        for u in variants(t):
+            assert_record_matches(u, bareiss=i % 4 == 0)
+
+
+def small_fraction(rng: random.Random):
+    q = rng.randint(1, 9)
+    return frac_normalize(rng.choice([p for p in range(-9, 10) if gcd(p, q) == 1]), q)
+
+
+def test_record_on_products_that_need_quarter_turns():
+    """Products whose naive gluing would close a circle, so that the
+    first factor is turned before it is glued."""
+    rng = random.Random(1704)
+    seen = 0
+    while seen < 30:
+        a, b, c = (small_fraction(rng) for _ in range(3))
+        top = tangle_sum(from_rational(a), from_rational(b))
+        naive = tangle_product(top, from_rational(c))
+        if naive.loops == 0 and validate(naive) is None:
+            continue
+        try:
+            t = from_expression(parse_expr(f"({a} + {b}) * {c}"))
+        except DiagramError:
+            continue  # no quarter turn avoids a circle
+        assert validate(t) is None and t != naive
+        seen += 1
+        for u in variants(t):
+            assert_record_matches(u, bareiss=seen % 3 == 0)
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("n", [10, 60, 88, 89, 90, 120, 200, 320])
+def test_record_on_fibonacci_tangles(n):
+    """F_n/F_(n+1) has the twist vector 1, 1, ..., 1, so its colors grow
+    like the golden ratio to the crossing count: past about 88 crossings
+    a coefficient outgrows 64 bits, and the field width must double."""
+    t = from_rational(frac_normalize(fibonacci(n), fibonacci(n + 1)))
+    k = t.crossing_count
+    assert (_paint(_ends(t), 64) is None) == (k > 88)
+    assert _propagate(t) is not None
+    for u in variants(t):
+        assert_record_matches(u, bareiss=k <= 60)
+    record = coloring_record(t)
+    assert record.fraction == frac_normalize(fibonacci(n), fibonacci(n + 1))
+    assert (record.det_numerator, record.det_denominator) == (fibonacci(n), fibonacci(n + 1))
+
+
+def test_record_on_a_rational_of_3000_crossings():
+    """Long twist regions: 3000 crossings, and coefficients of 35 bits."""
+    entries = [3, 1000, 2, 1000, 5, 990]
+    f = continued_fraction_value(entries)
+    t = from_rational(f)
+    assert t.crossing_count == sum(entries) == 3000
+    assert _propagate(t) is not None
+    assert_record_matches(t, bareiss=False)
+    record = coloring_record(t)
+    assert record.fraction == f
+    assert (record.det_numerator, record.det_denominator) == (abs(f.num), f.den)
+
+
+@pytest.mark.parametrize("f, width", [(frac_normalize(100000, 1), 64),
+                                      (frac_normalize(fibonacci(120), fibonacci(121)), 128)])
+def test_bit_limit_counts_the_colors_in_use(monkeypatch, f, width):
+    """``_PACKED_BITS`` bounds the seeds and the width in use on each arc,
+    not the most seeds propagation takes on: a rational of 100,000
+    crossings paints with two seeds in 64-bit fields, F_120/F_121 with two
+    in 128-bit ones, and each takes the whole matrix only when the limit
+    is below those colors' bits."""
+    t = from_rational(f)
+    found = _propagate(t)
+    assert found is not None and found[2] == 2
+    record = coloring_record(t)
+    assert record.fraction == f
+    assert (record.det_numerator, record.det_denominator) == (abs(f.num), f.den)
+    in_use = (t.crossing_count + 2) * 2 * width
+    monkeypatch.setattr(quandle, "_PACKED_BITS", in_use)
+    assert _propagate(t) == found
+    monkeypatch.setattr(quandle, "_PACKED_BITS", in_use - 1)
+    assert _propagate(t) is None
+
+
+def test_record_of_a_long_sum_takes_the_whole_matrix():
+    """A sum of 30 rationals needs a seed for each summand, more than
+    propagation takes on; the record then eliminates the whole relation
+    matrix, with the same answers."""
+    t = from_expression(parse_expr(" + ".join(["1/3", "-2/5", "3/7"] * 10)))
+    assert _propagate(t) is None
+    for u in variants(t):
+        assert_record_matches(u, bareiss=False)
+    assert coloring_record(t).fraction == frac_normalize(10 * (35 - 42 + 45), 105)

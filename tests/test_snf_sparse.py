@@ -68,6 +68,27 @@ def test_random_sparse_matrices(shape):
         assert_matches_oracle(shape(rng, n, m))
 
 
+@pytest.mark.parametrize("shape", [coloring_shaped, no_units])
+def test_lifted_rows_come_back_times_v(shape):
+    """Rows w handed in as ``lift`` come back as the rows of w @ v, with
+    the factors, pivots and kept columns of the full transform."""
+    rng = random.Random(f"snf/lift/{shape.__name__}")
+    for _ in range(40):
+        n, m = rng.randint(3, 20), rng.randint(3, 20)
+        a = shape(rng, n, m)
+        w = [{j: rng.choice((-3, -1, 1, 2, 5)) for j in rng.sample(range(m), 3)}
+             for _ in range(4)]
+        full = smith_normal_form(sparse(a), m)
+        lifted = smith_normal_form(sparse(a), m, lift=w)
+        assert (lifted.factors, lifted.rank, lifted.cols) == (full.factors, full.rank, m)
+        assert lifted.kept == frozenset(range(4))
+        for col, whole in zip(lifted.v, full.v):
+            assert (col is None) == (whole is None)
+            if col is not None:
+                assert col == {i: x for i, row in enumerate(w)
+                               if (x := sum(c * whole.get(j, 0) for j, c in row.items()))}
+
+
 def test_non_unit_and_divisibility_paths_run(monkeypatch):
     """The no-unit matrices reach a non-unit pivot with an entry it does
     not divide, so the divisibility repair is checked above."""
@@ -275,11 +296,12 @@ def test_coloring_pass_on_seeded_tangles():
         a = dense(rows, ncols)
         full = smith_normal_form(rows, ncols)
         keep = sorted(set(boundary_arcs(t, arc_of)))
-        part = smith_normal_form(dihedral_relation_matrix(t)[0], ncols, keep)
+        part = smith_normal_form(dihedral_relation_matrix(t)[0], ncols,
+                                 lift=[{p: 1} for p in keep])
         assert part.factors == full.factors == dense_smith_normal_form(a).factors
-        assert part.kept == set(keep) and full.kept is None
+        assert part.kept == set(range(len(keep))) and full.kept is None
         assert [col is None for col in part.v] == [col is None for col in full.v]
-        assert all(col is None or part_col == {i: x for i, x in col.items() if i in keep}
+        assert all(col is None or part_col == {i: col[p] for i, p in enumerate(keep) if p in col}
                    for part_col, col in zip(part.v, full.v))
         assert coloring_fraction(t) == color_solve_dihedral(t, 0).coloring_fraction()
         bare = TangleDiagram(t.crossings, t.boundary, t.loops)
@@ -300,16 +322,18 @@ def test_coloring_pass_on_seeded_tangles():
 
 def test_partial_transform_gives_no_kernel_basis():
     a = [[2, -1, -1, 0], [0, 2, -1, -1]]
-    for v_rows in ((), [0, 3]):
-        sf = smith_normal_form(sparse(a), 4, v_rows)
+    rows_0_3 = smith_normal_form(sparse(a), 4, lift=[{0: 1}, {3: 1}])
+    for sf, missing in ((smith_normal_form(sparse(a), 4, ()), 1), (rows_0_3, 2)):
         assert sf.factors == [1, 1]
         with pytest.raises(ValueError, match="kept only some rows"):
             sf.kernel_basis()
         with pytest.raises(ValueError, match="kept only some rows"):
             sf.kernel_basis_mod(3)
-        with pytest.raises(ValueError, match="row 1 of the column transform was not kept"):
-            sf.kernel_row(1)
+        with pytest.raises(ValueError, match=f"row {missing} of the column transform was not kept"):
+            sf.kernel_row(missing)
+    with pytest.raises(ValueError, match="lifting unit rows"):
+        smith_normal_form(sparse(a), 4, [0, 3])
     full = smith_normal_form(sparse(a), 4)
-    assert smith_normal_form(sparse(a), 4, [0, 3]).kernel_row(3) == full.kernel_row(3)
+    assert rows_0_3.kernel_row(1) == full.kernel_row(3)
     assert full.kernel_row(3) == [full.v[2][3], full.v[3][3]]
     assert coloring_record(from_rational(frac_normalize(3, 5))).fraction == frac_normalize(3, 5)
