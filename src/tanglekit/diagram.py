@@ -40,10 +40,13 @@ crossing maps a port y to ``y ^ 2`` (Cori's encoding of a rotation system
 as permutations on darts).  A strand is the list of ends it leaves from;
 an orientation is the set of ports at which a strand enters its crossing.
 
-A link diagram walks its ends once.  The first of :func:`component_count`,
-:func:`orient`, :func:`component_subdiagrams` and the bracket's schedule
-to need them builds a :class:`Walk` (the mate of each end, the strands
-and the default orientation) and caches it in the link's ``_walk`` slot,
+A diagram walks its ends once.  A tangle keeps the mate of each end in
+its ``_mate`` slot, outside its value key, so that ``validate``, the
+coloring record's propagation and :func:`walk` share one build.  On a
+link, the first of :func:`component_count`, :func:`orient`,
+:func:`component_subdiagrams` and the bracket's schedule to need them
+builds a :class:`Walk` (the mate of each end, the strands and the
+default orientation) and caches it in the link's ``_walk`` slot,
 outside its value key, as ``_determinant`` is.  The record is plain
 data: an :class:`OrientedDiagram` refers back to its diagram, so one is
 built from the record on each call instead, and no link is kept alive
@@ -79,10 +82,12 @@ class DiagramError(ValueError):
 class TangleDiagram(Value):
     """Crossings, the edge ids at NW, NE, SW, SE, and crossing-free loops.
 
-    ``_colorings`` caches :func:`tanglekit.quandle.coloring_record`.
+    ``_mate`` caches :func:`_ends` once the ends pass its dangling-port
+    check, and ``_colorings`` caches
+    :func:`tanglekit.quandle.coloring_record`.
     """
 
-    __slots__ = ("crossings", "boundary", "loops", "_colorings")
+    __slots__ = ("crossings", "boundary", "loops", "_mate", "_colorings")
 
     def __init__(self, crossings: tuple[tuple[int, int, int, int], ...],
                  boundary: tuple[int, int, int, int], loops: int = 0):
@@ -91,6 +96,7 @@ class TangleDiagram(Value):
         setfield(self, "crossings", crossings)
         setfield(self, "boundary", boundary)
         setfield(self, "loops", loops)
+        setfield(self, "_mate", None)
         setfield(self, "_colorings", None)
 
     @property
@@ -125,9 +131,14 @@ Diagram = TangleDiagram | LinkDiagram
 # ends of edges
 
 def _ends(d: Diagram) -> list[int]:
-    """``mate[y]``, the other end of the edge at end y."""
+    """``mate[y]``, the other end of the edge at end y.  A tangle keeps
+    the list in its ``_mate`` slot, so callers must not change it; an
+    invalid tangle raises each time, and keeps nothing."""
+    tangle = isinstance(d, TangleDiagram)
+    if tangle and d._mate is not None:
+        return d._mate
     at = [e for c in d.crossings for e in c]
-    if isinstance(d, TangleDiagram):
+    if tangle:
         at += d.boundary
     mate = at[:]
     first: dict[int, int] = {}
@@ -141,6 +152,8 @@ def _ends(d: Diagram) -> list[int]:
     if first or 2 * len(set(at)) != len(at):
         e, n = next((e, n) for e, n in Counter(at).items() if n != 2)
         raise DiagramError(f"dangling port: edge {e} has {n} incidences")
+    if tangle:
+        setfield(d, "_mate", mate)
     return mate
 
 
@@ -409,7 +422,7 @@ class Walk:
 
 def walk(d: Diagram) -> Walk:
     """d's ends walked once, cached on a link diagram (a tangle's is built
-    afresh on each call)."""
+    on each call, over its cached ends)."""
     if isinstance(d, LinkDiagram) and d._walk is not None:
         return d._walk
     mate = _ends(d)
@@ -654,9 +667,12 @@ def from_rational(f: Fraction) -> TangleDiagram:
     """Diagram of the rational tangle [f] from its twist vector.
 
     Blocks alternate vertical then horizontal, innermost first, ending in
-    a horizontal block; the crossing count is the sum of |entries|.  A
-    count over ``RATIONAL_CROSSING_LIMIT`` (100,000) raises
-    :class:`DiagramError` before anything is built.
+    a horizontal block; the crossing count is the sum of |entries|.  Each
+    block is summed onto the tangle so far (horizontal) or stacked below
+    it (vertical), and all of them are glued in one :func:`_glue`, so the
+    time is linear in the crossing count.  A count over
+    ``RATIONAL_CROSSING_LIMIT`` (100,000) raises :class:`DiagramError`
+    before anything is built.
     """
     if f.is_infinite:
         return infinity_tangle()
@@ -666,22 +682,27 @@ def from_rational(f: Fraction) -> TangleDiagram:
         raise DiagramError(f"rational tangle {f} needs {count} crossings, over "
                            f"the limit of {RATIONAL_CROSSING_LIMIT}")
     m = len(entries)
-    t: TangleDiagram | None = None
+    parts: list[TangleDiagram] = []
+    joins = []
+    outer = [(0, _NW), (0, _NE), (0, _SW), (0, _SE)]
     for i, c in enumerate(entries, start=1):
         horizontal = (m - i) % 2 == 0
         if c == 0:
-            if t is None:
-                t = zero_tangle() if horizontal else infinity_tangle()
+            if not parts:
+                parts.append(zero_tangle() if horizontal else infinity_tangle())
             continue
-        block = horizontal_twists(c) if horizontal else vertical_twists(c)
-        if t is None:
-            t = block
-        elif horizontal:
-            t = tangle_sum(t, block)
+        j = len(parts)
+        parts.append(horizontal_twists(c) if horizontal else vertical_twists(c))
+        if j == 0:
+            continue
+        nw, ne, sw, se = outer
+        if horizontal:
+            joins += [(ne, (j, _NW)), (se, (j, _SW))]
+            outer = [nw, (j, _NE), sw, (j, _SE)]
         else:
-            t = tangle_product(t, block)
-    assert t is not None
-    return renumber(t)
+            joins += [(sw, (j, _NW)), (se, (j, _NE))]
+            outer = [nw, ne, (j, _SW), (j, _SE)]
+    return _glue(tuple(parts), joins, outer)
 
 
 def from_expression(expr, resolver=None) -> TangleDiagram:

@@ -86,7 +86,11 @@ closure determinants too:
   determinant of a closure of k crossings is their gcd, the product of
   the first k - 1 invariant factors: the order of the quotient's torsion
   when its free rank, the closure's nullity, is one, and 0 when it is
-  more.  A closure with more arcs than crossings has a component that
+  more.  With no torsion factor, or one, and the nullity two, the
+  quotient has two or three columns, and that order is a gcd of the
+  join rows' entries or of the quotient's 2 x 2 minors (see
+  :func:`_closure_determinant`); only larger quotients take a Smith form.
+  A closure with more arcs than crossings has a component that
   never passes under, which lifts off as a split component, so its
   nullity is at least two and its determinant 0 here as well.
   :func:`determinant` still runs the closure's own crossing and loop
@@ -517,13 +521,24 @@ def _closure_determinant(smith: SmithForm, joins) -> int:
     In the common shape, no torsion and nullity two, the quotient is Z^2
     modulo the rows of the 2 x 2 join matrix: free rank one exactly when
     that matrix has rank one, and then its torsion order is the gcd of
-    the entries.  Other shapes take the quotient's Smith form."""
+    the entries.  With one torsion factor f and nullity two, it is Z^3
+    modulo the rows (f, 0, 0), (a, b, c) and (x, y, z): free rank zero
+    when their determinant f * (b*z - c*y) is not 0, else free rank one
+    exactly when some 2 x 2 minor is not 0, and then its torsion order is
+    the gcd of the 2 x 2 minors.  Other shapes take the quotient's Smith
+    form."""
     v, rank = smith.v, smith.rank
     cols = [j for j, col in enumerate(v) if col is not None]
     joined = [[v[j].get(p, 0) - v[j].get(q, 0) for j in cols] for p, q in joins]
     if cols == [rank, rank + 1]:
         (a, b), (c, d) = joined
         return 0 if a * d != b * c else gcd(a, b, c, d)
+    if len(cols) == 3 and cols[1:] == [rank, rank + 1]:
+        f = smith.factors[cols[0]]
+        (a, b, c), (x, y, z) = joined
+        if f * (b * z - c * y):
+            return 0
+        return gcd(f * b, f * c, f * y, f * z, a * y - b * x, a * z - c * x)
     relations = [{i: smith.factors[j]} for i, j in enumerate(cols) if j < rank]
     relations += [{i: x for i, x in enumerate(row) if x} for row in joined]
     quotient = smith_normal_form(relations, len(cols), ())

@@ -49,6 +49,13 @@ def sparse(a: list[list[int]]) -> list[dict[int, int]]:
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 def random_fraction(rng: random.Random, max_abs=13, max_den=13) -> Fraction:
     import math
 

@@ -13,11 +13,16 @@ from tanglekit.diagram import (
     TangleDiagram,
     UnionFind,
     _ends,
+    horizontal_twists,
+    infinity_tangle,
     renumber,
     strands,
+    tangle_product,
     tangle_sum,
+    vertical_twists,
+    zero_tangle,
 )
-from tanglekit.fraction import frac_add
+from tanglekit.fraction import continued_fraction, frac_add
 from tanglekit.laurent import LaurentPoly
 from tanglekit.quandle import NotInvariant, coloring_fraction, dihedral_relation_matrix
 from tanglekit.snf import SmithForm, smith_normal_form
@@ -168,6 +173,46 @@ def two_pass_glue(parts, joins, outer=None):
         return renumber(LinkDiagram(crossings, loops))
     boundary = tuple(edges.find(ends[i][a]) for i, a in outer)
     return renumber(TangleDiagram(crossings, boundary, loops))
+
+
+def block_by_block_rational(f) -> TangleDiagram:
+    """``diagram.from_rational`` one block at a time: each twist block is
+    summed or stacked onto a copy of the tangle built so far (quadratic
+    in the number of blocks), and the result is renumbered."""
+    if f.is_infinite:
+        return infinity_tangle()
+    entries = continued_fraction(f)
+    m = len(entries)
+    t = None
+    for i, c in enumerate(entries, start=1):
+        horizontal = (m - i) % 2 == 0
+        if c == 0:
+            if t is None:
+                t = zero_tangle() if horizontal else infinity_tangle()
+            continue
+        block = horizontal_twists(c) if horizontal else vertical_twists(c)
+        if t is None:
+            t = block
+        elif horizontal:
+            t = tangle_sum(t, block)
+        else:
+            t = tangle_product(t, block)
+    return renumber(t)
+
+
+def ends_by_edge(d) -> list[int]:
+    """``diagram._ends`` from each edge's list of ends, for diagrams
+    whose every edge has two."""
+    at = [e for c in d.crossings for e in c]
+    if isinstance(d, TangleDiagram):
+        at += d.boundary
+    held: dict[int, list[int]] = {}
+    for y, e in enumerate(at):
+        held.setdefault(e, []).append(y)
+    mate = [0] * len(at)
+    for x, y in held.values():
+        mate[x], mate[y] = y, x
+    return mate
 
 
 def traced_faces(mate: list[int], k4: int) -> list[list[int]]:
@@ -373,6 +418,24 @@ def check_smith_form(a: list[list[int]], sf: SmithForm):
         spanned = dense_smith_normal_form(kept)
         assert spanned.rank == len(kept) and set(spanned.factors) == {1}, a
     assert len(sf.kernel_basis()) == sf.cols - sf.rank, a
+
+
+def quotient_determinant(smith: SmithForm, joins) -> int:
+    """``quandle._closure_determinant`` in every shape, by the dense Smith
+    form of the quotient: a relation d_j e_j per torsion factor, and the
+    joined rows of the kept columns of v."""
+    v, rank = smith.v, smith.rank
+    cols = [j for j, col in enumerate(v) if col is not None]
+    relations = [[smith.factors[j] if i == t else 0 for i in range(len(cols))]
+                 for t, j in enumerate(cols) if j < rank]
+    relations += [[v[j].get(p, 0) - v[j].get(q, 0) for j in cols] for p, q in joins]
+    quotient = dense_smith_normal_form(relations)
+    if len(cols) - quotient.rank != 1:
+        return 0
+    det = 1
+    for d in quotient.factors:
+        det *= d
+    return det
 
 
 def bareiss_determinant(a: list[list[int]]) -> int:

@@ -9,6 +9,8 @@ import pytest
 
 from tanglekit.cli import main
 
+from conftest import fibonacci
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 SUM_3000 = " + ".join(["1/3"] * 3000)
 NESTED_3000 = "(" * 3000 + "1/3" + ")" * 3000
@@ -240,6 +242,7 @@ class TestDiagramCommands:
 
 
 F83 = "[61305790721611591/99194853094755497]"
+F8000 = f"{fibonacci(8000)}/{fibonacci(8001)}"
 TOO_MANY_CROSSINGS = ("error: rational tangle 99999999999999999999/7 needs "
                       "14285714285714285721 crossings, over the limit of 100000\n")
 
@@ -256,12 +259,18 @@ class TestNoHang:
                      (2, "", TOO_MANY_CROSSINGS), id="fraction-invariant-huge-rational"),
         pytest.param(["det", "99999999999999999999/7"],
                      (2, "", TOO_MANY_CROSSINGS), id="det-huge-rational"),
+        pytest.param(["fraction-invariant", F8000], (0, F8000 + "\n", ""),
+                     id="fraction-invariant-fibonacci-8000"),
+        pytest.param(["det", F8000], (0, f"{fibonacci(8000)}\n", ""),
+                     id="det-fibonacci-8000"),
     ])
     def test_exits_within_five_seconds(self, argv, expected):
         """The sum of two 82-crossing rationals has one torsion factor,
         the 83rd Fibonacci number, a prime of 17 digits that trial division
         would take hours to find; the fraction needs no prime.  The huge
-        rational would need about 1.4 * 10^19 crossings."""
+        rational would need about 1.4 * 10^19 crossings.  F_8000/F_8001,
+        8,000 twist blocks of one crossing, took 41 s to realize when each
+        block copied the tangle built so far."""
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-m", "tanglekit.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=5)

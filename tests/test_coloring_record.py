@@ -8,7 +8,12 @@ from math import gcd
 
 import pytest
 
+from tanglekit import diagram
 from tanglekit.diagram import (
+    _NE,
+    _NW,
+    _SE,
+    _SW,
     DiagramError,
     TangleDiagram,
     _ends,
@@ -29,6 +34,7 @@ from tanglekit.expr import parse_expr
 from tanglekit.fraction import continued_fraction_value, frac_normalize
 from tanglekit.quandle import (
     MonochromaticReport,
+    _closure_determinant,
     _paint,
     _propagate,
     color_solve_dihedral,
@@ -38,10 +44,10 @@ from tanglekit.quandle import (
     dihedral_relation_matrix,
     monochromatic_report,
 )
-from tanglekit.snf import smith_normal_form
+from tanglekit.snf import SmithForm, smith_normal_form
 
-from conftest import dense, montesinos_sum, random_tangle_diagram
-from oracles import bareiss_determinant
+from conftest import dense, fibonacci, montesinos_sum, random_tangle_diagram
+from oracles import bareiss_determinant, quotient_determinant
 
 
 def fresh(t: TangleDiagram) -> TangleDiagram:
@@ -233,13 +239,6 @@ def test_record_on_products_that_need_quarter_turns():
             assert_record_matches(u, bareiss=seen % 3 == 0)
 
 
-def fibonacci(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
 @pytest.mark.parametrize("n", [10, 60, 88, 89, 90, 120, 200, 320])
 def test_record_on_fibonacci_tangles(n):
     """F_n/F_(n+1) has the twist vector 1, 1, ..., 1, so its colors grow
@@ -299,3 +298,109 @@ def test_record_of_a_long_sum_takes_the_whole_matrix():
     for u in variants(t):
         assert_record_matches(u, bareiss=False)
     assert coloring_record(t).fraction == frac_normalize(10 * (35 - 42 + 45), 105)
+
+
+def test_coloring_op_builds_the_ends_once(monkeypatch):
+    """The coloring benchmark's op (validate, report, fraction and both
+    closure determinants) builds the tangle's ends in validate, and the
+    record's propagation reads them from the tangle."""
+    builds, calls = [], []
+    build = diagram._ends
+
+    def counted(d):
+        calls.append(d)
+        if isinstance(d, TangleDiagram) and d._mate is None:
+            builds.append(d)
+        return build(d)
+
+    monkeypatch.setattr(diagram, "_ends", counted)
+    monkeypatch.setattr(quandle, "_ends", counted)
+    rng = random.Random(1801)
+    tangles = (benchmark_shaped_sum(rng) for _ in range(40))
+    valid = [t for t in tangles if validate(fresh(t)) is None]
+    assert len(valid) >= 15
+    for t in valid:
+        del builds[:], calls[:]
+        assert validate(t) is None
+        monochromatic_report(t).polychromatic_somewhere()
+        coloring_fraction(t)
+        determinant(close_numerator(t)), determinant(close_denominator(t))
+        assert [d is t for d in builds] == [True] and [d is t for d in calls] == [True, True]
+
+
+NUMERATOR, DENOMINATOR = ((_NW, _NE), (_SW, _SE)), ((_NW, _SW), (_NE, _SE))
+
+
+def record_smith(t: TangleDiagram) -> SmithForm:
+    """The Smith form the record takes, of the leftover relations or of
+    the whole relation matrix, with v kept on the boundary ends."""
+    found = _propagate(t)
+    if found is None:
+        rows, arc_of, ncols = dihedral_relation_matrix(t)
+        found = rows, [{arc_of[e]: 1} for e in t.boundary], ncols
+    leftovers, ends, seeds = found
+    return smith_normal_form(leftovers, seeds, lift=ends)
+
+
+def closure_shape(smith: SmithForm) -> str:
+    rank = smith.rank
+    cols = [j for j, col in enumerate(smith.v) if col is not None]
+    if cols == [rank, rank + 1]:
+        return "free"
+    if len(cols) == 3 and cols[1:] == [rank, rank + 1]:
+        return "torsion"
+    return "other"
+
+
+def test_closure_determinants_in_closed_form_match_the_quotient(catalog_entries):
+    """Both closed forms, no torsion and two free columns, and one torsion
+    factor and two free columns, against the dense Smith form of the
+    quotient, on 1,500 coloring-benchmark-shaped sums and the catalog."""
+    rng = random.Random(1802)
+    tangles = [benchmark_shaped_sum(rng) for _ in range(1500)]
+    tangles += [e.diagram for e in catalog_entries]
+    shapes = {"free": 0, "torsion": 0, "other": 0}
+    for t in tangles:
+        smith = record_smith(t)
+        shapes[closure_shape(smith)] += 1
+        for joins in (NUMERATOR, DENOMINATOR):
+            assert _closure_determinant(smith, joins) == quotient_determinant(smith, joins), t
+    assert shapes["torsion"] >= 300 and shapes["free"] >= 300, shapes
+
+
+def hand_made(f: int, columns: list[dict[int, int]]) -> SmithForm:
+    """A Smith form of rank 2 with a unit factor and the factor f, and
+    the columns of v for f and two free columns, on the boundary rows."""
+    return SmithForm([1, f], 2, [None, *columns], 4, frozenset(range(4)))
+
+
+@pytest.mark.parametrize("f, columns, det", [
+    # joined rows (1, 1, 0) and (0, 0, 1): full rank, the quotient is finite
+    (3, [{_NW: 1}, {_NW: 1}, {_SW: 1}], 0),
+    # joined rows (1, 0, 0) and 0: every 2 x 2 minor is 0, free rank two
+    (3, [{_NW: 1}, {}, {}], 0),
+    # joined rows (1, 1, 0) and (0, 1, 0): Z^3 / <3 e_0, e_0 + e_1, e_1> = Z
+    (3, [{_NW: 1}, {_NW: 1, _SW: 1}, {}], 1),
+    # joined rows (0, 2, 0) and 0: Z / 3 + Z / 2 + Z
+    (3, [{}, {_NW: 2}, {}], 6),
+    # joined rows (0, 2, 4) and (0, 1, 2): Z / 3 + Z
+    (3, [{}, {_NW: 2, _SW: 1}, {_NW: 4, _SW: 2}], 3),
+])
+def test_torsion_closed_form_branches(f, columns, det):
+    smith = hand_made(f, columns)
+    assert closure_shape(smith) == "torsion"
+    assert _closure_determinant(smith, NUMERATOR) == quotient_determinant(smith, NUMERATOR) == det
+
+
+def test_torsion_closed_form_on_random_columns():
+    rng = random.Random(1803)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        columns = [{p: rng.randint(-3, 3) for p in range(4) if rng.random() < 0.5}
+                   for _ in range(3)]
+        smith = hand_made(rng.choice([2, 3, 4, 6, 9]), columns)
+        for joins in (NUMERATOR, DENOMINATOR):
+            det = _closure_determinant(smith, joins)
+            assert det == quotient_determinant(smith, joins), columns
+            seen[det == 0] += 1
+    assert min(seen.values()) >= 500, seen

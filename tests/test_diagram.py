@@ -40,8 +40,8 @@ from tanglekit.expr import parse_expr
 from tanglekit.fraction import Fraction, continued_fraction, frac_normalize
 from tanglekit.quandle import coloring_record, determinant
 
-from conftest import add_kink, montesinos_sum, random_fraction, random_tangle_diagram
-from oracles import two_pass_glue, union_find_validate
+from conftest import add_kink, fibonacci, montesinos_sum, random_fraction, random_tangle_diagram
+from oracles import block_by_block_rational, ends_by_edge, two_pass_glue, union_find_validate
 
 
 def F(p, q=1):
@@ -484,6 +484,91 @@ class TestWalkRecord:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def ends_corpus(catalog_entries) -> list[TangleDiagram]:
+    """Catalog tangles and seeded sums and products, plain, mirrored and
+    rotated, none of them with its ends built yet."""
+    rng = random.Random(1801)
+    tangles = [e.diagram for e in catalog_entries]
+    tangles += [random_tangle_diagram(rng) for _ in range(100)]
+    tangles += [montesinos_sum(rng) for _ in range(50)]
+    return [u for t in tangles
+            for u in (TangleDiagram(t.crossings, t.boundary, t.loops), mirror(t), rotate(t))]
+
+
+class TestEndsRecord:
+    def test_cached_ends_equal_a_fresh_build(self, catalog_entries):
+        """validate builds the ends once; the record's propagation and the
+        walk read the same list."""
+        for t in ends_corpus(catalog_entries):
+            assert t._mate is None
+            assert validate(t) is None
+            mate = t._mate
+            assert mate == ends_by_edge(t)
+            assert _ends(t) is mate and walk(t).mate is mate
+            coloring_record(t)
+            assert t._mate is mate
+
+    def test_invalid_tangle_reports_as_a_fresh_copy(self, catalog_entries):
+        """A tangle with a dangling port keeps no ends and gives the same
+        diagnostic on every validate; one that fails a later check keeps
+        its ends, and reports on its second validate as a fresh copy does
+        on its first."""
+        rng = random.Random(1802)
+        seen = Counter()
+        tangles = ends_corpus(catalog_entries)[::3]
+        tangles.append(TangleDiagram(((0, 1, 2, 3),), (0, 1, 2, 4)))
+        for t in tangles:
+            for m in [t, *mutants(t, rng)]:
+                if not isinstance(m, TangleDiagram):
+                    continue
+                first = validate(m)
+                dangling = first is not None and first.startswith("dangling port")
+                if dangling:
+                    assert m._mate is None
+                    with pytest.raises(DiagramError, match="^dangling port"):
+                        _ends(m)
+                    assert m._mate is None
+                else:
+                    assert m._mate == ends_by_edge(m)
+                copy = TangleDiagram(m.crossings, m.boundary, m.loops)
+                assert validate(m) == first == validate(copy)
+                seen["dangling" if dangling else "valid" if first is None else "other"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_cached_ends_are_not_part_of_the_value(self):
+        t, twin = from_rational(F(5, 3)), from_rational(F(5, 3))
+        before = (repr(t), hash(t))
+        assert validate(t) is None and t._mate is not None and twin._mate is None
+        assert t == twin and (repr(t), hash(t)) == before == (repr(twin), hash(twin))
+        assert "_mate" not in repr(t)
+        for name, value in (("_mate", None), ("boundary", (0, 1, 2, 3))):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(t, name, value)
+        with pytest.raises(AttributeError):
+            del t._mate
+
+
+class TestRationalRealization:
+    def test_one_pass_equals_block_by_block(self):
+        """One gluing of all twist blocks gives the tangle that gluing them
+        one at a time gave, crossing order and edge ids included: seeded
+        fractions, F_n/F_(n+1) up to n = 200 and their negatives, and the
+        fractions whose twist vectors hold 0 (0 itself, and every proper
+        fraction, whose last entry is 0)."""
+        rng = random.Random(1803)
+        fractions = [random_fraction(rng, 400, 300) for _ in range(400)]
+        fractions += [F(fibonacci(n), fibonacci(n + 1)) for n in range(201)]
+        fractions += [F(-fibonacci(n), fibonacci(n + 1)) for n in range(1, 201, 7)]
+        fractions += [F(0), F(1, 0), F(7), F(-7), F(-1, 3), F(2, 5), F(-11, 4)]
+        entries = Counter()
+        for f in fractions:
+            assert from_rational(f) == block_by_block_rational(f), f
+            if not f.is_infinite:
+                entries.update("zero" if c == 0 else "negative" if c < 0 else "positive"
+                               for c in continued_fraction(f))
+        assert min(entries.values()) >= 100, entries
 
 
 class TestFileFormat:
