@@ -42,7 +42,9 @@ an orientation is the set of ports at which a strand enters its crossing.
 
 A diagram walks its ends once.  A tangle keeps the mate of each end in
 its ``_mate`` slot, outside its value key, so that ``validate``, the
-coloring record's propagation and :func:`walk` share one build.  On a
+coloring record's propagation, the closures (which rebuild only the
+crossings at the far ends of the fused boundary edges) and :func:`walk`
+share one build.  On a
 link, the first of :func:`component_count`, :func:`orient`,
 :func:`component_subdiagrams` and the bracket's schedule to need them
 builds a :class:`Walk` (the mate of each end, the strands and the
@@ -51,6 +53,15 @@ outside its value key, as ``_determinant`` is.  The record is plain
 data: an :class:`OrientedDiagram` refers back to its diagram, so one is
 built from the record on each call instead, and no link is kept alive
 by a reference cycle that only the cyclic garbage collector could free.
+
+Validation counts V - E + F on the pieces of the diagram, its faces the
+orbits of :func:`_turns`.  A tangle's two open strands are walked first,
+and the crossings the first one passes are marked.  When the strands
+cover every end, they are the pieces: one when the second meets a marked
+crossing, else two.  Then one Euler count over the whole diagram is
+exact, since no connected piece has Euler characteristic above 2.  Only
+links and tangles with ends on closed components label the pieces with
+a search over the ends and count each one.
 
 File format (one diagram per file): a header line ``tangle`` or ``link``;
 one line ``X i j k l`` per crossing listing edge ids counterclockwise
@@ -298,10 +309,14 @@ def _close(t: TangleDiagram, pairs, det: int | None) -> LinkDiagram:
 
     The link keeps t's crossing order, slot order and edge ids.  Each
     fused edge takes the smallest id of its class, so only the crossings
-    holding a renamed id (at most four) are rebuilt, and every other
-    crossing tuple is t's own.  A pair already fused closes an arc into
-    a crossing-free loop.  ``det`` is the link's determinant when known;
-    the link keeps no reference to t."""
+    holding a renamed id are rebuilt: the crossing of the port at the
+    other end of each renamed boundary edge, read off t's ends (at most
+    four).  Every other crossing tuple is t's own.  A pair already fused
+    closes an arc into a crossing-free loop.  ``det`` is the link's
+    determinant when known; the link keeps no reference to t.  A tangle
+    with a dangling port raises :class:`DiagramError`, as
+    :func:`validate` reports it."""
+    mate = _ends(t)
     b = t.boundary
     edges = UnionFind()
     loops = t.loops
@@ -310,10 +325,13 @@ def _close(t: TangleDiagram, pairs, det: int | None) -> LinkDiagram:
             loops += 1
     crossings = t.crossings
     if edges.parent:
+        k4 = 4 * len(crossings)
         root = {e: edges.find(e) for e in edges.parent}
-        renamed = root.keys()
-        crossings = tuple(c if renamed.isdisjoint(c) else tuple(root.get(e, e) for e in c)
-                          for c in crossings)
+        crossings = list(crossings)
+        for i, e in enumerate(b):
+            if e in root and (y := mate[k4 + i]) < k4:
+                crossings[y >> 2] = tuple(root.get(x, x) for x in crossings[y >> 2])
+        crossings = tuple(crossings)
     link = LinkDiagram(crossings, loops)
     if det is not None:
         setfield(link, "_determinant", det)
@@ -391,15 +409,6 @@ def strands(d: Diagram, mate: list[int] | None = None) -> list[list[int]]:
         if strand:
             result.append(strand)
     return result
-
-
-def open_strand_endpoints(d: TangleDiagram) -> list[tuple[str, str]]:
-    """The endpoint pairing of the two open strands, labels sorted."""
-    mate = _ends(d)
-    k4 = 4 * len(d.crossings)
-    return sorted(tuple(sorted((BOUNDARY_LABELS[s[0] - k4],
-                                BOUNDARY_LABELS[mate[s[-1]] - k4])))
-                  for s in strands(d, mate) if s[0] >= k4)
 
 
 class Walk:
@@ -542,20 +551,37 @@ def _turns(mate: list[int], k4: int) -> list[int]:
     return list(map(ccw.__getitem__, mate))
 
 
-def _faces(mate: list[int], k4: int) -> list[list[int]]:
-    """Orbits of :func:`_turns`, each the list of ends it leaves from."""
-    turn = _turns(mate, k4)
-    seen = [False] * len(mate)
-    faces = []
-    for y in range(len(mate)):
-        face = []
-        while not seen[y]:
-            seen[y] = True
-            face.append(y)
-            y = turn[y]
-        if face:
-            faces.append(face)
-    return faces
+def _euler_fails(mate: list[int], k4: int, faces: list[int]) -> bool:
+    """Whether some connected piece has a doubled Euler count other than
+    4 (see :func:`validate`), with the pieces labelled in one search over
+    the ends, all four ports of a crossing at once, and each face counted
+    in the piece of its first end."""
+    n = len(mate)
+    piece = [-1] * n
+    euler = []
+    for start in range(n):
+        if piece[start] >= 0:
+            continue
+        p = len(euler)
+        term = 0
+        todo = [start]
+        while todo:
+            y = todo.pop()
+            if piece[y] >= 0:
+                continue
+            if y < k4:
+                y &= ~3
+                piece[y] = piece[y + 1] = piece[y + 2] = piece[y + 3] = p
+                todo += mate[y:y + 4]
+                term -= 2
+            else:
+                piece[y] = p
+                todo.append(mate[y])
+                term += 1
+        euler.append(term)
+    for y in faces:
+        euler[piece[y]] += 2
+    return any(t != 4 for t in euler)
 
 
 def validate(d: Diagram) -> str | None:
@@ -580,64 +606,63 @@ def validate(d: Diagram) -> str | None:
         return "closed component in tangle"
 
     # planarity: V - E + F = 2 on every connected piece, whose vertices
-    # are the crossings and the boundary ends.  One search over mate
-    # labels each end with its piece, all four ports of a crossing at
-    # once.  Counted doubled, a crossing (four half edges) takes -2, a
-    # boundary end +1 and a face, in the piece of its first end, +2.
+    # are the crossings and the boundary ends.  Counted doubled, a
+    # crossing (four half edges) takes -2, a boundary end +1 and a face +2,
+    # so each piece must sum to 4.  No piece sums to more (a connected
+    # graph has Euler characteristic at most 2), so when the pieces are
+    # known without labelling them, the sum over the whole diagram is
+    # enough.  Faces are the orbits of the turns, each counted at its
+    # first end.
     k4 = 4 * len(d.crossings)
     n = len(mate)
-    piece = [-1] * n
-    euler = []
-    for start in range(n):
-        if piece[start] >= 0:
-            continue
-        p = len(euler)
-        term = 0
-        todo = [start]
-        while todo:
-            y = todo.pop()
-            if piece[y] >= 0:
-                continue
-            if y < k4:
-                y &= ~3
-                piece[y] = piece[y + 1] = piece[y + 2] = piece[y + 3] = p
-                todo += mate[y:y + 4]
-                term -= 2
-            else:
-                piece[y] = p
-                todo.append(mate[y])
-                term += 1
-        euler.append(term)
     turn = _turns(mate, k4)
     seen = [False] * n
+    faces = []
     for y in range(n):
         if not seen[y]:
-            euler[piece[y]] += 2
+            faces.append(y)
             while not seen[y]:
                 seen[y] = True
                 y = turn[y]
-    if any(t != 4 for t in euler):
-        return "planarity: Euler count fails"
 
+    pieces = 0
     if isinstance(d, TangleDiagram):
         # walk the two open strands, from NW and from the next boundary
-        # end that NW's strand does not reach; the ends they leave short
-        # of all ends lie on closed components
+        # end that NW's strand does not reach, marking the crossings the
+        # first one passes; the ends they leave short of all ends lie on
+        # closed components
         covered = 0
         far = []
+        passed = bytearray(len(d.crossings))
         for y in (k4, k4 + 1):
             if far and far[0] == y:
                 y = k4 + 2
+            met = 0
             while True:
                 z = mate[y]
                 covered += 2
                 if z >= k4:
                     break
                 y = z ^ 2
+                if far:
+                    met |= passed[y >> 2]
+                else:
+                    passed[y >> 2] = 1
             far.append(z)
-        if covered < n:
+        if covered == n:
+            # every edge lies on an open strand, so the strands are the
+            # pieces: one if they meet at a crossing, else two
+            pieces = 2 - met
+    if pieces:
+        if 2 * len(faces) + 4 - k4 // 2 != 4 * pieces:
+            return "planarity: Euler count fails"
+    elif _euler_fails(mate, k4, faces):
+        return "planarity: Euler count fails"
+
+    if isinstance(d, TangleDiagram):
+        if not pieces:
             return "closed component in tangle"
-        if piece[k4] == piece[k4 + 1] == piece[k4 + 2] == piece[k4 + 3]:
+        if pieces == 1:
             # the face through NW is the only one that can hold all four
             pos, y = [_CIRCLE_POS[_NW]], turn[k4]
             while y != k4:

@@ -50,10 +50,13 @@ tangle's fraction (:class:`ColoringRecord`):
   to the identity on that block beside L, the leftover relations over
   the seeds: M's invariant factors above 1, its nullity and its
   cokernel are L's, and the class of e_p below is that of arc p's
-  color, a row over the seeds, modulo L's rows.  So only L, mostly 1-4
-  rows over 3-6 seeds on sums of 2-5 rationals, takes a Smith form, and
-  its column operations act on the colors of the four boundary ends in
-  place of v's boundary rows.
+  color, a row over the seeds, modulo L's rows.  So only L takes a Smith
+  form, and its column operations act on the colors of the four boundary
+  ends in place of v's boundary rows.  On the sums of 2-5 rationals
+  measured, L was 1-6 rows over 3-8 seeds, two rows fewer than seeds,
+  dense, with entries up to about 10^6 and seldom a unit, so it takes
+  :func:`tanglekit.snf.dense_smith_form`, extended-gcd steps on plain
+  lists; only the whole matrix M goes to the sparse core.
 * Width.  A color is packed into one integer, a signed coefficient in a
   field of ``width`` bits per seed, so painting is one integer
   expression.  A painted color is 2*over - side of earlier ones, so
@@ -115,7 +118,7 @@ from .diagram import (
     _ends,
 )
 from .fraction import Fraction, frac_normalize
-from .snf import SmithForm, integer_determinant, smith_normal_form
+from .snf import SmithForm, dense_smith_form, integer_determinant, smith_normal_form
 from .value import Value, setfield
 
 
@@ -371,25 +374,31 @@ class ColoringRecord:
     __slots__ = ("report", "fraction", "det_numerator", "det_denominator")
 
     def __init__(self, t: TangleDiagram):
-        found = _propagate(t)
-        if found is None:
-            # every arc a seed: the leftovers are the whole relation matrix
-            rows, arc_of, ncols = dihedral_relation_matrix(t)
-            found = rows, [{arc_of[e]: 1} for e in t.boundary], ncols
-        leftovers, ends, seeds = found
-        # the transform kept on the boundary ends NW, NE, SW, SE, rows 0-3
-        smith = smith_normal_form(leftovers, seeds, lift=ends)
+        smith = _boundary_smith(t)
         self.report = MonochromaticReport(smith)
         self.fraction = _fraction(smith, range(4))
         self.det_numerator = _closure_determinant(smith, ((_NW, _NE), (_SW, _SE)))
         self.det_denominator = _closure_determinant(smith, ((_NW, _SW), (_NE, _SE)))
 
 
-def _propagate(t: TangleDiagram) -> tuple[list[dict[int, int]], list[dict[int, int]], int] | None:
+def _boundary_smith(t: TangleDiagram) -> SmithForm:
+    """The Smith form of t's relation matrix with v kept on the boundary
+    ends NW, NE, SW, SE, rows 0-3: the dense form of the leftover
+    relations over the seeds, or past the limits of propagation the
+    sparse form of the whole matrix, every arc a seed."""
+    found = _propagate(t)
+    if found is None:
+        rows, arc_of, ncols = dihedral_relation_matrix(t)
+        return smith_normal_form(rows, ncols, lift=[{arc_of[e]: 1} for e in t.boundary])
+    leftovers, ends, seeds = found
+    return dense_smith_form(leftovers, seeds, ends)
+
+
+def _propagate(t: TangleDiagram) -> tuple[list[list[int]], list[list[int]], int] | None:
     """Color t's arcs by propagation (see the module docstring): the
     leftover relations and the colors of the ends NW, NE, SW, SE, as
-    sparse ``{seed: coefficient}`` rows, and the number of seeds.  None
-    past ``_MAX_SEEDS`` seeds, or past ``_PACKED_BITS`` (see there)."""
+    dense rows of coefficients over the seeds, and the number of seeds.
+    None past ``_MAX_SEEDS`` seeds, or past ``_PACKED_BITS`` (see there)."""
     mate = _ends(t)
     width = 64
     while (found := _paint(mate, width)) is None:
@@ -493,22 +502,20 @@ def _paint(mate: list[int], width: int):
                 color[y ^ 2] = c
                 extend(y ^ 2, c)
         extend(y, c)
-    rows = [_unpack(r, width) for r in leftovers]
-    return rows, [_unpack(color[y], width) for y in range(k4, k4 + 4)], seeds
+    rows = [_unpack(r, width, seeds) for r in leftovers]
+    return rows, [_unpack(color[y], width, seeds) for y in range(k4, k4 + 4)], seeds
 
 
-def _unpack(x: int, width: int) -> dict[int, int]:
-    """The signed coefficients of a packed color, each of magnitude below
-    2^(width - 1), as a sparse ``{seed: coefficient}`` row."""
+def _unpack(x: int, width: int, seeds: int) -> list[int]:
+    """The signed coefficients of a packed color over ``seeds`` seeds,
+    each of magnitude below 2^(width - 1)."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
-    out = {}
+    out = [0] * seeds
     j = 0
     while x:
-        if c := ((x + half) & mask) - half:
-            out[j] = c
-            x -= c
-        x >>= width
+        out[j] = c = ((x + half) & mask) - half
+        x = (x - c) >> width
         j += 1
     return out
 

@@ -8,6 +8,7 @@ from math import comb
 from tanglekit.diagram import (
     _CIRCLE_POS,
     _SE,
+    BOUNDARY_LABELS,
     DiagramError,
     LinkDiagram,
     TangleDiagram,
@@ -232,6 +233,15 @@ def traced_faces(mate: list[int], k4: int) -> list[list[int]]:
         if face:
             faces.append(face)
     return faces
+
+
+def open_strand_endpoints(d: TangleDiagram) -> list[tuple[str, str]]:
+    """The endpoint pairing of the two open strands, labels sorted."""
+    mate = _ends(d)
+    k4 = 4 * len(d.crossings)
+    return sorted(tuple(sorted((BOUNDARY_LABELS[s[0] - k4],
+                                BOUNDARY_LABELS[mate[s[-1]] - k4])))
+                  for s in strands(d, mate) if s[0] >= k4)
 
 
 def union_find_validate(d) -> str | None:

@@ -203,6 +203,11 @@ class TestDiagramCommands:
         (["det"], "tangle\nX 0 1 2 3\nB NW=0 NE=1 SW=2 SE\n",
          "error: expected integers: 'B NW=0 NE=1 SW=2 SE'\n"),
         (["jones"], "link\nX 0 1 1 0\nO 1.5\n", "error: expected integers: 'O 1.5'\n"),
+        # the commands that close a tangle read its file validated
+        (["det"], "tangle\nX 0 1 2 3\nX 3 2 4 5\nB NW=0 NE=1 SW=4 SE=9\n", "dangling port"),
+        (["jones"], "tangle\nX 0 1 2 3\nX 3 2 4 5\nB NW=0 NE=1 SW=4 SE=9\n", "dangling port"),
+        (["linking"], "tangle\nX 0 1 2 3\nX 3 2 4 5\nB NW=0 NE=1 SW=4 SE=9\n",
+         "dangling port"),
     ])
     def test_invalid_diagram_file_exit_2(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "bad.diagram"

@@ -34,7 +34,9 @@ from tanglekit.expr import parse_expr
 from tanglekit.fraction import continued_fraction_value, frac_normalize
 from tanglekit.quandle import (
     MonochromaticReport,
+    _boundary_smith,
     _closure_determinant,
+    _fraction,
     _paint,
     _propagate,
     color_solve_dihedral,
@@ -44,9 +46,9 @@ from tanglekit.quandle import (
     dihedral_relation_matrix,
     monochromatic_report,
 )
-from tanglekit.snf import SmithForm, smith_normal_form
+from tanglekit.snf import SmithForm, dense_smith_form, smith_normal_form
 
-from conftest import dense, fibonacci, montesinos_sum, random_tangle_diagram
+from conftest import dense, fibonacci, montesinos_sum, random_tangle_diagram, sparse
 from oracles import bareiss_determinant, quotient_determinant
 
 
@@ -189,7 +191,9 @@ def test_record_is_not_part_of_the_value():
 
 def benchmark_shaped_sum(rng: random.Random) -> TangleDiagram:
     """A sum of 2-5 rationals p/q with 2 <= q <= 40 and |p| <= 40, of 20
-    to 50 crossings."""
+    to 50 crossings, that passes ``validate``, as every input of the
+    coloring benchmark does; returned record-free and with no ends
+    built."""
     while True:
         terms = []
         for _ in range(rng.randint(2, 5)):
@@ -197,8 +201,8 @@ def benchmark_shaped_sum(rng: random.Random) -> TangleDiagram:
             p = rng.choice([p for p in range(-40, 41) if gcd(p, q) == 1])
             terms.append(from_rational(frac_normalize(p, q)))
         t = tangle_sum(*terms)
-        if 20 <= t.crossing_count <= 50:
-            return t
+        if 20 <= t.crossing_count <= 50 and validate(t) is None:
+            return fresh(t)
 
 
 def test_record_on_benchmark_shaped_sums():
@@ -303,7 +307,9 @@ def test_record_of_a_long_sum_takes_the_whole_matrix():
 def test_coloring_op_builds_the_ends_once(monkeypatch):
     """The coloring benchmark's op (validate, report, fraction and both
     closure determinants) builds the tangle's ends in validate, and the
-    record's propagation reads them from the tangle."""
+    record's propagation and both closures read them from the tangle."""
+    rng = random.Random(1801)
+    tangles = [benchmark_shaped_sum(rng) for _ in range(40)]
     builds, calls = [], []
     build = diagram._ends
 
@@ -315,31 +321,16 @@ def test_coloring_op_builds_the_ends_once(monkeypatch):
 
     monkeypatch.setattr(diagram, "_ends", counted)
     monkeypatch.setattr(quandle, "_ends", counted)
-    rng = random.Random(1801)
-    tangles = (benchmark_shaped_sum(rng) for _ in range(40))
-    valid = [t for t in tangles if validate(fresh(t)) is None]
-    assert len(valid) >= 15
-    for t in valid:
+    for t in tangles:
         del builds[:], calls[:]
         assert validate(t) is None
         monochromatic_report(t).polychromatic_somewhere()
         coloring_fraction(t)
         determinant(close_numerator(t)), determinant(close_denominator(t))
-        assert [d is t for d in builds] == [True] and [d is t for d in calls] == [True, True]
+        assert [d is t for d in builds] == [True] and [d is t for d in calls] == [True] * 4
 
 
 NUMERATOR, DENOMINATOR = ((_NW, _NE), (_SW, _SE)), ((_NW, _SW), (_NE, _SE))
-
-
-def record_smith(t: TangleDiagram) -> SmithForm:
-    """The Smith form the record takes, of the leftover relations or of
-    the whole relation matrix, with v kept on the boundary ends."""
-    found = _propagate(t)
-    if found is None:
-        rows, arc_of, ncols = dihedral_relation_matrix(t)
-        found = rows, [{arc_of[e]: 1} for e in t.boundary], ncols
-    leftovers, ends, seeds = found
-    return smith_normal_form(leftovers, seeds, lift=ends)
 
 
 def closure_shape(smith: SmithForm) -> str:
@@ -352,6 +343,29 @@ def closure_shape(smith: SmithForm) -> str:
     return "other"
 
 
+def record_answers(smith: SmithForm):
+    """What the record reads of its Smith form."""
+    return (smith.factors, smith.rank, report_fields(MonochromaticReport(smith)),
+            _fraction(smith, range(4)), _closure_determinant(smith, NUMERATOR),
+            _closure_determinant(smith, DENOMINATOR))
+
+
+def test_dense_form_matches_the_sparse_form_on_records(catalog_entries):
+    """The dense Smith form of the propagated leftovers against the sparse
+    form of the same rows: the same factors and rank, report, fraction
+    and closure determinants, on 1,500 coloring-benchmark-shaped sums,
+    each plain, mirrored and rotated, and on the catalog."""
+    rng = random.Random(1901)
+    tangles = [u for _ in range(1500) for u in variants(benchmark_shaped_sum(rng))]
+    tangles += [e.diagram for e in catalog_entries]
+    for t in tangles:
+        leftovers, ends, seeds = _propagate(t)
+        dense_form = dense_smith_form([row[:] for row in leftovers], seeds,
+                                      [row[:] for row in ends])
+        sparse_form = smith_normal_form(sparse(leftovers), seeds, lift=sparse(ends))
+        assert record_answers(dense_form) == record_answers(sparse_form), t
+
+
 def test_closure_determinants_in_closed_form_match_the_quotient(catalog_entries):
     """Both closed forms, no torsion and two free columns, and one torsion
     factor and two free columns, against the dense Smith form of the
@@ -361,7 +375,7 @@ def test_closure_determinants_in_closed_form_match_the_quotient(catalog_entries)
     tangles += [e.diagram for e in catalog_entries]
     shapes = {"free": 0, "torsion": 0, "other": 0}
     for t in tangles:
-        smith = record_smith(t)
+        smith = _boundary_smith(t)
         shapes[closure_shape(smith)] += 1
         for joins in (NUMERATOR, DENOMINATOR):
             assert _closure_determinant(smith, joins) == quotient_determinant(smith, joins), t

@@ -23,7 +23,6 @@ from tanglekit.diagram import (
     from_rational,
     infinity_tangle,
     mirror,
-    open_strand_endpoints,
     orient,
     parse_diagram,
     print_diagram,
@@ -41,7 +40,13 @@ from tanglekit.fraction import Fraction, continued_fraction, frac_normalize
 from tanglekit.quandle import coloring_record, determinant
 
 from conftest import add_kink, fibonacci, montesinos_sum, random_fraction, random_tangle_diagram
-from oracles import block_by_block_rational, ends_by_edge, two_pass_glue, union_find_validate
+from oracles import (
+    block_by_block_rational,
+    ends_by_edge,
+    open_strand_endpoints,
+    two_pass_glue,
+    union_find_validate,
+)
 
 
 def F(p, q=1):
@@ -208,6 +213,19 @@ class TestClosures:
                     plain = close(TangleDiagram(t.crossings, t.boundary, t.loops))
                     assert plain._determinant is None and plain == link
                     assert link._determinant == getattr(record, field) == determinant(plain), t
+
+    def test_dangling_tangle_raises_the_validate_message(self):
+        """A closure reads the tangle's ends, so a tangle with a dangling
+        port raises DiagramError with validate's message, and keeps no
+        ends."""
+        t = TangleDiagram(((0, 1, 2, 3), (3, 2, 4, 5)), (0, 1, 4, 9))
+        message = validate(t)
+        assert message == "dangling port: edge 5 has 1 incidences"
+        for close in (close_numerator, close_denominator):
+            with pytest.raises(DiagramError) as err:
+                close(t)
+            assert str(err.value) == message
+        assert t._mate is None
 
     def test_component_count_matches_two_bridge(self):
         from tanglekit.fraction import numerator_two_bridge

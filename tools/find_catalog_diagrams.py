@@ -33,7 +33,7 @@ from tanglekit.diagram import (  # noqa: E402
     LinkDiagram,
     TangleDiagram,
     _ends,
-    _faces,
+    _turns,
     all_orientations,
     canonical_form,
     close_numerator,
@@ -199,13 +199,30 @@ def all_cut_tangles(L: LinkDiagram):
             yield from cut_edges(L, e, f)
 
 
+def faces(mate: list[int], k4: int) -> list[list[int]]:
+    """Orbits of the face rule ``diagram._turns``, each the list of ends
+    it leaves from."""
+    turn = _turns(mate, k4)
+    seen = [False] * len(mate)
+    out = []
+    for y in range(len(mate)):
+        face = []
+        while not seen[y]:
+            seen[y] = True
+            face.append(y)
+            y = turn[y]
+        if face:
+            out.append(face)
+    return out
+
+
 def has_kink_or_reducible_bigon(d: TangleDiagram) -> bool:
     mate = _ends(d)
     k4 = 4 * d.crossing_count
     for y in range(k4):
         if mate[y] < k4 and mate[y] >> 2 == y >> 2:
             return True  # kink
-    for face in _faces(mate, k4):
+    for face in faces(mate, k4):
         if len(face) != 2:
             continue
         ends = [face[0], mate[face[0]], face[1], mate[face[1]]]
