@@ -32,15 +32,7 @@ from .diagram import (
     tangle_sum,
     validate,
 )
-from .quandle import (
-    FiniteQuandle,
-    color_search_finite,
-    color_solve_dihedral,
-    coloring_fraction,
-    determinant,
-    monochromatic_report,
-    quandle_check,
-)
+from .quandle import color_solve_dihedral, coloring_fraction, determinant, monochromatic_report
 from .bracket import jones, kauffman_bracket, linking_number, writhe
 from .expr import (
     EmbedVerdict,

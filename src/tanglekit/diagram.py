@@ -74,7 +74,6 @@ for byte.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 from .fraction import Fraction, continued_fraction
@@ -519,7 +518,6 @@ def orient(d: Diagram, choice: tuple[bool, ...] | None = None) -> OrientedDiagra
 
     The default orients every strand along its discovery order, and is
     read from :func:`walk`; an explicit choice is computed on each call.
-    Use :func:`all_orientations` to enumerate the 2^s assignments.
     """
     w = walk(d)
     if choice is None:
@@ -531,11 +529,6 @@ def orient(d: Diagram, choice: tuple[bool, ...] | None = None) -> OrientedDiagra
     heads = [y if back else mate[y] for back, strand in zip(choice, w.strands)
              for y in strand]
     return OrientedDiagram(d, frozenset(h for h in heads if h < k4), w.strand_of)
-
-
-def all_orientations(d: Diagram) -> list[OrientedDiagram]:
-    s = len(walk(d).strands)
-    return [orient(d, bits) for bits in itertools.product((False, True), repeat=s)]
 
 
 # ---------------------------------------------------------------------------

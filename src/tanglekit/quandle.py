@@ -89,10 +89,24 @@ closure determinants too:
   determinant of a closure of k crossings is their gcd, the product of
   the first k - 1 invariant factors: the order of the quotient's torsion
   when its free rank, the closure's nullity, is one, and 0 when it is
-  more.  With no torsion factor, or one, and the nullity two, the
-  quotient has two or three columns, and that order is a gcd of the
-  join rows' entries or of the quotient's 2 x 2 minors (see
-  :func:`_closure_determinant`); only larger quotients take a Smith form.
+  more.  That order has one closed form (:func:`_closure_determinant`).
+  Take the t invariant factors f_i > 1, P their product, and m = M's
+  nullity; the joins give two rows r1 and r2 over the kept columns of v,
+  with entries r1_i and r2_i on the torsion columns and free parts a and
+  b on the m free ones.  The quotient is Z^(t + m) modulo the rows f_i e_i
+  and r1 and r2.  The rows f_i e_i have rank t, so its free rank is m less
+  the rank of (a; b), at most two, and m is at least two, since M has k
+  rows and at least k + 2 arcs.  Free rank one thus needs m = 2 with
+  a0 b1 - a1 b0 = 0, or m = 3, and the torsion order is then the gcd of
+  the relations' (t + 1)- or (t + 2)-square minors.  A minor that keeps
+  the row f_i e_i but not column i is 0, and one that keeps both is f_i
+  times the minor without them.  So for m = 2, where one row is left
+  out, that gcd is the gcd of P a_j, P b_j and (r1_i b_j - r2_i a_j) P /
+  f_i over all i and j, and for m = 3, where none is, P times the gcd of
+  the three 2 x 2 minors of (a; b).  With m >= 4 the free rank
+  is at least two and the determinant 0.  A gcd of zeros is 0, which
+  covers a and b of too low a rank, and no divisibility among the f_i is
+  used, so the closure takes no Smith form.
   A closure with more arcs than crossings has a component that
   never passes under, which lifts off as a split component, so its
   nullity is at least two and its determinant 0 here as well.
@@ -103,7 +117,7 @@ closure determinants too:
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .diagram import (
     _NE,
@@ -112,7 +126,6 @@ from .diagram import (
     _SW,
     Diagram,
     LinkDiagram,
-    OrientedDiagram,
     TangleDiagram,
     UnionFind,
     _ends,
@@ -120,80 +133,6 @@ from .diagram import (
 from .fraction import Fraction, frac_normalize
 from .snf import SmithForm, dense_smith_form, integer_determinant, smith_normal_form
 from .value import Value, setfield
-
-
-# ---------------------------------------------------------------------------
-# quandles
-
-def quandle_check(table: list[list[int]]) -> str | None:
-    """Verify the three quandle axioms exhaustively.
-
-    Returns None if the table is a quandle, else a message naming the
-    first violated axiom with a witness.
-    """
-    m = len(table)
-    for row in table:
-        if len(row) != m or any(not (0 <= x < m) for x in row):
-            return f"malformed table: expected {m} entries in 0..{m - 1} per row"
-    for x in range(m):
-        if table[x][x] != x:
-            return f"idempotence fails: {x} * {x} = {table[x][x]}"
-    for y in range(m):
-        col = [table[x][y] for x in range(m)]
-        if len(set(col)) != m:
-            return f"right translation by {y} is not a bijection"
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                left = table[table[x][y]][z]
-                right = table[table[x][z]][table[y][z]]
-                if left != right:
-                    return (f"self-distributivity fails at ({x}, {y}, {z}): "
-                            f"({x}*{y})*{z} = {left} != {right}")
-    return None
-
-
-class FiniteQuandle(Value):
-    """Finite quandle given by its multiplication table (checked)."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: tuple[tuple[int, ...], ...]):
-        err = quandle_check([list(r) for r in table])
-        if err:
-            raise ValueError(err)
-        setfield(self, "table", table)
-
-    @property
-    def size(self) -> int:
-        return len(self.table)
-
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def is_involutory(self) -> bool:
-        return all(self.op(self.op(x, y), y) == x
-                   for x in range(self.size) for y in range(self.size))
-
-
-def dihedral_table(n: int) -> FiniteQuandle:
-    """The dihedral quandle R_n (n >= 1) as an explicit table."""
-    if n < 1:
-        raise ValueError("dihedral_table needs n >= 1")
-    return FiniteQuandle(tuple(tuple((2 * y - x) % n for y in range(n))
-                               for x in range(n)))
-
-
-def parse_quandle_table(text: str) -> FiniteQuandle:
-    """Load a table from text: first line m, then m rows of m integers."""
-    rows = [ln.split() for ln in text.splitlines() if ln.split()]
-    if not rows:
-        raise ValueError("empty quandle file")
-    m = int(rows[0][0])
-    if len(rows) != m + 1:
-        raise ValueError(f"expected {m} table rows, found {len(rows) - 1}")
-    table = tuple(tuple(int(x) for x in row) for row in rows[1:])
-    return FiniteQuandle(table)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +207,15 @@ class ColoringLattice:
     For modulus n > 0 the solutions form a subgroup of (Z/n)^arcs;
     ``count`` is its size and ``generators`` generate it.  For n = 0 the
     integer solution lattice is described by ``basis`` (a Z-basis) and
-    the ``invariant_factors`` of the relation matrix.  For tangles,
-    ``boundary`` holds the arc indices at NW, NE, SW, SE, and the same
-    Smith form gives the coloring fraction, as :class:`ColoringRecord`
-    does from the few relations its color propagation leaves over.
+    the ``invariant_factors`` of the relation matrix.
     """
 
-    __slots__ = ("modulus", "arc_count", "smith", "boundary")
+    __slots__ = ("modulus", "arc_count", "smith")
 
-    def __init__(self, modulus: int, arc_count: int, smith: SmithForm,
-                 boundary: tuple[int, ...] | None):
+    def __init__(self, modulus: int, arc_count: int, smith: SmithForm):
         self.modulus = modulus
         self.arc_count = arc_count
         self.smith = smith
-        self.boundary = boundary
 
     @property
     def invariant_factors(self) -> list[int]:
@@ -302,17 +236,6 @@ class ColoringLattice:
         if self.modulus == 0:
             return self.basis
         return self.smith.kernel_basis_mod(self.modulus)
-
-    def boundary_colors(self, solution: list[int]) -> tuple[int, int, int, int]:
-        if self.boundary is None:
-            raise ValueError("link diagrams have no boundary colors")
-        return tuple(solution[a] for a in self.boundary)
-
-    def coloring_fraction(self) -> Fraction | NotInvariant:
-        """See :func:`coloring_fraction`."""
-        if self.boundary is None:
-            raise ValueError("link diagrams have no boundary colors")
-        return _fraction(self.smith, self.boundary)
 
 
 def _fraction(smith: SmithForm, boundary: tuple[int, ...]) -> Fraction | NotInvariant:
@@ -338,10 +261,8 @@ def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
     """
     if n < 0:
         raise ValueError("modulus must be >= 0")
-    rows, arc_of, ncols = dihedral_relation_matrix(d)
-    sf = smith_normal_form(rows, ncols)
-    boundary = boundary_arcs(d, arc_of) if isinstance(d, TangleDiagram) else None
-    return ColoringLattice(modulus=n, arc_count=ncols, smith=sf, boundary=boundary)
+    rows, _, ncols = dihedral_relation_matrix(d)
+    return ColoringLattice(modulus=n, arc_count=ncols, smith=smith_normal_form(rows, ncols))
 
 
 # Propagation gives up past this many seeds, and the record takes the
@@ -525,36 +446,29 @@ def _closure_determinant(smith: SmithForm, joins) -> int:
     set to zero for each join (p, q) of boundary arcs, when that leaves
     free rank one; else 0.
 
-    In the common shape, no torsion and nullity two, the quotient is Z^2
-    modulo the rows of the 2 x 2 join matrix: free rank one exactly when
-    that matrix has rank one, and then its torsion order is the gcd of
-    the entries.  With one torsion factor f and nullity two, it is Z^3
-    modulo the rows (f, 0, 0), (a, b, c) and (x, y, z): free rank zero
-    when their determinant f * (b*z - c*y) is not 0, else free rank one
-    exactly when some 2 x 2 minor is not 0, and then its torsion order is
-    the gcd of the 2 x 2 minors.  Other shapes take the quotient's Smith
-    form."""
-    v, rank = smith.v, smith.rank
-    cols = [j for j, col in enumerate(v) if col is not None]
-    joined = [[v[j].get(p, 0) - v[j].get(q, 0) for j in cols] for p, q in joins]
-    if cols == [rank, rank + 1]:
-        (a, b), (c, d) = joined
-        return 0 if a * d != b * c else gcd(a, b, c, d)
-    if len(cols) == 3 and cols[1:] == [rank, rank + 1]:
-        f = smith.factors[cols[0]]
-        (a, b, c), (x, y, z) = joined
-        if f * (b * z - c * y):
+    In closed form for every shape (see the module docstring): with P the
+    product of the torsion factors f_i, the joined rows r1 and r2 of the
+    kept columns of v, and a and b their free parts, for nullity two it is
+    0 when a and b are independent, else the gcd of P a_j, P b_j and
+    (r1_i b_j - r2_i a_j) P / f_i; for nullity three, P times the gcd of
+    the 2 x 2 minors of (a; b); for more, 0."""
+    (p, q), (r, s) = joins
+    joined = [(col.get(p, 0) - col.get(q, 0), col.get(r, 0) - col.get(s, 0))
+              for col in smith.v if col is not None]
+    torsion = [f for f in smith.factors if f > 1]
+    product = prod(torsion)
+    free = joined[len(torsion):]
+    if len(free) == 2:
+        (a0, b0), (a1, b1) = free
+        if a0 * b1 != a1 * b0:
             return 0
-        return gcd(f * b, f * c, f * y, f * z, a * y - b * x, a * z - c * x)
-    relations = [{i: smith.factors[j]} for i, j in enumerate(cols) if j < rank]
-    relations += [{i: x for i, x in enumerate(row) if x} for row in joined]
-    quotient = smith_normal_form(relations, len(cols), ())
-    if len(cols) - quotient.rank != 1:
-        return 0
-    det = 1
-    for d in quotient.factors:
-        det *= d
-    return det
+        return gcd(product * gcd(a0, a1, b0, b1),
+                   *((x * bj - y * aj) * (product // f)
+                     for f, (x, y) in zip(torsion, joined) for aj, bj in free))
+    if len(free) == 3:
+        (a0, b0), (a1, b1), (a2, b2) = free
+        return product * gcd(a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a1 * b2 - a2 * b1)
+    return 0  # free rank two or more (nullity one cannot occur)
 
 
 def coloring_record(t: TangleDiagram) -> ColoringRecord:
@@ -658,101 +572,11 @@ def coloring_fraction(d: TangleDiagram) -> Fraction | NotInvariant:
 
 
 # ---------------------------------------------------------------------------
-# finite quandle search
-
-def color_search_finite(od: OrientedDiagram, q: FiniteQuandle) -> list[tuple[int, ...]]:
-    """All colorings of an oriented diagram by a finite quandle.
-
-    At each crossing the left under-arc, seen along the over-strand
-    direction, must equal (right under-arc) * (over-arc).  Backtracking
-    with unit propagation: a constraint with two known arcs forces the
-    third through the operation or its right inverse, so only a few arcs
-    are ever branched on.  The result is deterministic and sorted; it
-    always contains the constant colorings.
-    """
-    d = od.base
-    arc_of = arcs(d)
-    ncols = len(set(arc_of.values()))
-    if ncols == 0:
-        return []
-    constraints = []  # (z_arc, x_arc, y_arc): z = x * y
-    for ci, c in enumerate(d.crossings):
-        over_in = od.over_entry_slot(ci)
-        x_arc = arc_of[c[(over_in + 1) % 4]]
-        z_arc = arc_of[c[(over_in + 3) % 4]]
-        y_arc = arc_of[c[over_in]]
-        constraints.append((z_arc, x_arc, y_arc))
-    # right inverse: inv[z][y] = the unique x with x * y = z
-    m = q.size
-    inv = [[0] * m for _ in range(m)]
-    for x in range(m):
-        for y in range(m):
-            inv[q.op(x, y)][y] = x
-
-    results = []
-    color: list[int | None] = [None] * ncols
-
-    def propagate(trail) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for z, x, y in constraints:
-                cz, cx, cy = color[z], color[x], color[y]
-                if cx is not None and cy is not None:
-                    want = q.op(cx, cy)
-                    if cz is None:
-                        color[z] = want
-                        trail.append(z)
-                        changed = True
-                    elif cz != want:
-                        return False
-                elif cz is not None and cy is not None:
-                    want = inv[cz][cy]
-                    if cx is None:
-                        color[x] = want
-                        trail.append(x)
-                        changed = True
-        return True
-
-    def search():
-        try:
-            i = color.index(None)
-        except ValueError:
-            results.append(tuple(color))
-            return
-        for v in range(m):
-            trail = [i]
-            color[i] = v
-            if propagate(trail):
-                search()
-            for j in trail:
-                color[j] = None
-
-    search()
-    return sorted(results)
-
-
-def nontrivial_c_colorings_finite(od: OrientedDiagram, q: FiniteQuandle) -> list[tuple[int, ...]]:
-    """Colorings using more than one color with all boundary arcs equal."""
-    d = od.base
-    if not isinstance(d, TangleDiagram):
-        raise ValueError("c-colorings are defined for tangles")
-    arc_of = arcs(d)
-    bnd = [arc_of[e] for e in d.boundary]
-    out = []
-    for coloring in color_search_finite(od, q):
-        if len({coloring[i] for i in bnd}) == 1 and len(set(coloring)) > 1:
-            out.append(coloring)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # determinant
 
-def determinant(d: LinkDiagram, drop_row: int = 0, drop_col: int = 0) -> int:
-    """Link determinant as a first minor of the dihedral relation matrix.
-
-    The value is independent of which row and column are deleted.  The
+def determinant(d: LinkDiagram) -> int:
+    """Link determinant as the (0, 0) first minor of the dihedral relation
+    matrix; every first minor agrees with it up to sign.  The
     0-crossing unknot has determinant 1; diagrams with extra crossing-free
     loops, or with a component that never passes under, present a split
     picture and get determinant 0.  A closure built from a tangle whose
@@ -763,15 +587,13 @@ def determinant(d: LinkDiagram, drop_row: int = 0, drop_col: int = 0) -> int:
         return 1 if d.loops == 1 else 0
     if d.loops > 0:
         return 0
-    if not (0 <= drop_row < k and 0 <= drop_col < k):
-        raise ValueError("row/column to delete is out of range")
     if d._determinant is not None:
         return d._determinant
     rows, _, ncols = dihedral_relation_matrix(d)
     if ncols != k:
         # some component has no undercrossing and lifts off the diagram
         return 0
-    # the dropped row replaced by the unit row at the dropped column: by
-    # expansion along that row, its determinant is the minor up to sign
-    rows[drop_row] = {drop_col: 1}
+    # row 0 replaced by the unit row e_0: by expansion along that row,
+    # its determinant is the (0, 0) minor
+    rows[0] = {0: 1}
     return abs(integer_determinant(rows, k))

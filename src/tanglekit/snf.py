@@ -7,8 +7,8 @@ has.
   :func:`integer_determinant`, takes dihedral relation matrices: the Smith
   form of a diagram's relation matrix, which gives its integer coloring
   lattice and its c-colorings at every modulus (``color``), the whole
-  matrix of a tangle whose colors do not propagate, the quotients of
-  :func:`tanglekit.quandle._closure_determinant`, and link determinants.
+  matrix of a tangle whose colors do not propagate, and link
+  determinants.
   These have one row per crossing with three nonzeros (2, -1, -1), so
   nearly every row has a unit entry and a diagram of k crossings gives
   about k rows with 3k nonzeros.  Rows are ``{column: value}`` dicts with
@@ -50,10 +50,10 @@ of invariant factors (the argument of Kannan and Bachem, SIAM J. Comput.
 1979).
 
 Only the column operations are recorded, in the column transform ``v``,
-and only as much of it as the caller asks for: all of ``v``, none of it,
-or the rows of w @ v for rows w the caller hands in, since a column
-operation acts on each row by itself (rows of ``v`` itself are w @ v for
-unit rows w).  The last columns of ``v`` span the integer kernel, which
+and only as much of it as the caller asks for: all of ``v``, or the rows
+of w @ v for rows w the caller hands in, since a column operation acts
+on each row by itself (rows of ``v`` itself are w @ v for unit rows w).
+The last columns of ``v`` span the integer kernel, which
 the coloring lattices need in full; a tangle's coloring record that
 eliminates the whole relation matrix hands in the unit rows of its four
 boundary arcs (and the dense form takes the colors of the four boundary
@@ -95,13 +95,12 @@ class SmithForm:
     ``{row: value}`` dict for each j >= rank and each d_j > 1, and None
     for the columns of unit factors.  The columns hold every row of v
     when ``kept`` is None; when rows w were lifted, ``kept`` holds 0, ...,
-    len(w) - 1 and they hold the rows of w @ v.  ``v`` is None when no
-    row was kept.
+    len(w) - 1 and they hold the rows of w @ v.
     """
 
     __slots__ = ("factors", "rank", "v", "cols", "kept")
 
-    def __init__(self, factors: list[int], rank: int, v: list[dict[int, int] | None] | None,
+    def __init__(self, factors: list[int], rank: int, v: list[dict[int, int] | None],
                  cols: int, kept: frozenset[int] | None = None):
         self.factors = factors
         self.rank = rank
@@ -110,11 +109,10 @@ class SmithForm:
         self.kept = kept
 
     def _full_v(self) -> list[dict[int, int] | None]:
-        v = self.v
-        if v is None or self.kept is not None:
+        if self.kept is not None:
             raise ValueError("this Smith form kept only some rows of its column "
                              "transform; a kernel basis needs all of them")
-        return v
+        return self.v
 
     def kernel_basis(self) -> list[list[int]]:
         """Basis of the integer kernel of a: the last cols - rank columns of v."""
@@ -123,7 +121,7 @@ class SmithForm:
 
     def kernel_row(self, i: int) -> list[int]:
         """Entry i of each kernel basis vector: row i of v past the rank."""
-        if self.v is None or (self.kept is not None and i not in self.kept):
+        if self.kept is not None and i not in self.kept:
             raise ValueError(f"row {i} of the column transform was not kept")
         return [col.get(i, 0) for col in self.v[self.rank:]]
 
@@ -164,7 +162,7 @@ class _Elimination:
     pivoted, with a nonzero in column j.  ``v[j]`` is column j of the
     column transform (or of w @ v for the rows w of ``lift``), sparse
     too, until a unit pivot in column j makes it one nothing reads again;
-    ``v`` is None when no row is kept.
+    ``v`` is None for a determinant, which keeps no transform.
 
     The pivot search reads the active rows in ``scan``, a sorted list,
     except the parked ones: the heap ``parked`` holds the key of each
@@ -176,8 +174,7 @@ class _Elimination:
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int,
-                 v_rows: Sequence[int] | None,
-                 lift: Sequence[dict[int, int]] | None = None):
+                 v: list[dict[int, int]] | None):
         self.rows = rows
         self.cols: list[list[int]] = [[] for _ in range(ncols)]
         cols = self.cols
@@ -188,15 +185,7 @@ class _Elimination:
         self.parked: list[tuple[int, int, int, int]] = []
         self.key_of: dict[int, tuple[int, int, int, int]] = {}
         self.parked_in: dict[int, set[int]] = {}
-        if lift is not None:
-            self.v = [{} for _ in range(ncols)]
-            for i, w in enumerate(lift):
-                for j, x in w.items():
-                    self.v[j][i] = x
-        elif v_rows is None:
-            self.v = [{j: 1} for j in range(ncols)]
-        else:
-            self.v = None
+        self.v = v
 
     def pivot(self) -> tuple[int, int] | None:
         """The first unit entry of Markowitz cost (row nonzeros - 1) x
@@ -329,8 +318,7 @@ class _Elimination:
                 else:
                     del row[dst]
                     cols[dst].remove(i)
-            if v is not None:
-                _axpy(v[dst], v[src], k)
+            _axpy(v[dst], v[src], k)
 
     def clear_column(self, r: int, c: int) -> int:
         """Row operations until column c has one active nonzero; returns
@@ -408,7 +396,6 @@ def _axpy(dst: dict[int, int], src: dict[int, int], k: int):
 
 
 def smith_normal_form(a: list[dict[int, int]], ncols: int,
-                      v_rows: Sequence[int] | None = None,
                       lift: Sequence[dict[int, int]] | None = None) -> SmithForm:
     """Smith normal form of an integer matrix given as sparse rows
     ``{column: value}`` over ``ncols`` columns.
@@ -416,17 +403,21 @@ def smith_normal_form(a: list[dict[int, int]], ncols: int,
     The rows are used as working storage and left changed.  Pivots are
     searched in row order and, within a row, in key order.  Returns the
     invariant factors normalized positive with d_1 | d_2 | ... and the
-    unimodular column transform v: all of its rows when ``v_rows`` is
-    None, none when it is empty.  Given ``lift``, sparse rows w_0, w_1,
-    ... over the columns, it keeps instead row i of w @ v as row i: the
-    column operations act on those rows as on rows of v, so unit rows w
-    pick rows of v.  Of the transform, only the free columns and those of
-    factors above 1 are kept (see :class:`SmithForm`).  Handles empty
-    matrices.
+    unimodular column transform v, all of its rows.  Given ``lift``,
+    sparse rows w_0, w_1, ... over the columns, it keeps instead row i of
+    w @ v as row i: the column operations act on those rows as on rows of
+    v, so unit rows w pick rows of v.  Of the transform, only the free
+    columns and those of factors above 1 are kept (see
+    :class:`SmithForm`).  Handles empty matrices.
     """
-    if v_rows:
-        raise ValueError("rows of v are picked by lifting unit rows")
-    e = _Elimination(a, ncols, v_rows, lift)
+    if lift is None:
+        v = [{j: 1} for j in range(ncols)]
+    else:
+        v = [{} for _ in range(ncols)]
+        for i, w in enumerate(lift):
+            for j, x in w.items():
+                v[j][i] = x
+    e = _Elimination(a, ncols, v)
     pivots, factors = [], []  # pivot columns and |pivots|, in the order found
     while (at := e.pivot()) is not None:
         r, c = at
@@ -450,13 +441,11 @@ def smith_normal_form(a: list[dict[int, int]], ncols: int,
             e.retire(r)
         pivots.append(c)
         factors.append(abs(p))
-    v = None
-    if e.v is not None:
-        # pivot columns first, in the order found (a divisibility chain),
-        # then the rest in index order; the free columns span the kernel
-        pivot_cols = set(pivots)
-        v = [e.v[c] if f > 1 else None for c, f in zip(pivots, factors)]
-        v += [e.v[j] for j in range(ncols) if j not in pivot_cols]
+    # pivot columns first, in the order found (a divisibility chain), then
+    # the rest in index order; the free columns span the kernel
+    pivot_cols = set(pivots)
+    v = [e.v[c] if f > 1 else None for c, f in zip(pivots, factors)]
+    v += [e.v[j] for j in range(ncols) if j not in pivot_cols]
     kept = None if lift is None else frozenset(range(len(lift)))
     return SmithForm(factors=factors, rank=len(factors), v=v, cols=ncols, kept=kept)
 
@@ -572,7 +561,7 @@ def integer_determinant(a: list[dict[int, int]], ncols: int) -> int:
     ``a`` is ``ncols`` sparse rows ``{column: value}`` over as many
     columns, used as working storage as in :func:`smith_normal_form`.
     """
-    e = _Elimination(a, ncols, ())
+    e = _Elimination(a, ncols, None)
     pivot, unit_step, rows = e.pivot, e.unit_step, e.rows
     det = 1
     pivot_col = [0] * ncols

@@ -3,6 +3,7 @@ against."""
 
 from collections import Counter
 from fractions import Fraction as QQ
+from itertools import product
 from math import comb
 
 from tanglekit.diagram import (
@@ -11,21 +12,30 @@ from tanglekit.diagram import (
     BOUNDARY_LABELS,
     DiagramError,
     LinkDiagram,
+    OrientedDiagram,
     TangleDiagram,
     UnionFind,
     _ends,
     horizontal_twists,
     infinity_tangle,
+    orient,
     renumber,
     strands,
     tangle_product,
     tangle_sum,
     vertical_twists,
+    walk,
     zero_tangle,
 )
 from tanglekit.fraction import continued_fraction, frac_add
 from tanglekit.laurent import LaurentPoly
-from tanglekit.quandle import NotInvariant, coloring_fraction, dihedral_relation_matrix
+from tanglekit.quandle import (
+    NotInvariant,
+    _fraction,
+    arcs,
+    coloring_fraction,
+    dihedral_relation_matrix,
+)
 from tanglekit.snf import SmithForm, smith_normal_form
 
 
@@ -487,7 +497,7 @@ def c_constrained_matrix(d: TangleDiagram) -> tuple[list[dict[int, int]], int]:
 def has_nontrivial_c_coloring(d: TangleDiagram, n: int) -> bool:
     """Is there a mod-n c-coloring using more than one color (n >= 2)?"""
     rows, ncols = c_constrained_matrix(d)
-    return smith_normal_form(rows, ncols, v_rows=()).solutions_mod(n) > n
+    return smith_normal_form(rows, ncols).solutions_mod(n) > n
 
 
 def prime_factors(n: int) -> set[int]:
@@ -507,11 +517,20 @@ def c_constrained_report(d: TangleDiagram) -> tuple[bool, set[int], bool, bool]:
     nullity counts the integer c-colorings, the constants included, and
     each torsion factor adds c-colorings mod its primes."""
     rows, ncols = c_constrained_matrix(d)
-    sf = smith_normal_form(rows, ncols, v_rows=())
+    sf = smith_normal_form(rows, ncols)
     nullity = ncols - sf.rank
     torsion = [f for f in sf.factors if f > 1]
     primes = set().union(*(prime_factors(f) for f in torsion))
     return nullity == 1 and not torsion, primes, nullity >= 2, nullity == 1
+
+
+def whole_matrix_fraction(t: TangleDiagram):
+    """The coloring fraction from the Smith form of t's whole relation
+    matrix, its column transform kept on the unit rows of the boundary
+    arcs: no color propagation and no dense form."""
+    rows, arc_of, ncols = dihedral_relation_matrix(t)
+    return _fraction(smith_normal_form(rows, ncols, lift=[{arc_of[e]: 1} for e in t.boundary]),
+                     range(4))
 
 
 def alternating_sum_check(colors: tuple[int, int, int, int]) -> bool:
@@ -562,3 +581,122 @@ def restarting_absorb_integrals(items: list) -> list:
             if changed:
                 break
     return out
+
+
+# ---------------------------------------------------------------------------
+# finite quandles, by exhaustive search; a table is a tuple of rows, and
+# x * y is table[x][y]
+
+# The Alexander quandle x * y = w x + (1 + w) y on GF(4) = {0, 1, w, w^2},
+# numbered in that order: not involutory, so its colorings tell the
+# orientations of a diagram apart.
+GF4_TABLE = ((0, 3, 1, 2), (2, 1, 3, 0), (3, 0, 2, 1), (1, 2, 0, 3))
+
+
+def quandle_check(table) -> str | None:
+    """None if the table is a quandle, else a message naming the first
+    violated axiom with a witness."""
+    m = len(table)
+    for row in table:
+        if len(row) != m or any(not (0 <= x < m) for x in row):
+            return f"malformed table: expected {m} entries in 0..{m - 1} per row"
+    for x in range(m):
+        if table[x][x] != x:
+            return f"idempotence fails: {x} * {x} = {table[x][x]}"
+    for y in range(m):
+        if len({table[x][y] for x in range(m)}) != m:
+            return f"right translation by {y} is not a bijection"
+    for x, y, z in product(range(m), repeat=3):
+        left = table[table[x][y]][z]
+        right = table[table[x][z]][table[y][z]]
+        if left != right:
+            return (f"self-distributivity fails at ({x}, {y}, {z}): "
+                    f"({x}*{y})*{z} = {left} != {right}")
+    return None
+
+
+def dihedral_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The dihedral quandle R_n: x * y = 2y - x mod n."""
+    return tuple(tuple((2 * y - x) % n for y in range(n)) for x in range(n))
+
+
+def is_involutory(table) -> bool:
+    m = len(table)
+    return all(table[table[x][y]][y] == x for x in range(m) for y in range(m))
+
+
+def all_orientations(d) -> list[OrientedDiagram]:
+    """The 2^s orientations of a diagram of s strands."""
+    s = len(walk(d).strands)
+    return [orient(d, bits) for bits in product((False, True), repeat=s)]
+
+
+def color_search_finite(od: OrientedDiagram, table) -> list[tuple[int, ...]]:
+    """All colorings of an oriented diagram by a finite quandle, sorted.
+
+    At each crossing the left under-arc, seen along the over-strand
+    direction, must equal (right under-arc) * (over-arc).  Backtracking
+    with unit propagation: a constraint with two known arcs forces the
+    third through the operation or its right inverse."""
+    d = od.base
+    arc_of = arcs(d)
+    ncols = len(set(arc_of.values()))
+    if ncols == 0:
+        return []
+    constraints = []  # (z_arc, x_arc, y_arc): z = x * y
+    for ci, c in enumerate(d.crossings):
+        over_in = od.over_entry_slot(ci)
+        constraints.append((arc_of[c[(over_in + 3) % 4]], arc_of[c[(over_in + 1) % 4]],
+                            arc_of[c[over_in]]))
+    m = len(table)
+    inv = [[0] * m for _ in range(m)]  # inv[z][y]: the x with x * y = z
+    for x in range(m):
+        for y in range(m):
+            inv[table[x][y]][y] = x
+    results = []
+    color: list[int | None] = [None] * ncols
+
+    def propagate(trail) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for z, x, y in constraints:
+                cz, cx, cy = color[z], color[x], color[y]
+                if cx is not None and cy is not None:
+                    want = table[cx][cy]
+                    if cz is None:
+                        color[z] = want
+                        trail.append(z)
+                        changed = True
+                    elif cz != want:
+                        return False
+                elif cz is not None and cy is not None and cx is None:
+                    color[x] = inv[cz][cy]
+                    trail.append(x)
+                    changed = True
+        return True
+
+    def search():
+        if None not in color:
+            results.append(tuple(color))
+            return
+        i = color.index(None)
+        for c in range(m):
+            trail = [i]
+            color[i] = c
+            if propagate(trail):
+                search()
+            for j in trail:
+                color[j] = None
+
+    search()
+    return sorted(results)
+
+
+def nontrivial_c_colorings_finite(od: OrientedDiagram, table) -> list[tuple[int, ...]]:
+    """Colorings of an oriented tangle using more than one color with all
+    four boundary arcs equal."""
+    arc_of = arcs(od.base)
+    ends = [arc_of[e] for e in od.base.boundary]
+    return [c for c in color_search_finite(od, table)
+            if len({c[i] for i in ends}) == 1 and len(set(c)) > 1]

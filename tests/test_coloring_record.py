@@ -4,6 +4,7 @@ both closure determinants, against the full-matrix Smith form, the
 separate eliminations and the dense oracles."""
 
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -39,7 +40,6 @@ from tanglekit.quandle import (
     _fraction,
     _paint,
     _propagate,
-    color_solve_dihedral,
     coloring_fraction,
     coloring_record,
     determinant,
@@ -49,7 +49,7 @@ from tanglekit.quandle import (
 from tanglekit.snf import SmithForm, dense_smith_form, smith_normal_form
 
 from conftest import dense, fibonacci, montesinos_sum, random_tangle_diagram, sparse
-from oracles import bareiss_determinant, quotient_determinant
+from oracles import bareiss_determinant, quotient_determinant, whole_matrix_fraction
 
 
 def fresh(t: TangleDiagram) -> TangleDiagram:
@@ -79,8 +79,8 @@ def assert_record_matches(t: TangleDiagram, bareiss: bool = True):
     diagram, and the closures' determinants against Bareiss."""
     direct = fresh(t)
     rows, _, ncols = dihedral_relation_matrix(direct)
-    report = MonochromaticReport(smith_normal_form(rows, ncols, ()))
-    fraction = color_solve_dihedral(direct, 0).coloring_fraction()
+    report = MonochromaticReport(smith_normal_form(rows, ncols))
+    fraction = whole_matrix_fraction(direct)
     links = (close_numerator(direct), close_denominator(direct))
     assert all(link._determinant is None for link in links)
     dets = tuple(determinant(link) for link in links)
@@ -418,3 +418,42 @@ def test_torsion_closed_form_on_random_columns():
             assert det == quotient_determinant(smith, joins), columns
             seen[det == 0] += 1
     assert min(seen.values()) >= 500, seen
+
+
+def random_shape(rng: random.Random, t: int, m: int, rank_one: bool) -> SmithForm:
+    """A Smith form kept on the four boundary rows, of a unit factor, t
+    torsion factors drawn apart (so they need not divide one another) and
+    nullity m, with small random entries; with ``rank_one`` every free
+    column is a multiple of one column, so the free parts of any two
+    joined rows are dependent."""
+    factors = [1] + [rng.choice((2, 3, 4, 5, 6, 9, 10)) for _ in range(t)]
+    columns = [{p: x for p in range(4) if (x := rng.randint(-4, 4))} for _ in range(t)]
+    base = [rng.randint(-3, 3) for _ in range(4)]
+    for _ in range(m):
+        u = rng.randint(-2, 2)
+        entries = [x * u for x in base] if rank_one else [rng.randint(-3, 3) for _ in range(4)]
+        columns.append({p: x for p, x in enumerate(entries) if x})
+    return SmithForm(factors, t + 1, [None, *columns], t + 1 + m, frozenset(range(4)))
+
+
+def test_closure_determinants_on_random_shapes():
+    """The closed form against the dense Smith form of the quotient, for
+    t = 0-3 torsion factors, with and without a divisibility chain, and
+    nullity m = 2-4: free parts of rank one, where m = 2 takes its gcd,
+    and general ones, where m = 3 has joined rows of rank two (its
+    determinant is 0 otherwise)."""
+    rng = random.Random(2001)
+    nonzero, unchained = Counter(), 0
+    for _ in range(60):
+        for t in range(4):
+            for m in range(2, 5):
+                for rank_one in (False, True):
+                    smith = random_shape(rng, t, m, rank_one)
+                    factors = smith.factors
+                    unchained += any(b % a for a, b in zip(factors, factors[1:]))
+                    for joins in (NUMERATOR, DENOMINATOR):
+                        det = _closure_determinant(smith, joins)
+                        assert det == quotient_determinant(smith, joins), (factors, smith.v)
+                        nonzero[t, m] += det != 0
+    assert all(nonzero[t, m] >= 100 for t in range(4) for m in (2, 3)), nonzero
+    assert all(nonzero[t, 4] == 0 for t in range(4)) and unchained >= 200, nonzero

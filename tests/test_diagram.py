@@ -14,7 +14,6 @@ from tanglekit.diagram import (
     UnionFind,
     _ends,
     _glue,
-    all_orientations,
     canonical_form,
     close_denominator,
     close_numerator,
@@ -41,6 +40,7 @@ from tanglekit.quandle import coloring_record, determinant
 
 from conftest import add_kink, fibonacci, montesinos_sum, random_fraction, random_tangle_diagram
 from oracles import (
+    all_orientations,
     block_by_block_rational,
     ends_by_edge,
     open_strand_endpoints,

@@ -25,6 +25,7 @@ from oracles import (
     c_constrained_matrix,
     check_smith_form,
     dense_smith_normal_form,
+    whole_matrix_fraction,
 )
 
 
@@ -163,11 +164,11 @@ def test_random_diagram_matrices():
 
 
 def test_sparse_rows_as_dense_input(catalog_entries):
-    """The relation rows eliminate to the same factors without a column
-    transform as with it, and the square relation rows of a closure, row 0
-    replaced by the unit row e_0, give the determinant of their dense
-    matrix: the (0, 0) cofactor, which is not always 0 as the full
-    determinant is."""
+    """The relation rows eliminate to the same factors with no row of the
+    column transform lifted as with all of it, and the square relation
+    rows of a closure, row 0 replaced by the unit row e_0, give the
+    determinant of their dense matrix: the (0, 0) cofactor, which is not
+    always 0 as the full determinant is."""
     def plain(d):
         rows, _, ncols = dihedral_relation_matrix(d)
         return rows, ncols
@@ -180,8 +181,8 @@ def test_sparse_rows_as_dense_input(catalog_entries):
         # the elimination uses sparse rows as working storage: build afresh
         for build in (plain, c_constrained_matrix):
             sf = smith_normal_form(*build(d))
-            lean = smith_normal_form(*build(d), v_rows=())
-            assert lean.v is None and lean.factors == sf.factors
+            lean = smith_normal_form(*build(d), lift=())
+            assert lean.kept == frozenset() and lean.factors == sf.factors
         for link in (close_numerator(d), close_denominator(d)):
             rows, ncols = plain(link)
             if rows and ncols == len(rows):
@@ -193,8 +194,8 @@ def test_sparse_rows_as_dense_input(catalog_entries):
 
 
 def test_determinant_every_minor(catalog_entries):
-    """quandle.determinant builds each first minor sparse, renumbering the
-    columns past the dropped one; every minor must match the oracle."""
+    """Every first minor of a closure's relation matrix has, up to sign,
+    the determinant that quandle.determinant reads off the (0, 0) one."""
     rng = random.Random(19)
     tangles = ([e.diagram for e in catalog_entries]
                + [random_tangle_diagram(rng) for _ in range(20)])
@@ -206,11 +207,12 @@ def test_determinant_every_minor(catalog_entries):
             if link.loops or k == 0 or ncols != k:
                 continue
             a = dense(rows, ncols)
+            det = determinant(link)
             for dr in range(k):
                 for dc in range(k):
                     minor = [[x for j, x in enumerate(row) if j != dc]
                              for i, row in enumerate(a) if i != dr]
-                    assert determinant(link, dr, dc) == abs(bareiss_determinant(minor))
+                    assert det == abs(bareiss_determinant(minor))
                     checked += 1
     assert checked > 1000
 
@@ -303,7 +305,7 @@ def test_coloring_pass_on_seeded_tangles():
         assert [col is None for col in part.v] == [col is None for col in full.v]
         assert all(col is None or part_col == {i: col[p] for i, p in enumerate(keep) if p in col}
                    for part_col, col in zip(part.v, full.v))
-        assert coloring_fraction(t) == color_solve_dihedral(t, 0).coloring_fraction()
+        assert coloring_fraction(t) == whole_matrix_fraction(t)
         bare = TangleDiagram(t.crossings, t.boundary, t.loops)
         for close in (close_numerator, close_denominator):
             link, carried = close(bare), close(t)
@@ -323,16 +325,13 @@ def test_coloring_pass_on_seeded_tangles():
 def test_partial_transform_gives_no_kernel_basis():
     a = [[2, -1, -1, 0], [0, 2, -1, -1]]
     rows_0_3 = smith_normal_form(sparse(a), 4, lift=[{0: 1}, {3: 1}])
-    for sf, missing in ((smith_normal_form(sparse(a), 4, ()), 1), (rows_0_3, 2)):
-        assert sf.factors == [1, 1]
-        with pytest.raises(ValueError, match="kept only some rows"):
-            sf.kernel_basis()
-        with pytest.raises(ValueError, match="kept only some rows"):
-            sf.kernel_basis_mod(3)
-        with pytest.raises(ValueError, match=f"row {missing} of the column transform was not kept"):
-            sf.kernel_row(missing)
-    with pytest.raises(ValueError, match="lifting unit rows"):
-        smith_normal_form(sparse(a), 4, [0, 3])
+    assert rows_0_3.factors == [1, 1]
+    with pytest.raises(ValueError, match="kept only some rows"):
+        rows_0_3.kernel_basis()
+    with pytest.raises(ValueError, match="kept only some rows"):
+        rows_0_3.kernel_basis_mod(3)
+    with pytest.raises(ValueError, match="row 2 of the column transform was not kept"):
+        rows_0_3.kernel_row(2)
     full = smith_normal_form(sparse(a), 4)
     assert rows_0_3.kernel_row(1) == full.kernel_row(3)
     assert full.kernel_row(3) == [full.v[2][3], full.v[3][3]]

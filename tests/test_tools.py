@@ -1,5 +1,10 @@
 """The catalog diagram search tool recognizes the diagrams it produced."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from tanglekit.diagram import canonical_form, close_numerator, rotate
 from tanglekit.fraction import Fraction
 
@@ -41,3 +46,25 @@ def test_seeded_search_finds_6_3(tool):
     found, wanted, tries = tool.search(["6_3"], budget=3000, verbose=False)
     assert not wanted and tries == 2200
     assert tool.matches(tool.TARGETS["6_3"], found["6_3"])
+
+
+def test_tool_finds_the_test_oracles_on_its_own(tmp_path):
+    """Loaded by path in a fresh interpreter whose path has neither
+    ``src/`` nor ``tests/``, the tool sets up both itself, and its GF(4)
+    search, from the test oracles, colors 7_7 in some orientations and
+    not in all."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "find_catalog_diagrams.py"
+    code = f"""
+import importlib.util, sys
+assert "oracles" not in sys.modules and not any(p.endswith("tests") for p in sys.path)
+spec = importlib.util.spec_from_file_location("find_catalog_diagrams", {str(tool)!r})
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+from tanglekit.catalog import get_entry, load_catalog
+print(tool.gf4_orientations(get_entry("7_7", load_catalog()).diagram))
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 3]"

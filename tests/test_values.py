@@ -23,7 +23,7 @@ from tanglekit.expr import (
 )
 from tanglekit.fraction import Fraction, TwoBridgeLink, frac_normalize
 from tanglekit.laurent import LaurentPoly
-from tanglekit.quandle import FiniteQuandle, NotInvariant, dihedral_table
+from tanglekit.quandle import NotInvariant
 
 
 def trefoil():
@@ -59,7 +59,6 @@ VALUES = [
     (Rotate, (L3,), (NamedRef("6_3"),)),
     (Mirror, (L1,), (L2,)),
     (NamedRef, ("7_16",), ("7_15",)),
-    (FiniteQuandle, (dihedral_table(3).table,), (dihedral_table(5).table,)),
     (NotInvariant, (2,), (0,)),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALUES]
@@ -118,8 +117,6 @@ def test_checks_run_on_construction():
         TwoBridgeLink(4, 2)
     with pytest.raises(ValueError):
         TangleDiagram((), [0, 0, 1, 1])
-    with pytest.raises(ValueError):
-        FiniteQuandle(((0, 0), (0, 1)))
     with pytest.raises(AssertionError):
         EmbedVerdict(Verdict.unknown(), yes(0), Verdict.unknown())
 

@@ -18,7 +18,9 @@ import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+# the package, and the test oracles for the finite-quandle search
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from tanglekit.bracket import (  # noqa: E402
     jones,
@@ -34,7 +36,6 @@ from tanglekit.diagram import (  # noqa: E402
     TangleDiagram,
     _ends,
     _turns,
-    all_orientations,
     canonical_form,
     close_numerator,
     component_count,
@@ -47,17 +48,10 @@ from tanglekit.diagram import (  # noqa: E402
     validate,
 )
 from tanglekit.fraction import Fraction, frac_mirror, frac_normalize  # noqa: E402
-from tanglekit.quandle import (  # noqa: E402
-    coloring_fraction,
-    determinant,
-    monochromatic_report,
-    nontrivial_c_colorings_finite,
-    parse_quandle_table,
-)
+from tanglekit.quandle import coloring_fraction, determinant, monochromatic_report  # noqa: E402
+from oracles import GF4_TABLE, all_orientations, nontrivial_c_colorings_finite  # noqa: E402
 
-OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "tanglekit" / "data" / "catalog"
-
-GF4_TABLE = "4\n0 3 1 2\n2 1 3 0\n3 0 2 1\n1 2 0 3\n"
+OUT_DIR = ROOT / "src" / "tanglekit" / "data" / "catalog"
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +280,8 @@ def torus5_jones():
 
 
 def gf4_orientations(t) -> list[int]:
-    q = parse_quandle_table(GF4_TABLE)
-    hits = []
-    for i, od in enumerate(all_orientations(t)):
-        if nontrivial_c_colorings_finite(od, q):
-            hits.append(i)
-    return hits
+    return [i for i, od in enumerate(all_orientations(t))
+            if nontrivial_c_colorings_finite(od, GF4_TABLE)]
 
 
 def splits_at_fraction_candidate(t) -> bool:
