@@ -37,12 +37,9 @@ from .bracket import jones, kauffman_bracket, linking_number, writhe
 from .expr import (
     EmbedVerdict,
     evaluate,
-    extend_product_verdict,
     extend_sum_verdict,
     montesinos_verdict,
     parse_expr,
-    three_factor_verdict,
-    union_verdict,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

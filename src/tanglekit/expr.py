@@ -18,12 +18,12 @@ Criteria implemented:
   unlinkable; sums of three or more are none of the three;
 * for an essential tangle with known closure r/s, the sum with [p/q] has
   a closure iff q = 1 (new closure r/s - p) or q = s and p = r mod q
-  (new closure [(r-p)/s]); the product version is the image of the sum
-  version under rotation, which sends closures r/s to -s/r;
+  (new closure [(r-p)/s]);
+* a product is evaluated as the rotated sum: rotation carries
+  T1 * T2 to rot(T1) + rot(T2) and closures r/s to -s/r, so the sum
+  criteria decide it and its closures rotate back;
 * a decomposition piece of an unknottable tangle is unknottable, and the
-  analogous pruning rules for unlinkable/splittable;
-* for a side-by-side union: unknottable iff both pieces are, unlinkable
-  iff each piece is unlinkable or unknottable, splittable always.
+  analogous pruning rules for unlinkable/splittable.
 
 The unlinkable/splittable clauses of the extension criteria mirror the
 unknottable congruences with the corresponding closure; evidence logs
@@ -116,11 +116,10 @@ class EmbedVerdict(Value):
 
 
 def make_verdict(unknottable: Verdict, unlinkable: Verdict,
-                 splittable: Verdict | None = None) -> EmbedVerdict:
+                 splittable: Verdict) -> EmbedVerdict:
     """Assemble an EmbedVerdict, deriving splittable=yes from unlinkable=yes."""
-    if splittable is None or (unlinkable.is_yes and not splittable.is_yes):
-        splittable = Verdict.yes(unlinkable.closure) if unlinkable.is_yes else (
-            splittable or Verdict.unknown())
+    if unlinkable.is_yes and not splittable.is_yes:
+        splittable = Verdict.yes(unlinkable.closure)
     return EmbedVerdict(unknottable, unlinkable, splittable)
 
 
@@ -376,79 +375,6 @@ def extend_sum_verdict(closure: Fraction, added: Fraction) -> Verdict:
         return Verdict.yes(Fraction((r - p) // q, 1))
     return Verdict.no(f"q = {q} is neither 1 nor matching the closure "
                       f"denominator {s} with p = r mod q")
-
-
-def extend_product_verdict(closure: Fraction, factor: Fraction) -> Verdict:
-    """Does T * [p/q] keep a closure, given essential T with closure r/s?
-
-    Rotating 90 degrees carries T * [p/q] to T-rotated + [-q/p] and the
-    closure r/s to -s/r, so this is the sum criterion conjugated by
-    rotation; a resulting closure rotates back.
-    """
-    inner = extend_sum_verdict(frac_rotate(closure), frac_rotate(factor))
-    if inner.is_yes:
-        return Verdict.yes(frac_rotate(inner.closure))
-    return inner
-
-
-def three_factor_verdict(f1: Fraction, f2: Fraction, f3: Fraction) -> EmbedVerdict:
-    """Verdicts for ([f1] + [f2]) * [f3] with q1, q2 != 1 and p3 != 1.
-
-    The sum part must have a closure equal to an integral tangle that the
-    product criterion accepts; otherwise the piece obstruction already
-    kills the whole (a decomposition factor of an unknottable tangle is
-    unknottable, and likewise for the other properties).
-    """
-    for f in (f1, f2):
-        if f.is_infinite or f.den == 1:
-            raise ValueError(f"three-factor needs non-integral summands, got {f}")
-    if f3.num == 1:
-        raise ValueError("three-factor needs p3 != 1; fold the product instead")
-    base = montesinos_verdict([f1, f2])
-
-    def extend(v: Verdict, label: str) -> Verdict:
-        if v.is_no:
-            return Verdict.no(f"sum factor is not {label}: {v.reason}")
-        out = extend_product_verdict(v.closure, f3)
-        if out.is_no:
-            return Verdict.no(f"{label} closure {v.closure} of the sum is not "
-                              f"compatible with the factor {f3}: {out.reason}")
-        return out
-
-    unknot = extend(base.unknottable, "unknottable")
-    unlink = extend(base.unlinkable, "unlinkable")
-    split = extend(base.splittable, "splittable")
-    return make_verdict(unknot, unlink, split)
-
-
-def union_verdict(v1: EmbedVerdict, v2: EmbedVerdict) -> EmbedVerdict:
-    """Verdicts for a side-by-side union of two tangles.
-
-    The union is unknottable iff both pieces are; unlinkable iff each
-    piece is unlinkable or unknottable; and always splittable.  Union
-    closures are not rational tangles, so yes answers carry no closure.
-    """
-    if v1.unknottable.is_yes and v2.unknottable.is_yes:
-        unknot = Verdict.yes()
-    elif v1.unknottable.is_no or v2.unknottable.is_no:
-        which = v1.unknottable if v1.unknottable.is_no else v2.unknottable
-        unknot = Verdict.no(f"a union piece is not unknottable: {which.reason}")
-    else:
-        unknot = Verdict.unknown()
-
-    def ok(v: EmbedVerdict):
-        return v.unlinkable.is_yes or v.unknottable.is_yes
-
-    def bad(v: EmbedVerdict):
-        return v.unlinkable.is_no and v.unknottable.is_no
-
-    if ok(v1) and ok(v2):
-        unlink = Verdict.yes()
-    elif bad(v1) or bad(v2):
-        unlink = Verdict.no("a union piece is neither unlinkable nor unknottable")
-    else:
-        unlink = Verdict.unknown()
-    return EmbedVerdict(unknot, unlink, Verdict.yes())
 
 
 def rational_leaf_verdict(f: Fraction) -> EmbedVerdict:

@@ -197,10 +197,6 @@ def dihedral_relation_matrix(d: Diagram) -> tuple[list[dict[int, int]], dict[int
     return rows, arc_of, ncols
 
 
-def boundary_arcs(d: TangleDiagram, arc_of: dict[int, int]) -> tuple[int, ...]:
-    return tuple(arc_of[e] for e in d.boundary)
-
-
 class ColoringLattice:
     """Solution space of the dihedral crossing relations.
 
@@ -490,8 +486,11 @@ class MonochromaticReport:
     Two dimensions of the nullity are the constants and the line of
     boundary colors; any more give c-colorings at every modulus
     (``all_moduli``), and each torsion factor adds them mod its primes
-    (``offending_moduli``, factored on first read: trial division of a
-    large prime factor takes far longer than the Smith form).
+    (``offending_moduli``, factored on first read, by trial division up
+    to ``_TRIAL_DIVISION_BOUND``).  A cofactor left over above the square
+    of that bound is reported unfactored: it is a product of primes that
+    all exceed the bound, and every divisor above 1 of a torsion factor
+    is a modulus with nontrivial c-colorings too.
     ``r0_monochromatic`` means every integer c-coloring is constant.
     """
 
@@ -516,16 +515,25 @@ class MonochromaticReport:
         return self.all_moduli or bool(self._torsion)
 
 
+# Trial division stops here: a cofactor with no divisor below the bound,
+# the worst case, costs 2**15 odd trial divisors, a few milliseconds, and
+# every torsion factor below 2**32 is still factored completely.
+_TRIAL_DIVISION_BOUND = 1 << 16
+
+
 def _prime_divisors(n: int) -> set[int]:
+    """The prime divisors of n up to the trial-division bound, and the
+    cofactor left over: a prime when it is at most the bound squared,
+    else a product of larger primes, kept whole."""
     out = set()
     n = abs(n)
     p = 2
-    while p * p <= n:
+    while p * p <= n and p <= _TRIAL_DIVISION_BOUND:
         if n % p == 0:
             out.add(p)
             while n % p == 0:
                 n //= p
-        p += 1
+        p += 1 if p == 2 else 2
     if n > 1:
         out.add(n)
     return out

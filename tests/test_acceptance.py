@@ -27,8 +27,9 @@ from tanglekit.diagram import (
     orient,
     tangle_product,
     tangle_sum,
+    validate,
 )
-from tanglekit.expr import montesinos_verdict, parse_expr, three_factor_verdict
+from tanglekit.expr import CatalogHint, EmbedVerdict, Verdict, evaluate, montesinos_verdict, parse_expr
 from tanglekit.fraction import (
     Fraction,
     continued_fraction,
@@ -39,7 +40,6 @@ from tanglekit.fraction import (
 )
 from tanglekit.quandle import (
     arcs,
-    boundary_arcs,
     color_solve_dihedral,
     coloring_fraction,
     determinant,
@@ -93,39 +93,17 @@ def test_criterion_1_classification_reproduction(entries):
                   f"splittable = {{6_3}} with closure [0]; {elapsed:.1f} s")
 
 
-def test_criterion_2_table_verdicts():
-    montesinos_entries = {
-        "7_1": [F(1, 2), F(1, 5)],
-        "7_3": [F(1, 2), F(2, 7)],
-        "7_4": [F(1, 3), F(1, 4)],
-        "7_6": [F(1, 3), F(2, 5)],
-        "6_2": [F(1, 3), F(1, 3)],
-    }
-    three_factor_entries = {
-        "6_4": (F(1, 3), F(-1, 2), F(-2)),
-        "7_8": (F(-1, 2), F(-1, 3), F(-2)),
-        "7_9": (F(-1, 2), F(-2, 3), F(-2)),
-        "7_10": (F(-1, 2), F(1, 3), F(3)),
-        "7_11": (F(-2, 3), F(1, 2), F(-3)),
-        "7_12": (F(2, 3), F(-1, 2), F(-2)),
-        "7_16": (F(1, 3), F(1, 3), F(-2)),
-    }
-    not_unknottable = set(montesinos_entries) | set(three_factor_entries)
-    not_unlinkable = {"6_2", "6_4", "7_1", "7_3", "7_4", "7_6", "7_8", "7_9",
-                      "7_10", "7_11", "7_12", "7_16"}
-    ok = True
-    for name, fs in montesinos_entries.items():
-        v = montesinos_verdict(fs)
-        ok &= v.unknottable.is_no
-        if name in not_unlinkable:
-            ok &= v.unlinkable.is_no and v.splittable.is_no
-    for name, (f1, f2, f3) in three_factor_entries.items():
-        v = three_factor_verdict(f1, f2, f3)
-        ok &= v.unknottable.is_no
-        if name in not_unlinkable:
-            ok &= v.unlinkable.is_no and v.splittable.is_no
-    report(2, ok, "all ten one-line-table entries not unknottable; the "
-                  "twelve algebraic entries not unlinkable nor splittable")
+def test_criterion_2_table_verdicts(entries):
+    """The algebraic entries through ``evaluate``, the route ``classify``
+    runs; the names are pinned, so a manifest edit cannot shrink the check."""
+    verdicts = {e.name: evaluate(e.expression).verdict
+                for e in entries if e.expression is not None}
+    ok = set(verdicts) == {"6_2", "6_4", "7_1", "7_3", "7_4", "7_6", "7_8",
+                           "7_9", "7_10", "7_11", "7_12", "7_16"}
+    for v in verdicts.values():
+        ok &= v.unknottable.is_no and v.unlinkable.is_no and v.splittable.is_no
+    report(2, ok, f"all {len(verdicts)} algebraic entries evaluated not "
+                  "unknottable, not unlinkable and not splittable")
 
 
 def test_criterion_3_coloring_fractions(entries):
@@ -205,7 +183,8 @@ class TestCriterion7PropertySuites:
         diagrams = [e.diagram for e in entries]
         diagrams += [random_tangle_diagram(rng) for _ in range(20)]
         for d in diagrams:
-            ends = boundary_arcs(d, arcs(d))
+            arc_of = arcs(d)
+            ends = [arc_of[e] for e in d.boundary]
             for v in color_solve_dihedral(d, 0).basis:
                 ok &= alternating_sum_check(tuple(v[i] for i in ends))
             for n in (3, 5):
@@ -449,33 +428,47 @@ class TestCriterion7PropertySuites:
                "with no small integral closure")
 
     def test_three_factor_closure_against_bracket_engine(self):
+        # every (f1 + f2) * f3 of small fractions through evaluate: a
+        # closure must certify on the glued diagram, and a "no" must have
+        # no small integral closure there.  A gluing that closes a circle
+        # is not a 2-string tangle and is skipped.
         t0 = time.time()
         ok = True
-        cases = [
-            (F(1, 2), F(1, 3), F(-1, 2)),
-            (F(1, 2), F(1, 3), F(-1, 3)),
-            # sum closure [-2], so the factor numerator must be -2 with an
-            # odd twist denominator
-            (F(1, 2), F(5, 3), F(-2, 3)),
-        ]
-        confirmed = 0
-        for f1, f2, f3 in cases:
-            v = three_factor_verdict(f1, f2, f3)
-            if not v.unknottable.is_yes:
-                continue
-            expr = parse_expr(f"({f1} + {f2}) * {f3}")
-            t = from_expression(expr)
-            L = close_numerator(tangle_sum(t, from_rational(v.unknottable.closure)))
-            ok &= determinant(L) == 1 and jones(L) == jones_unknot()
-            confirmed += 1
-        ok &= confirmed >= 1
+        summands = [frac_normalize(p, q) for p in range(-3, 4)
+                    for q in (2, 3) if math.gcd(abs(p), q) == 1]
+        factors = [frac_normalize(p, q) for p in range(-3, 4) if p
+                   for q in (1, 2, 3) if math.gcd(abs(p), q) == 1]
+        diagrams = {f: from_rational(f) for f in summands + factors}
+        tested_yes = tested_no = skipped = 0
+        for f1 in summands:
+            for f2 in summands:
+                s = tangle_sum(diagrams[f1], diagrams[f2])
+                for f3 in factors:
+                    t = tangle_product(s, diagrams[f3])
+                    if validate(t) is not None:
+                        skipped += 1
+                        continue
+                    v = evaluate(parse_expr(f"({f1} + {f2}) * {f3}")).verdict.unknottable
+                    if v.is_yes:
+                        L = close_numerator(tangle_sum(t, from_rational(v.closure)))
+                        ok &= determinant(L) == 1 and jones(L) == jones_unknot()
+                        tested_yes += 1
+                    elif v.is_no:
+                        for n in range(-3, 4):
+                            L = close_numerator(tangle_sum(t, from_rational(F(n))))
+                            ok &= not (determinant(L) == 1
+                                       and jones(L) == jones_unknot())
+                        tested_no += 1
+        ok &= tested_yes >= 100 and tested_no >= 100
         report("7n", ok and time.time() - t0 < 300,
-               f"{confirmed} three-factor unknotting closures confirmed on "
-               "built diagrams")
+               f"three-factor products through evaluate confirmed on glued "
+               f"diagrams: {tested_yes} unknotting closures certified, "
+               f"{tested_no} entries with no small integral closure, "
+               f"{skipped} gluings with a closed circle skipped")
 
     def test_rotation_reduction_soundness_wide(self):
         t0 = time.time()
-        from tanglekit.expr import extend_product_verdict, extend_sum_verdict
+        from tanglekit.expr import extend_sum_verdict
 
         ok = True
         fractions = []
@@ -490,15 +483,18 @@ class TestCriterion7PropertySuites:
         rng = random.Random(29)
         sample_r = rng.sample(fractions, 60)
         sample_p = rng.sample(finite, 60)
+        no = Verdict.no("not in this test")
         for closure in sample_r:
+            hint = CatalogHint(EmbedVerdict(Verdict.yes(closure), no, no), essential=True)
             for factor in sample_p:
-                lhs = extend_product_verdict(closure, factor)
-                rhs = extend_sum_verdict(frac_rotate(closure),
-                                         frac_rotate(factor))
-                ok &= lhs.is_yes == rhs.is_yes
+                lhs = evaluate(parse_expr(f"@T * {factor}"), {"T": hint}).verdict.unknottable
+                rhs = extend_sum_verdict(frac_rotate(closure), frac_rotate(factor))
+                ok &= lhs.status == rhs.status
+                if rhs.is_yes:
+                    ok &= lhs.closure == frac_rotate(rhs.closure)
         report("7l", ok and time.time() - t0 < 300,
-               "product extension equals the rotated sum extension on "
-               "3600 reduced pairs with |num|, den <= 20")
+               "evaluated product extension equals the rotated sum extension, "
+               "rotated back, on 3600 reduced pairs with |num|, den <= 20")
 
 
 def test_criterion_8_four_element_quandle(entries):

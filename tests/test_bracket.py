@@ -28,7 +28,7 @@ from tanglekit.diagram import (
     validate,
     zero_tangle,
 )
-from tanglekit.fraction import Fraction, frac_normalize
+from tanglekit.fraction import frac_normalize
 from tanglekit.laurent import LaurentPoly
 
 from conftest import add_kink, montesinos_sum, r2_pair_closure, random_tangle_diagram

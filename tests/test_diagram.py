@@ -35,7 +35,7 @@ from tanglekit.diagram import (
     zero_tangle,
 )
 from tanglekit.expr import parse_expr
-from tanglekit.fraction import Fraction, continued_fraction, frac_normalize
+from tanglekit.fraction import continued_fraction, frac_normalize
 from tanglekit.quandle import coloring_record, determinant
 
 from conftest import add_kink, fibonacci, montesinos_sum, random_fraction, random_tangle_diagram

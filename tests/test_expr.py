@@ -19,14 +19,11 @@ from tanglekit.expr import (
     VerdictConsistencyError,
     evaluate,
     expr_text,
-    extend_product_verdict,
     extend_sum_verdict,
     montesinos_verdict,
     parse_expr,
     rational_leaf_verdict,
     referenced_names,
-    three_factor_verdict,
-    union_verdict,
 )
 from tanglekit.fraction import (
     Fraction,
@@ -153,14 +150,16 @@ class TestExtendRules:
         assert extend_sum_verdict(F(-1), F(1, 2)).is_no
 
     def test_product_numerator_match(self):
-        v = extend_product_verdict(F(2, 3), F(2, 9))
-        assert v.is_yes
+        v = product_extension(F(2, 3), F(2, 9))
+        assert v.is_yes and same_answer(v, rotated_sum_extension(F(2, 3), F(2, 9)))
 
     def test_product_unit_numerator(self):
-        assert extend_product_verdict(F(2, 3), F(1, 4)).is_yes
+        v = product_extension(F(2, 3), F(1, 4))
+        assert v.is_yes and same_answer(v, rotated_sum_extension(F(2, 3), F(1, 4)))
 
     def test_product_failure(self):
-        assert extend_product_verdict(F(0), F(-2)).is_no
+        v = product_extension(F(0), F(-2))
+        assert v.is_no and same_answer(v, rotated_sum_extension(F(0), F(-2)))
 
     def test_rotation_reduction_soundness(self):
         import math
@@ -177,10 +176,9 @@ class TestExtendRules:
                         if math.gcd(abs(p), q) != 1:
                             continue
                         factor = frac_normalize(p, q)
-                        lhs = extend_product_verdict(closure, factor)
-                        rhs = extend_sum_verdict(frac_rotate(closure),
-                                                 frac_rotate(factor))
-                        assert lhs.is_yes == rhs.is_yes
+                        lhs = product_extension(closure, factor)
+                        rhs = rotated_sum_extension(closure, factor)
+                        assert same_answer(lhs, rhs), (closure, factor)
 
     def test_absorbed_integral_agrees_with_two_bridge_arithmetic(self):
         # a sum with an integral part folds to one rational; the closures
@@ -200,23 +198,32 @@ class TestExtendRules:
 
 class TestThreeFactor:
     def test_7_16_route(self):
-        v = three_factor_verdict(F(1, 3), F(1, 3), F(-2))
+        # the sum's congruences, then the rotated factor [1/2] extends it
+        r = evaluate(parse_expr("(1/3 + 1/3) * [-2]"))
+        assert r.log[:3] == ["sum of rationals: congruence criteria on 1/3, 1/3",
+                             "product evaluated as the rotated sum rot(1/3 + 1/3) + rot(-2)",
+                             "extending rot(1/3 + 1/3) by rational summands 1/2"]
+        v = r.verdict
         assert v.unknottable.is_no and v.unlinkable.is_no and v.splittable.is_no
 
     def test_6_4_route(self):
-        v = three_factor_verdict(F(1, 3), F(-1, 2), F(-2))
+        # the sum's closure [0] rotates to inf, which + [1/2] cannot extend
+        v = evaluate(parse_expr("(1/3 + -1/2) * [-2]")).verdict
         assert v.unknottable.is_no
-        assert "closure 0" in v.unknottable.reason
+        assert "closure inf" in v.unknottable.reason
 
     def test_unknottable_case(self):
-        v = three_factor_verdict(F(1, 2), F(1, 3), F(-1, 2))
-        assert v.unknottable.is_yes
+        v = evaluate(parse_expr("(1/2 + 1/3) * -1/2")).verdict
+        assert v.unknottable.is_yes and v.unknottable.closure == F(1)
 
     def test_precondition(self):
-        with pytest.raises(ValueError):
-            three_factor_verdict(F(1, 2), F(2), F(-2))
-        with pytest.raises(ValueError):
-            three_factor_verdict(F(1, 2), F(1, 3), F(1, 5))
+        """Shapes outside the three-factor criterion, an integral summand
+        or a factor of numerator 1, are folded rather than refused."""
+        pairs = [("(1/2 + 2) * -2", "5/2 * -2"),
+                 ("(1/2 + 1/3) * 1/5", "rot(rot(1/2 + 1/3) + -5)")]
+        for text, folded in pairs:
+            assert (evaluate(parse_expr(text)).verdict
+                    == evaluate(parse_expr(folded)).verdict)
 
 
 def yes(c=None):
@@ -231,31 +238,21 @@ def unk():
     return Verdict.unknown()
 
 
-def ev(unknot, unlink, split):
-    return EmbedVerdict(unknot, unlink, split)
+def product_extension(closure: Fraction, factor: Fraction) -> Verdict:
+    """evaluate's unknotting verdict on T * [factor], for an essential T
+    whose unknotting closure is ``closure``."""
+    hint = CatalogHint(verdict=EmbedVerdict(yes(closure), no(), no()), essential=True)
+    return evaluate(parse_expr(f"@T * {factor}"), {"T": hint}).verdict.unknottable
 
 
-class TestUnion:
-    def test_both_unknottable(self):
-        v = union_verdict(ev(yes(F(0)), no(), no()), ev(yes(F(1)), no(), no()))
-        assert v.unknottable.is_yes and v.splittable.is_yes
+def rotated_sum_extension(closure: Fraction, factor: Fraction) -> Verdict:
+    """The sum criterion on the rotated closure and factor, rotated back."""
+    inner = extend_sum_verdict(frac_rotate(closure), frac_rotate(factor))
+    return Verdict.yes(frac_rotate(inner.closure)) if inner.is_yes else inner
 
-    def test_one_not_unknottable(self):
-        v = union_verdict(ev(yes(F(0)), no(), no()), ev(no(), no(), no()))
-        assert v.unknottable.is_no
 
-    def test_unlinkable_mix(self):
-        v = union_verdict(ev(no(), yes(F(0)), yes(F(0))),
-                          ev(yes(F(0)), no(), no()))
-        assert v.unlinkable.is_yes
-
-    def test_always_splittable(self):
-        v = union_verdict(ev(no(), no(), no()), ev(no(), no(), no()))
-        assert v.splittable.is_yes
-
-    def test_unknown_propagates(self):
-        v = union_verdict(ev(unk(), unk(), yes()), ev(yes(F(0)), no(), no()))
-        assert v.unknottable.status == "unknown"
+def same_answer(a: Verdict, b: Verdict) -> bool:
+    return a.status == b.status and a.closure == b.closure
 
 
 class TestEmbedVerdictInvariant:

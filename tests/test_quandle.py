@@ -1,8 +1,7 @@
 import itertools
 import math
 import random
-
-import pytest
+import time
 
 from tanglekit.catalog import get_entry
 from tanglekit.diagram import (
@@ -16,11 +15,13 @@ from tanglekit.diagram import (
     validate,
 )
 from tanglekit.expr import parse_expr
-from tanglekit.fraction import Fraction, frac_mirror, frac_normalize
+from tanglekit.fraction import frac_mirror, frac_normalize
 from tanglekit.quandle import (
+    MonochromaticReport,
     NotInvariant,
+    _TRIAL_DIVISION_BOUND,
+    _prime_divisors,
     arcs,
-    boundary_arcs,
     color_solve_dihedral,
     coloring_fraction,
     determinant,
@@ -209,6 +210,28 @@ class TestMonochromaticity:
             g = math.gcd(determinant(close_numerator(d)), determinant(close_denominator(d)))
             assert g > 0 and monochromatic_report(d).offending_moduli == prime_factors(g)
 
+    def test_large_torsion_factor_reported_whole(self):
+        """A 60-digit torsion factor with no prime below the trial-division
+        bound is a modulus with c-colorings as it stands, found at once."""
+        n = (2 ** 89 - 1) * (2 ** 107 - 1)
+        rep = MonochromaticReport(smith_normal_form([{0: n}], 3))
+        start = time.perf_counter()
+        assert rep.offending_moduli == {n}
+        assert time.perf_counter() - start < 1
+
+    def test_bounded_factoring_is_complete_below_the_bound_squared(self):
+        """Up to the square of the bound, stopping trial division there
+        still gives every prime divisor; above it a cofactor of two primes
+        past the bound stays whole."""
+        assert _TRIAL_DIVISION_BOUND == 2 ** 16
+        primes = (65519, 65521, 65537, 65539)  # on both sides of 2**16
+        cases = list(range(1, 5000)) + list(primes) + [2 ** 16 * 3 ** 5 * 65521]
+        cases += [a * b for a in primes for b in primes
+                  if a * b <= _TRIAL_DIVISION_BOUND ** 2]
+        for n in cases:
+            assert _prime_divisors(n) == prime_factors(n), n
+        assert _prime_divisors(2 * 65537 * 65539) == {2, 65537 * 65539}
+
 
 class TestColoringFraction:
     def test_rational_tangles(self):
@@ -252,7 +275,8 @@ class TestColoringFraction:
         rng = random.Random(5)
         for _ in range(10):
             d = random_tangle_diagram(rng)
-            ends = boundary_arcs(d, arcs(d))
+            arc_of = arcs(d)
+            ends = [arc_of[e] for e in d.boundary]
             for v in color_solve_dihedral(d, 0).basis:
                 assert alternating_sum_check(tuple(v[a] for a in ends))
 

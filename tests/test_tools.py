@@ -1,5 +1,8 @@
-"""The catalog diagram search tool recognizes the diagrams it produced."""
+"""The catalog diagram search tool recognizes the diagrams it produced,
+and the benchmark's tracer names only functions that exist."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -68,3 +71,19 @@ print(tool.gf4_orientations(get_entry("7_7", load_catalog()).diagram))
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[0, 3]"
+
+
+def test_tracer_wraps_only_existing_names():
+    """Every name in the benchmark tracer's ``TRACED`` list is in its
+    module's (or class's) ``__dict__``, where ``install`` looks it up, so
+    deleting a traced function fails here.  The tracer is only read."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for layer, cls, attrs in tracer.TRACED:
+        owner = importlib.import_module(f"tanglekit.{layer}")
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert [a for a in attrs if a not in owner.__dict__] == [], (layer, cls)
