@@ -54,14 +54,14 @@ data: an :class:`OrientedDiagram` refers back to its diagram, so one is
 built from the record on each call instead, and no link is kept alive
 by a reference cycle that only the cyclic garbage collector could free.
 
-Validation counts V - E + F on the pieces of the diagram, its faces the
-orbits of :func:`_turns`.  A tangle's two open strands are walked first,
-and the crossings the first one passes are marked.  When the strands
-cover every end, they are the pieces: one when the second meets a marked
-crossing, else two.  Then one Euler count over the whole diagram is
-exact, since no connected piece has Euler characteristic above 2.  Only
-links and tangles with ends on closed components label the pieces with
-a search over the ends and count each one.
+Validation counts V - E + F over the whole diagram, its faces the orbits
+of :func:`_turns`, and compares it with the number of pieces: the count
+is exact, since no connected piece has Euler characteristic above 2.  A
+tangle's two open strands are walked first, and the crossings the first
+one passes are marked.  When the strands cover every end, they are the
+pieces: one when the second meets a marked crossing, else two.  Only
+links and tangles with ends on closed components count their pieces in
+a search over the ends.
 
 File format (one diagram per file): a header line ``tangle`` or ``link``;
 one line ``X i j k l`` per crossing listing edge ids counterclockwise
@@ -544,37 +544,28 @@ def _turns(mate: list[int], k4: int) -> list[int]:
     return list(map(ccw.__getitem__, mate))
 
 
-def _euler_fails(mate: list[int], k4: int, faces: list[int]) -> bool:
-    """Whether some connected piece has a doubled Euler count other than
-    4 (see :func:`validate`), with the pieces labelled in one search over
-    the ends, all four ports of a crossing at once, and each face counted
-    in the piece of its first end."""
-    n = len(mate)
-    piece = [-1] * n
-    euler = []
-    for start in range(n):
-        if piece[start] >= 0:
+def _piece_count(mate: list[int], k4: int) -> int:
+    """The number of connected pieces, found in one search over the ends
+    that visits all four ports of a crossing at once."""
+    seen = bytearray(len(mate))
+    pieces = 0
+    for start in range(len(mate)):
+        if seen[start]:
             continue
-        p = len(euler)
-        term = 0
+        pieces += 1
         todo = [start]
         while todo:
             y = todo.pop()
-            if piece[y] >= 0:
+            if seen[y]:
                 continue
             if y < k4:
                 y &= ~3
-                piece[y] = piece[y + 1] = piece[y + 2] = piece[y + 3] = p
+                seen[y] = seen[y + 1] = seen[y + 2] = seen[y + 3] = 1
                 todo += mate[y:y + 4]
-                term -= 2
             else:
-                piece[y] = p
+                seen[y] = 1
                 todo.append(mate[y])
-                term += 1
-        euler.append(term)
-    for y in faces:
-        euler[piece[y]] += 2
-    return any(t != 4 for t in euler)
+    return pieces
 
 
 def validate(d: Diagram) -> str | None:
@@ -602,10 +593,9 @@ def validate(d: Diagram) -> str | None:
     # are the crossings and the boundary ends.  Counted doubled, a
     # crossing (four half edges) takes -2, a boundary end +1 and a face +2,
     # so each piece must sum to 4.  No piece sums to more (a connected
-    # graph has Euler characteristic at most 2), so when the pieces are
-    # known without labelling them, the sum over the whole diagram is
-    # enough.  Faces are the orbits of the turns, each counted at its
-    # first end.
+    # graph has Euler characteristic at most 2), so the sum over the whole
+    # diagram is 4 per piece exactly when every piece sums to 4.  Faces
+    # are the orbits of the turns, each counted at its first end.
     k4 = 4 * len(d.crossings)
     n = len(mate)
     turn = _turns(mate, k4)
@@ -646,10 +636,7 @@ def validate(d: Diagram) -> str | None:
             # every edge lies on an open strand, so the strands are the
             # pieces: one if they meet at a crossing, else two
             pieces = 2 - met
-    if pieces:
-        if 2 * len(faces) + 4 - k4 // 2 != 4 * pieces:
-            return "planarity: Euler count fails"
-    elif _euler_fails(mate, k4, faces):
+    if 2 * len(faces) + (n - k4) - k4 // 2 != 4 * (pieces or _piece_count(mate, k4)):
         return "planarity: Euler count fails"
 
     if isinstance(d, TangleDiagram):

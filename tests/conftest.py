@@ -7,6 +7,7 @@ import pytest
 from tanglekit.diagram import (
     LinkDiagram,
     TangleDiagram,
+    close_numerator,
     from_rational,
     tangle_product,
     tangle_sum,
@@ -78,6 +79,20 @@ def random_tangle_diagram(rng: random.Random) -> TangleDiagram:
             t = tangle_sum(t, u) if rng.random() < 0.5 else tangle_product(t, u)
         if t.crossing_count <= 10 and validate(t) is None:
             return t
+
+
+def cut_tangles(tool, rng: random.Random, count: int, lo: int, hi: int) -> list[TangleDiagram]:
+    """``count`` valid tangles of lo to hi crossings, cut open from numerator
+    closures of :func:`random_tangle_diagram` by the catalog search tool's
+    ``all_cut_tangles``, at most three per closure.  Many are not
+    rational tangles."""
+    out = []
+    while len(out) < count:
+        L = close_numerator(random_tangle_diagram(rng))
+        if lo <= L.crossing_count <= hi:
+            cuts = list(tool.all_cut_tangles(L))
+            out += rng.sample(cuts, min(3, len(cuts)))
+    return out[:count]
 
 
 def montesinos_sum(rng: random.Random, lo: int = 20, hi: int = 50) -> TangleDiagram:

@@ -676,7 +676,7 @@ def color_search_finite(od: OrientedDiagram, table) -> list[tuple[int, ...]]:
                     changed = True
         return True
 
-    def search():
+    def backtrack():
         if None not in color:
             results.append(tuple(color))
             return
@@ -685,11 +685,11 @@ def color_search_finite(od: OrientedDiagram, table) -> list[tuple[int, ...]]:
             trail = [i]
             color[i] = c
             if propagate(trail):
-                search()
+                backtrack()
             for j in trail:
                 color[j] = None
 
-    search()
+    backtrack()
     return sorted(results)
 
 

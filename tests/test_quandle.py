@@ -30,7 +30,7 @@ from tanglekit.quandle import (
 )
 from tanglekit.snf import smith_normal_form
 
-from conftest import dense, random_fraction, random_tangle_diagram
+from conftest import cut_tangles, dense, random_fraction, random_tangle_diagram
 from oracles import (
     GF4_TABLE,
     all_orientations,
@@ -177,20 +177,16 @@ class TestMonochromaticity:
         """dim(colorings) = 1 + dim(c-colorings) over every field, so the plain
         relation matrix gives what the c-constrained one gives.
 
-        On valid tangles (the catalog, and 200 each from the test generator
-        and from the search tool's planar growth) the plain matrix has nullity
+        On valid tangles (the catalog, 200 from the test generator, and 200
+        cut open from closures of its tangles) the plain matrix has nullity
         two, and the primes of its torsion are those of gcd(det N, det D).  On
         tangles with a distant closed component the identity holds as well,
         with nullity three: c-colorings at every modulus."""
         rng = random.Random(41)
         valid = [e.diagram for e in catalog_entries]
         valid += [random_tangle_diagram(rng) for _ in range(200)]
-        grown = []
-        while len(grown) < 200:
-            t = tool.random_tangle(rng, rng.randint(3, 9))
-            if t is not None and validate(t) is None:
-                grown.append(t)
-        valid += grown
+        cuts = cut_tangles(tool, rng, 200, 3, 9)
+        valid += cuts
         links = [close_numerator(from_rational(F(n))) for n in (1, 2, 3, 5)]
         closed = [beside(from_rational(f), L)
                   for f in (F(1, 3), F(2, 3), F(5, 2), F(-3, 4)) for L in links]
@@ -209,6 +205,9 @@ class TestMonochromaticity:
         for d in valid:
             g = math.gcd(determinant(close_numerator(d)), determinant(close_denominator(d)))
             assert g > 0 and monochromatic_report(d).offending_moduli == prime_factors(g)
+        # no rational tangle has g > 1, so some cuts are not rational
+        assert any(math.gcd(determinant(close_numerator(d)),
+                            determinant(close_denominator(d))) > 1 for d in cuts)
 
     def test_large_torsion_factor_reported_whole(self):
         """A 60-digit torsion factor with no prime below the trial-division
@@ -369,10 +368,8 @@ class TestDeterminant:
                     for s in range(5) if math.gcd(r, s) == 1}
         rng = random.Random(41)
         tangles = [random_tangle_diagram(rng) for _ in range(100)]
-        while len(tangles) < 200:
-            t = tool.random_tangle(rng, rng.randint(2, 7))
-            if t is not None and validate(t) is None:
-                tangles.append(t)
+        cuts = cut_tangles(tool, rng, 100, 2, 7)
+        tangles += cuts
         zeros = 0
         for t in tangles:
             a = determinant(close_numerator(t))
@@ -388,6 +385,9 @@ class TestDeterminant:
                 zeros += det == 0
             assert determinant(closure_link(t, candidate)) == 0
         assert zeros > 10
+        # no rational tangle has gcd(a, b) > 1, so some cuts are not rational
+        assert any(math.gcd(determinant(close_numerator(t)),
+                            determinant(close_denominator(t))) > 1 for t in cuts)
 
     def test_split_presentation_zero(self):
         a = close_numerator(from_rational(F(3)))

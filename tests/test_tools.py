@@ -45,10 +45,10 @@ def test_kink_and_bigon_predicate(tool, catalog_entries):
         assert tool.has_kink_or_reducible_bigon(r2_pair_closure(t, Fraction(0, 1)))
 
 
-def test_seeded_search_finds_6_3(tool):
-    found, wanted, tries = tool.search(["6_3"], budget=3000, verbose=False)
-    assert not wanted and tries == 2200
-    assert tool.matches(tool.TARGETS["6_3"], found["6_3"])
+def test_cut_search_finds_5_1(tool):
+    found, missing = tool.cut_search(["5_1"], verbose=False)
+    assert not missing
+    assert tool.matches(tool.TARGETS["5_1"], found["5_1"])
 
 
 def test_tool_finds_the_test_oracles_on_its_own(tmp_path):

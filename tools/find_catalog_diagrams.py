@@ -1,25 +1,27 @@
 """Search for catalog tangle diagrams matching published invariant data.
 
 The bundled catalog needs concrete planar diagrams for the essential
-tangles that have no algebraic expression.  This tool grows random planar
-tangle diagrams (a seeded, reproducible process) and keeps those whose
-computed invariants match every fact recorded for the target entry:
-crossing number, closure invariants, monochromaticity across all moduli,
-coloring fractions, linking numbers, knotted-string data, and closure
-uniqueness cross-checks.  Survivors are written as diagram files for the
-package data directory.
+tangles that have no algebraic expression.  This tool enumerates the
+standard closed diagrams of the target's crossing number (rational links,
+and the closures of sums and products of two rational tangles), cuts each
+open at every pair of edges, and keeps the cut tangles whose computed
+invariants match every fact recorded for the target entry: crossing
+number, closure invariants, monochromaticity across all moduli, coloring
+fractions, linking numbers, knotted-string data, and closure uniqueness
+cross-checks.  The search is deterministic.  Survivors are written as
+diagram files for the package data directory, over the shipped ones.
 
-Run:  python tools/find_catalog_diagrams.py [--budget N] [entry ...]
+Run:  python tools/find_catalog_diagrams.py [entry ...]
 """
 
 from __future__ import annotations
 
-import random
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the package, and the test oracles for the finite-quandle search
+# the package, and the test oracles for the finite-quandle search and the
+# face tracing
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from tanglekit.bracket import (  # noqa: E402
@@ -31,11 +33,9 @@ from tanglekit.bracket import (  # noqa: E402
 )
 from tanglekit.catalog import ClosedLink, closure_link  # noqa: E402
 from tanglekit.diagram import (  # noqa: E402
-    BOUNDARY_LABELS,
     LinkDiagram,
     TangleDiagram,
     _ends,
-    _turns,
     canonical_form,
     close_numerator,
     component_count,
@@ -49,100 +49,18 @@ from tanglekit.diagram import (  # noqa: E402
 )
 from tanglekit.fraction import Fraction, frac_mirror, frac_normalize  # noqa: E402
 from tanglekit.quandle import coloring_fraction, determinant, monochromatic_report  # noqa: E402
-from oracles import GF4_TABLE, all_orientations, nontrivial_c_colorings_finite  # noqa: E402
+from oracles import (  # noqa: E402
+    GF4_TABLE,
+    all_orientations,
+    nontrivial_c_colorings_finite,
+    traced_faces,
+)
 
 OUT_DIR = ROOT / "src" / "tanglekit" / "data" / "catalog"
 
 
 # ---------------------------------------------------------------------------
-# random planar tangle growth
-
-def random_tangle(rng: random.Random, k: int) -> TangleDiagram | None:
-    """Grow a random k-crossing tangle by sewing crossings into the outer face.
-
-    The boundary of the growth region is a cyclic list of open crossing
-    ports; each step either attaches a new crossing along 1..3 consecutive
-    boundary ports or caps two adjacent ports with an edge.  Returns None
-    when the attempt deadlocks.
-    """
-    crossings: list[list] = []
-    cycle: list[tuple[int, int]] = []
-    next_edge = [0]
-
-    def new_edge():
-        next_edge[0] += 1
-        return next_edge[0] - 1
-
-    def attach(j: int):
-        nonlocal cycle
-        ci = len(crossings)
-        crossings.append([None] * 4)
-        offset = rng.randrange(4)
-        if not cycle:
-            cycle = [(ci, (offset + t) % 4) for t in range(4)]
-            return
-        i = rng.randrange(len(cycle))
-        run = [cycle[(i + t) % len(cycle)] for t in range(j)]
-        for t, (cj, slot) in enumerate(run):
-            s = (offset + j - 1 - t) % 4
-            e = new_edge()
-            crossings[ci][s] = e
-            crossings[cj][slot] = e
-        free = [(ci, (offset + j + t) % 4) for t in range(4 - j)]
-        rest = [cycle[(i + j + t) % len(cycle)] for t in range(len(cycle) - j)]
-        cycle = free + rest
-
-    def cap() -> bool:
-        nonlocal cycle
-        n = len(cycle)
-        candidates = [i for i in range(n)
-                      if cycle[i][0] != cycle[(i + 1) % n][0]]
-        if not candidates:
-            return False
-        i = rng.choice(candidates)
-        (c1, s1), (c2, s2) = cycle[i], cycle[(i + 1) % n]
-        e = new_edge()
-        crossings[c1][s1] = e
-        crossings[c2][s2] = e
-        if i + 1 < n:
-            del cycle[i:i + 2]
-        else:
-            del cycle[i]
-            del cycle[0]
-        return True
-
-    attach(1)
-    while len(crossings) < k:
-        if len(cycle) > 6 and rng.random() < 0.4:
-            if not cap():
-                return None
-            continue
-        max_j = min(3, (len(cycle) + 0) // 1)
-        j = rng.randint(1, min(3, max_j))
-        if len(cycle) - 2 * j + 4 < 4:
-            j = 1
-        if j > len(cycle):
-            j = len(cycle)
-        attach(j)
-    while len(cycle) > 4:
-        if not cap():
-            return None
-    if len(cycle) != 4:
-        return None
-
-    boundary = {}
-    labels = ["NW", "NE", "SE", "SW"]
-    shift = rng.randrange(4)
-    for t, (ci, slot) in enumerate(cycle):
-        e = new_edge()
-        crossings[ci][slot] = e
-        boundary[labels[(t + shift) % 4]] = e
-    if any(x is None for c in crossings for x in c):
-        return None
-    return renumber(TangleDiagram(
-        crossings=tuple(tuple(c) for c in crossings),
-        boundary=tuple(boundary[lab] for lab in BOUNDARY_LABELS)))
-
+# cut tangles
 
 def cut_edges(L: LinkDiagram, e: int, f: int) -> list[TangleDiagram]:
     """Tangles obtained by cutting open two edges of a closed diagram.
@@ -193,30 +111,13 @@ def all_cut_tangles(L: LinkDiagram):
             yield from cut_edges(L, e, f)
 
 
-def faces(mate: list[int], k4: int) -> list[list[int]]:
-    """Orbits of the face rule ``diagram._turns``, each the list of ends
-    it leaves from."""
-    turn = _turns(mate, k4)
-    seen = [False] * len(mate)
-    out = []
-    for y in range(len(mate)):
-        face = []
-        while not seen[y]:
-            seen[y] = True
-            face.append(y)
-            y = turn[y]
-        if face:
-            out.append(face)
-    return out
-
-
 def has_kink_or_reducible_bigon(d: TangleDiagram) -> bool:
     mate = _ends(d)
     k4 = 4 * d.crossing_count
     for y in range(k4):
         if mate[y] < k4 and mate[y] >> 2 == y >> 2:
             return True  # kink
-    for face in faces(mate, k4):
+    for face in traced_faces(mate, k4):
         if len(face) != 2:
             continue
         ends = [face[0], mate[face[0]], face[1], mate[face[1]]]
@@ -226,16 +127,6 @@ def has_kink_or_reducible_bigon(d: TangleDiagram) -> bool:
         if [y & 1 for y in ends] in ([1, 1, 0, 0], [0, 0, 1, 1]):
             return True  # second Reidemeister bigon
     return False
-
-
-def basic_ok(d: TangleDiagram | None, k: int) -> bool:
-    if d is None or d.crossing_count != k:
-        return False
-    if validate(d) is not None:
-        return False
-    if has_kink_or_reducible_bigon(d):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -425,61 +316,6 @@ def variants(t: TangleDiagram):
         cur = rotate(cur)
 
 
-def search(names: list[str], budget: int = 300000, seed: int = 20240801,
-           verbose: bool = True):
-    rng = random.Random(seed)
-    found: dict[str, TangleDiagram] = {}
-    seen = set()
-    wanted = {n: TARGETS[n] for n in names}
-    tries = 0
-    stats = {"raw": 0, "basic": 0}
-    while wanted and tries < budget:
-        tries += 1
-        ks = sorted({s["k"] for s in wanted.values()})
-        k = rng.choice(ks)
-        base = random_tangle(rng, k)
-        stats["raw"] += 1
-        if not basic_ok(base, k):
-            continue
-        stats["basic"] += 1
-        for t in variants(base):
-            key = canonical_form(t)
-            if key in seen:
-                continue
-            seen.add(key)
-            hit = None
-            for name in list(wanted):
-                target = wanted[name]
-                if target["k"] != k:
-                    continue
-                try:
-                    ok = matches(target, t)
-                except Exception:
-                    ok = False
-                if not ok:
-                    continue
-                # paired targets must end up with distinct closures of N
-                if target.get("pair"):
-                    partner = [p for p in TARGETS
-                               if p != name and TARGETS[p].get("pair") == target["pair"]]
-                    clash = False
-                    for p in partner:
-                        if p in found and str(jones(close_numerator(found[p]))) == \
-                                str(jones(close_numerator(t))):
-                            clash = True
-                    if clash:
-                        continue
-                hit = name
-                break
-            if hit:
-                found[hit] = t
-                del wanted[hit]
-                if verbose:
-                    print(f"[{tries}] found {hit}  "
-                          f"({stats['basic']} valid candidates seen)", flush=True)
-    return found, wanted, tries
-
-
 def rational_pool(k: int):
     """All reduced fractions whose twist vector has |entries| summing to k."""
     from math import gcd
@@ -528,14 +364,16 @@ def closed_diagram_pool(k: int):
     return pool
 
 
-def cut_search(names: list[str], seed: int = 5, random_budget: int = 30000,
-               verbose: bool = True):
-    """Cut-pair search over standard closed diagrams plus random closures."""
+def cut_search(names: list[str], verbose: bool = True):
+    """Cut every closed diagram of ``closed_diagram_pool`` open at every
+    pair of edges, and keep for each named target the first cut tangle, in
+    one of its eight rotation/mirror images, that ``matches`` it.  Returns
+    the found diagrams by name and the targets left unmatched."""
     found: dict[str, TangleDiagram] = {}
     wanted = {n: TARGETS[n] for n in names}
     seen = set()
 
-    def consider(t, origin):
+    def consider(t):
         for v in variants(t):
             key = canonical_form(v)
             if key in seen:
@@ -561,7 +399,7 @@ def cut_search(names: list[str], seed: int = 5, random_budget: int = 30000,
                 found[name] = v
                 del wanted[name]
                 if verbose:
-                    print(f"found {name} via {origin}", flush=True)
+                    print(f"found {name}", flush=True)
                 break
 
     ks = sorted({TARGETS[n]["k"] for n in names})
@@ -575,50 +413,18 @@ def cut_search(names: list[str], seed: int = 5, random_budget: int = 30000,
                 break
             if L.loops or L.crossing_count != k:
                 continue
+            # every cut is a valid k-crossing tangle; skip the reducible ones
             for t in all_cut_tangles(L):
-                if not basic_ok(t, k):
+                if has_kink_or_reducible_bigon(t):
                     continue
-                consider(t, f"cut of a {k}-crossing closed diagram")
-                if not wanted:
-                    break
-    if wanted:
-        if verbose:
-            print("# random closures fallback", flush=True)
-        rng = random.Random(seed)
-        for i in range(random_budget):
-            if not wanted:
-                break
-            k = rng.choice(sorted({s["k"] for s in wanted.values()}))
-            base = random_tangle(rng, k)
-            if not basic_ok(base, k):
-                continue
-            L = close_numerator(base)
-            if L.loops:
-                continue
-            for t in all_cut_tangles(L):
-                if not basic_ok(t, k):
-                    continue
-                consider(t, "cut of a random closure")
+                consider(t)
                 if not wanted:
                     break
     return found, wanted
 
 
 def main():
-    args = sys.argv[1:]
-    budget = 300000
-    mode = "grow"
-    if args and args[0] == "--cut":
-        mode = "cut"
-        args = args[1:]
-    if args and args[0] == "--budget":
-        budget = int(args[1])
-        args = args[2:]
-    names = args or list(TARGETS)
-    if mode == "cut":
-        found, missing = cut_search(names)
-    else:
-        found, missing, _tries = search(names, budget=budget)
+    found, missing = cut_search(sys.argv[1:] or list(TARGETS))
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     for name, t in found.items():
         path = OUT_DIR / f"{name}.tangle"
