@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tanglekit.diagram import canonical_form, close_numerator, rotate
+from tanglekit.catalog import ClosedLink, closure_link
+from tanglekit.diagram import canonical_form, close_numerator, from_rational, rotate
 from tanglekit.fraction import Fraction
+from tanglekit.quandle import monochromatic_report
 
 from conftest import add_kink, r2_pair_closure
 
@@ -17,8 +19,8 @@ from conftest import add_kink, r2_pair_closure
 def test_targets_match_shipped_diagrams(tool, catalog_entries):
     diagrams = {e.name: e.diagram for e in catalog_entries}
     assert len(tool.TARGETS) == 11
-    for name, target in tool.TARGETS.items():
-        assert tool.matches(target, diagrams[name]), name
+    for name in tool.TARGETS:
+        assert tool.matches(name, diagrams[name]), name
 
 
 def test_cutting_a_closure_open_gives_the_tangle_back(tool, catalog_entries):
@@ -45,10 +47,28 @@ def test_kink_and_bigon_predicate(tool, catalog_entries):
         assert tool.has_kink_or_reducible_bigon(r2_pair_closure(t, Fraction(0, 1)))
 
 
-def test_cut_search_finds_5_1(tool):
+def test_rational_impostors_fail_only_the_split_guard(tool):
+    """The rational tangles 5/4, 6/5 and 7/6 have the crossing numbers of
+    5_1, 6_1 and 7_2, and unknot at -1 and at no other sweep closure; only
+    their unlinking closure, the splitting candidate, tells them apart
+    from an unknottable target."""
+    minus_one = Fraction(-1, 1)
+    for name, p in (("5_1", 5), ("6_1", 6), ("7_2", 7)):
+        t = from_rational(Fraction(p, p - 1))
+        assert t.crossing_count == p
+        assert monochromatic_report(t).c_trivial_for_all_n, name
+        assert ClosedLink(closure_link(t, minus_one)).is_unknot(), name
+        assert tool.unique_unknotting_closure(t, minus_one), name
+        assert tool.splits_at_fraction_candidate(t), name
+        assert not tool.matches(name, t), name
+
+
+def test_cut_search_finds_5_1(tool, catalog_entries):
     found, missing = tool.cut_search(["5_1"], verbose=False)
     assert not missing
-    assert tool.matches(tool.TARGETS["5_1"], found["5_1"])
+    assert tool.matches("5_1", found["5_1"])
+    shipped = {e.name: e.diagram for e in catalog_entries}["5_1"]
+    assert canonical_form(found["5_1"]) == canonical_form(shipped)
 
 
 def test_tool_finds_the_test_oracles_on_its_own(tmp_path):

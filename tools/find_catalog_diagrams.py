@@ -1,15 +1,17 @@
-"""Search for catalog tangle diagrams matching published invariant data.
+"""Search for catalog tangle diagrams matching the published answers.
 
 The bundled catalog needs concrete planar diagrams for the essential
 tangles that have no algebraic expression.  This tool enumerates the
 standard closed diagrams of the target's crossing number (rational links,
 and the closures of sums and products of two rational tangles), cuts each
-open at every pair of edges, and keeps the cut tangles whose computed
-invariants match every fact recorded for the target entry: crossing
-number, closure invariants, monochromaticity across all moduli, coloring
-fractions, linking numbers, knotted-string data, and closure uniqueness
-cross-checks.  The search is deterministic.  Survivors are written as
-diagram files for the package data directory, over the shipped ones.
+open at every pair of edges, and keeps for each target the first cut
+tangle that matches it.  A target's published answer, its unknotting or
+unlinking closure or its coloring fraction, is read from the
+``EXPECTED_*`` tables of ``tanglekit.catalog``; ``TARGETS`` adds only the
+facts the catalog does not hold.  Every closure a match reads is
+certified by ``catalog.ClosedLink``, the certificate ``classify`` uses.
+The search is deterministic.  Survivors are written as diagram files for
+the package data directory, over the shipped ones.
 
 Run:  python tools/find_catalog_diagrams.py [entry ...]
 """
@@ -17,6 +19,7 @@ Run:  python tools/find_catalog_diagrams.py [entry ...]
 from __future__ import annotations
 
 import sys
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,31 +27,28 @@ ROOT = Path(__file__).resolve().parent.parent
 # face tracing
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from tanglekit.bracket import (  # noqa: E402
-    jones,
-    jones_unknot,
-    jones_unlink,
-    linking_number,
-    split_union_jones,
+from tanglekit.bracket import jones, jones_unlink, possibly_knotted  # noqa: E402
+from tanglekit.catalog import (  # noqa: E402
+    EXPECTED_FRACTIONS,
+    EXPECTED_UNKNOTTABLE,
+    EXPECTED_UNLINKABLE,
+    ClosedLink,
+    closure_link,
 )
-from tanglekit.catalog import ClosedLink, closure_link  # noqa: E402
 from tanglekit.diagram import (  # noqa: E402
     LinkDiagram,
     TangleDiagram,
     _ends,
     canonical_form,
     close_numerator,
-    component_count,
-    component_subdiagrams,
     from_rational,
-    orient,
     print_diagram,
     renumber,
     tangle_sum,
     validate,
 )
 from tanglekit.fraction import Fraction, frac_mirror, frac_normalize  # noqa: E402
-from tanglekit.quandle import coloring_fraction, determinant, monochromatic_report  # noqa: E402
+from tanglekit.quandle import NotInvariant, coloring_fraction, monochromatic_report  # noqa: E402
 from oracles import (  # noqa: E402
     GF4_TABLE,
     all_orientations,
@@ -150,24 +150,12 @@ def unique_unknotting_closure(t: TangleDiagram, main: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 # per-entry predicates
 
-_TREFOIL_J = None
-_TORUS5_J = None
-
-
-def trefoil_jones():
-    global _TREFOIL_J
-    if _TREFOIL_J is None:
-        _TREFOIL_J = (jones(close_numerator(from_rational(Fraction(3, 1)))),
-                      jones(close_numerator(from_rational(Fraction(-3, 1)))))
-    return _TREFOIL_J
-
-
-def torus5_jones():
-    global _TORUS5_J
-    if _TORUS5_J is None:
-        _TORUS5_J = (jones(close_numerator(from_rational(Fraction(5, 1)))),
-                     jones(close_numerator(from_rational(Fraction(-5, 1)))))
-    return _TORUS5_J
+@cache
+def torus_jones(n: int) -> tuple:
+    """Jones polynomials of N([n]) and N([-n]), the (2, n) torus knot or
+    link and its mirror image."""
+    return tuple(jones(close_numerator(from_rational(Fraction(s * n, 1))))
+                 for s in (1, -1))
 
 
 def gf4_orientations(t) -> list[int]:
@@ -182,40 +170,25 @@ def splits_at_fraction_candidate(t) -> bool:
     closure), so this rejects rational impostors among candidates that
     are supposed to be essential and unknottable.
     """
-    from tanglekit.quandle import NotInvariant
-
     cf = coloring_fraction(t)
     if isinstance(cf, NotInvariant):
         return True  # want definite behavior; treat as suspicious
-    from tanglekit.fraction import continued_fraction
-
-    cand = frac_mirror(cf)
-    weight = 0 if cand.is_infinite else sum(abs(c) for c in continued_fraction(cand))
-    if weight + t.crossing_count > 22 or cand.is_infinite:
-        # closure too large for bracket certificates; use cheap obstructions
-        L = closure_link(t, cand)
-        if component_count(L) == 1:
-            return False
-        return linking_number(orient(L)) == 0
-    return ClosedLink(closure_link(t, cand)).is_unlink()
+    return ClosedLink(closure_link(t, frac_mirror(cf))).is_unlink()
 
 
-def match_unknottable(t, closure: Fraction, n_jones=None, gf4=None) -> bool:
+def match_unknottable(t, closure: Fraction, n_torus=None, gf4=None) -> bool:
     rep = monochromatic_report(t)
     if not rep.c_trivial_for_all_n:
         return False
     if not ClosedLink(closure_link(t, closure)).is_unknot():
         return False
-    if closure != Fraction(0, 1):
-        if ClosedLink(close_numerator(t)).is_unknot():
-            return False
     if not unique_unknotting_closure(t, closure):
         return False
     if splits_at_fraction_candidate(t):
         return False
     # deleted-string closures may legitimately be knotted for unknottable
     # tangles (the deletion ball is not a subtangle), so no string filter
-    if n_jones is not None and jones(close_numerator(t)) not in n_jones:
+    if n_torus is not None and jones(close_numerator(t)) not in torus_jones(n_torus):
         return False
     if gf4 == "some" and not gf4_orientations(t):
         return False
@@ -224,21 +197,15 @@ def match_unknottable(t, closure: Fraction, n_jones=None, gf4=None) -> bool:
     return True
 
 
-def match_six_three(t) -> bool:
+def match_six_three(t, closure: Fraction) -> bool:
+    """Unlinkable at ``closure`` alone, and unknottable at no sweep closure."""
     rep = monochromatic_report(t)
     if not rep.polychromatic_somewhere():
         return False
-    if not ClosedLink(close_numerator(t)).is_unlink():
-        return False
     for c in SWEEP:
-        if ClosedLink(closure_link(t, c)).is_unknot():
+        L = ClosedLink(closure_link(t, c))
+        if L.is_unlink() != (c == closure) or L.is_unknot():
             return False
-        if c == Fraction(0, 1):
-            continue
-        L2 = closure_link(t, c)
-        if component_count(L2) == 2 and determinant(L2) == 0:
-            if jones(L2) == jones_unlink(2):
-                return False
     return True
 
 
@@ -248,61 +215,67 @@ def match_r0_mono(t, frac: Fraction, lk_zero: bool, comps: str | None) -> bool:
         return False
     if coloring_fraction(t) != frac:
         return False
-    L = closure_link(t, frac_mirror(frac))
-    if component_count(L) != 2:
+    L = ClosedLink(closure_link(t, frac_mirror(frac)))
+    if L.components != 2 or L.determinant != 0:
         return False
-    if determinant(L) != 0:
-        return False
-    lk = linking_number(orient(L))
-    if lk_zero != (lk == 0):
+    if lk_zero != (L.linking_number == 0):
         return False
     if comps is not None:
-        cj = [jones(c) for c in component_subdiagrams(L)]
+        # V(K1) V(K2) = 1 forces both factors to be 1, and a trefoil's
+        # polynomial is a monomial times an irreducible cubic, so a
+        # product equal to it has one factor equal to 1
+        union = L.split_union_jones
+        if comps == "unknots" and union != jones_unlink(2):
+            return False
         if comps == "trefoil+unknot":
-            ok = (sorted(map(str, cj)) in
-                  [sorted([str(jones_unknot()), str(tj)]) for tj in trefoil_jones()])
-            if not ok:
+            trefoils = torus_jones(3)
+            if union not in [jones_unlink(2) * j for j in trefoils]:
                 return False
-            knotted = [jones(sc) for sc in component_subdiagrams(t)]
-            if not any(j in trefoil_jones() for j in knotted):
+            if not any(jones(k) in trefoils for _, k in possibly_knotted(t)):
                 return False
-        elif comps == "unknots":
-            if any(str(j) != str(jones_unknot()) for j in cj):
-                return False
-        if jones(L) == split_union_jones(L):
+        if L.jones == union:
             return False
     return True
 
 
+# The facts each target matches beyond its published answer.  The
+# answer, and with it the kind of target, is read from the catalog table
+# that names the target: the unknotting closure, the unlinking closure
+# or the coloring fraction.  The crossing number is the name's.  The
+# facts: N(T) has the Jones polynomial of N([n_torus]) or its mirror;
+# some or no orientation has a nontrivial GF(4) c-coloring; targets of
+# one pair differ in N(T)'s Jones polynomial; the splitting candidate
+# has linking number 0 or not, and these component knots.  The search
+# tries targets in the order it is given; in this order 7_2 claims a
+# drawing before its partner 7_14.
 TARGETS = {
-    "5_1": dict(k=5, kind="unknottable", closure=frac_normalize(-1, 1), n_jones="t5"),
-    "6_1": dict(k=6, kind="unknottable", closure=frac_normalize(-1, 1)),
-    "7_2": dict(k=7, kind="unknottable", closure=frac_normalize(-1, 1), pair="A"),
-    "7_14": dict(k=7, kind="unknottable", closure=frac_normalize(-1, 1), pair="A"),
-    "7_5": dict(k=7, kind="unknottable", closure=frac_normalize(0, 1), gf4="none"),
-    "7_7": dict(k=7, kind="unknottable", closure=frac_normalize(0, 1), gf4="some"),
-    "6_3": dict(k=6, kind="six_three"),
-    "7_13": dict(k=7, kind="r0mono", frac=frac_normalize(3, 4), lk_zero=True,
-                 comps="trefoil+unknot"),
-    "7_15": dict(k=7, kind="r0mono", frac=frac_normalize(2, 3), lk_zero=True,
-                 comps="unknots"),
-    "7_17": dict(k=7, kind="r0mono", frac=frac_normalize(8, 7), lk_zero=False,
-                 comps=None),
-    "7_18": dict(k=7, kind="r0mono", frac=frac_normalize(2, 1), lk_zero=False,
-                 comps=None),
+    "5_1": dict(n_torus=5),
+    "6_1": {},
+    "7_2": dict(pair="A"),
+    "7_14": dict(pair="A"),
+    "7_5": dict(gf4="none"),
+    "7_7": dict(gf4="some"),
+    "6_3": {},
+    "7_13": dict(lk_zero=True, comps="trefoil+unknot"),
+    "7_15": dict(lk_zero=True, comps="unknots"),
+    "7_17": dict(lk_zero=False),
+    "7_18": dict(lk_zero=False),
 }
 
 
-def matches(target: dict, t: TangleDiagram) -> bool:
-    if target["kind"] == "unknottable":
-        nj = torus5_jones() if target.get("n_jones") == "t5" else None
-        return match_unknottable(t, target["closure"], n_jones=nj,
-                                 gf4=target.get("gf4"))
-    if target["kind"] == "six_three":
-        return match_six_three(t)
-    if target["kind"] == "r0mono":
-        return match_r0_mono(t, target["frac"], target["lk_zero"], target["comps"])
-    raise ValueError(target["kind"])
+def crossing_number(name: str) -> int:
+    return int(name.split("_")[0])
+
+
+def matches(name: str, t: TangleDiagram) -> bool:
+    target = TARGETS[name]
+    if name in EXPECTED_UNKNOTTABLE:
+        return match_unknottable(t, EXPECTED_UNKNOTTABLE[name],
+                                 target.get("n_torus"), target.get("gf4"))
+    if name in EXPECTED_UNLINKABLE:
+        return match_six_three(t, EXPECTED_UNLINKABLE[name])
+    return match_r0_mono(t, EXPECTED_FRACTIONS[name], target["lk_zero"],
+                         target.get("comps"))
 
 
 def variants(t: TangleDiagram):
@@ -370,7 +343,7 @@ def cut_search(names: list[str], verbose: bool = True):
     one of its eight rotation/mirror images, that ``matches`` it.  Returns
     the found diagrams by name and the targets left unmatched."""
     found: dict[str, TangleDiagram] = {}
-    wanted = {n: TARGETS[n] for n in names}
+    wanted = list(names)
     seen = set()
 
     def consider(t):
@@ -379,30 +352,21 @@ def cut_search(names: list[str], verbose: bool = True):
             if key in seen:
                 continue
             seen.add(key)
-            for name in list(wanted):
-                target = wanted[name]
-                if target["k"] != v.crossing_count:
+            for name in wanted:
+                if crossing_number(name) != v.crossing_count or not matches(name, v):
                     continue
-                try:
-                    ok = matches(target, v)
-                except Exception:
-                    ok = False
-                if not ok:
+                pair = TARGETS[name].get("pair")
+                if pair and any(TARGETS[p].get("pair") == pair and
+                                jones(close_numerator(u)) == jones(close_numerator(v))
+                                for p, u in found.items()):
                     continue
-                if target.get("pair"):
-                    partner = [p for p in TARGETS
-                               if p != name and TARGETS[p].get("pair") == target["pair"]]
-                    if any(p in found and
-                           str(jones(close_numerator(found[p]))) ==
-                           str(jones(close_numerator(v))) for p in partner):
-                        continue
                 found[name] = v
-                del wanted[name]
+                wanted.remove(name)
                 if verbose:
                     print(f"found {name}", flush=True)
                 break
 
-    ks = sorted({TARGETS[n]["k"] for n in names})
+    ks = sorted({crossing_number(n) for n in names})
     for k in ks:
         if not wanted:
             break
