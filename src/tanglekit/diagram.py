@@ -574,8 +574,9 @@ def validate(d: Diagram) -> str | None:
     Checks, in order: every edge has exactly two ends; the loop count is
     not negative; the rotation system is planar on every connected piece
     (Euler count); tangles have no closed components, and their
-    endpoints in the circular order NW, NE, SE, SW on one face, or on two
-    pieces whose chords do not cross.
+    endpoints lie on one face whose walk from NW meets them in the order
+    NW, SW, SE, NE, the order every constructor builds, or on two pieces
+    whose chords do not cross.
     """
     try:
         mate = _ends(d)
@@ -649,12 +650,9 @@ def validate(d: Diagram) -> str | None:
                 if y > k4:
                     pos.append(_CIRCLE_POS[y - k4])
                 y = turn[y]
-            # every tangle the library builds runs its ends round this face
-            # in the order [0, 3, 2, 1]; the catalog's 6_3, 7_5, 7_7 and
-            # 7_18 run them the other way
-            if pos in ([0, 3, 2, 1], [0, 1, 2, 3]):
+            if pos == [0, 3, 2, 1]:
                 return None
-            return "boundary order: endpoints not in circular order on one face"
+            return "boundary order: endpoints not in the order NW, SW, SE, NE on one face"
         # two pieces, one open strand each: the chords cross when the
         # strand from NW ends at SE
         if far[0] == k4 + _SE:

@@ -293,9 +293,9 @@ def union_find_validate(d) -> str | None:
             for face in faces:
                 pos = [_CIRCLE_POS[y - k4] for y in face if y >= k4]
                 steps = {(b - a) % 4 for a, b in zip(pos, pos[1:] + pos[:1])}
-                if len(pos) == 4 and len(steps) == 1:
+                if len(pos) == 4 and steps == {3}:
                     return None
-            return "boundary order: endpoints not in circular order on one face"
+            return "boundary order: endpoints not in the order NW, SW, SE, NE on one face"
         if mate[st[0][-1]] == k4 + _SE:
             return "planarity: boundary chords interleave"
     return None

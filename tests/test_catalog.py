@@ -131,6 +131,15 @@ class TestClassify:
             evidence = "\n".join(classified[name].evidence)
             assert "coloring route agrees" in evidence, name
 
+    def test_every_closure_classify_builds_is_a_link_diagram(self, classified):
+        """A closure's invariants are evidence only when N(T + [c]) is a
+        planar diagram, so every closure read passes ``validate``.  Each
+        drawing-only entry reads at least its splitting candidate."""
+        for name, r in classified.items():
+            assert r._closures or r.entry.expression is not None, name
+            for c, L in r._closures.items():
+                assert validate(L.diagram) is None, (name, c)
+
     def test_knotted_string_gate(self, classified):
         r = classified["7_13"]
         assert "knotted" in (r.verdict.unlinkable.reason or "") or \
@@ -154,6 +163,37 @@ class TestClassify:
             r = cat.classify(e)
             assert r.verdict == classified[e.name].verdict, e.name
             assert r.evidence == classified[e.name].evidence, e.name
+
+
+class TestNoRationalInDisguise:
+    """A drawing whose closures N(T + [c]) match those of the rational
+    tangle [cf], with cf its coloring fraction, may be that rational tangle
+    drawn with extra crossings.  No entry matches on more than one of ten
+    fractions c; a rational tangle drawn as a sum matches on all ten."""
+
+    SWEEP = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3, 2),
+             F(1, 3), F(-3)]
+
+    def agreements(self, t):
+        from tanglekit.bracket import jones
+        from tanglekit.catalog import closure_link
+        from tanglekit.diagram import from_rational
+        from tanglekit.quandle import coloring_record
+
+        rational = from_rational(coloring_record(t).fraction)
+        return sum(jones(closure_link(t, c)) == jones(closure_link(rational, c))
+                   for c in self.SWEEP)
+
+    def test_catalog_entries(self, catalog_entries):
+        assert len(catalog_entries) == 23
+        for e in catalog_entries:
+            assert self.agreements(e.diagram) <= 1, e.name
+
+    def test_a_rational_sum_matches_everywhere(self):
+        from tanglekit.diagram import from_rational, tangle_sum
+
+        t = tangle_sum(from_rational(F(1, 3)), from_rational(F(1)))
+        assert self.agreements(t) == len(self.SWEEP)
 
 
 class TestUnknownIsLegal:

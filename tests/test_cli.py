@@ -208,6 +208,8 @@ class TestDiagramCommands:
         (["jones"], "tangle\nX 0 1 2 3\nX 3 2 4 5\nB NW=0 NE=1 SW=4 SE=9\n", "dangling port"),
         (["linking"], "tangle\nX 0 1 2 3\nX 3 2 4 5\nB NW=0 NE=1 SW=4 SE=9\n",
          "dangling port"),
+        # [1] with its ends reflected, (NE, NW, SE, SW): they run the other way
+        (["det"], "tangle\nX 0 1 2 3\nB NW=2 NE=3 SW=1 SE=0\n", "boundary order"),
     ])
     def test_invalid_diagram_file_exit_2(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "bad.diagram"

@@ -255,6 +255,9 @@ class TestMirrorRotate:
         assert canonical_form(r) == canonical_form(d)
 
 
+BOUNDARY_ORDER = "boundary order: endpoints not in the order NW, SW, SE, NE on one face"
+
+
 class TestValidateDiagnostics:
     def test_dangling_port(self):
         d = TangleDiagram(
@@ -280,8 +283,20 @@ class TestValidateDiagnostics:
         nw, ne, sw, se = from_rational(F(1)).boundary
         d = TangleDiagram(crossings=from_rational(F(1)).crossings,
                           boundary=(nw, se, sw, ne))
-        assert (validate(d)
-                == "boundary order: endpoints not in circular order on one face")
+        assert validate(d) == BOUNDARY_ORDER
+
+    def test_reflected_ends_are_refused(self):
+        """Reflected, (NE, NW, SE, SW), a one-piece tangle runs its ends
+        round the other way; [0] is two pieces and stays valid."""
+        for p in range(-6, 7):
+            for q in range(1, 7):
+                if math.gcd(p, q) != 1:
+                    continue
+                t = from_rational(F(p, q))
+                nw, ne, sw, se = t.boundary
+                reflected = TangleDiagram(t.crossings, (ne, nw, se, sw))
+                assert validate(t) is None
+                assert validate(reflected) == (None if p == 0 else BOUNDARY_ORDER), (p, q)
 
     def test_negative_loop_count_in_either_kind(self):
         t = from_rational(F(3, 2))
@@ -340,7 +355,7 @@ class TestValidateOracle:
         assert set(seen) == {
             None, "dangling port:", "empty diagram", "planarity: Euler count fails",
             "planarity: boundary chords interleave", "closed component in tangle",
-            "boundary order: endpoints not in circular order on one face"}
+            BOUNDARY_ORDER}
 
 
 class TestOrientation:
@@ -673,3 +688,33 @@ def test_printed_diagram_parses_back_or_is_refused(d):
         assert validate(d) is not None
     else:
         assert back == d and validate(d) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_what_the_library_builds_runs_one_direction(data):
+    """Sums, products, rotations and mirrors of valid tangles, and both
+    closures of each, pass ``validate``, but for a sum or product that
+    closes a circle."""
+    def rational():
+        p, q = data.draw(st.integers(-5, 5)), data.draw(st.integers(0, 4))
+        return from_rational(F(p, q) if math.gcd(p, q) == 1 else F(1))
+
+    built = [rational()]
+    for op in data.draw(st.lists(st.sampled_from(["sum", "product", "rotate", "mirror"]),
+                                 max_size=4)):
+        t = built[-1]
+        if op in ("sum", "product"):
+            glue = tangle_sum if op == "sum" else tangle_product
+            pair = (t, rational())
+            u = glue(*(pair if data.draw(st.booleans()) else pair[::-1]))
+            err = validate(u)
+            if err is not None:
+                assert err == "closed component in tangle"
+                continue
+        else:
+            u = rotate(t) if op == "rotate" else mirror(t)
+        built.append(u)
+    for t in built:
+        for d in (t, close_numerator(t), close_denominator(t)):
+            assert validate(d) is None, print_diagram(d)

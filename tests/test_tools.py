@@ -71,6 +71,15 @@ def test_cut_search_finds_5_1(tool, catalog_entries):
     assert canonical_form(found["5_1"]) == canonical_form(shipped)
 
 
+def test_pair_target_alone_gets_its_own_drawing(tool, catalog_entries):
+    """7_14 is searched with its partner 7_2, which claims the first drawing
+    of the pair, so it gets the shipped 7_14 and not 7_2's drawing."""
+    found, missing = tool.cut_search(["7_14"], verbose=False)
+    assert list(found) == ["7_14"] and not missing
+    shipped = {e.name: e.diagram for e in catalog_entries}["7_14"]
+    assert canonical_form(found["7_14"]) == canonical_form(shipped)
+
+
 def test_tool_finds_the_test_oracles_on_its_own(tmp_path):
     """Loaded by path in a fresh interpreter whose path has neither
     ``src/`` nor ``tests/``, the tool sets up both itself, and its GF(4)

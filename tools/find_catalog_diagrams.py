@@ -67,7 +67,9 @@ def cut_edges(L: LinkDiagram, e: int, f: int) -> list[TangleDiagram]:
 
     The two cut edges become the four boundary endpoints, paired so each
     former edge spans an adjacent pair (its middle piece is a closure
-    arc); both side assignments are produced and invalid ones dropped.
+    arc).  Of the four ways to place the pairs, those ``validate``
+    refuses are dropped, among them every one whose ends run round the
+    other way.
     """
     out = []
     if L.loops:
@@ -246,8 +248,8 @@ def match_r0_mono(t, frac: Fraction, lk_zero: bool, comps: str | None) -> bool:
 # some or no orientation has a nontrivial GF(4) c-coloring; targets of
 # one pair differ in N(T)'s Jones polynomial; the splitting candidate
 # has linking number 0 or not, and these component knots.  The search
-# tries targets in the order it is given; in this order 7_2 claims a
-# drawing before its partner 7_14.
+# tries targets in this order, so 7_2 claims a drawing before its
+# partner 7_14.
 TARGETS = {
     "5_1": dict(n_torus=5),
     "6_1": {},
@@ -340,10 +342,15 @@ def closed_diagram_pool(k: int):
 def cut_search(names: list[str], verbose: bool = True):
     """Cut every closed diagram of ``closed_diagram_pool`` open at every
     pair of edges, and keep for each named target the first cut tangle, in
-    one of its eight rotation/mirror images, that ``matches`` it.  Returns
-    the found diagrams by name and the targets left unmatched."""
+    one of its eight rotation/mirror images, that ``matches`` it.  A pair
+    target is searched with its partners, and every target in ``TARGETS``
+    order, so each drawing of a pair goes to the same target whatever is
+    asked for.
+    Returns the found diagrams of the named targets by name and the named
+    targets left unmatched."""
     found: dict[str, TangleDiagram] = {}
-    wanted = list(names)
+    pairs = {TARGETS[n].get("pair") for n in names} - {None}
+    wanted = [n for n in TARGETS if n in names or TARGETS[n].get("pair") in pairs]
     seen = set()
 
     def consider(t):
@@ -366,7 +373,7 @@ def cut_search(names: list[str], verbose: bool = True):
                     print(f"found {name}", flush=True)
                 break
 
-    ks = sorted({crossing_number(n) for n in names})
+    ks = sorted({crossing_number(n) for n in wanted})
     for k in ks:
         if not wanted:
             break
@@ -384,7 +391,8 @@ def cut_search(names: list[str], verbose: bool = True):
                 consider(t)
                 if not wanted:
                     break
-    return found, wanted
+    return ({n: t for n, t in found.items() if n in names},
+            [n for n in wanted if n in names])
 
 
 def main():
