@@ -1,11 +1,13 @@
 """The catalog of essential 2-string tangles up to seven crossings.
 
 Each entry of the bundled manifest has one source: a diagram file, or
-an algebraic expression (a sum of two rationals, possibly times an
-integral tangle), realized as a diagram once, at load time, and decided
-by the congruence criteria of :mod:`tanglekit.expr`.  The other entries
-are decided through diagram obstructions: nontrivial dihedral
-c-colorings rule out unknottability, the coloring fraction of an
+an algebraic expression (a sum of two rationals, possibly turned a
+quarter and times an integral tangle, glued as written: 7_16, which the
+paper writes (1/3 + 1/3) * [-2], reads rot(1/3 + 1/3) * [-2], since the
+literal gluing closes a circle), realized as a diagram once, at load
+time, and decided by the congruence criteria of :mod:`tanglekit.expr`.
+The other entries are decided through diagram obstructions: nontrivial
+dihedral c-colorings rule out unknottability, the coloring fraction of an
 integer-monochromatic tangle pins the unique rational splitting closure
 candidate, and candidate closures are then confirmed or rejected by the
 Jones polynomial, determinant and linking number of the closed diagram.

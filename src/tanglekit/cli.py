@@ -17,11 +17,13 @@ import sys
 from . import catalog as cat
 from .bracket import CrossingBudgetExceeded, jones, linking_number
 from .diagram import (
+    DiagramError,
     TangleDiagram,
     close_numerator,
     from_expression,
     orient,
     parse_diagram,
+    validate,
 )
 from .expr import (
     CatalogHint,
@@ -49,7 +51,8 @@ class UsageError(ValueError):
 
 def _load_diagram_arg(value: str):
     """Resolve a file path, or an inline expression whose @name references
-    (a bare @name included) are catalog entries."""
+    (a bare @name included) are catalog entries; either is validated, a
+    file as it is parsed and an expression once realized."""
     try:
         with open(value) as fh:
             return parse_diagram(fh.read())
@@ -61,7 +64,11 @@ def _load_diagram_arg(value: str):
         raise UsageError(f"not a catalog name, diagram file or expression: "
                          f"{value!r} ({ex})")
     entries = cat.load_catalog() if referenced_names(expr) else []
-    return from_expression(expr, lambda name: cat.get_entry(name, entries).diagram)
+    d = from_expression(expr, lambda name: cat.get_entry(name, entries).diagram)
+    err = validate(d)
+    if err:
+        raise DiagramError(err)
+    return d
 
 
 def _emit(args, text: str, data):
@@ -109,8 +116,6 @@ def cmd_frac(args) -> int:
         _emit(args, f"unknot={v.unknot} unlink={v.unlink} split={v.split}",
               {"unknot": v.unknot, "unlink": v.unlink, "split": v.split})
         return 0
-    else:
-        raise UsageError(f"unknown frac operation {op!r}")
     _emit(args, str(out), {"fraction": str(out)})
     return 0
 
@@ -134,16 +139,18 @@ def cmd_verdict(args) -> int:
 
 def cmd_color(args) -> int:
     d = _load_diagram_arg(args.diagram)
-    lat = color_solve_dihedral(d, args.modulus)
-    if args.modulus > 0:
-        data = {"modulus": args.modulus, "count": lat.count,
-                "generators": lat.generators}
-        text = f"{lat.count} colorings mod {args.modulus}"
+    n = args.modulus
+    if n < 0:
+        raise UsageError("modulus must be >= 0")
+    smith = color_solve_dihedral(d)
+    if n > 0:
+        count = smith.solutions_mod(n)
+        data = {"modulus": n, "count": count, "generators": smith.kernel_basis_mod(n)}
+        text = f"{count} colorings mod {n}"
     else:
-        data = {"modulus": 0, "basis": lat.basis,
-                "invariant_factors": lat.invariant_factors}
-        text = (f"integer lattice rank {len(lat.basis)}, invariant factors "
-                f"{lat.invariant_factors}")
+        basis = smith.kernel_basis()
+        data = {"modulus": 0, "basis": basis, "invariant_factors": smith.factors}
+        text = f"integer lattice rank {len(basis)}, invariant factors {smith.factors}"
     _emit(args, text, data)
     return 0
 
@@ -312,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .diagram import DiagramError
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

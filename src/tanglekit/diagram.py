@@ -717,9 +717,10 @@ def from_expression(expr, resolver=None) -> TangleDiagram:
     glued east to west in one :func:`tangle_sum`, and products glue south
     to north.  When a product's naive gluing
     would close a circle (the factors' end patterns both run across the
-    glued disk), the first factor is re-embedded by quarter turns until
-    the gluing stays a 2-string tangle; the result is the same tangle up
-    to equivalence, which is all the algebraic expressions promise.
+    glued disk), the first factor is turned a quarter at a time until
+    the gluing stays a 2-string tangle.  A turned factor makes another
+    tangle, rot(T1) * T2 in place of T1 * T2, so the catalog writes its
+    products to glue as written.
     NamedRef leaves are resolved through ``resolver``.
     """
     from . import expr as ex

@@ -115,14 +115,6 @@ class EmbedVerdict(Value):
                 f"splittable: {self.splittable}")
 
 
-def make_verdict(unknottable: Verdict, unlinkable: Verdict,
-                 splittable: Verdict) -> EmbedVerdict:
-    """Assemble an EmbedVerdict, deriving splittable=yes from unlinkable=yes."""
-    if unlinkable.is_yes and not splittable.is_yes:
-        splittable = Verdict.yes(unlinkable.closure)
-    return EmbedVerdict(unknottable, unlinkable, splittable)
-
-
 # ---------------------------------------------------------------------------
 # expression trees
 
@@ -335,7 +327,7 @@ def montesinos_verdict(fractions: list[Fraction]) -> EmbedVerdict:
                              "parts before dispatching")
     if len(fractions) > 2:
         reason = "three or more rational summands: covering space is irreducible"
-        return make_verdict(Verdict.no(reason), Verdict.no(reason), Verdict.no(reason))
+        return EmbedVerdict(Verdict.no(reason), Verdict.no(reason), Verdict.no(reason))
     (p1, q1), (p2, q2) = (fractions[0].num, fractions[0].den), (fractions[1].num, fractions[1].den)
     s = p1 * q2 + p2 * q1
     m = q1 * q2
@@ -421,7 +413,7 @@ class _Item:
 
     __slots__ = ("rational", "verdict", "essential", "label")
 
-    def __init__(self, rational: Fraction | None, verdict: EmbedVerdict | None,
+    def __init__(self, rational: Fraction | None, verdict: EmbedVerdict,
                  essential: bool, label: str):
         self.rational = rational
         self.verdict = verdict
@@ -523,9 +515,7 @@ def _flatten_product(expr: TangleExpr) -> list[TangleExpr]:
 
 
 def _eval_sum(items: list[_Item], log) -> _Item:
-    if len(items) == 1:
-        return items[0]
-
+    """The sum of two or more evaluated summands."""
     # absorb integral rational summands into a non-integral rational one
     folded = _absorb_integrals(items)
     rationals = [it for it in folded if it.rational is not None]
@@ -548,7 +538,7 @@ def _eval_sum(items: list[_Item], log) -> _Item:
                                              "sum involves the infinity tangle"),
                      essential=False, label=label)
 
-    if len(others) == 1 and others[0].verdict is not None and others[0].essential:
+    if len(others) == 1 and others[0].essential:
         base = others[0]
         v = base.verdict
         log.append(f"extending {base.label} by rational summands "
@@ -605,26 +595,25 @@ def _extend_all(v: EmbedVerdict, added: Fraction, log) -> EmbedVerdict:
     if not v.unlinkable.is_yes or unlink.is_yes:
         log.append("unlinkable/splittable extension uses the mirrored "
                    "congruence (derived clause)")
-    return make_verdict(unknot, unlink, split)
+    return EmbedVerdict(unknot, unlink, split)
 
 
 def _pruned_unknown(items: list[_Item], log, reason: str) -> EmbedVerdict:
     """Unknown overall, but piece obstructions prune definite answers."""
     unknot = Verdict.unknown(reason)
     for it in items:
-        v = it.verdict
-        if v is not None and v.unknottable.is_no:
+        if it.verdict.unknottable.is_no:
             unknot = Verdict.no(f"piece {it.label} is not unknottable")
             log.append(f"pruned: {it.label} not unknottable makes the whole "
                        "not unknottable")
             break
     unlink = Verdict.unknown(reason)
-    verdicts = [it.verdict for it in items if it.verdict is not None]
+    verdicts = [it.verdict for it in items]
     if any(v.unlinkable.is_no and v.unknottable.is_no for v in verdicts):
         unlink = Verdict.no("a piece is neither unlinkable nor unknottable")
-    elif len(verdicts) == len(items) and all(v.unlinkable.is_no for v in verdicts):
+    elif all(v.unlinkable.is_no for v in verdicts):
         unlink = Verdict.no("no piece is unlinkable and one must be")
     split = Verdict.unknown(reason)
-    if len(verdicts) == len(items) and all(v.splittable.is_no for v in verdicts):
+    if all(v.splittable.is_no for v in verdicts):
         split = Verdict.no("no piece is splittable and one must be")
     return EmbedVerdict(unknot, unlink, split)

@@ -251,8 +251,9 @@ def unknotting_closure(f: Fraction) -> Fraction:
     """
     p, q = f.num, f.den
     best = None
-    # p*s + r*q = +-1 with s >= 0; s can be searched mod q (mod |p| if q = 0).
-    bound = max(q, abs(p), 1)
+    # p*s + r*q = +-1 with s >= 0: p*s = +-1 mod q, so the least s is below
+    # q (s = 0 for q = 1, and s = 1 for inf = 1/0)
+    bound = q or 1
     for s in range(0, bound + 1):
         for target in (1, -1):
             rest = target - p * s

@@ -197,47 +197,11 @@ def dihedral_relation_matrix(d: Diagram) -> tuple[list[dict[int, int]], dict[int
     return rows, arc_of, ncols
 
 
-class ColoringLattice:
-    """Solution space of the dihedral crossing relations.
-
-    For modulus n > 0 the solutions form a subgroup of (Z/n)^arcs;
-    ``count`` is its size and ``generators`` generate it.  For n = 0 the
-    integer solution lattice is described by ``basis`` (a Z-basis) and
-    the ``invariant_factors`` of the relation matrix.
-    """
-
-    __slots__ = ("modulus", "arc_count", "smith")
-
-    def __init__(self, modulus: int, arc_count: int, smith: SmithForm):
-        self.modulus = modulus
-        self.arc_count = arc_count
-        self.smith = smith
-
-    @property
-    def invariant_factors(self) -> list[int]:
-        return list(self.smith.factors)
-
-    @property
-    def basis(self) -> list[list[int]]:
-        return self.smith.kernel_basis()
-
-    @property
-    def count(self) -> int:
-        if self.modulus == 0:
-            raise ValueError("integer lattice is infinite; use basis")
-        return self.smith.solutions_mod(self.modulus)
-
-    @property
-    def generators(self) -> list[list[int]]:
-        if self.modulus == 0:
-            return self.basis
-        return self.smith.kernel_basis_mod(self.modulus)
-
-
-def _fraction(smith: SmithForm, boundary: tuple[int, ...]) -> Fraction | NotInvariant:
-    """The coloring fraction from the kernel rows of the boundary columns
-    (see :func:`coloring_fraction`)."""
-    nw, ne, _, se = (smith.kernel_row(a) for a in boundary)
+def _fraction(smith: SmithForm) -> Fraction | NotInvariant:
+    """The coloring fraction from the kernel rows of the boundary ends NW,
+    NE and SE, rows 0, 1 and 3 of the kept transform (see
+    :func:`coloring_fraction`)."""
+    nw, ne, se = (smith.kernel_row(i) for i in (0, 1, 3))
     pairs = [(b - a, b - c) for a, b, c in zip(nw, ne, se)]
     pairs = [pair for pair in pairs if pair != (0, 0)]
     if not pairs:
@@ -248,17 +212,18 @@ def _fraction(smith: SmithForm, boundary: tuple[int, ...]) -> Fraction | NotInva
     return frac_normalize(x, y)
 
 
-def color_solve_dihedral(d: Diagram, n: int) -> ColoringLattice:
-    """Solve the dihedral coloring system mod n (n = 0: over the integers).
+def color_solve_dihedral(d: Diagram) -> SmithForm:
+    """The Smith form of d's dihedral relation matrix, with all of its
+    column transform: ``solutions_mod(n)`` counts the colorings mod n and
+    ``kernel_basis_mod(n)`` generates them, and ``kernel_basis()`` and
+    ``factors`` give the integer coloring lattice.
 
     Orientations are irrelevant: the dihedral operation is involutory.
     The nullity is at least the number of strands, so nontrivial
     colorings exist mod every n for diagrams with more than one strand.
     """
-    if n < 0:
-        raise ValueError("modulus must be >= 0")
     rows, _, ncols = dihedral_relation_matrix(d)
-    return ColoringLattice(modulus=n, arc_count=ncols, smith=smith_normal_form(rows, ncols))
+    return smith_normal_form(rows, ncols)
 
 
 # Propagation gives up past this many seeds, and the record takes the
@@ -293,7 +258,7 @@ class ColoringRecord:
     def __init__(self, t: TangleDiagram):
         smith = _boundary_smith(t)
         self.report = MonochromaticReport(smith)
-        self.fraction = _fraction(smith, range(4))
+        self.fraction = _fraction(smith)
         self.det_numerator = _closure_determinant(smith, ((_NW, _NE), (_SW, _SE)))
         self.det_denominator = _closure_determinant(smith, ((_NW, _SW), (_NE, _SE)))
 
@@ -604,4 +569,4 @@ def determinant(d: LinkDiagram) -> int:
     # row 0 replaced by the unit row e_0: by expansion along that row,
     # its determinant is the (0, 0) minor
     rows[0] = {0: 1}
-    return abs(integer_determinant(rows, k))
+    return integer_determinant(rows, k)

@@ -66,9 +66,11 @@ not kept.
 The determinant runs the same core with row operations only: each pivot
 clears its column from the rows not yet pivoted, which leaves the matrix
 triangular up to a permutation of rows and columns, so the determinant
-is the product of the pivots times the sign of that permutation.  Every
-operation adds an integer multiple of one row (or column) to another, so
-all arithmetic is exact in the integers.
+is the product of the pivots up to sign.  Every caller reads its
+absolute value (all first minors of a coloring matrix agree only up to
+sign), so the permutation is not tracked.  Every operation adds an
+integer multiple of one row (or column) to another, so all arithmetic is
+exact in the integers.
 """
 
 from __future__ import annotations
@@ -555,8 +557,8 @@ def dense_smith_form(a: list[list[int]], ncols: int, lift: list[list[int]]) -> S
 
 
 def integer_determinant(a: list[dict[int, int]], ncols: int) -> int:
-    """Determinant of a square integer matrix by sparse unimodular row
-    reduction.
+    """Absolute value of the determinant of a square integer matrix, by
+    sparse unimodular row reduction.
 
     ``a`` is ``ncols`` sparse rows ``{column: value}`` over as many
     columns, used as working storage as in :func:`smith_normal_form`.
@@ -564,35 +566,15 @@ def integer_determinant(a: list[dict[int, int]], ncols: int) -> int:
     e = _Elimination(a, ncols, None)
     pivot, unit_step, rows = e.pivot, e.unit_step, e.rows
     det = 1
-    pivot_col = [0] * ncols
     for _ in range(ncols):
         at = pivot()
         if at is None:
             return 0
         r, c = at
-        p = rows[r][c]
-        if p == 1 or p == -1:
+        if rows[r][c] in (1, -1):
             unit_step(r, c)
         else:
             r = e.clear_column(r, c)
-            p = rows[r][c]
+            det *= rows[r][c]
             e.retire(r)
-        det *= p
-        pivot_col[r] = c
-    return _permutation_sign(pivot_col) * det
-
-
-def _permutation_sign(perm: list[int]) -> int:
-    """The sign of the permutation i -> perm[i]: -1 per cycle of even length."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length and length % 2 == 0:
-            sign = -sign
-    return sign
+    return abs(det)

@@ -27,7 +27,7 @@ from tanglekit.diagram import (
     walk,
     zero_tangle,
 )
-from tanglekit.fraction import continued_fraction, frac_add
+from tanglekit.fraction import continued_fraction, frac_add, frac_normalize
 from tanglekit.laurent import LaurentPoly
 from tanglekit.quandle import (
     NotInvariant,
@@ -209,6 +209,28 @@ def block_by_block_rational(f) -> TangleDiagram:
         else:
             t = tangle_product(t, block)
     return renumber(t)
+
+
+def wide_unknotting_closure(f):
+    """``fraction.unknotting_closure`` searching s up to max(q, |p|), as
+    it did before the search stopped at q."""
+    p, q = f.num, f.den
+    best = None
+    for s in range(0, max(q, abs(p), 1) + 1):
+        for target in (1, -1):
+            rest = target - p * s
+            if q == 0:
+                if rest != 0:
+                    continue
+                r = 0
+            else:
+                if rest % q != 0:
+                    continue
+                r = rest // q
+            cand = (s, abs(r))
+            if best is None or cand < best[0]:
+                best = (cand, frac_normalize(r, s) if (r, s) != (0, 0) else None)
+    return best[1]
 
 
 def ends_by_edge(d) -> list[int]:
@@ -529,8 +551,7 @@ def whole_matrix_fraction(t: TangleDiagram):
     matrix, its column transform kept on the unit rows of the boundary
     arcs: no color propagation and no dense form."""
     rows, arc_of, ncols = dihedral_relation_matrix(t)
-    return _fraction(smith_normal_form(rows, ncols, lift=[{arc_of[e]: 1} for e in t.boundary]),
-                     range(4))
+    return _fraction(smith_normal_form(rows, ncols, lift=[{arc_of[e]: 1} for e in t.boundary]))
 
 
 def alternating_sum_check(colors: tuple[int, int, int, int]) -> bool:

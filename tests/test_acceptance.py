@@ -185,10 +185,10 @@ class TestCriterion7PropertySuites:
         for d in diagrams:
             arc_of = arcs(d)
             ends = [arc_of[e] for e in d.boundary]
-            for v in color_solve_dihedral(d, 0).basis:
+            for v in color_solve_dihedral(d).kernel_basis():
                 ok &= alternating_sum_check(tuple(v[i] for i in ends))
             for n in (3, 5):
-                for g in color_solve_dihedral(d, n).generators:
+                for g in color_solve_dihedral(d).kernel_basis_mod(n):
                     a, b, c, dd = (g[i] for i in ends)
                     ok &= (a + dd - b - c) % n == 0
         report("7a", ok and time.time() - t0 < 300,
@@ -202,7 +202,7 @@ class TestCriterion7PropertySuites:
         diagrams += [random_tangle_diagram(rng) for _ in range(10)]
         for d in diagrams:
             for n in range(2, 14):
-                ok &= color_solve_dihedral(d, n).count >= n ** 2
+                ok &= color_solve_dihedral(d).solutions_mod(n) >= n ** 2
         report("7b", ok and time.time() - t0 < 300,
                "coloring nullity at least the strand count for all n <= 13")
 
@@ -273,7 +273,7 @@ class TestCriterion7PropertySuites:
             table = dihedral_table(n)
             for e in entries:
                 found = len(color_search_finite(orient(e.diagram), table))
-                ok &= found == color_solve_dihedral(e.diagram, n).count
+                ok &= found == color_solve_dihedral(e.diagram).solutions_mod(n)
         report("7f", ok and time.time() - t0 < 300,
                "finite-quandle search counts match the linear solver on "
                "every catalog diagram for n in {2, 3, 5, 7}")
@@ -380,8 +380,8 @@ class TestCriterion7PropertySuites:
                 continue
             partner = from_rational(frac_mirror(cf))
             L = close_numerator(tangle_sum(e.diagram, partner))
-            lat = color_solve_dihedral(L, 0)
-            free_rank = lat.arc_count - lat.smith.rank
+            smith = color_solve_dihedral(L)
+            free_rank = smith.cols - smith.rank
             # the closure joining symmetric fractions carries nontrivial
             # integer colorings; a mismatched partner must not
             ok &= free_rank >= 2
@@ -389,8 +389,8 @@ class TestCriterion7PropertySuites:
 
             wrong = from_rational(frac_add_integral(frac_mirror(cf), 1))
             L2 = close_numerator(tangle_sum(e.diagram, wrong))
-            lat2 = color_solve_dihedral(L2, 0)
-            ok &= (lat2.arc_count - lat2.smith.rank) == 1
+            smith2 = color_solve_dihedral(L2)
+            ok &= (smith2.cols - smith2.rank) == 1
             pairs += 1
         ok &= pairs >= 4
         report("7k", ok and time.time() - t0 < 300,

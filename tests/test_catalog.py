@@ -70,6 +70,21 @@ class TestLoad:
             rb = monochromatic_report(realized)
             assert ra.offending_moduli == rb.offending_moduli
 
+    def test_products_glue_as_written(self, catalog_entries):
+        """Every product row names the tangle it draws: its two factors'
+        realizations, the second glued below the first with no quarter
+        turn, make a valid tangle, the catalog diagram."""
+        from tanglekit.diagram import tangle_product
+        from tanglekit.expr import Product
+
+        products = [e for e in catalog_entries if isinstance(e.expression, Product)]
+        assert len(products) == 7
+        for e in products:
+            glued = tangle_product(from_expression(e.expression.top),
+                                   from_expression(e.expression.bottom))
+            assert validate(glued) is None, e.name
+            assert glued == e.diagram, e.name
+
     def test_missing_entry(self, catalog_entries):
         with pytest.raises(CatalogError):
             get_entry("9_99", catalog_entries)

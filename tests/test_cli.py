@@ -131,6 +131,18 @@ class TestDiagramCommands:
         code, out, _ = run(capsys, "color", "3", "-n", "3")
         assert code == 0 and "9 colorings" in out
 
+    def test_color_negative_modulus_exit_2(self, capsys):
+        code, out, err = run(capsys, "color", "3", "-n", "-1")
+        assert (code, out, err) == (2, "", "error: modulus must be >= 0\n")
+
+    @pytest.mark.parametrize("command", ["det", "jones", "color", "fraction-invariant",
+                                         "linking"])
+    def test_expression_with_closed_component_exit_2(self, capsys, command):
+        """An expression is validated once realized, as a diagram file is
+        when read: 1/2 + 1/2 closes a circle in the middle."""
+        code, out, err = run(capsys, command, "1/2 + 1/2")
+        assert (code, out, err) == (2, "", "error: closed component in tangle\n")
+
     def test_unknown_input_exit_2(self, capsys):
         code, _, err = run(capsys, "det", "@no_such_entry")
         assert code == 2
@@ -167,7 +179,7 @@ class TestDiagramCommands:
 
     @pytest.mark.parametrize("expression, same_as", [
         ("@7_13 + 1", "3/4 + 1"),
-        ("1/2 + @7_13", "1/2 + 3/4"),
+        ("1/3 + @7_13", "1/3 + 3/4"),
         ("mirror(@7_13)", "mirror(3/4)"),
         ("@7_13 * [2]", "3/4 * [2]"),
     ])
@@ -270,6 +282,11 @@ class TestNoHang:
                      id="fraction-invariant-fibonacci-8000"),
         pytest.param(["det", F8000], (0, f"{fibonacci(8000)}\n", ""),
                      id="det-fibonacci-8000"),
+        pytest.param(["verdict", "99999999999999999999/7"],
+                     (0, "unknottable: yes(-14285714285714285714); "
+                         "unlinkable: yes(-99999999999999999999/7); "
+                         "splittable: yes(-99999999999999999999/7)\nevidence:\n", ""),
+                     id="verdict-huge-rational"),
     ])
     def test_exits_within_five_seconds(self, argv, expected):
         """The sum of two 82-crossing rationals has one torsion factor,
@@ -277,7 +294,8 @@ class TestNoHang:
         would take hours to find; the fraction needs no prime.  The huge
         rational would need about 1.4 * 10^19 crossings.  F_8000/F_8001,
         8,000 twist blocks of one crossing, took 41 s to realize when each
-        block copied the tangle built so far."""
+        block copied the tangle built so far.  The huge rational's
+        unknotting closure was searched up to its numerator."""
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-m", "tanglekit.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=5)

@@ -346,7 +346,7 @@ def closure_shape(smith: SmithForm) -> str:
 def record_answers(smith: SmithForm):
     """What the record reads of its Smith form."""
     return (smith.factors, smith.rank, report_fields(MonochromaticReport(smith)),
-            _fraction(smith, range(4)), _closure_determinant(smith, NUMERATOR),
+            _fraction(smith), _closure_determinant(smith, NUMERATOR),
             _closure_determinant(smith, DENOMINATOR))
 
 

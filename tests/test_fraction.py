@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,8 @@ from tanglekit.fraction import (
     two_bridge_equivalent,
     unknotting_closure,
 )
+
+from oracles import wide_unknotting_closure
 
 
 def F(p, q=1):
@@ -179,6 +183,18 @@ class TestUnknottingClosure:
 
     def test_half(self):
         assert unknotting_closure(F(1, 2)) == F(0)
+
+    def test_search_below_q_matches_the_wide_search(self):
+        """Some s below q solves p*s = +-1 mod q, so stopping the search
+        at q finds the closure that searching up to max(q, |p|) did."""
+        checked = 0
+        for q in range(61):
+            for p in range(-60, 61):
+                if math.gcd(p, q) == 1:
+                    f = F(p, q)
+                    assert unknotting_closure(f) == wide_unknotting_closure(f), f
+                    checked += 1
+        assert checked > 4000
 
 
 @given(st.integers(-30, 30), st.integers(1, 20), st.integers(-30, 30),

@@ -72,8 +72,15 @@ EXPRESSIONS = [
     "@nope + 1/3",
 ]
 
-# Sums of 20-50 crossings, drawn once from random.Random(1212): two to
-# six terms, each a fraction p/q with 2 <= q <= 21 or a catalog entry.
+# Sums of 20-50 crossings: two to six terms, each a fraction p/q with
+# 2 <= q <= 21 or a catalog entry.  The first six, drawn once from
+# random.Random(1212), have closed components, so every command refuses
+# them.  The last six come from random.Random(1213): rng.randint(2, 6)
+# terms, each a catalog entry rng.choice(names) when rng.random() < 1/3,
+# else q = rng.randint(2, 21) and p = rng.randint(1 - q, q - 1) redrawn
+# until gcd(p, q) = 1; a sum is kept when it has 20-50 crossings and
+# passes validate.  Their bases and generators pin the pivot order on
+# large sums.
 SUMS = [
     "11/20 + @7_12 + 1/6 + -9/11",
     "@7_6 + @7_3 + -2/3 + -9/14 + 8/21",
@@ -81,6 +88,12 @@ SUMS = [
     "-3/4 + -8/17 + @7_9 + @6_1 + @7_16 + -5/21",
     "-5/16 + @7_8 + 3/14 + @7_15 + 5/9 + @7_16",
     "-5/16 + 5/6 + 1/13 + -9/19",
+    "-4/7 + 17/20 + -8/11",
+    "9/11 + -8/9 + -2/19 + @7_10 + 11/12",
+    "6/11 + @7_12 + @7_1 + @6_2",
+    "@7_16 + @5_1 + 15/17 + -5/21",
+    "@7_6 + -5/16 + -7/9",
+    "-9/14 + @7_11 + @7_6 + 12/13",
 ]
 
 DIAGRAM_COMMANDS = [["color"], ["color", "-n", "3"], ["fraction-invariant"], ["det"]]

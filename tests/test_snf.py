@@ -82,4 +82,4 @@ def test_integer_determinant_matches_permutation_expansion():
             for i in range(n):
                 term *= m[i][perm[i]]
             brute += term
-        assert integer_determinant(sparse(m), n) == brute
+        assert integer_determinant(sparse(m), n) == abs(brute)

@@ -24,7 +24,7 @@ def record_answers(smith: SmithForm):
     report = MonochromaticReport(smith)
     return (smith.factors, smith.rank, report.all_moduli, report.r0_monochromatic,
             report.c_trivial_for_all_n, report.polychromatic_somewhere(),
-            _fraction(smith, range(4)), _closure_determinant(smith, NUMERATOR),
+            _fraction(smith), _closure_determinant(smith, NUMERATOR),
             _closure_determinant(smith, DENOMINATOR))
 
 
