@@ -79,6 +79,7 @@ from .diagram import (
     Diagram,
     LinkDiagram,
     OrientedDiagram,
+    _ends,
     component_count,
     component_knot,
     orient,
@@ -203,7 +204,7 @@ def _schedule(d: LinkDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     past the new end of the boundary move into the places of closed ones.
     """
     k = d.crossing_count
-    mate = walk(d).mate
+    mate = _ends(d)
     taken = [False] * k
     # crossing on the boundary -> k * shared edges - index, the greedy key
     key: dict[int, int] = {}

@@ -293,13 +293,15 @@ def classify(entry: CatalogEntry) -> Classification:
     else:
         evidence.append("every dihedral c-coloring is trivial (all moduli)")
 
-    # a knotted string blocks unlinkability
-    knotted = [i for i, sc in possibly_knotted(t) if jones(sc) != jones_unknot()]
-    if knotted and not unlink.is_no:
-        unlink = Verdict.no("a string is knotted (its closure has nontrivial "
-                            "Jones polynomial)")
-        evidence.append(f"string {knotted[0]} is knotted, so the tangle is "
-                        "not unlinkable")
+    # a knotted string blocks unlinkability; the first one found decides
+    if unlink.status == "unknown":
+        knotted = next((i for i, sc in possibly_knotted(t) if jones(sc) != jones_unknot()),
+                       None)
+        if knotted is not None:
+            unlink = Verdict.no("a string is knotted (its closure has nontrivial "
+                                "Jones polynomial)")
+            evidence.append(f"string {knotted} is knotted, so the tangle is "
+                            "not unlinkable")
 
     # splitting/unlinking candidate from the coloring fraction
     if split.status == "unknown":

@@ -40,19 +40,18 @@ crossing maps a port y to ``y ^ 2`` (Cori's encoding of a rotation system
 as permutations on darts).  A strand is the list of ends it leaves from;
 an orientation is the set of ports at which a strand enters its crossing.
 
-A diagram walks its ends once.  A tangle keeps the mate of each end in
-its ``_mate`` slot, outside its value key, so that ``validate``, the
+A diagram walks its ends once.  Every diagram, tangle or link, keeps
+the mate of each end in its ``_mate`` slot and its :class:`Walk` (the
+strands and the default orientation) in its ``_walk`` slot, outside its
+value key, each built by the first caller to need it: ``validate``, the
 coloring record's propagation, the closures (which rebuild only the
-crossings at the far ends of the fused boundary edges) and :func:`walk`
-share one build.  On a
-link, the first of :func:`component_count`, :func:`orient`,
-:func:`component_subdiagrams` and the bracket's schedule to need them
-builds a :class:`Walk` (the mate of each end, the strands and the
-default orientation) and caches it in the link's ``_walk`` slot,
-outside its value key, as ``_determinant`` is.  The record is plain
-data: an :class:`OrientedDiagram` refers back to its diagram, so one is
-built from the record on each call instead, and no link is kept alive
-by a reference cycle that only the cyclic garbage collector could free.
+crossings at the far ends of the fused boundary edges), the bracket's
+schedule, :func:`component_count`, :func:`orient` and
+:func:`component_subdiagrams` share one build of each.  The records are
+plain data: an :class:`OrientedDiagram` refers back to its diagram, so
+one is built from the walk on each call instead, and no diagram is kept
+alive by a reference cycle that only the cyclic garbage collector could
+free.
 
 Validation counts V - E + F over the whole diagram, its faces the orbits
 of :func:`_turns`, and compares it with the number of pieces: the count
@@ -92,12 +91,11 @@ class DiagramError(ValueError):
 class TangleDiagram(Value):
     """Crossings, the edge ids at NW, NE, SW, SE, and crossing-free loops.
 
-    ``_mate`` caches :func:`_ends` once the ends pass its dangling-port
-    check, and ``_colorings`` caches
-    :func:`tanglekit.quandle.coloring_record`.
+    ``_mate`` and ``_walk`` cache :func:`_ends` and :func:`walk`, and
+    ``_colorings`` caches :func:`tanglekit.quandle.coloring_record`.
     """
 
-    __slots__ = ("crossings", "boundary", "loops", "_mate", "_colorings")
+    __slots__ = ("crossings", "boundary", "loops", "_mate", "_walk", "_colorings")
 
     def __init__(self, crossings: tuple[tuple[int, int, int, int], ...],
                  boundary: tuple[int, int, int, int], loops: int = 0):
@@ -107,6 +105,7 @@ class TangleDiagram(Value):
         setfield(self, "boundary", boundary)
         setfield(self, "loops", loops)
         setfield(self, "_mate", None)
+        setfield(self, "_walk", None)
         setfield(self, "_colorings", None)
 
     @property
@@ -117,17 +116,19 @@ class TangleDiagram(Value):
 class LinkDiagram(Value):
     """Crossings and crossing-free loops.
 
+    ``_mate`` and ``_walk`` cache :func:`_ends` and :func:`walk`, and
     ``_determinant`` is a closure's determinant, known from its tangle's
-    coloring record, or None.  ``_walk`` caches :func:`walk`.
+    coloring record, or None.
     """
 
-    __slots__ = ("crossings", "loops", "_determinant", "_walk")
+    __slots__ = ("crossings", "loops", "_mate", "_walk", "_determinant")
 
     def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], loops: int = 0):
         setfield(self, "crossings", crossings)
         setfield(self, "loops", loops)
-        setfield(self, "_determinant", None)
+        setfield(self, "_mate", None)
         setfield(self, "_walk", None)
+        setfield(self, "_determinant", None)
 
     @property
     def crossing_count(self) -> int:
@@ -141,14 +142,13 @@ Diagram = TangleDiagram | LinkDiagram
 # ends of edges
 
 def _ends(d: Diagram) -> list[int]:
-    """``mate[y]``, the other end of the edge at end y.  A tangle keeps
-    the list in its ``_mate`` slot, so callers must not change it; an
-    invalid tangle raises each time, and keeps nothing."""
-    tangle = isinstance(d, TangleDiagram)
-    if tangle and d._mate is not None:
+    """``mate[y]``, the other end of the edge at end y.  d keeps the
+    list in its ``_mate`` slot, so callers must not change it; an invalid
+    diagram raises each time, and keeps nothing."""
+    if d._mate is not None:
         return d._mate
     at = [e for c in d.crossings for e in c]
-    if tangle:
+    if isinstance(d, TangleDiagram):
         at += d.boundary
     mate = at[:]
     first: dict[int, int] = {}
@@ -162,8 +162,7 @@ def _ends(d: Diagram) -> list[int]:
     if first or 2 * len(set(at)) != len(at):
         e, n = next((e, n) for e, n in Counter(at).items() if n != 2)
         raise DiagramError(f"dangling port: edge {e} has {n} incidences")
-    if tangle:
-        setfield(d, "_mate", mate)
+    setfield(d, "_mate", mate)
     return mate
 
 
@@ -383,16 +382,14 @@ def canonical_form(d: Diagram):
 # ---------------------------------------------------------------------------
 # strands, components, orientation
 
-def strands(d: Diagram, mate: list[int] | None = None) -> list[list[int]]:
+def strands(d: Diagram) -> list[list[int]]:
     """Strand passes, open strands first, each the list of ends it leaves from.
 
     Walks start at the boundary ends NW, NE, SW, SE, then at the ports in
     index order; this discovery order fixes the default orientation.
-    Crossing-free loops (``d.loops``) are not listed.  ``mate`` is
-    ``_ends(d)`` when the caller has it already.
+    Crossing-free loops (``d.loops``) are not listed.
     """
-    if mate is None:
-        mate = _ends(d)
+    mate = _ends(d)
     k4 = 4 * len(d.crossings)
     seen = [False] * len(mate)
     result = []
@@ -412,29 +409,26 @@ def strands(d: Diagram, mate: list[int] | None = None) -> list[list[int]]:
 
 class Walk:
     """The strands of a diagram and its default orientation, as plain
-    data: ``mate`` as from :func:`_ends`, the ``strands`` as from
-    :func:`strands`, and the default orientation's ``heads`` (a tuple:
-    a link keeps its walk, and a frozenset of 20 ports takes ten times
-    the memory) and ``strand_of`` (see :class:`OrientedDiagram`).  It
-    holds no reference to the diagram, so a link caching it makes no
-    cycle."""
+    data: the ``strands`` as from :func:`strands`, and the default
+    orientation's ``heads`` (a tuple: a diagram keeps its walk, and a
+    frozenset of 20 ports takes ten times the memory) and ``strand_of``
+    (see :class:`OrientedDiagram`).  It holds no reference to the
+    diagram, so a diagram caching it makes no cycle."""
 
-    __slots__ = ("mate", "strands", "heads", "strand_of")
+    __slots__ = ("strands", "heads", "strand_of")
 
-    def __init__(self, mate, strands, heads, strand_of):
-        self.mate = mate
+    def __init__(self, strands, heads, strand_of):
         self.strands = strands
         self.heads = heads
         self.strand_of = strand_of
 
 
 def walk(d: Diagram) -> Walk:
-    """d's ends walked once, cached on a link diagram (a tangle's is built
-    on each call, over its cached ends)."""
-    if isinstance(d, LinkDiagram) and d._walk is not None:
+    """d's ends walked once, kept in d's ``_walk`` slot."""
+    if d._walk is not None:
         return d._walk
     mate = _ends(d)
-    st = strands(d, mate)
+    st = strands(d)
     k4 = 4 * len(d.crossings)
     strand_of = [0] * len(mate)
     heads = []
@@ -444,9 +438,8 @@ def walk(d: Diagram) -> Walk:
             strand_of[y] = strand_of[z] = i
             if z < k4:
                 heads.append(z)
-    w = Walk(mate, st, tuple(heads), tuple(strand_of))
-    if isinstance(d, LinkDiagram):
-        setfield(d, "_walk", w)
+    w = Walk(st, tuple(heads), tuple(strand_of))
+    setfield(d, "_walk", w)
     return w
 
 
@@ -471,7 +464,7 @@ def component_knot(d: Diagram, i: int) -> LinkDiagram:
     s = w.strands[i]
     k4 = 4 * len(d.crossings)
     if s[0] >= k4:
-        edges.union(d.boundary[s[0] - k4], d.boundary[w.mate[s[-1]] - k4])
+        edges.union(d.boundary[s[0] - k4], d.boundary[_ends(d)[s[-1]] - k4])
     crossings = tuple(tuple(map(edges.find, p)) for p in kept)
     return renumber(LinkDiagram(crossings, loops=0 if kept else 1))
 
@@ -525,7 +518,7 @@ def orient(d: Diagram, choice: tuple[bool, ...] | None = None) -> OrientedDiagra
     if len(choice) != len(w.strands):
         raise DiagramError(f"expected {len(w.strands)} direction bits, got {len(choice)}")
     k4 = 4 * len(d.crossings)
-    mate = w.mate
+    mate = _ends(d)
     heads = [y if back else mate[y] for back, strand in zip(choice, w.strands)
              for y in strand]
     return OrientedDiagram(d, frozenset(h for h in heads if h < k4), w.strand_of)

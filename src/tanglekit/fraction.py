@@ -246,28 +246,16 @@ def unknotting_closure(f: Fraction) -> Fraction:
     """A canonical rational closure u with N(f + u) the unknot.
 
     For a rational tangle every u = r/s with |p*s + r*q| = 1 works; the
-    canonical representative minimizes (s, |r|).  Rational tangles have
-    infinitely many unknotting closures, so this choice is cosmetic.
+    canonical representative minimizes (s, |r|), +1 before -1 on ties.
+    Rational tangles have infinitely many unknotting closures, so this
+    choice is cosmetic.  The search stops at the least s.
     """
     p, q = f.num, f.den
-    best = None
-    # p*s + r*q = +-1 with s >= 0: p*s = +-1 mod q, so the least s is below
-    # q (s = 0 for q = 1, and s = 1 for inf = 1/0)
-    bound = q or 1
-    for s in range(0, bound + 1):
-        for target in (1, -1):
-            rest = target - p * s
-            if q == 0:
-                if rest != 0:
-                    continue
-                r = 0
-            else:
-                if rest % q != 0:
-                    continue
-                r = rest // q
-            cand = (s, abs(r))
-            if best is None or cand < best[0]:
-                best = (cand, frac_normalize(r, s) if (r, s) != (0, 0) else None)
-    if best is None or best[1] is None:
-        raise ValueError(f"no unknotting closure for {f}")
-    return best[1]
+    if q == 0:
+        return ZERO  # N(inf + 0) is the unknot
+    # p*s + r*q = +-1 with s >= 0: p*s = +-1 mod q, which some s below q
+    # solves (p is prime to q; s = 0 for q = 1)
+    ends = {1 % q, -1 % q}
+    s = next(s for s in range(q) if p * s % q in ends)
+    rs = [(t - p * s) // q for t in (1, -1) if (t - p * s) % q == 0]
+    return frac_normalize(min(rs, key=abs), s)

@@ -211,12 +211,13 @@ def block_by_block_rational(f) -> TangleDiagram:
     return renumber(t)
 
 
-def wide_unknotting_closure(f):
-    """``fraction.unknotting_closure`` searching s up to max(q, |p|), as
-    it did before the search stopped at q."""
+def scan_unknotting_closure(f, wide=False):
+    """``fraction.unknotting_closure`` as a full scan: every s in [0, q]
+    (``wide``: up to max(q, |p|)), keeping the least (s, |r|) with
+    p*s + r*q = +-1, +1 before -1 on ties."""
     p, q = f.num, f.den
     best = None
-    for s in range(0, max(q, abs(p), 1) + 1):
+    for s in range(0, max(q, abs(p) if wide else 0, 1) + 1):
         for target in (1, -1):
             rest = target - p * s
             if q == 0:
@@ -229,7 +230,7 @@ def wide_unknotting_closure(f):
                 r = rest // q
             cand = (s, abs(r))
             if best is None or cand < best[0]:
-                best = (cand, frac_normalize(r, s) if (r, s) != (0, 0) else None)
+                best = (cand, frac_normalize(r, s))
     return best[1]
 
 
@@ -273,7 +274,7 @@ def open_strand_endpoints(d: TangleDiagram) -> list[tuple[str, str]]:
     k4 = 4 * len(d.crossings)
     return sorted(tuple(sorted((BOUNDARY_LABELS[s[0] - k4],
                                 BOUNDARY_LABELS[mate[s[-1]] - k4])))
-                  for s in strands(d, mate) if s[0] >= k4)
+                  for s in strands(d) if s[0] >= k4)
 
 
 def union_find_validate(d) -> str | None:
@@ -308,7 +309,7 @@ def union_find_validate(d) -> str | None:
         return "planarity: Euler count fails"
 
     if isinstance(d, TangleDiagram):
-        st = strands(d, mate)
+        st = strands(d)
         if len(st) > 2:
             return "closed component in tangle"
         if len({piece[y] for y in range(k4, k4 + 4)}) == 1:

@@ -160,6 +160,33 @@ class TestClassify:
         assert "knotted" in (r.verdict.unlinkable.reason or "") or \
             any("knotted" in line for line in r.evidence)
 
+    def test_strings_bracketed_only_while_unlinkability_is_open(
+            self, catalog_entries, classified, monkeypatch):
+        """Counting jones calls: no string of an entry whose unlinkability
+        the algebraic route decided is bracketed, and on every other entry
+        the strings are bracketed up to the first knotted one."""
+        import tanglekit.catalog as cat
+        from tanglekit.bracket import jones, jones_unknot, possibly_knotted
+
+        calls = []
+        monkeypatch.setattr(cat, "jones", lambda d: calls.append(d) or jones(d))
+        decided_strings = 0
+        for e in catalog_entries:
+            del calls[:]
+            r = cat.classify(e)
+            assert r.verdict == classified[e.name].verdict, e.name
+            closures = {id(L.diagram) for L in r._closures.values()}
+            bracketed = sum(id(d) not in closures for d in calls)
+            knotted = [jones(sc) != jones_unknot() for _, sc in possibly_knotted(e.diagram)]
+            if (e.expression is not None
+                    and evaluate(e.expression).verdict.unlinkable.status != "unknown"):
+                assert bracketed == 0, e.name
+                decided_strings += len(knotted)
+            else:
+                want = knotted.index(True) + 1 if True in knotted else len(knotted)
+                assert bracketed == want, e.name
+        assert decided_strings >= 10
+
     def test_answer_blind(self, catalog_entries, classified, monkeypatch):
         """The published answers never reach the classifier."""
         import tanglekit.catalog as cat

@@ -18,6 +18,7 @@ from tanglekit.diagram import (
     close_denominator,
     close_numerator,
     component_count,
+    component_subdiagrams,
     from_expression,
     from_rational,
     infinity_tangle,
@@ -485,6 +486,46 @@ class TestWalkRecord:
         with pytest.raises(AttributeError):
             del L._walk
 
+    def test_a_diagram_walks_its_ends_once(self, monkeypatch):
+        """A tangle builds its walk once across the callers that read it,
+        and a link builds its ends once across validate, its walk and the
+        bracket's schedule."""
+        import tanglekit.bracket as bracket
+        import tanglekit.diagram as diagram
+
+        ends, walks = [], []
+        build_ends, build_strands = diagram._ends, diagram.strands
+
+        def counted_ends(d):
+            if d._mate is None:
+                ends.append(d)
+            return build_ends(d)
+
+        def counted_strands(d):
+            walks.append(d)
+            return build_strands(d)
+
+        monkeypatch.setattr(diagram, "_ends", counted_ends)
+        monkeypatch.setattr(bracket, "_ends", counted_ends)
+        monkeypatch.setattr(diagram, "strands", counted_strands)
+        rng = random.Random(2602)
+        checked = 0
+        for _ in range(40):
+            t = tangle_sum(random_tangle_diagram(rng), from_rational(random_fraction(rng)))
+            del ends[:], walks[:]
+            if validate(t) is not None:
+                continue
+            walk(t), orient(t), component_subdiagrams(t), bracket.kink_free_words(t)
+            assert walks == [t] and ends == [t]
+            L = close_numerator(t)
+            del ends[:], walks[:]
+            assert validate(L) is None
+            component_count(L), orient(L), jones(L), component_subdiagrams(L)
+            assert sum(d is L for d in ends) == 1 and sum(d is L for d in walks) == 1
+            assert L._walk is walk(L) and t._walk is walk(t)
+            checked += 1
+        assert checked >= 10
+
     def test_explicit_orientation_is_not_cached(self):
         hopf = close_numerator(from_rational(F(2)))
         default = orient(hopf)
@@ -539,7 +580,9 @@ class TestEndsRecord:
             assert validate(t) is None
             mate = t._mate
             assert mate == ends_by_edge(t)
-            assert _ends(t) is mate and walk(t).mate is mate
+            assert _ends(t) is mate
+            w = walk(t)
+            assert t._walk is w and walk(t) is w and t._mate is mate
             coloring_record(t)
             assert t._mate is mate
 

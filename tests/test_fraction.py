@@ -1,5 +1,6 @@
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from tanglekit.fraction import (
     unknotting_closure,
 )
 
-from oracles import wide_unknotting_closure
+from oracles import scan_unknotting_closure
 
 
 def F(p, q=1):
@@ -192,9 +193,26 @@ class TestUnknottingClosure:
             for p in range(-60, 61):
                 if math.gcd(p, q) == 1:
                     f = F(p, q)
-                    assert unknotting_closure(f) == wide_unknotting_closure(f), f
+                    assert unknotting_closure(f) == scan_unknotting_closure(f, wide=True), f
                     checked += 1
         assert checked > 4000
+
+    def test_least_s_matches_the_full_scan(self):
+        """Stopping at the least s gives the closure that scanning every s
+        in [0, q] for the least (s, |r|) gave: inf, integers, halves and
+        seeded fractions with q up to 2,000 and p of both signs."""
+        rng = random.Random(2601)
+        fractions = [INFINITY] + [F(p, q) for q in (1, 2) for p in (-3, -1, 0, 1, 3)
+                                  if math.gcd(p, q) == 1]
+        while len(fractions) < 300:
+            q = rng.randint(3, 2000)
+            p = rng.choice((-1, 1)) * rng.randint(1, 3 * q)
+            if math.gcd(p, q) == 1:
+                fractions.append(F(p, q))
+        for f in fractions:
+            u = unknotting_closure(f)
+            assert u == scan_unknotting_closure(f), f
+            assert rational_closure_verdict(f, u).unknot, f
 
 
 @given(st.integers(-30, 30), st.integers(1, 20), st.integers(-30, 30),
