@@ -82,7 +82,6 @@ from .diagram import (
     _ends,
     component_count,
     component_knot,
-    orient,
     walk,
 )
 from .laurent import LaurentPoly
@@ -236,9 +235,24 @@ def _schedule(d: LinkDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return steps
 
 
+def _writhe(heads, k: int) -> int:
+    """Sum of crossing signs of an orientation with entry ports heads.
+
+    A crossing is positive when its under-strand enters one slot
+    counterclockwise from the over-strand's entry: at slots (1, 2) or
+    (3, 0), over first.  Of its two entry ports one is an over slot and
+    one an under slot, so it is positive exactly when one of the two
+    slots is 2 or 3, that is, when the two entries differ in the bit of
+    value 2."""
+    flips = [0] * k
+    for y in heads:
+        flips[y >> 2] ^= y & 2
+    return 2 * flips.count(2) - k
+
+
 def writhe(od: OrientedDiagram) -> int:
     """Sum of crossing signs over all crossings."""
-    return sum(od.crossing_sign(ci) for ci in range(od.base.crossing_count))
+    return _writhe(od.heads, od.base.crossing_count)
 
 
 def linking_number(od: OrientedDiagram) -> int:
@@ -260,21 +274,28 @@ def jones(d: LinkDiagram, orientation: OrientedDiagram | None = None) -> Laurent
 
     The default orientation runs every component forward in discovery
     order; for links the polynomial depends only on the relative
-    orientations of the components.
+    orientations of the components.  The bracket's terms A^e map one to
+    one onto the terms sqrt_t^((3w - e)/2), in reverse order, so the
+    coefficients are written in one pass, sorted and with no zeros.
     """
-    od = orientation if orientation is not None else orient(d)
-    d = od.base
-    w = writhe(od)
+    if orientation is None:
+        heads = walk(d).heads
+    else:
+        d = orientation.base
+        heads = orientation.heads
+    w = _writhe(heads, d.crossing_count)
     br = kauffman_bracket(d)
-    # multiply by (-A^3)^(-w): exponent shift -3w, sign (-1)^w
-    sign = -1 if w % 2 else 1
-    normalized = br.shift(-3 * w).scale(sign)
-    terms: dict[int, int] = {}
-    for a_exp, coeff in normalized.coeffs:
-        if a_exp % 2 != 0:
+    # times (-A^3)^(-w): exponent shift -3w, sign (-1)^w; then A^e is
+    # t^(-e/4), the doubled sqrt_t exponent -e/2
+    shift = 3 * w
+    sign = -1 if w & 1 else 1
+    coeffs = []
+    for e, c in reversed(br.coeffs):
+        e -= shift
+        if e & 1:
             raise AssertionError("normalized bracket must have even A exponents")
-        terms[-a_exp // 2] = terms.get(-a_exp // 2, 0) + coeff
-    return LaurentPoly.make("sqrt_t", terms)
+        coeffs.append((-e // 2, sign * c))
+    return LaurentPoly("sqrt_t", tuple(coeffs))
 
 
 def jones_unknot() -> LaurentPoly:

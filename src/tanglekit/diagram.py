@@ -118,7 +118,9 @@ class LinkDiagram(Value):
 
     ``_mate`` and ``_walk`` cache :func:`_ends` and :func:`walk`, and
     ``_determinant`` is a closure's determinant, known from its tangle's
-    coloring record, or None.
+    coloring record, or None; without it
+    :func:`tanglekit.quandle.determinant` colors the link by propagation
+    over its cached ends.
     """
 
     __slots__ = ("crossings", "loops", "_mate", "_walk", "_determinant")

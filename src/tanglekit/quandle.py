@@ -32,10 +32,11 @@ nontrivial c-colorings mod p exist exactly when its nullity exceeds two
 or p divides an invariant factor (the primes of Krebes' gcd(det N, det D)
 obstruction, JKTR 1999), and its kernel gives the coloring fraction.
 
-A tangle's relation matrix M is eliminated the way one colors by hand,
+A diagram's relation matrix M is eliminated the way one colors by hand,
 propagating colors from a few free arcs, as Kauffman and Lambropoulou
 (*On the classification of rational tangles*, 2004) read a rational
-tangle's fraction (:class:`ColoringRecord`):
+tangle's fraction: a tangle's for its :class:`ColoringRecord`, a link's
+for its :func:`determinant`.
 
 * Unit pivots.  A color is an integer vector over the seeds, the arcs
   left free.  A crossing whose over-arc and one under side are colored
@@ -43,20 +44,21 @@ tangle's fraction (:class:`ColoringRecord`):
   crossing that arc passes: the relation has coefficient -1 there.  When
   nothing propagates, the over-arc of a pending crossing, one with a
   colored side first, becomes a new seed (else an under side, and last
-  the end of a crossing-free strand).  A crossing whose three arcs are
-  colored already leaves its relation 2*over - a - b in seed coordinates.
+  the end of a crossing-free strand of a tangle).  A crossing whose three
+  arcs are colored already leaves its relation 2*over - a - b in seed
+  coordinates.
 * Leftover relations.  Each painted arc and the crossing that painted it
   pair off in a triangular block with unit diagonal, so M is equivalent
   to the identity on that block beside L, the leftover relations over
   the seeds: M's invariant factors above 1, its nullity and its
   cokernel are L's, and the class of e_p below is that of arc p's
   color, a row over the seeds, modulo L's rows.  So only L takes a Smith
-  form, and its column operations act on the colors of the four boundary
-  ends in place of v's boundary rows.  On the sums of 2-5 rationals
-  measured, L was 1-6 rows over 3-8 seeds, two rows fewer than seeds,
-  dense, with entries up to about 10^6 and seldom a unit, so it takes
-  :func:`tanglekit.snf.dense_smith_form`, extended-gcd steps on plain
-  lists; only the whole matrix M goes to the sparse core.
+  form, and for a tangle its column operations act on the colors of the
+  four boundary ends in place of v's boundary rows.  On the sums of 2-5
+  rationals measured, L was 1-6 rows over 3-8 seeds, two rows fewer than
+  seeds, dense, with entries up to about 10^6 and seldom a unit, so it
+  takes :func:`tanglekit.snf.dense_smith_form`, extended-gcd steps on
+  plain lists; only the whole matrix M goes to the sparse core.
 * Width.  A color is packed into one integer, a signed coefficient in a
   field of ``width`` bits per seed, so painting is one integer
   expression.  A painted color is 2*over - side of earlier ones, so
@@ -65,8 +67,19 @@ tangle's fraction (:class:`ColoringRecord`):
   out of range, so it stops doubling once it reaches 2k + 6.  Past 16
   seeds (a long sum of rationals needs one or two per summand), or once
   the colors in use, seeds times width bits on each arc, would pass 8 MiB,
-  the record takes M itself: every arc a seed, every relation left over.
-  ``_MAX_SEEDS`` and ``_PACKED_BITS`` say what each limit rests on.
+  the record takes M itself: every arc a seed, every relation left over;
+  a link's determinant then eliminates the (0, 0) minor of M with the
+  sparse core.  ``_MAX_SEEDS`` and ``_PACKED_BITS`` say what each limit
+  rests on.
+* Link determinants.  A link has ports but no boundary ends, so L takes
+  its Smith form with no lifted rows.  M has k rows, and the constants
+  lie in its kernel.  On a planar diagram all first minors of M agree up
+  to sign, so each is up to sign their gcd, the product of M's first
+  k - 1 invariant factors: the product of L's factors when M's nullity,
+  seeds less L's rank, is one, and 0 when it is more.  A component that
+  never passes under closes into an arc of its own, beyond the k arcs
+  that end at the crossings' under sides, so the nullity is at least two
+  and the determinant 0, that of the split picture it lifts off to.
 
 With the column transform v of M's Smith form kept on the rows of the
 four boundary arcs, the record answers these questions and gives both
@@ -227,8 +240,9 @@ def color_solve_dihedral(d: Diagram) -> SmithForm:
 
 
 # Propagation gives up past this many seeds, and the record takes the
-# Smith form of the whole relation matrix: a long sum of rationals needs a
-# seed or two per summand.  The seed count alone does not say which is
+# Smith form of the whole relation matrix (a link's determinant, the
+# elimination of its first minor): a long sum of rationals needs a seed
+# or two per summand.  The seed count alone does not say which is
 # faster (in-process, best of 5, Python 3.11 on a 2-CPU Xeon): on
 # repeated 1/3 + -2/5 + 3/7 propagation took 0.4-0.7 times as long from 4
 # to 301 seeds, on repeated 1/3 as long at 31 seeds, 1.8 times as long at
@@ -237,11 +251,12 @@ def color_solve_dihedral(d: Diagram) -> SmithForm:
 # end to end.
 _MAX_SEEDS = 16
 # It also gives up when the colors in use, seeds times width bits on each
-# of the k + 2 arcs, would pass this many bits (8 MiB).  On Fibonacci
-# fractions F_n/F_(n+1), two seeds with coefficients near phi^k,
-# propagation took no longer than the whole matrix up to 45 Mi bits
-# (F_5800, 4,096-bit fields: 18.8 against 22.7 ms), and 1.3-1.9 times as
-# long from 94 Mi bits on (F_6000, F_8000, F_12000; in-process, best of 7).
+# arc (k + 2 of a tangle, k of a link), would pass this many bits
+# (8 MiB).  On Fibonacci fractions F_n/F_(n+1), two seeds with
+# coefficients near phi^k, propagation took no longer than the whole
+# matrix up to 45 Mi bits (F_5800, 4,096-bit fields: 18.8 against
+# 22.7 ms), and 1.3-1.9 times as long from 94 Mi bits on (F_6000, F_8000,
+# F_12000; in-process, best of 7).
 _PACKED_BITS = 1 << 26
 
 
@@ -277,22 +292,25 @@ def _boundary_smith(t: TangleDiagram) -> SmithForm:
     return dense_smith_form(leftovers, seeds, ends)
 
 
-def _propagate(t: TangleDiagram) -> tuple[list[list[int]], list[list[int]], int] | None:
-    """Color t's arcs by propagation (see the module docstring): the
-    leftover relations and the colors of the ends NW, NE, SW, SE, as
-    dense rows of coefficients over the seeds, and the number of seeds.
-    None past ``_MAX_SEEDS`` seeds, or past ``_PACKED_BITS`` (see there)."""
-    mate = _ends(t)
+def _propagate(d: Diagram) -> tuple[list[list[int]], list[list[int]], int] | None:
+    """Color d's arcs by propagation (see the module docstring): the
+    leftover relations and the colors of the boundary ends (NW, NE, SW,
+    SE of a tangle, none of a link), as dense rows of coefficients over
+    the seeds, and the number of seeds.  None past ``_MAX_SEEDS`` seeds,
+    or past ``_PACKED_BITS`` (see there)."""
+    mate = _ends(d)
+    k4 = 4 * len(d.crossings)
     width = 64
-    while (found := _paint(mate, width)) is None:
+    while (found := _paint(mate, k4, width)) is None:
         width *= 2
     return found or None  # False: past the seeds or the bits
 
 
-def _paint(mate: list[int], width: int):
-    """:func:`_propagate` at one width; None when a painted color has a
-    coefficient of magnitude 2^(width - 3) or more, and False when it
-    needs more than ``_MAX_SEEDS`` seeds or when its k + 2 arcs' colors
+def _paint(mate: list[int], k4: int, width: int):
+    """:func:`_propagate` at one width, for the ends ``mate`` of a
+    diagram whose ports are the ends below k4; None when a painted color
+    has a coefficient of magnitude 2^(width - 3) or more, and False when
+    it needs more than ``_MAX_SEEDS`` seeds or when its arcs' colors
     would pass ``_PACKED_BITS``.
 
     A color is packed into one integer, ``width`` bits per seed, with
@@ -305,8 +323,8 @@ def _paint(mate: list[int], width: int):
     two top bits of every field of the sum are clear, which one mask
     tests.
     """
-    k4 = len(mate) - 4
     k = k4 // 4
+    arcs = k + (len(mate) - k4) // 2  # k + 2 for a tangle, k for a link
     color: list[int | None] = [None] * len(mate)
     done = [False] * k  # crossings that painted, or left their relation
     queue: list[int] = []  # crossings that gained a color
@@ -369,10 +387,10 @@ def _paint(mate: list[int], width: int):
             if first < k:
                 y = 4 * first + (color[4 * first + 1] is None)
             else:
-                y = next((y for y in range(k4, k4 + 4) if color[y] is None), None)
+                y = next((y for y in range(k4, len(mate)) if color[y] is None), None)
                 if y is None:
                     break
-        if seeds == _MAX_SEEDS or (k + 2) * (seeds + 1) * width > _PACKED_BITS:
+        if seeds == _MAX_SEEDS or arcs * (seeds + 1) * width > _PACKED_BITS:
             return False
         c = 1 << (seeds * width)
         seeds += 1
@@ -386,7 +404,7 @@ def _paint(mate: list[int], width: int):
                 extend(y ^ 2, c)
         extend(y, c)
     rows = [_unpack(r, width, seeds) for r in leftovers]
-    return rows, [_unpack(color[y], width, seeds) for y in range(k4, k4 + 4)], seeds
+    return rows, [_unpack(color[y], width, seeds) for y in range(k4, len(mate))], seeds
 
 
 def _unpack(x: int, width: int, seeds: int) -> list[int]:
@@ -549,12 +567,20 @@ def coloring_fraction(d: TangleDiagram) -> Fraction | NotInvariant:
 # determinant
 
 def determinant(d: LinkDiagram) -> int:
-    """Link determinant as the (0, 0) first minor of the dihedral relation
-    matrix; every first minor agrees with it up to sign.  The
+    """Link determinant, the absolute value of a first minor of the
+    dihedral relation matrix; every first minor agrees up to sign.  The
     0-crossing unknot has determinant 1; diagrams with extra crossing-free
     loops, or with a component that never passes under, present a split
     picture and get determinant 0.  A closure built from a tangle whose
     coloring record exists already carries its determinant.
+
+    Otherwise d's arcs are colored by propagation, as a tangle's record
+    colors them (see the module docstring), and the dense Smith form of
+    the leftover relations gives the matrix's invariant factors above 1
+    and its nullity, seeds less rank: the determinant is the product of
+    the factors when the nullity is 1, and 0 when it is more.  Past the
+    limits of propagation the (0, 0) minor is eliminated with the sparse
+    core instead.
     """
     k = d.crossing_count
     if k == 0:
@@ -563,6 +589,11 @@ def determinant(d: LinkDiagram) -> int:
         return 0
     if d._determinant is not None:
         return d._determinant
+    found = _propagate(d)
+    if found is not None:
+        leftovers, _, seeds = found
+        smith = dense_smith_form(leftovers, seeds, [])
+        return prod(smith.factors) if seeds - smith.rank == 1 else 0
     rows, _, ncols = dihedral_relation_matrix(d)
     if ncols != k:
         # some component has no undercrossing and lifts off the diagram

@@ -6,9 +6,10 @@ has.
 * The sparse core, :func:`smith_normal_form` and
   :func:`integer_determinant`, takes dihedral relation matrices: the Smith
   form of a diagram's relation matrix, which gives its integer coloring
-  lattice and its c-colorings at every modulus (``color``), the whole
-  matrix of a tangle whose colors do not propagate, and link
-  determinants.
+  lattice and its c-colorings at every modulus (``color``), and, only
+  past the limits of propagation in :mod:`tanglekit.quandle`, the whole
+  matrix of a tangle for its coloring record and a first minor of a link
+  for its determinant.
   These have one row per crossing with three nonzeros (2, -1, -1), so
   nearly every row has a unit entry and a diagram of k crossings gives
   about k rows with 3k nonzeros.  Rows are ``{column: value}`` dicts with
@@ -16,13 +17,14 @@ has.
   meet its column and the columns that meet its row.
   :mod:`tanglekit.quandle` builds its rows in this form and hands them
   over as they are.
-* The dense form, :func:`dense_smith_form`, takes what a tangle's
-  coloring record leaves after propagating colors: a few dense rows over
-  at most 16 seeds, with entries in the millions and seldom a unit (on
-  the coloring benchmark's sums, 2 to 8 seeds and two rows fewer, and
-  195 of 3,176 rows with an entry of +-1).  The sparse core would take
-  its Euclid path on nearly every pivot; an extended-gcd step on plain
-  lists clears each entry in one step instead.
+* The dense form, :func:`dense_smith_form`, takes what propagating
+  colors leaves, for a tangle's coloring record or a link's determinant:
+  a few dense rows over at most 16 seeds, with entries in the millions
+  and seldom a unit (on the coloring benchmark's sums, 2 to 8 seeds and
+  two rows fewer, and 195 of 3,176 rows with an entry of +-1).  The
+  sparse core would take its Euclid path on nearly every pivot; an
+  extended-gcd step on plain lists clears each entry in one step
+  instead.
 
 The rest of this account is the sparse core's.
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from tanglekit.bracket import (
+    DEFAULT_CROSSING_BUDGET,
     CrossingBudgetExceeded,
     jones,
     jones_unknot,
@@ -32,7 +33,7 @@ from tanglekit.fraction import frac_normalize
 from tanglekit.laurent import LaurentPoly
 
 from conftest import add_kink, montesinos_sum, r2_pair_closure, random_tangle_diagram
-from oracles import disjoint_union, jones_at_minus_one
+from oracles import all_orientations, disjoint_union, jones_at_minus_one, state_sum_bracket
 
 
 def F(p, q=1):
@@ -66,6 +67,15 @@ class TestBracket:
 class TestWritheLinking:
     def test_positive_trefoil_writhe(self):
         assert writhe(orient(close_numerator(from_rational(F(3))))) == 3
+
+    def test_writhe_is_the_sign_sum(self, catalog_entries):
+        """The bit rule over the entry ports equals the sum of crossing
+        signs under every orientation, of tangles and of their closures."""
+        for e in catalog_entries:
+            for d in (e.diagram, close_numerator(e.diagram), close_denominator(e.diagram)):
+                for od in all_orientations(d):
+                    signs = [od.crossing_sign(ci) for ci in range(d.crossing_count)]
+                    assert writhe(od) == sum(signs), d
 
     def test_hopf_linking(self):
         hopf = close_numerator(from_rational(F(2)))
@@ -131,6 +141,60 @@ class TestJones:
         for p, q in [(3, 1), (5, 2), (7, 3), (9, 5), (-5, 3)]:
             L = close_numerator(from_rational(F(p, q)))
             assert jones_at_minus_one(jones(L)) == determinant(L)
+
+
+def state_sum_jones(od) -> LaurentPoly:
+    """The plain state sum times (-A^3)^(-writhe) by Laurent
+    multiplication, at A = t^(-1/4)."""
+    w = writhe(od)
+    factor = LaurentPoly.make("A", {-3 * w: -1 if w % 2 else 1})
+    normalized = state_sum_bracket(od.base) * factor
+    return LaurentPoly.make("sqrt_t", {-e // 2: c for e, c in normalized.coeffs})
+
+
+class TestJonesOffTheWalk:
+    """The default orientation's Jones polynomial, its writhe read off the
+    walk and its terms written in one pass, against an explicit
+    orientation and the writhe-normalized plain state sum."""
+
+    def assert_default_jones(self, L: LinkDiagram):
+        poly = jones(L)
+        od = orient(L)
+        assert poly == jones(L, od), L
+        if L.crossing_count <= 12:
+            assert poly == state_sum_jones(od), L
+        exponents = [e for e, _ in poly.coeffs]
+        assert exponents == sorted(set(exponents)) and all(c for _, c in poly.coeffs)
+        made = LaurentPoly.make("sqrt_t", dict(poly.coeffs))
+        assert made == poly and hash(made) == hash(poly) and str(made) == str(poly)
+
+    def test_seeded_links(self):
+        rng = random.Random(2705)
+        links = [LOOP, LinkDiagram(crossings=(), loops=2)]
+        for _ in range(80):
+            t = random_tangle_diagram(rng)
+            links += [close_numerator(t), close_denominator(t)]
+        for _ in range(20):
+            t = montesinos_sum(rng, 6, 16)
+            links += [close_numerator(t), close_denominator(t)]
+        small = [L for L in links if 3 <= L.crossing_count <= 6]
+        links += [disjoint_union(*rng.sample(small, 2)) for _ in range(10)]
+        links += [add_kink(L, L.crossings[0][rng.randrange(4)], rng.randrange(2))
+                  for L in small[:20]]
+        links += [mirror(L) for L in links]
+        for L in links:
+            self.assert_default_jones(L)
+
+    def test_catalog_closures(self, classified, catalog_entries):
+        """Every closure classify builds and both closures of every entry,
+        within the bracket's crossing budget."""
+        links = [closed.diagram for c in classified.values() for closed in c._closures.values()]
+        links += [close(e.diagram) for e in catalog_entries
+                  for close in (close_numerator, close_denominator)]
+        links = [L for L in links if L.crossing_count + L.loops <= DEFAULT_CROSSING_BUDGET]
+        assert len(links) >= 50
+        for L in links:
+            self.assert_default_jones(L)
 
 
 class TestReidemeisterInvariance:

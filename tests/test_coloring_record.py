@@ -1,15 +1,18 @@
 """The coloring record: colors by propagation and one Smith form of the
 leftover relations for the all-moduli report, the coloring fraction and
 both closure determinants, against the full-matrix Smith form, the
-separate eliminations and the dense oracles."""
+separate eliminations and the dense oracles; and link determinants by
+the same propagation, against Bareiss and the Jones polynomial at -1."""
 
 import random
 from collections import Counter
+from fractions import Fraction as QQ
 from math import gcd
 
 import pytest
 
 from tanglekit import diagram
+from tanglekit.bracket import jones
 from tanglekit.diagram import (
     _NE,
     _NW,
@@ -20,6 +23,7 @@ from tanglekit.diagram import (
     _ends,
     close_denominator,
     close_numerator,
+    component_count,
     from_expression,
     from_rational,
     horizontal_twists,
@@ -48,8 +52,23 @@ from tanglekit.quandle import (
 )
 from tanglekit.snf import SmithForm, dense_smith_form, smith_normal_form
 
-from conftest import dense, fibonacci, montesinos_sum, random_tangle_diagram, sparse
-from oracles import bareiss_determinant, quotient_determinant, whole_matrix_fraction
+from conftest import (
+    add_kink,
+    dense,
+    fibonacci,
+    montesinos_sum,
+    r2_pair_closure,
+    random_fraction,
+    random_tangle_diagram,
+    sparse,
+)
+from oracles import (
+    bareiss_determinant,
+    disjoint_union,
+    jones_at_minus_one,
+    quotient_determinant,
+    whole_matrix_fraction,
+)
 
 
 def fresh(t: TangleDiagram) -> TangleDiagram:
@@ -250,7 +269,7 @@ def test_record_on_fibonacci_tangles(n):
     a coefficient outgrows 64 bits, and the field width must double."""
     t = from_rational(frac_normalize(fibonacci(n), fibonacci(n + 1)))
     k = t.crossing_count
-    assert (_paint(_ends(t), 64) is None) == (k > 88)
+    assert (_paint(_ends(t), 4 * k, 64) is None) == (k > 88)
     assert _propagate(t) is not None
     for u in variants(t):
         assert_record_matches(u, bareiss=k <= 60)
@@ -457,3 +476,155 @@ def test_closure_determinants_on_random_shapes():
                         nonzero[t, m] += det != 0
     assert all(nonzero[t, m] >= 100 for t in range(4) for m in (2, 3)), nonzero
     assert all(nonzero[t, 4] == 0 for t in range(4)) and unchained >= 200, nonzero
+
+
+# ---------------------------------------------------------------------------
+# link determinants by propagation
+
+def at_minus_one(link) -> int:
+    """|V(-1)|, the Jones polynomial at sqrt_t = i: real for a knot (where
+    ``jones_at_minus_one`` reads it) and imaginary for two components."""
+    poly = jones(link)
+    if component_count(link) == 1:
+        return jones_at_minus_one(poly)
+    re, im = poly.substitute_gaussian(QQ(0), QQ(1))
+    assert re == 0 or im == 0
+    return abs(re + im)
+
+
+def assert_link_determinant(link) -> int:
+    """The determinant of a link with none cached, against Bareiss on its
+    (0, 0) minor and, up to 16 crossings, against |V(-1)|."""
+    assert link._determinant is None
+    det = determinant(link)
+    assert det == oracle_determinant(link), link
+    if link.crossing_count + link.loops <= 16:
+        assert det == at_minus_one(link), link
+    return det
+
+
+def test_link_determinant_on_seeded_closures():
+    """Both closures of record-free random tangles and Montesinos sums
+    take the propagation, and match Bareiss and |V(-1)|."""
+    rng = random.Random(2701)
+    tangles = [random_tangle_diagram(rng) for _ in range(150)]
+    tangles += [montesinos_sum(rng, 6, 40) for _ in range(60)]
+    for t in tangles:
+        for link in (close_numerator(fresh(t)), close_denominator(fresh(t))):
+            if link.crossing_count and not link.loops:
+                assert _propagate(link) is not None
+            assert_link_determinant(link)
+
+
+def test_link_determinant_on_catalog_closures(classified, catalog_entries):
+    """Every closure classify builds for the catalog, and both closures of
+    every entry, record-free."""
+    links = [closed.diagram for c in classified.values() for closed in c._closures.values()]
+    assert len(links) >= 20
+    links += [close(fresh(e.diagram)) for e in catalog_entries
+              for close in (close_numerator, close_denominator)]
+    for link in links:
+        assert_link_determinant(link)
+
+
+def test_link_determinant_under_reidemeister_moves():
+    """Kinks of both handednesses, mirrors and a cancelling clasp pair
+    keep the determinant, each computed afresh."""
+    rng = random.Random(2702)
+    for _ in range(40):
+        t = random_tangle_diagram(rng)
+        base = close_numerator(fresh(t))
+        if not base.crossing_count or base.loops:
+            continue
+        det = assert_link_determinant(base)
+        edges = sorted({e for c in base.crossings for e in c})
+        moved = [add_kink(base, rng.choice(edges), variant) for variant in (0, 1)]
+        moved += [mirror(base), mirror(moved[0])]
+        for link in moved:
+            assert validate(link) is None
+            assert assert_link_determinant(link) == det
+        c = random_fraction(rng, 3, 3)
+        plain = close_numerator(tangle_sum(fresh(t), from_rational(c)))
+        if not plain.loops:
+            clasped = r2_pair_closure(fresh(t), c)
+            assert assert_link_determinant(clasped) == assert_link_determinant(plain)
+
+
+def test_split_links_have_determinant_zero():
+    """Distant unions, and a link with a component that passes over at
+    every crossing it meets, which lifts off: determinant 0 both ways."""
+    rng = random.Random(2703)
+    small = [close_numerator(fresh(random_tangle_diagram(rng))) for _ in range(40)]
+    small = [link for link in small if link.crossing_count and not link.loops]
+    for _ in range(20):
+        union = disjoint_union(*rng.sample(small, 2))
+        assert validate(union) is None
+        assert assert_link_determinant(union) == 0
+    # the NW-NE strand of [1] + [-1] passes over both crossings, and the
+    # numerator closure closes it into a circle above [1] + [-1] over [3]
+    clasp = tangle_sum(horizontal_twists(1), horizontal_twists(-1))
+    lifted = close_numerator(tangle_product(clasp, from_rational(frac_normalize(3, 1))))
+    assert validate(lifted) is None and component_count(lifted) == 2
+    assert dihedral_relation_matrix(lifted)[2] > lifted.crossing_count
+    assert assert_link_determinant(lifted) == 0
+    assert assert_link_determinant(disjoint_union(lifted, small[0])) == 0
+
+
+def counted_eliminations(monkeypatch) -> list[int]:
+    """A list that gains an entry at each ``integer_determinant`` call."""
+    calls = []
+    eliminate = quandle.integer_determinant
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(quandle, "integer_determinant", counted)
+    return calls
+
+
+def test_closure_certificate_colors_the_link(monkeypatch):
+    """A closure shaped like the closure benchmark's, 10-14 crossings:
+    the component count builds the link's ends, the determinant reads
+    them, and no relation matrix is eliminated."""
+    rng = random.Random(2704)
+    eliminations = counted_eliminations(monkeypatch)
+    builds = []
+    build = diagram._ends
+
+    def counted(d):
+        if d._mate is None:
+            builds.append(d)
+        return build(d)
+
+    monkeypatch.setattr(diagram, "_ends", counted)
+    monkeypatch.setattr(quandle, "_ends", counted)
+    checked = 0
+    while checked < 60:
+        t = tangle_sum(random_tangle_diagram(rng), from_rational(random_fraction(rng, 5, 5)))
+        link = close_numerator(t)
+        if not 10 <= link.crossing_count <= 14 or link.loops:
+            continue
+        del builds[:]
+        component_count(link)
+        det = determinant(link)
+        assert builds == [link]
+        assert det == oracle_determinant(link)
+        checked += 1
+    assert eliminations == []
+
+
+def test_long_mixed_sum_link_takes_the_elimination(monkeypatch):
+    """Both closures of a sum of 30 rationals need more seeds than
+    propagation takes on, so each eliminates its (0, 0) minor, and agrees
+    with the closed forms and the coloring record."""
+    eliminations = counted_eliminations(monkeypatch)
+    terms = ["1/3", "-2/5", "3/7"] * 10
+    t = from_expression(parse_expr(" + ".join(terms)))
+    links = (close_numerator(t), close_denominator(t))
+    assert all(_propagate(link) is None for link in links)
+    dets = [determinant(link) for link in links]
+    assert len(eliminations) == 2
+    assert dets == [10 * (35 - 42 + 45) * 105 ** 9, 105 ** 10]
+    record = coloring_record(t)
+    assert dets == [record.det_numerator, record.det_denominator]
