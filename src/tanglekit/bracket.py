@@ -235,8 +235,9 @@ def _schedule(d: LinkDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return steps
 
 
-def _writhe(heads, k: int) -> int:
-    """Sum of crossing signs of an orientation with entry ports heads.
+def _signs(heads, k: int) -> list[int]:
+    """The sign of each of the k crossings under an orientation with
+    entry ports heads.
 
     A crossing is positive when its under-strand enters one slot
     counterclockwise from the over-strand's entry: at slots (1, 2) or
@@ -247,12 +248,12 @@ def _writhe(heads, k: int) -> int:
     flips = [0] * k
     for y in heads:
         flips[y >> 2] ^= y & 2
-    return 2 * flips.count(2) - k
+    return [f - 1 for f in flips]
 
 
 def writhe(od: OrientedDiagram) -> int:
     """Sum of crossing signs over all crossings."""
-    return _writhe(od.heads, od.base.crossing_count)
+    return sum(_signs(od.heads, od.base.crossing_count))
 
 
 def linking_number(od: OrientedDiagram) -> int:
@@ -260,10 +261,12 @@ def linking_number(od: OrientedDiagram) -> int:
     d = od.base
     if not isinstance(d, LinkDiagram):
         raise ValueError("linking number needs a link diagram")
-    if len(set(od.strand_of)) + d.loops != 2:
+    w = walk(d)
+    if len(w.strands) + d.loops != 2:
         raise ValueError("linking number needs exactly 2 components")
-    total = sum(od.crossing_sign(ci) for ci in range(d.crossing_count)
-                if od.strand_of[4 * ci] != od.strand_of[4 * ci + 1])
+    strand_of = w.strand_of
+    total = sum(s for ci, s in enumerate(_signs(od.heads, d.crossing_count))
+                if strand_of[4 * ci] != strand_of[4 * ci + 1])
     if total % 2 != 0:
         raise AssertionError("inter-component sign sum must be even")
     return total // 2
@@ -283,7 +286,7 @@ def jones(d: LinkDiagram, orientation: OrientedDiagram | None = None) -> Laurent
     else:
         d = orientation.base
         heads = orientation.heads
-    w = _writhe(heads, d.crossing_count)
+    w = sum(_signs(heads, d.crossing_count))
     br = kauffman_bracket(d)
     # times (-A^3)^(-w): exponent shift -3w, sign (-1)^w; then A^e is
     # t^(-e/4), the doubled sqrt_t exponent -e/2

@@ -251,8 +251,11 @@ def cmd_reproduce(args) -> int:
     else:
         print(report.text(), end="")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.data, fh, indent=1, sort_keys=True)
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(report.data, fh, indent=1, sort_keys=True)
+        except OSError as ex:
+            raise UsageError(f"cannot write {args.out}: {ex.strerror}") from None
     return 0 if report.ok else 1
 
 

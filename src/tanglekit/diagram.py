@@ -38,15 +38,17 @@ boundary endpoints in ``BOUNDARY_LABELS`` order (k crossings).  Each end
 has a mate, the other end of its edge, and going straight through a
 crossing maps a port y to ``y ^ 2`` (Cori's encoding of a rotation system
 as permutations on darts).  A strand is the list of ends it leaves from;
-an orientation is the set of ports at which a strand enters its crossing.
+an orientation is the tuple of ports at which the strands enter their
+crossings, in walk order: the default one is the walk's own entry ports.
 
 A diagram walks its ends once.  Every diagram, tangle or link, keeps
 the mate of each end in its ``_mate`` slot and its :class:`Walk` (the
-strands and the default orientation) in its ``_walk`` slot, outside its
-value key, each built by the first caller to need it: ``validate``, the
-coloring record's propagation, the closures (which rebuild only the
-crossings at the far ends of the fused boundary edges), the bracket's
-schedule, :func:`component_count`, :func:`orient` and
+strands, their entry ports and the strand of each end, found in one
+pass) in its ``_walk`` slot, outside its value key, each built by the
+first caller to need it: ``validate``, the coloring record's
+propagation, the closures (which rebuild only the crossings at the far
+ends of the fused boundary edges), the bracket's schedule and crossing
+signs, :func:`strands`, :func:`component_count`, :func:`orient` and
 :func:`component_subdiagrams` share one build of each.  The records are
 plain data: an :class:`OrientedDiagram` refers back to its diagram, so
 one is built from the walk on each call instead, and no diagram is kept
@@ -385,37 +387,20 @@ def canonical_form(d: Diagram):
 # strands, components, orientation
 
 def strands(d: Diagram) -> list[list[int]]:
-    """Strand passes, open strands first, each the list of ends it leaves from.
-
-    Walks start at the boundary ends NW, NE, SW, SE, then at the ports in
-    index order; this discovery order fixes the default orientation.
-    Crossing-free loops (``d.loops``) are not listed.
-    """
-    mate = _ends(d)
-    k4 = 4 * len(d.crossings)
-    seen = [False] * len(mate)
-    result = []
-    for y in [*range(k4, len(mate)), *range(k4)]:
-        strand = []
-        while not seen[y]:
-            strand.append(y)
-            z = mate[y]
-            seen[y] = seen[z] = True
-            if z >= k4:
-                break
-            y = z ^ 2
-        if strand:
-            result.append(strand)
-    return result
+    """Strand passes, open strands first, each the list of ends it leaves
+    from: ``walk(d).strands``, which callers must not change."""
+    return walk(d).strands
 
 
 class Walk:
-    """The strands of a diagram and its default orientation, as plain
-    data: the ``strands`` as from :func:`strands`, and the default
-    orientation's ``heads`` (a tuple: a diagram keeps its walk, and a
-    frozenset of 20 ports takes ten times the memory) and ``strand_of``
-    (see :class:`OrientedDiagram`).  It holds no reference to the
-    diagram, so a diagram caching it makes no cycle."""
+    """A diagram's ends walked once, as plain data: the ``strands``, open
+    ones first, each the list of ends it leaves from, walked from NW, NE,
+    SW, SE and then from the ports in index order (crossing-free loops are
+    not listed); the ``heads``, the ports at which the walk enters a
+    crossing, in walk order, which are the default orientation; and
+    ``strand_of[y]``, the strand through end y under every orientation.
+    It holds no reference to the diagram, so a diagram caching it makes
+    no cycle."""
 
     __slots__ = ("strands", "heads", "strand_of")
 
@@ -426,21 +411,30 @@ class Walk:
 
 
 def walk(d: Diagram) -> Walk:
-    """d's ends walked once, kept in d's ``_walk`` slot."""
+    """d's ends walked once, in one pass that lists the strands, their
+    entry ports and each end's strand; kept in d's ``_walk`` slot."""
     if d._walk is not None:
         return d._walk
     mate = _ends(d)
-    st = strands(d)
     k4 = 4 * len(d.crossings)
-    strand_of = [0] * len(mate)
+    strand_of = [-1] * len(mate)
     heads = []
-    for i, strand in enumerate(st):
-        for y in strand:
+    result = []
+    for y in [*range(k4, len(mate)), *range(k4)]:
+        if strand_of[y] >= 0:
+            continue
+        i = len(result)
+        strand = []
+        while strand_of[y] < 0:
+            strand.append(y)
             z = mate[y]
             strand_of[y] = strand_of[z] = i
-            if z < k4:
-                heads.append(z)
-    w = Walk(st, tuple(heads), tuple(strand_of))
+            if z >= k4:
+                break
+            heads.append(z)
+            y = z ^ 2
+        result.append(strand)
+    w = Walk(result, tuple(heads), tuple(strand_of))
     setfield(d, "_walk", w)
     return w
 
@@ -486,44 +480,35 @@ def component_subdiagrams(d: Diagram) -> list[LinkDiagram]:
 class OrientedDiagram(Value):
     """A diagram with a direction assigned to every strand.
 
-    ``heads`` holds the ports at which a strand enters its crossing;
-    ``strand_of[y]`` is the index of the strand through end y.
+    ``heads`` holds the ports at which the strands enter their crossings,
+    in walk order; the strand through an end is read off
+    :func:`walk`, since it does not depend on the directions.
     """
 
-    __slots__ = ("base", "heads", "strand_of")
+    __slots__ = ("base", "heads")
 
-    def __init__(self, base: Diagram, heads: frozenset[int], strand_of: tuple[int, ...]):
+    def __init__(self, base: Diagram, heads: tuple[int, ...]):
         setfield(self, "base", base)
         setfield(self, "heads", heads)
-        setfield(self, "strand_of", strand_of)
-
-    def over_entry_slot(self, ci: int) -> int:
-        return 1 if 4 * ci + 1 in self.heads else 3
-
-    def crossing_sign(self, ci: int) -> int:
-        """+1 when the under-strand passes right-to-left seen along the
-        over-strand direction; that is, under enters one slot
-        counterclockwise from the over entry."""
-        under_in = (self.over_entry_slot(ci) + 1) % 4
-        return 1 if 4 * ci + under_in in self.heads else -1
 
 
 def orient(d: Diagram, choice: tuple[bool, ...] | None = None) -> OrientedDiagram:
     """Assign directions to strands; choice[i] reverses strand i.
 
-    The default orients every strand along its discovery order, and is
-    read from :func:`walk`; an explicit choice is computed on each call.
+    The default orients every strand along its discovery order, and its
+    heads are :func:`walk`'s own; an explicit choice is computed on each
+    call, its heads in walk order too.
     """
     w = walk(d)
     if choice is None:
-        return OrientedDiagram(d, frozenset(w.heads), w.strand_of)
+        return OrientedDiagram(d, w.heads)
     if len(choice) != len(w.strands):
         raise DiagramError(f"expected {len(w.strands)} direction bits, got {len(choice)}")
     k4 = 4 * len(d.crossings)
     mate = _ends(d)
     heads = [y if back else mate[y] for back, strand in zip(choice, w.strands)
              for y in strand]
-    return OrientedDiagram(d, frozenset(h for h in heads if h < k4), w.strand_of)
+    return OrientedDiagram(d, tuple(h for h in heads if h < k4))
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +690,22 @@ def from_rational(f: Fraction) -> TangleDiagram:
     return _glue(tuple(parts), joins, outer)
 
 
+def _nw_joins_ne(t: TangleDiagram) -> bool:
+    """Whether the strand from NW ends at NE, read off t's walk."""
+    return _ends(t)[walk(t).strands[0][-1]] == 4 * len(t.crossings) + _NE
+
+
 def from_expression(expr, resolver=None) -> TangleDiagram:
     """Realize a tangle expression as a diagram.
 
     Rational leaves come from :func:`from_rational`; a chain of sums is
-    glued east to west in one :func:`tangle_sum`, and products glue south
-    to north.  When a product's naive gluing
-    would close a circle (the factors' end patterns both run across the
-    glued disk), the first factor is turned a quarter at a time until
-    the gluing stays a 2-string tangle.  A turned factor makes another
-    tangle, rot(T1) * T2 in place of T1 * T2, so the catalog writes its
-    products to glue as written.
+    glued west to east in one :func:`tangle_sum`, and products glue south
+    to north.  When both factors of a product join NW to NE, gluing them
+    as written would close a circle, so the top factor is turned once
+    first.  A turned factor makes another tangle, rot(T1) * T2 in place
+    of T1 * T2, so the catalog writes its products to glue as written.
+    Nothing is validated here: a factor with a closed component gives a
+    tangle that :func:`validate` refuses, as a sum does.
     NamedRef leaves are resolved through ``resolver``.
     """
     from . import expr as ex
@@ -728,12 +718,9 @@ def from_expression(expr, resolver=None) -> TangleDiagram:
     if isinstance(expr, ex.Product):
         top = from_expression(expr.top, resolver)
         bottom = from_expression(expr.bottom, resolver)
-        for _ in range(4):
-            candidate = tangle_product(top, bottom)
-            if candidate.loops == 0 and validate(candidate) is None:
-                return candidate
+        if _nw_joins_ne(top) and _nw_joins_ne(bottom):
             top = rotate(top)
-        raise DiagramError("product cannot be realized without closed circles")
+        return tangle_product(top, bottom)
     if isinstance(expr, ex.Rotate):
         return rotate(from_expression(expr.child, resolver))
     if isinstance(expr, ex.Mirror):

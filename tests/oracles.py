@@ -653,6 +653,20 @@ def all_orientations(d) -> list[OrientedDiagram]:
     return [orient(d, bits) for bits in product((False, True), repeat=s)]
 
 
+def over_entry_slot(od: OrientedDiagram, ci: int) -> int:
+    """The slot at which the over-strand enters crossing ci."""
+    return 1 if 4 * ci + 1 in od.heads else 3
+
+
+def crossing_sign(od: OrientedDiagram, ci: int) -> int:
+    """+1 when the under-strand passes right-to-left seen along the
+    over-strand direction; that is, under enters one slot
+    counterclockwise from the over entry.  The reference for the bit rule
+    of ``bracket._signs``."""
+    under_in = (over_entry_slot(od, ci) + 1) % 4
+    return 1 if 4 * ci + under_in in od.heads else -1
+
+
 def color_search_finite(od: OrientedDiagram, table) -> list[tuple[int, ...]]:
     """All colorings of an oriented diagram by a finite quandle, sorted.
 
@@ -667,7 +681,7 @@ def color_search_finite(od: OrientedDiagram, table) -> list[tuple[int, ...]]:
         return []
     constraints = []  # (z_arc, x_arc, y_arc): z = x * y
     for ci, c in enumerate(d.crossings):
-        over_in = od.over_entry_slot(ci)
+        over_in = over_entry_slot(od, ci)
         constraints.append((arc_of[c[(over_in + 3) % 4]], arc_of[c[(over_in + 1) % 4]],
                             arc_of[c[over_in]]))
     m = len(table)

@@ -143,6 +143,14 @@ class TestDiagramCommands:
         code, out, err = run(capsys, command, "1/2 + 1/2")
         assert (code, out, err) == (2, "", "error: closed component in tangle\n")
 
+    def test_products_turn_by_end_pattern(self, capsys):
+        """A product with a closed component in a factor is refused as a
+        sum is; one whose factors both join NW to NE turns its top
+        factor, so 2/3 * 2/5 closes to D(2/3 + -5/2), of determinant 3 * 2."""
+        code, out, err = run(capsys, "det", "(1/2 + 1/2) * 1/3")
+        assert (code, out, err) == (2, "", "error: closed component in tangle\n")
+        assert run(capsys, "det", "2/3 * 2/5") == (0, "6\n", "")
+
     def test_unknown_input_exit_2(self, capsys):
         code, _, err = run(capsys, "det", "@no_such_entry")
         assert code == 2
@@ -360,6 +368,13 @@ class TestClassifyReproduce:
         assert out1 == out2
         data = json.loads(out_file.read_text())
         assert data["ok"] is True
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        """Exit 1 means only that reproduce found a diff."""
+        out_file = tmp_path / "missing" / "report.json"
+        code, _, err = run(capsys, "reproduce", "--out", str(out_file))
+        assert code == 2 and not out_file.exists()
+        assert err.startswith(f"error: cannot write {out_file}: ") and err.count("\n") == 1
 
     def test_json_output_stable(self, capsys):
         code1, out1, _ = run(capsys, "--format", "json", "reproduce")

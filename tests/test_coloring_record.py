@@ -18,7 +18,6 @@ from tanglekit.diagram import (
     _NW,
     _SE,
     _SW,
-    DiagramError,
     TangleDiagram,
     _ends,
     close_denominator,
@@ -252,11 +251,13 @@ def test_record_on_products_that_need_quarter_turns():
         naive = tangle_product(top, from_rational(c))
         if naive.loops == 0 and validate(naive) is None:
             continue
-        try:
-            t = from_expression(parse_expr(f"({a} + {b}) * {c}"))
-        except DiagramError:
-            continue  # a + b already has a closed component; one turn fixes any other
-        assert validate(t) is None and t != naive
+        t = from_expression(parse_expr(f"({a} + {b}) * {c}"))
+        err = validate(t)
+        if err is not None:
+            # a + b already has a closed component; one turn fixes any other
+            assert err == validate(top) == "closed component in tangle"
+            continue
+        assert t != naive
         seen += 1
         for u in variants(t):
             assert_record_matches(u, bareiss=seen % 3 == 0)

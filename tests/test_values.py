@@ -48,7 +48,7 @@ VALUES = [
     (TangleDiagram, ((), (0, 0, 1, 1), 0), (hopf().crossings, (0, 1, 0, 1), 1)),
     (LinkDiagram, (hopf().crossings, 0), (trefoil().crossings, 1)),
     (OrientedDiagram, tuple(getattr(orient(hopf()), f) for f in OrientedDiagram.__slots__),
-     (trefoil(), frozenset(), (1, 0))),
+     (trefoil(), ())),
     (LaurentPoly, ("sqrt_t", ((-1, -1), (1, -1))), ("A", ((1, -1),))),
     (Verdict, ("yes", Fraction(-1, 1), None), ("no", Fraction(0, 1), "r")),
     (EmbedVerdict, (yes(-1), Verdict.no("a"), Verdict.no("b")),
