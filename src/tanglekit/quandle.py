@@ -53,8 +53,8 @@ for its :func:`determinant`.
   the seeds: M's invariant factors above 1, its nullity and its
   cokernel are L's, and the class of e_p below is that of arc p's
   color, a row over the seeds, modulo L's rows.  So only L takes a Smith
-  form, and for a tangle its column operations act on the colors of the
-  four boundary ends in place of v's boundary rows.  On the sums of 2-5
+  form, and for a tangle its column operations act on the boundary
+  line's two rows of colors in place of v's rows.  On the sums of 2-5
   rationals measured, L was 1-6 rows over 3-8 seeds, two rows fewer than
   seeds, dense, with entries up to about 10^6 and seldom a unit, so it
   takes :func:`tanglekit.snf.dense_smith_form`, extended-gcd steps on
@@ -81,45 +81,45 @@ for its :func:`determinant`.
   that end at the crossings' under sides, so the nullity is at least two
   and the determinant 0, that of the split picture it lifts off to.
 
-With the column transform v of M's Smith form kept on the rows of the
-four boundary arcs, the record answers these questions and gives both
-closure determinants too:
+With the column transform v of M's Smith form kept on the boundary
+line, the two rows e_NE - e_NW and e_NE - e_SE, the record answers
+these questions and gives both closure determinants too:
 
 * Report and fraction.  The report reads M's nullity and torsion, and
-  the fraction the boundary rows of M's integer kernel, the free columns
-  of v.
+  the fraction the pairs (NE - NW, NE - SE) of M's integer kernel, the
+  line's entries on the free columns of v.
 * The cokernel.  Let A be Z^arcs modulo the row space of M.  The Smith
   form splits it as Z/d_j for each invariant factor d_j > 1 and Z for each
-  free column of v, and the class of the unit vector e_p has coordinate
-  v[p][j] in the summand of column j.  Its free rank is M's nullity.
+  free column of v, and the class of a row w has coordinate (w v)_j in
+  the summand of column j.  Its free rank is M's nullity.
+* The sum rule.  On a planar diagram every coloring mod every n lifts to
+  Dehn labels of the regions, and a boundary arc's color is the sum of
+  the labels of the two outer regions beside it, so NW - NE - SW + SE
+  cancels around the disk.  A homomorphism from A to Z/n is a coloring
+  mod n, and every nonzero class of the finitely generated A is nonzero
+  under one of them, so e_NW - e_NE - e_SW + e_SE is zero in A.
 * Closure determinants.  N(T) and D(T) have T's crossings and T's arcs
   with the boundary arcs fused: NW with NE and SW with SE for N(T), NW
   with SW and NE with SE for D(T).  So the closure's relation matrix is M
   with those columns added together, and its cokernel is A with the
   classes of e_NW - e_NE and e_SW - e_SE (for D(T), e_NW - e_SW and
-  e_NE - e_SE) set to zero, which only needs v's boundary rows.  All
-  first minors of a link's coloring matrix agree up to sign, so the
-  determinant of a closure of k crossings is their gcd, the product of
-  the first k - 1 invariant factors: the order of the quotient's torsion
-  when its free rank, the closure's nullity, is one, and 0 when it is
-  more.  That order has one closed form (:func:`_closure_determinant`).
-  Take the t invariant factors f_i > 1, P their product, and m = M's
-  nullity; the joins give two rows r1 and r2 over the kept columns of v,
-  with entries r1_i and r2_i on the torsion columns and free parts a and
-  b on the m free ones.  The quotient is Z^(t + m) modulo the rows f_i e_i
-  and r1 and r2.  The rows f_i e_i have rank t, so its free rank is m less
-  the rank of (a; b), at most two, and m is at least two, since M has k
-  rows and at least k + 2 arcs.  Free rank one thus needs m = 2 with
-  a0 b1 - a1 b0 = 0, or m = 3, and the torsion order is then the gcd of
-  the relations' (t + 1)- or (t + 2)-square minors.  A minor that keeps
-  the row f_i e_i but not column i is 0, and one that keeps both is f_i
-  times the minor without them.  So for m = 2, where one row is left
-  out, that gcd is the gcd of P a_j, P b_j and (r1_i b_j - r2_i a_j) P /
-  f_i over all i and j, and for m = 3, where none is, P times the gcd of
-  the three 2 x 2 minors of (a; b).  With m >= 4 the free rank
-  is at least two and the determinant 0.  A gcd of zeros is 0, which
-  covers a and b of too low a rank, and no divisibility among the f_i is
-  used, so the closure takes no Smith form.
+  e_NE - e_SE) set to zero.  By the sum rule the two classes agree, so
+  one relation r is enough, the line's row NE - NW for N(T) and NE - SE
+  for D(T).  All first minors of a link's coloring matrix agree up to
+  sign, so the determinant of a closure of k crossings is their gcd, the
+  product of the first k - 1 invariant factors: the order of the
+  quotient's torsion when its free rank, the closure's nullity, is one,
+  and 0 when it is more.  Take the t invariant factors f_i > 1, P their
+  product, and m = M's nullity.  The quotient is Z^(t + m) modulo the
+  rows f_i e_i and r, whose free part a lies on the m free columns, so
+  its free rank is m less the rank of a.  M has k rows and at least
+  k + 2 arcs, so m is at least two, and free rank one needs m = 2 and
+  a != 0.  The torsion order is then the gcd of the (t + 1)-square
+  minors: one that leaves out a torsion column keeps the row f_i e_i
+  with no entry and is 0, and the one that leaves out free column j is
+  P a_(1 - j).  So det N(T) is P gcd(a_0, a_1) on the line's NE - NW
+  entries and det D(T) the same on its NE - SE entries; a gcd of zeros
+  is 0, as is every other nullity, and the closures take no Smith form.
   A closure with more arcs than crossings has a component that
   never passes under, which lifts off as a split component, so its
   nullity is at least two and its determinant 0 here as well.
@@ -132,17 +132,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .diagram import (
-    _NE,
-    _NW,
-    _SE,
-    _SW,
-    Diagram,
-    LinkDiagram,
-    TangleDiagram,
-    UnionFind,
-    _ends,
-)
+from .diagram import Diagram, LinkDiagram, TangleDiagram, UnionFind, _ends
 from .fraction import Fraction, frac_normalize
 from .snf import SmithForm, dense_smith_form, integer_determinant, smith_normal_form
 from .value import Value, setfield
@@ -210,21 +200,6 @@ def dihedral_relation_matrix(d: Diagram) -> tuple[list[dict[int, int]], dict[int
     return rows, arc_of, ncols
 
 
-def _fraction(smith: SmithForm) -> Fraction | NotInvariant:
-    """The coloring fraction from the kernel rows of the boundary ends NW,
-    NE and SE, rows 0, 1 and 3 of the kept transform (see
-    :func:`coloring_fraction`)."""
-    nw, ne, se = (smith.kernel_row(i) for i in (0, 1, 3))
-    pairs = [(b - a, b - c) for a, b, c in zip(nw, ne, se)]
-    pairs = [pair for pair in pairs if pair != (0, 0)]
-    if not pairs:
-        return NotInvariant(rank=0)
-    x, y = pairs[0]
-    if any(x * b != y * a for a, b in pairs):
-        return NotInvariant(rank=2)
-    return frac_normalize(x, y)
-
-
 def color_solve_dihedral(d: Diagram) -> SmithForm:
     """The Smith form of d's dihedral relation matrix, with all of its
     column transform: ``solutions_mod(n)`` counts the colorings mod n and
@@ -263,33 +238,56 @@ _PACKED_BITS = 1 << 26
 class ColoringRecord:
     """What the coloring obstructions read of a tangle diagram, from its
     colors by propagation and one Smith form of the leftover relations
-    (see the module docstring): the all-moduli c-coloring ``report``, the
-    coloring ``fraction``, and the determinants ``det_numerator`` and
-    ``det_denominator`` of its two closures' relation matrices, which
-    :func:`determinant` returns once the closure's own crossing and loop
-    checks pass."""
+    (see the module docstring): the all-moduli c-coloring ``report``, and
+    from the boundary line the coloring ``fraction`` and the determinants
+    ``det_numerator`` and ``det_denominator`` of its two closures'
+    relation matrices, which :func:`determinant` returns once the
+    closure's own crossing and loop checks pass."""
 
     __slots__ = ("report", "fraction", "det_numerator", "det_denominator")
 
     def __init__(self, t: TangleDiagram):
         smith = _boundary_smith(t)
         self.report = MonochromaticReport(smith)
-        self.fraction = _fraction(smith)
-        self.det_numerator = _closure_determinant(smith, ((_NW, _NE), (_SW, _SE)))
-        self.det_denominator = _closure_determinant(smith, ((_NW, _SW), (_NE, _SE)))
+        self.fraction, self.det_numerator, self.det_denominator = _boundary_answers(smith)
 
 
 def _boundary_smith(t: TangleDiagram) -> SmithForm:
     """The Smith form of t's relation matrix with v kept on the boundary
-    ends NW, NE, SW, SE, rows 0-3: the dense form of the leftover
-    relations over the seeds, or past the limits of propagation the
-    sparse form of the whole matrix, every arc a seed."""
+    line, the rows NE - NW and NE - SE, rows 0 and 1: the dense form of
+    the leftover relations over the seeds, lifting the differences of the
+    boundary ends' colors, or past the limits of propagation the sparse
+    form of the whole matrix, every arc a seed.  A row is empty when its
+    two ends lie on one arc."""
     found = _propagate(t)
     if found is None:
         rows, arc_of, ncols = dihedral_relation_matrix(t)
-        return smith_normal_form(rows, ncols, lift=[{arc_of[e]: 1} for e in t.boundary])
-    leftovers, ends, seeds = found
-    return dense_smith_form(leftovers, seeds, ends)
+        nw, ne, _, se = (arc_of[e] for e in t.boundary)
+        line = [{ne: 1, end: -1} if end != ne else {} for end in (nw, se)]
+        return smith_normal_form(rows, ncols, lift=line)
+    leftovers, (nw, ne, _, se), seeds = found
+    line = [[b - a for a, b in zip(end, ne)] for end in (nw, se)]
+    return dense_smith_form(leftovers, seeds, line)
+
+
+def _boundary_answers(smith: SmithForm) -> tuple[Fraction | NotInvariant, int, int]:
+    """The coloring fraction (see :func:`coloring_fraction`) and the
+    determinants of N(T) and D(T) (see the module docstring), read off
+    the kernel rows of the boundary line NE - NW and NE - SE, rows 0 and
+    1 of the kept transform."""
+    ne_nw, ne_se = smith.kernel_row(0), smith.kernel_row(1)
+    if len(ne_nw) == 2:
+        torsion = prod(smith.factors)
+        dets = torsion * gcd(*ne_nw), torsion * gcd(*ne_se)
+    else:
+        dets = 0, 0
+    pairs = [pair for pair in zip(ne_nw, ne_se) if pair != (0, 0)]
+    if not pairs:
+        return NotInvariant(rank=0), *dets
+    x, y = pairs[0]
+    if any(x * b != y * a for a, b in pairs):
+        return NotInvariant(rank=2), *dets
+    return frac_normalize(x, y), *dets
 
 
 def _propagate(d: Diagram) -> tuple[list[list[int]], list[list[int]], int] | None:
@@ -419,36 +417,6 @@ def _unpack(x: int, width: int, seeds: int) -> list[int]:
         x = (x - c) >> width
         j += 1
     return out
-
-
-def _closure_determinant(smith: SmithForm, joins) -> int:
-    """The torsion order of the cokernel with the classes of e_p - e_q
-    set to zero for each join (p, q) of boundary arcs, when that leaves
-    free rank one; else 0.
-
-    In closed form for every shape (see the module docstring): with P the
-    product of the torsion factors f_i, the joined rows r1 and r2 of the
-    kept columns of v, and a and b their free parts, for nullity two it is
-    0 when a and b are independent, else the gcd of P a_j, P b_j and
-    (r1_i b_j - r2_i a_j) P / f_i; for nullity three, P times the gcd of
-    the 2 x 2 minors of (a; b); for more, 0."""
-    (p, q), (r, s) = joins
-    joined = [(col.get(p, 0) - col.get(q, 0), col.get(r, 0) - col.get(s, 0))
-              for col in smith.v if col is not None]
-    torsion = [f for f in smith.factors if f > 1]
-    product = prod(torsion)
-    free = joined[len(torsion):]
-    if len(free) == 2:
-        (a0, b0), (a1, b1) = free
-        if a0 * b1 != a1 * b0:
-            return 0
-        return gcd(product * gcd(a0, a1, b0, b1),
-                   *((x * bj - y * aj) * (product // f)
-                     for f, (x, y) in zip(torsion, joined) for aj, bj in free))
-    if len(free) == 3:
-        (a0, b0), (a1, b1), (a2, b2) = free
-        return product * gcd(a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a1 * b2 - a2 * b1)
-    return 0  # free rank two or more (nullity one cannot occur)
 
 
 def coloring_record(t: TangleDiagram) -> ColoringRecord:

@@ -57,9 +57,10 @@ of w @ v for rows w the caller hands in, since a column operation acts
 on each row by itself (rows of ``v`` itself are w @ v for unit rows w).
 The last columns of ``v`` span the integer kernel, which
 the coloring lattices need in full; a tangle's coloring record that
-eliminates the whole relation matrix hands in the unit rows of its four
-boundary arcs (and the dense form takes the colors of the four boundary
-ends over the seeds the same way; see :mod:`tanglekit.quandle`).  Of the
+eliminates the whole relation matrix hands in two rows, its boundary
+line e_NE - e_NW and e_NE - e_SE over the boundary arcs (and the dense
+form takes the same differences of the boundary ends' colors over the
+seeds; see :mod:`tanglekit.quandle`).  Of the
 columns, only the free ones and those of factors above 1 are read, so
 each unit pivot's column is dropped once its step has used it, and ``v``
 is kept as sparse columns.  Nothing reads the row transform, so it is

@@ -31,8 +31,8 @@ from tanglekit.fraction import continued_fraction, frac_add, frac_normalize
 from tanglekit.laurent import LaurentPoly
 from tanglekit.quandle import (
     NotInvariant,
-    _fraction,
     arcs,
+    color_solve_dihedral,
     coloring_fraction,
     dihedral_relation_matrix,
 )
@@ -464,9 +464,12 @@ def check_smith_form(a: list[list[int]], sf: SmithForm):
 
 
 def quotient_determinant(smith: SmithForm, joins) -> int:
-    """``quandle._closure_determinant`` in every shape, by the dense Smith
-    form of the quotient: a relation d_j e_j per torsion factor, and the
-    joined rows of the kept columns of v."""
+    """The determinant of the closure that joins each pair (p, q) of
+    boundary arcs, for a Smith form kept on the four rows NW, NE, SW, SE,
+    by the dense Smith form of the quotient: a relation d_j e_j per
+    torsion factor, and the joined rows e_p - e_q of the kept columns of
+    v, one per join.  It reads no sum rule, so it takes the shapes that
+    break one too."""
     v, rank = smith.v, smith.rank
     cols = [j for j, col in enumerate(v) if col is not None]
     relations = [[smith.factors[j] if i == t else 0 for i in range(len(cols))]
@@ -548,11 +551,21 @@ def c_constrained_report(d: TangleDiagram) -> tuple[bool, set[int], bool, bool]:
 
 
 def whole_matrix_fraction(t: TangleDiagram):
-    """The coloring fraction from the Smith form of t's whole relation
-    matrix, its column transform kept on the unit rows of the boundary
-    arcs: no color propagation and no dense form."""
-    rows, arc_of, ncols = dihedral_relation_matrix(t)
-    return _fraction(smith_normal_form(rows, ncols, lift=[{arc_of[e]: 1} for e in t.boundary]))
+    """The coloring fraction read off the integer kernel basis of t's
+    whole relation matrix at its boundary arcs: no color propagation, no
+    dense form and no lifted rows.  The pairs (NE - NW, NE - SE) of the
+    basis span a lattice of rank 0, 1 or 2, and the fraction is their
+    common ratio when the rank is 1."""
+    arc_of = arcs(t)
+    nw, ne, _, se = (arc_of[e] for e in t.boundary)
+    pairs = {(x[ne] - x[nw], x[ne] - x[se]) for x in color_solve_dihedral(t).kernel_basis()}
+    pairs.discard((0, 0))
+    if not pairs:
+        return NotInvariant(rank=0)
+    (x, y), *others = pairs
+    if any(x * b != y * a for a, b in others):
+        return NotInvariant(rank=2)
+    return frac_normalize(x, y)
 
 
 def alternating_sum_check(colors: tuple[int, int, int, int]) -> bool:

@@ -38,9 +38,7 @@ from tanglekit.expr import parse_expr
 from tanglekit.fraction import continued_fraction_value, frac_normalize
 from tanglekit.quandle import (
     MonochromaticReport,
-    _boundary_smith,
-    _closure_determinant,
-    _fraction,
+    _boundary_answers,
     _paint,
     _propagate,
     coloring_fraction,
@@ -53,6 +51,7 @@ from tanglekit.snf import SmithForm, dense_smith_form, smith_normal_form
 
 from conftest import (
     add_kink,
+    cut_tangles,
     dense,
     fibonacci,
     montesinos_sum,
@@ -324,6 +323,22 @@ def test_record_of_a_long_sum_takes_the_whole_matrix():
     assert coloring_record(t).fraction == frac_normalize(10 * (35 - 42 + 45), 105)
 
 
+@pytest.mark.parametrize("text", [" + ".join(["1/3"] * 19 + ["inf"]),
+                                  " + ".join(["inf"] + ["1/3"] * 19)])
+def test_long_sum_with_two_ends_on_one_arc(text):
+    """Past the seed cap, a sum with inf at one end has two boundary ends
+    on one arc (NE and SE when inf is last), so a row of the boundary
+    line lifted through the whole matrix can be empty; the record still
+    matches the separate eliminations in every variant."""
+    t = from_expression(parse_expr(text))
+    assert _propagate(t) is None
+    for u in variants(t):
+        assert_record_matches(u, bareiss=False)
+    record = coloring_record(t)
+    assert record.fraction.is_infinite
+    assert (record.det_numerator, record.det_denominator) == (3 ** 19, 0)
+
+
 def test_coloring_op_builds_the_ends_once(monkeypatch):
     """The coloring benchmark's op (validate, report, fraction and both
     closure determinants) builds the tangle's ends in validate, and the
@@ -351,6 +366,52 @@ def test_coloring_op_builds_the_ends_once(monkeypatch):
 
 
 NUMERATOR, DENOMINATOR = ((_NW, _NE), (_SW, _SE)), ((_NW, _SW), (_NE, _SE))
+# e_NW - e_NE - e_SW + e_SE, zero in the cokernel of every tangle's
+# relation matrix (see the quandle module docstring)
+SUM_RULE = {_NW: 1, _NE: -1, _SW: -1, _SE: 1}
+
+
+def class_is_zero(smith: SmithForm, row: dict[int, int]) -> bool:
+    """The sum of row[i] times kept row i of v is zero in the cokernel:
+    its entry is 0 on every free column and a multiple of the factor on
+    every column of a factor above 1."""
+    for j, col in enumerate(smith.v):
+        if col is not None:
+            x = sum(c * col.get(i, 0) for i, c in row.items())
+            if x % smith.factors[j] if j < smith.rank else x:
+                return False
+    return True
+
+
+def test_the_boundary_sum_rule_holds_in_the_cokernel(tool, catalog_entries):
+    """e_NW - e_NE - e_SW + e_SE, the entries of ends on one arc added
+    up, lifted through the Smith form of the whole relation matrix, is
+    zero in its cokernel: the one fact the record's closure determinants
+    rest on.  On the eight rotations and mirrors of each catalog entry,
+    random tangles, Montesinos sums and cut tangles of 5-8 crossings,
+    each that passes ``validate``."""
+    tangles = []
+    for e in catalog_entries:
+        for t in (e.diagram, mirror(e.diagram)):
+            for _ in range(4):
+                tangles.append(t)
+                t = rotate(t)
+    rng = random.Random(2901)
+    tangles += [random_tangle_diagram(rng) for _ in range(300)]
+    tangles += [montesinos_sum(rng) for _ in range(100)]
+    tangles += cut_tangles(tool, rng, 150, 5, 8)
+    checked = 0
+    for t in tangles:
+        if validate(t) is not None:
+            continue
+        rows, arc_of, ncols = dihedral_relation_matrix(t)
+        rule = Counter()
+        for end, e in enumerate(t.boundary):
+            rule[arc_of[e]] += SUM_RULE[end]
+        smith = smith_normal_form(rows, ncols, lift=[{j: x for j, x in rule.items() if x}])
+        assert class_is_zero(smith, {0: 1}), t
+        checked += 1
+    assert checked >= 600, checked
 
 
 def closure_shape(smith: SmithForm) -> str:
@@ -364,41 +425,51 @@ def closure_shape(smith: SmithForm) -> str:
 
 
 def record_answers(smith: SmithForm):
-    """What the record reads of its Smith form."""
+    """What the record reads of its Smith form, kept on the boundary line."""
     return (smith.factors, smith.rank, report_fields(MonochromaticReport(smith)),
-            _fraction(smith), _closure_determinant(smith, NUMERATOR),
-            _closure_determinant(smith, DENOMINATOR))
+            *_boundary_answers(smith))
+
+
+def boundary_line(ends: list[list[int]]) -> list[list[int]]:
+    """The rows NE - NW and NE - SE of the boundary ends' colors."""
+    nw, ne, _, se = ends
+    return [[b - a for a, b in zip(end, ne)] for end in (nw, se)]
 
 
 def test_dense_form_matches_the_sparse_form_on_records(catalog_entries):
     """The dense Smith form of the propagated leftovers against the sparse
-    form of the same rows: the same factors and rank, report, fraction
-    and closure determinants, on 1,500 coloring-benchmark-shaped sums,
-    each plain, mirrored and rotated, and on the catalog."""
+    form of the same rows, both lifting the boundary line: the same
+    factors and rank, report, fraction and closure determinants, on 1,500
+    coloring-benchmark-shaped sums, each plain, mirrored and rotated, and
+    on the catalog."""
     rng = random.Random(1901)
     tangles = [u for _ in range(1500) for u in variants(benchmark_shaped_sum(rng))]
     tangles += [e.diagram for e in catalog_entries]
     for t in tangles:
         leftovers, ends, seeds = _propagate(t)
-        dense_form = dense_smith_form([row[:] for row in leftovers], seeds,
-                                      [row[:] for row in ends])
-        sparse_form = smith_normal_form(sparse(leftovers), seeds, lift=sparse(ends))
+        line = boundary_line(ends)
+        sparse_form = smith_normal_form(sparse(leftovers), seeds, lift=sparse(line))
+        dense_form = dense_smith_form([row[:] for row in leftovers], seeds, line)
         assert record_answers(dense_form) == record_answers(sparse_form), t
 
 
 def test_closure_determinants_in_closed_form_match_the_quotient(catalog_entries):
-    """Both closed forms, no torsion and two free columns, and one torsion
-    factor and two free columns, against the dense Smith form of the
-    quotient, on 1,500 coloring-benchmark-shaped sums and the catalog."""
+    """The record's determinants, each the torsion times one gcd, against
+    the dense Smith form of the two-join quotient, read off a form of the
+    same leftovers kept on the four boundary ends, on 1,500
+    coloring-benchmark-shaped sums and the catalog: at least 300 with no
+    torsion and two free columns, and 300 with one torsion factor."""
     rng = random.Random(1802)
     tangles = [benchmark_shaped_sum(rng) for _ in range(1500)]
     tangles += [e.diagram for e in catalog_entries]
     shapes = {"free": 0, "torsion": 0, "other": 0}
     for t in tangles:
-        smith = _boundary_smith(t)
-        shapes[closure_shape(smith)] += 1
-        for joins in (NUMERATOR, DENOMINATOR):
-            assert _closure_determinant(smith, joins) == quotient_determinant(smith, joins), t
+        leftovers, ends, seeds = _propagate(t)
+        four = dense_smith_form(leftovers, seeds, ends)
+        shapes[closure_shape(four)] += 1
+        record = coloring_record(t)
+        assert (record.det_numerator, record.det_denominator) == (
+            quotient_determinant(four, NUMERATOR), quotient_determinant(four, DENOMINATOR)), t
     assert shapes["torsion"] >= 300 and shapes["free"] >= 300, shapes
 
 
@@ -408,75 +479,94 @@ def hand_made(f: int, columns: list[dict[int, int]]) -> SmithForm:
     return SmithForm([1, f], 2, [None, *columns], 4, frozenset(range(4)))
 
 
-@pytest.mark.parametrize("f, columns, det", [
-    # joined rows (1, 1, 0) and (0, 0, 1): full rank, the quotient is finite
-    (3, [{_NW: 1}, {_NW: 1}, {_SW: 1}], 0),
-    # joined rows (1, 0, 0) and 0: every 2 x 2 minor is 0, free rank two
-    (3, [{_NW: 1}, {}, {}], 0),
-    # joined rows (1, 1, 0) and (0, 1, 0): Z^3 / <3 e_0, e_0 + e_1, e_1> = Z
-    (3, [{_NW: 1}, {_NW: 1, _SW: 1}, {}], 1),
-    # joined rows (0, 2, 0) and 0: Z / 3 + Z / 2 + Z
-    (3, [{}, {_NW: 2}, {}], 6),
-    # joined rows (0, 2, 4) and (0, 1, 2): Z / 3 + Z
-    (3, [{}, {_NW: 2, _SW: 1}, {_NW: 4, _SW: 2}], 3),
+def line_of(four: SmithForm) -> SmithForm:
+    """A Smith form kept on the four boundary rows, kept instead on the
+    boundary line NE - NW and NE - SE."""
+    v = [col if col is None else
+         {i: x for i, x in enumerate((col.get(_NE, 0) - col.get(_NW, 0),
+                                      col.get(_NE, 0) - col.get(_SE, 0))) if x}
+         for col in four.v]
+    return SmithForm(four.factors, four.rank, v, four.cols, frozenset(range(2)))
+
+
+def rule_column(rng: random.Random, f: int) -> dict[int, int]:
+    """A column on the boundary rows with small random entries on NE, SW
+    and SE, and NW chosen so that NW - NE - SW + SE is a multiple of f,
+    0 for a free column (f = 0)."""
+    ne, sw, se = (rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(3))
+    nw = ne + sw - se + f * rng.randint(-2, 2)
+    return {p: x for p, x in zip((_NW, _NE, _SW, _SE), (nw, ne, sw, se)) if x}
+
+
+@pytest.mark.parametrize("f, columns, line_gcd", [
+    # NE - NW is 0 on both free columns: free rank two
+    (3, [{}, {_SW: 1, _SE: 1}, {_NW: 1, _NE: 1}], 0),
+    # only the torsion column meets the boundary: free rank two
+    (3, [{_NW: 3}, {}, {}], 0),
+    # NE - NW = (1, 0): Z^3 / <3 e_0, e_0 + e_1> = Z / 3 + Z
+    (3, [{_NE: 1, _SE: 1}, {_NE: 1, _SE: 1}, {_SW: 1, _SE: 1}], 1),
+    # NE - NW = (6, 12): Z / 3 + Z / 6 + Z
+    (3, [{_NW: 1, _NE: 1}, {_NE: 6, _SE: 6}, {_NE: 12, _SE: 12}], 6),
+    # a torsion column that keeps the sum rule only mod 3: Z / 9 + Z
+    (3, [{_NE: 2, _SW: 1}, {_NE: 3, _SE: 3}, {_NW: -3, _SW: -3}], 3),
 ])
-def test_torsion_closed_form_branches(f, columns, det):
-    smith = hand_made(f, columns)
-    assert closure_shape(smith) == "torsion"
-    assert _closure_determinant(smith, NUMERATOR) == quotient_determinant(smith, NUMERATOR) == det
+def test_torsion_closed_form_branches(f, columns, line_gcd):
+    """det N(T) is f times the gcd of the line's NE - NW entries on the
+    free columns, and det D(T) f times that of its NE - SE entries, as
+    the two-join quotient gives them."""
+    four = hand_made(f, columns)
+    assert closure_shape(four) == "torsion" and class_is_zero(four, SUM_RULE)
+    _, det_n, det_d = _boundary_answers(line_of(four))
+    assert det_n == quotient_determinant(four, NUMERATOR) == f * line_gcd
+    assert det_d == quotient_determinant(four, DENOMINATOR)
 
 
 def test_torsion_closed_form_on_random_columns():
+    """One torsion factor and two free columns with random entries that
+    keep the sum rule: the torsion times one gcd against the two-join
+    quotient."""
     rng = random.Random(1803)
     seen = {True: 0, False: 0}
     for _ in range(3000):
-        columns = [{p: rng.randint(-3, 3) for p in range(4) if rng.random() < 0.5}
-                   for _ in range(3)]
-        smith = hand_made(rng.choice([2, 3, 4, 6, 9]), columns)
-        for joins in (NUMERATOR, DENOMINATOR):
-            det = _closure_determinant(smith, joins)
-            assert det == quotient_determinant(smith, joins), columns
+        f = rng.choice([2, 3, 4, 6, 9])
+        four = hand_made(f, [rule_column(rng, f), rule_column(rng, 0), rule_column(rng, 0)])
+        _, *dets = _boundary_answers(line_of(four))
+        for joins, det in zip((NUMERATOR, DENOMINATOR), dets):
+            assert det == quotient_determinant(four, joins), four.v
             seen[det == 0] += 1
     assert min(seen.values()) >= 500, seen
 
 
-def random_shape(rng: random.Random, t: int, m: int, rank_one: bool) -> SmithForm:
+def random_shape(rng: random.Random, t: int, m: int) -> SmithForm:
     """A Smith form kept on the four boundary rows, of a unit factor, t
     torsion factors drawn apart (so they need not divide one another) and
-    nullity m, with small random entries; with ``rank_one`` every free
-    column is a multiple of one column, so the free parts of any two
-    joined rows are dependent."""
+    nullity m, with small random entries that keep the sum rule."""
     factors = [1] + [rng.choice((2, 3, 4, 5, 6, 9, 10)) for _ in range(t)]
-    columns = [{p: x for p in range(4) if (x := rng.randint(-4, 4))} for _ in range(t)]
-    base = [rng.randint(-3, 3) for _ in range(4)]
-    for _ in range(m):
-        u = rng.randint(-2, 2)
-        entries = [x * u for x in base] if rank_one else [rng.randint(-3, 3) for _ in range(4)]
-        columns.append({p: x for p, x in enumerate(entries) if x})
+    columns = [rule_column(rng, f) for f in factors[1:]]
+    columns += [rule_column(rng, 0) for _ in range(m)]
     return SmithForm(factors, t + 1, [None, *columns], t + 1 + m, frozenset(range(4)))
 
 
 def test_closure_determinants_on_random_shapes():
-    """The closed form against the dense Smith form of the quotient, for
+    """The torsion times one gcd against the two-join quotient, for
     t = 0-3 torsion factors, with and without a divisibility chain, and
-    nullity m = 2-4: free parts of rank one, where m = 2 takes its gcd,
-    and general ones, where m = 3 has joined rows of rank two (its
-    determinant is 0 otherwise)."""
+    nullity m = 2-4: by the sum rule a closure's two joins free at most
+    one rank between them, so every m above 2 gives 0."""
     rng = random.Random(2001)
     nonzero, unchained = Counter(), 0
-    for _ in range(60):
+    for _ in range(120):
         for t in range(4):
             for m in range(2, 5):
-                for rank_one in (False, True):
-                    smith = random_shape(rng, t, m, rank_one)
-                    factors = smith.factors
-                    unchained += any(b % a for a, b in zip(factors, factors[1:]))
-                    for joins in (NUMERATOR, DENOMINATOR):
-                        det = _closure_determinant(smith, joins)
-                        assert det == quotient_determinant(smith, joins), (factors, smith.v)
-                        nonzero[t, m] += det != 0
-    assert all(nonzero[t, m] >= 100 for t in range(4) for m in (2, 3)), nonzero
-    assert all(nonzero[t, 4] == 0 for t in range(4)) and unchained >= 200, nonzero
+                four = random_shape(rng, t, m)
+                factors = four.factors
+                unchained += any(b % a for a, b in zip(factors, factors[1:]))
+                _, *dets = _boundary_answers(line_of(four))
+                for joins, det in zip((NUMERATOR, DENOMINATOR), dets):
+                    assert det == quotient_determinant(four, joins), (factors, four.v)
+                    nonzero[t, m] += det != 0
+    assert all(nonzero[t, 2] >= 100 for t in range(4)), nonzero
+    assert all(nonzero[t, m] == 0 for t in range(4) for m in (3, 4)), nonzero
+    assert unchained >= 200, unchained
 
 
 # ---------------------------------------------------------------------------

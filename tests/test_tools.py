@@ -1,6 +1,8 @@
 """The catalog diagram search tool recognizes the diagrams it produced,
-and the benchmark's tracer names only functions that exist."""
+the benchmark's tracer names only functions that exist, and no library
+module imports a name it never reads."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -116,3 +118,25 @@ def test_tracer_wraps_only_existing_names():
         if cls is not None:
             owner = getattr(owner, cls)
         assert [a for a in attrs if a not in owner.__dict__] == [], (layer, cls)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a module under ``src/tanglekit`` imports is read in it,
+    as a name or the base of an attribute, annotations included; only
+    ``__future__`` features and the package's re-exports in
+    ``__init__.py`` are exempt."""
+    package = Path(__file__).resolve().parent.parent / "src" / "tanglekit"
+    unread = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unread[path.name] = sorted(imported - read)
+    assert unread == {}
