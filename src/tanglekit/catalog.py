@@ -194,12 +194,15 @@ class ClosedLink:
 class Classification:
     """The verdict and evidence log of one entry, with the closures computed
     on the way, each at most once (the coloring record is cached on the
-    diagram itself)."""
+    diagram itself).  ``coloring_agrees`` says that a c-coloring
+    obstruction ruled out unknottability independently of the algebraic
+    route that had already done so."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
         self.verdict: EmbedVerdict | None = None
         self.evidence: list[str] = []
+        self.coloring_agrees = False
         self._closures: dict[Fraction, ClosedLink] = {}
 
     def closure(self, c: Fraction) -> ClosedLink:
@@ -282,6 +285,7 @@ def classify(entry: CatalogEntry) -> Classification:
         moduli = ", ".join(str(p) for p in sorted(rep.offending_moduli))
         msg = f"nontrivial dihedral c-coloring mod {moduli}"
         if unknot.is_no:
+            record.coloring_agrees = True
             evidence.append(f"coloring route agrees: {msg} independently "
                             "rules out unknottability")
         elif unknot.is_yes:
@@ -426,8 +430,7 @@ def reproduce_tables(entries: list[CatalogEntry] | None = None) -> ReproduceRepo
 
     r716 = results.get("7_16")
     if r716 is not None:
-        dual = (r716.verdict.unknottable.is_no
-                and any("coloring route agrees" in line for line in r716.evidence))
+        dual = r716.verdict.unknottable.is_no and r716.coloring_agrees
         check(dual, "7_16 obstruction derived both algebraically and by coloring")
 
     ok = not diffs

@@ -46,10 +46,11 @@ the mate of each end in its ``_mate`` slot and its :class:`Walk` (the
 strands, their entry ports and the strand of each end, found in one
 pass) in its ``_walk`` slot, outside its value key, each built by the
 first caller to need it: ``validate``, the coloring record's
-propagation, the closures (which rebuild only the crossings at the far
-ends of the fused boundary edges), the bracket's schedule and crossing
-signs, :func:`strands`, :func:`component_count`, :func:`orient` and
-:func:`component_subdiagrams` share one build of each.  The records are
+propagation and the closures (which rebuild only the crossings at the
+far ends of the fused boundary edges) share the ends; the bracket's
+schedule and crossing signs, :func:`strands`, :func:`component_count`,
+:func:`orient`, :func:`component_subdiagrams` and the slow path of
+``validate`` share the walk.  The records are
 plain data: an :class:`OrientedDiagram` refers back to its diagram, so
 one is built from the walk on each call instead, and no diagram is kept
 alive by a reference cycle that only the cyclic garbage collector could
@@ -60,9 +61,10 @@ of :func:`_turns`, and compares it with the number of pieces: the count
 is exact, since no connected piece has Euler characteristic above 2.  A
 tangle's two open strands are walked first, and the crossings the first
 one passes are marked.  When the strands cover every end, they are the
-pieces: one when the second meets a marked crossing, else two.  Only
-links and tangles with ends on closed components count their pieces in
-a search over the ends.
+pieces: one when the second meets a marked crossing, else two, and no
+walk is built.  Only links and tangles with ends on closed components
+read the pieces off the walk: the strands, less one per crossing that
+joins two pieces.
 
 File format (one diagram per file): a header line ``tangle`` or ``link``;
 one line ``X i j k l`` per crossing listing edge ids counterclockwise
@@ -524,30 +526,6 @@ def _turns(mate: list[int], k4: int) -> list[int]:
     return list(map(ccw.__getitem__, mate))
 
 
-def _piece_count(mate: list[int], k4: int) -> int:
-    """The number of connected pieces, found in one search over the ends
-    that visits all four ports of a crossing at once."""
-    seen = bytearray(len(mate))
-    pieces = 0
-    for start in range(len(mate)):
-        if seen[start]:
-            continue
-        pieces += 1
-        todo = [start]
-        while todo:
-            y = todo.pop()
-            if seen[y]:
-                continue
-            if y < k4:
-                y &= ~3
-                seen[y] = seen[y + 1] = seen[y + 2] = seen[y + 3] = 1
-                todo += mate[y:y + 4]
-            else:
-                seen[y] = 1
-                todo.append(mate[y])
-    return pieces
-
-
 def validate(d: Diagram) -> str | None:
     """Check the diagram invariants; return the first diagnostic, or None.
 
@@ -617,11 +595,17 @@ def validate(d: Diagram) -> str | None:
             # every edge lies on an open strand, so the strands are the
             # pieces: one if they meet at a crossing, else two
             pieces = 2 - met
-    if 2 * len(faces) + (n - k4) - k4 // 2 != 4 * (pieces or _piece_count(mate, k4)):
+    if not pieces:
+        # the strands, less one for each crossing that joins two pieces
+        w = walk(d)
+        joined = UnionFind()
+        pieces = len(w.strands) - sum(joined.union(w.strand_of[y], w.strand_of[y + 1])
+                                      for y in range(0, k4, 4))
+    if 2 * len(faces) + (n - k4) - k4 // 2 != 4 * pieces:
         return "planarity: Euler count fails"
 
     if isinstance(d, TangleDiagram):
-        if not pieces:
+        if covered != n:
             return "closed component in tangle"
         if pieces == 1:
             # the face through NW is the only one that can hold all four

@@ -204,14 +204,16 @@ def color_solve_dihedral(d: Diagram) -> SmithForm:
     """The Smith form of d's dihedral relation matrix, with all of its
     column transform: ``solutions_mod(n)`` counts the colorings mod n and
     ``kernel_basis_mod(n)`` generates them, and ``kernel_basis()`` and
-    ``factors`` give the integer coloring lattice.
+    ``factors`` give the integer coloring lattice.  Each crossing-free
+    loop is an arc on no relation, a free column after the edge arcs.
 
     Orientations are irrelevant: the dihedral operation is involutory.
-    The nullity is at least the number of strands, so nontrivial
-    colorings exist mod every n for diagrams with more than one strand.
+    The nullity is at least the number of strands and loops, so
+    nontrivial colorings exist mod every n for diagrams with more than
+    one.
     """
     rows, _, ncols = dihedral_relation_matrix(d)
-    return smith_normal_form(rows, ncols)
+    return smith_normal_form(rows, ncols + d.loops)
 
 
 # Propagation gives up past this many seeds, and the record takes the
@@ -273,15 +275,15 @@ def _boundary_smith(t: TangleDiagram) -> SmithForm:
 def _boundary_answers(smith: SmithForm) -> tuple[Fraction | NotInvariant, int, int]:
     """The coloring fraction (see :func:`coloring_fraction`) and the
     determinants of N(T) and D(T) (see the module docstring), read off
-    the kernel rows of the boundary line NE - NW and NE - SE, rows 0 and
-    1 of the kept transform."""
-    ne_nw, ne_se = smith.kernel_row(0), smith.kernel_row(1)
-    if len(ne_nw) == 2:
+    the kernel basis on the lifted boundary line: a pair (NE - NW,
+    NE - SE) per free column."""
+    kernel = smith.kernel_basis()
+    if len(kernel) == 2:
         torsion = prod(smith.factors)
-        dets = torsion * gcd(*ne_nw), torsion * gcd(*ne_se)
+        dets = tuple(torsion * gcd(*entries) for entries in zip(*kernel))
     else:
         dets = 0, 0
-    pairs = [pair for pair in zip(ne_nw, ne_se) if pair != (0, 0)]
+    pairs = [pair for pair in kernel if any(pair)]
     if not pairs:
         return NotInvariant(rank=0), *dets
     x, y = pairs[0]

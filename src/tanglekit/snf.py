@@ -26,6 +26,8 @@ has.
   extended-gcd step on plain lists clears each entry in one step
   instead.
 
+Both return one shape of :class:`SmithForm`: the invariant factors and
+the column transform on the rows the caller lifts, all of it by default.
 The rest of this account is the sparse core's.
 
 Pivots follow Markowitz (Management Science 1957): a unit entry whenever
@@ -51,16 +53,15 @@ multiple of the pivot, so the pivots come out as the divisibility chain
 of invariant factors (the argument of Kannan and Bachem, SIAM J. Comput.
 1979).
 
-Only the column operations are recorded, in the column transform ``v``,
-and only as much of it as the caller asks for: all of ``v``, or the rows
-of w @ v for rows w the caller hands in, since a column operation acts
-on each row by itself (rows of ``v`` itself are w @ v for unit rows w).
-The last columns of ``v`` span the integer kernel, which
-the coloring lattices need in full; a tangle's coloring record that
-eliminates the whole relation matrix hands in two rows, its boundary
-line e_NE - e_NW and e_NE - e_SE over the boundary arcs (and the dense
-form takes the same differences of the boundary ends' colors over the
-seeds; see :mod:`tanglekit.quandle`).  Of the
+Only the column operations are recorded, and only on the rows the
+caller lifts: a form keeps the rows of w @ v for rows w handed in, since
+a column operation acts on each row by itself.  By default w is the unit
+rows, so w @ v is all of ``v``.  The last columns of ``v`` span the
+integer kernel, which the coloring lattices need in full; a tangle's
+coloring record that eliminates the whole relation matrix lifts two
+rows, its boundary line e_NE - e_NW and e_NE - e_SE over the boundary
+arcs (and the dense form takes the same differences of the boundary
+ends' colors over the seeds; see :mod:`tanglekit.quandle`).  Of the
 columns, only the free ones and those of factors above 1 are read, so
 each unit pivot's column is dropped once its step has used it, and ``v``
 is kept as sparse columns.  Nothing reads the row transform, so it is
@@ -93,42 +94,30 @@ class SmithForm:
     """u @ a @ v = diag(d_1, ..., d_r, 0, ...) for some unimodular u and v.
 
     ``factors`` are the nonzero diagonal entries d_1 | d_2 | ... | d_r
-    (the invariant factors) and ``rank`` is r.  Only v is kept, and only
-    the columns of it that the kernel and the torsion need: column j < r
-    of a @ v is d_j times column j of u^-1, and the last cols - rank
-    columns of a @ v are zero.  ``v[j]`` is column j of v as a sparse
-    ``{row: value}`` dict for each j >= rank and each d_j > 1, and None
-    for the columns of unit factors.  The columns hold every row of v
-    when ``kept`` is None; when rows w were lifted, ``kept`` holds 0, ...,
-    len(w) - 1 and they hold the rows of w @ v.
+    (the invariant factors) and ``rank`` is r, over ``cols`` columns of a.
+    Of v, only w @ v is kept for the ``lifted`` rows w the caller handed
+    in (by default the unit rows, so all of v), and only the columns that
+    the kernel and the torsion need: column j < r of a @ v is d_j times
+    column j of u^-1, and the last cols - rank columns of a @ v are zero.
+    ``v[j]`` is column j of w @ v as a sparse ``{row: value}`` dict for
+    each j >= rank and each d_j > 1, and None for the columns of unit
+    factors.
     """
 
-    __slots__ = ("factors", "rank", "v", "cols", "kept")
+    __slots__ = ("factors", "rank", "v", "cols", "lifted")
 
     def __init__(self, factors: list[int], rank: int, v: list[dict[int, int] | None],
-                 cols: int, kept: frozenset[int] | None = None):
+                 cols: int, lifted: int):
         self.factors = factors
         self.rank = rank
         self.v = v
         self.cols = cols
-        self.kept = kept
-
-    def _full_v(self) -> list[dict[int, int] | None]:
-        if self.kept is not None:
-            raise ValueError("this Smith form kept only some rows of its column "
-                             "transform; a kernel basis needs all of them")
-        return self.v
+        self.lifted = lifted
 
     def kernel_basis(self) -> list[list[int]]:
-        """Basis of the integer kernel of a: the last cols - rank columns of v."""
-        v = self._full_v()
-        return [[col.get(i, 0) for i in range(self.cols)] for col in v[self.rank:]]
-
-    def kernel_row(self, i: int) -> list[int]:
-        """Entry i of each kernel basis vector: row i of v past the rank."""
-        if self.kept is not None and i not in self.kept:
-            raise ValueError(f"row {i} of the column transform was not kept")
-        return [col.get(i, 0) for col in self.v[self.rank:]]
+        """The lifted rows of a basis of the integer kernel of a: the last
+        cols - rank columns of w @ v."""
+        return [[col.get(i, 0) for i in range(self.lifted)] for col in self.v[self.rank:]]
 
     def solutions_mod(self, n: int) -> int:
         """Number of solutions of a x = 0 (mod n), n >= 1."""
@@ -140,20 +129,19 @@ class SmithForm:
         return count
 
     def kernel_basis_mod(self, n: int) -> list[list[int]]:
-        """Generators of the solution space of a x = 0 (mod n).
+        """The lifted rows of generators of the solutions of a x = 0 (mod n).
 
         Free columns of v enter as-is; a torsion column with invariant
         factor d contributes (n/gcd(d, n)) times the column when
         gcd(d, n) > 1.
         """
-        v = self._full_v()
         gens = []
         for j, d in enumerate(self.factors):
             g = math.gcd(d, n)
             if g > 1:
                 scale = n // g
-                col = v[j]
-                gens.append([(scale * col.get(i, 0)) % n for i in range(self.cols)])
+                col = self.v[j]
+                gens.append([(scale * col.get(i, 0)) % n for i in range(self.lifted)])
         for col in self.kernel_basis():
             gens.append([x % n for x in col])
         return gens
@@ -164,10 +152,10 @@ class _Elimination:
 
     ``rows[i]`` maps column -> nonzero value (the caller's dicts, changed
     in place), and ``cols[j]`` lists the active rows, those not yet
-    pivoted, with a nonzero in column j.  ``v[j]`` is column j of the
-    column transform (or of w @ v for the rows w of ``lift``), sparse
-    too, until a unit pivot in column j makes it one nothing reads again;
-    ``v`` is None for a determinant, which keeps no transform.
+    pivoted, with a nonzero in column j.  ``v[j]`` is column j of w @ v
+    for the lifted rows w, sparse too, until a unit pivot in column j
+    makes it one nothing reads again; ``v`` is None for a determinant,
+    which keeps no transform.
 
     The pivot search reads the active rows in ``scan``, a sorted list,
     except the parked ones: the heap ``parked`` holds the key of each
@@ -408,20 +396,18 @@ def smith_normal_form(a: list[dict[int, int]], ncols: int,
     The rows are used as working storage and left changed.  Pivots are
     searched in row order and, within a row, in key order.  Returns the
     invariant factors normalized positive with d_1 | d_2 | ... and the
-    unimodular column transform v, all of its rows.  Given ``lift``,
-    sparse rows w_0, w_1, ... over the columns, it keeps instead row i of
-    w @ v as row i: the column operations act on those rows as on rows of
-    v, so unit rows w pick rows of v.  Of the transform, only the free
-    columns and those of factors above 1 are kept (see
-    :class:`SmithForm`).  Handles empty matrices.
+    column transform v on the rows ``lift``, sparse rows w_0, w_1, ...
+    over the columns (by default the unit rows): row i of w @ v is kept
+    as row i, since the column operations act on those rows as on rows
+    of v.  Of the transform, only the free columns and those of factors
+    above 1 are kept (see :class:`SmithForm`).  Handles empty matrices.
     """
     if lift is None:
-        v = [{j: 1} for j in range(ncols)]
-    else:
-        v = [{} for _ in range(ncols)]
-        for i, w in enumerate(lift):
-            for j, x in w.items():
-                v[j][i] = x
+        lift = [{j: 1} for j in range(ncols)]
+    v = [{} for _ in range(ncols)]
+    for i, w in enumerate(lift):
+        for j, x in w.items():
+            v[j][i] = x
     e = _Elimination(a, ncols, v)
     pivots, factors = [], []  # pivot columns and |pivots|, in the order found
     while (at := e.pivot()) is not None:
@@ -451,8 +437,7 @@ def smith_normal_form(a: list[dict[int, int]], ncols: int,
     pivot_cols = set(pivots)
     v = [e.v[c] if f > 1 else None for c, f in zip(pivots, factors)]
     v += [e.v[j] for j in range(ncols) if j not in pivot_cols]
-    kept = None if lift is None else frozenset(range(len(lift)))
-    return SmithForm(factors=factors, rank=len(factors), v=v, cols=ncols, kept=kept)
+    return SmithForm(factors, len(factors), v, ncols, len(lift))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -466,12 +451,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def dense_smith_form(a: list[list[int]], ncols: int, lift: list[list[int]]) -> SmithForm:
+def dense_smith_form(a: list[list[int]], ncols: int,
+                     lift: list[list[int]] | None = None) -> SmithForm:
     """Smith normal form of a small dense integer matrix, rows of
     ``ncols`` entries, keeping row i of w @ v for each row w_i of
-    ``lift``, as :func:`smith_normal_form` does given ``lift``: the same
-    factors, rank and layout of v, whose kept columns may differ by
-    unimodular operations that keep the kernel and the cokernel.
+    ``lift`` (by default the unit rows), as :func:`smith_normal_form`
+    does: the same factors, rank and layout of v, whose kept columns may
+    differ by unimodular operations that keep the kernel and the
+    cokernel.
 
     Each pivot, an entry of least magnitude, clears its column by 2 x 2
     unimodular row steps from the extended gcd (Bradley, *Algorithms for
@@ -483,6 +470,8 @@ def dense_smith_form(a: list[list[int]], ncols: int, lift: list[list[int]]) -> S
     diag(a, b) to diag(gcd, lcm) by one more column step.  The rows and
     ``lift`` are used as working storage.
     """
+    if lift is None:
+        lift = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     rows = [row for row in a if any(row)]
     live = list(range(ncols))  # columns not yet pivoted
     pivots = []
@@ -539,7 +528,7 @@ def dense_smith_form(a: list[list[int]], ncols: int, lift: list[list[int]]) -> S
         pivots.append((c, abs(p)))
     units = sum(d == 1 for _, d in pivots)
     chain = [d for _, d in pivots if d > 1]
-    kept = [[row[c] for row in lift] for c, d in pivots if d > 1]
+    torsion = [[row[c] for row in lift] for c, d in pivots if d > 1]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             d, e = chain[i], chain[j]
@@ -547,16 +536,15 @@ def dense_smith_form(a: list[list[int]], ncols: int, lift: list[list[int]]) -> S
                 # diag(d, e) @ [[1, -y*e/g], [1, x*d/g]] = U^-1 diag(g, d*e/g)
                 g, x, y = _xgcd(d, e)
                 s, t = -y * e // g, x * d // g
-                vi, vj = kept[i], kept[j]
-                kept[i] = [u + z for u, z in zip(vi, vj)]
-                kept[j] = [s * u + t * z for u, z in zip(vi, vj)]
+                vi, vj = torsion[i], torsion[j]
+                torsion[i] = [u + z for u, z in zip(vi, vj)]
+                torsion[j] = [s * u + t * z for u, z in zip(vi, vj)]
                 chain[i], chain[j] = g, d * e // g
     v = [None] * units  # a gcd can come out 1 too
     v += [{i: x for i, x in enumerate(col) if x} if d > 1 else None
-          for d, col in zip(chain, kept)]
+          for d, col in zip(chain, torsion)]
     v += [{i: row[j] for i, row in enumerate(lift) if row[j]} for j in live]
-    return SmithForm([1] * units + chain, units + len(chain), v, ncols,
-                     frozenset(range(len(lift))))
+    return SmithForm([1] * units + chain, units + len(chain), v, ncols, len(lift))
 
 
 def integer_determinant(a: list[dict[int, int]], ncols: int) -> int:

@@ -433,7 +433,7 @@ def dense_smith_normal_form(a: list[list[int]]) -> SmithForm:
     assert all(m[i][j] == 0 for i in range(rows) for j in range(cols)
                if i != j or i >= len(factors))
     columns = [{i: v[i][j] for i in range(cols) if v[i][j]} for j in range(cols)]
-    return SmithForm(factors=factors, rank=len(factors), v=columns, cols=cols)
+    return SmithForm(factors=factors, rank=len(factors), v=columns, cols=cols, lifted=cols)
 
 
 def check_smith_form(a: list[list[int]], sf: SmithForm):

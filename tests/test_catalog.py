@@ -146,6 +146,14 @@ class TestClassify:
             evidence = "\n".join(classified[name].evidence)
             assert "coloring route agrees" in evidence, name
 
+    def test_coloring_agreement_is_recorded(self, classified):
+        """The record, not the evidence text, says which entries the
+        coloring route confirmed: exactly those whose evidence says so."""
+        agrees = {name for name, r in classified.items() if r.coloring_agrees}
+        assert agrees == {"6_2", "7_16"}
+        assert agrees == {name for name, r in classified.items()
+                          if any("coloring route agrees" in line for line in r.evidence)}
+
     def test_every_closure_classify_builds_is_a_link_diagram(self, classified):
         """A closure's invariants are evidence only when N(T + [c]) is a
         planar diagram, so every closure read passes ``validate``.  Each

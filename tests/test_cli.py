@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from tanglekit.cli import main
+from tanglekit.diagram import LinkDiagram, close_numerator, from_rational, parse_diagram
+from tanglekit.fraction import frac_normalize
+from tanglekit.quandle import color_solve_dihedral
 
 from conftest import fibonacci
 
@@ -130,6 +133,28 @@ class TestDiagramCommands:
     def test_color(self, capsys):
         code, out, _ = run(capsys, "color", "3", "-n", "3")
         assert code == 0 and "9 colorings" in out
+
+    @pytest.mark.parametrize("text, count, rank", [
+        ("link\nO 1\n", 3, 1),
+        ("link\nO 2\n", 9, 2),
+        ("link\nX 0 1 1 0\nO 1\n", 9, 2),
+    ], ids=["unknot", "two-loops", "kink-and-loop"])
+    def test_color_counts_crossing_free_loops(self, capsys, tmp_path, text, count, rank):
+        """Each crossing-free loop is a free arc, so it multiplies the
+        colorings mod n by n, and its coordinate comes last in the basis."""
+        path = tmp_path / "loops.link"
+        path.write_text(text)
+        assert run(capsys, "color", str(path), "-n", "3") == (0, f"{count} colorings mod 3\n", "")
+        code, out, _ = run(capsys, "--format", "json", "color", str(path), "-n", "0")
+        basis = json.loads(out)["basis"]
+        assert code == 0 and len(basis) == rank and basis[-1][-1] == 1
+        d = parse_diagram(text)
+        for link in (d, LinkDiagram(close_numerator(from_rational(frac_normalize(3, 1))).crossings,
+                                    d.loops)):
+            bare = LinkDiagram(link.crossings)
+            for n in (2, 3, 5, 6):
+                assert color_solve_dihedral(link).solutions_mod(n) == (
+                    n ** link.loops * color_solve_dihedral(bare).solutions_mod(n))
 
     def test_color_negative_modulus_exit_2(self, capsys):
         code, out, err = run(capsys, "color", "3", "-n", "-1")

@@ -476,7 +476,7 @@ def test_closure_determinants_in_closed_form_match_the_quotient(catalog_entries)
 def hand_made(f: int, columns: list[dict[int, int]]) -> SmithForm:
     """A Smith form of rank 2 with a unit factor and the factor f, and
     the columns of v for f and two free columns, on the boundary rows."""
-    return SmithForm([1, f], 2, [None, *columns], 4, frozenset(range(4)))
+    return SmithForm([1, f], 2, [None, *columns], 4, 4)
 
 
 def line_of(four: SmithForm) -> SmithForm:
@@ -486,7 +486,7 @@ def line_of(four: SmithForm) -> SmithForm:
          {i: x for i, x in enumerate((col.get(_NE, 0) - col.get(_NW, 0),
                                       col.get(_NE, 0) - col.get(_SE, 0))) if x}
          for col in four.v]
-    return SmithForm(four.factors, four.rank, v, four.cols, frozenset(range(2)))
+    return SmithForm(four.factors, four.rank, v, four.cols, 2)
 
 
 def rule_column(rng: random.Random, f: int) -> dict[int, int]:
@@ -544,7 +544,7 @@ def random_shape(rng: random.Random, t: int, m: int) -> SmithForm:
     factors = [1] + [rng.choice((2, 3, 4, 5, 6, 9, 10)) for _ in range(t)]
     columns = [rule_column(rng, f) for f in factors[1:]]
     columns += [rule_column(rng, 0) for _ in range(m)]
-    return SmithForm(factors, t + 1, [None, *columns], t + 1 + m, frozenset(range(4)))
+    return SmithForm(factors, t + 1, [None, *columns], t + 1 + m, 4)
 
 
 def test_closure_determinants_on_random_shapes():

@@ -16,7 +16,7 @@ from tanglekit.quandle import (
     dihedral_relation_matrix,
 )
 from tanglekit.diagram import from_rational
-from tanglekit.snf import integer_determinant, smith_normal_form
+from tanglekit.snf import dense_smith_form, integer_determinant, smith_normal_form
 
 from conftest import dense, montesinos_sum, random_tangle_diagram, sparse
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     c_constrained_matrix,
     check_smith_form,
     dense_smith_normal_form,
+    identity,
     whole_matrix_fraction,
 )
 
@@ -81,7 +82,7 @@ def test_lifted_rows_come_back_times_v(shape):
         full = smith_normal_form(sparse(a), m)
         lifted = smith_normal_form(sparse(a), m, lift=w)
         assert (lifted.factors, lifted.rank, lifted.cols) == (full.factors, full.rank, m)
-        assert lifted.kept == frozenset(range(4))
+        assert lifted.lifted == 4
         for col, whole in zip(lifted.v, full.v):
             assert (col is None) == (whole is None)
             if col is not None:
@@ -181,7 +182,7 @@ def test_sparse_rows_as_dense_input(catalog_entries):
         for build in (plain, c_constrained_matrix):
             sf = smith_normal_form(*build(d))
             lean = smith_normal_form(*build(d), lift=())
-            assert lean.kept == frozenset() and lean.factors == sf.factors
+            assert lean.lifted == 0 and lean.factors == sf.factors
         for link in (close_numerator(d), close_denominator(d)):
             rows, ncols = plain(link)
             if rows and ncols == len(rows):
@@ -301,7 +302,7 @@ def test_coloring_pass_on_seeded_tangles():
         part = smith_normal_form(dihedral_relation_matrix(t)[0], ncols,
                                  lift=[{p: 1} for p in keep])
         assert part.factors == full.factors == dense_smith_normal_form(a).factors
-        assert part.kept == set(range(len(keep))) and full.kept is None
+        assert part.lifted == len(keep) and full.lifted == ncols
         assert [col is None for col in part.v] == [col is None for col in full.v]
         assert all(col is None or part_col == {i: col[p] for i, p in enumerate(keep) if p in col}
                    for part_col, col in zip(part.v, full.v))
@@ -322,17 +323,51 @@ def test_coloring_pass_on_seeded_tangles():
     assert minors > 900
 
 
-def test_partial_transform_gives_no_kernel_basis():
+def times(w: list[list[int]], vectors: list[list[int]]) -> list[list[int]]:
+    """W times each vector."""
+    return [[sum(x * y for x, y in zip(row, vec)) for row in w] for vec in vectors]
+
+
+def small_entries(rng, rows, cols):
+    """Dense rows of entries up to 9 in magnitude, about a third zero."""
+    return [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+ENGINES = {
+    "sparse": lambda a, ncols, w: smith_normal_form(
+        sparse(a), ncols, lift=None if w is None else sparse(w)),
+    "dense": lambda a, ncols, w: dense_smith_form(
+        [row[:] for row in a], ncols, None if w is None else [row[:] for row in w]),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_lift_is_w_times_the_whole_transform(engine):
+    """One shape of Smith form: for the unit rows, two random rows and no
+    rows as the lift W, ``kernel_basis()`` and ``kernel_basis_mod(n)``
+    are W times those of the default form, column by column, exactly,
+    since the pivots depend on the matrix rows alone; and lifting unit
+    rows 0 and 3 returns rows 0 and 3 of the whole kernel."""
+    form = ENGINES[engine]
+    rng = random.Random(f"snf/one-shape/{engine}")
+    for shape in (coloring_shaped, no_units, small_entries):
+        for _ in range(30):
+            m = rng.randint(3, 14)
+            a = shape(rng, rng.randint(0, 14), m)
+            whole = form(a, m, None)
+            assert whole.lifted == m
+            for w in (identity(m), [[rng.randint(-5, 5) for _ in range(m)] for _ in range(2)], []):
+                lifted = form(a, m, w)
+                assert (lifted.factors, lifted.rank, lifted.lifted) == (
+                    whole.factors, whole.rank, len(w)), (a, w)
+                assert lifted.kernel_basis() == times(w, whole.kernel_basis()), (a, w)
+                for n in (2, 6, 9):
+                    expect = [[x % n for x in vec] for vec in times(w, whole.kernel_basis_mod(n))]
+                    assert lifted.kernel_basis_mod(n) == expect, (a, w, n)
     a = [[2, -1, -1, 0], [0, 2, -1, -1]]
-    rows_0_3 = smith_normal_form(sparse(a), 4, lift=[{0: 1}, {3: 1}])
-    assert rows_0_3.factors == [1, 1]
-    with pytest.raises(ValueError, match="kept only some rows"):
-        rows_0_3.kernel_basis()
-    with pytest.raises(ValueError, match="kept only some rows"):
-        rows_0_3.kernel_basis_mod(3)
-    with pytest.raises(ValueError, match="row 2 of the column transform was not kept"):
-        rows_0_3.kernel_row(2)
-    full = smith_normal_form(sparse(a), 4)
-    assert rows_0_3.kernel_row(1) == full.kernel_row(3)
-    assert full.kernel_row(3) == [full.v[2][3], full.v[3][3]]
+    rows_0_3 = form(a, 4, [[1, 0, 0, 0], [0, 0, 0, 1]])
+    full = form(a, 4, None)
+    assert rows_0_3.factors == full.factors == [1, 1]
+    assert rows_0_3.kernel_basis() == [[vec[0], vec[3]] for vec in full.kernel_basis()]
     assert coloring_record(from_rational(frac_normalize(3, 5))).fraction == frac_normalize(3, 5)
