@@ -81,9 +81,10 @@ class CatalogEntry:
         self.essential = essential
 
 
-# the closures tried for unknotting certificates
+# the closures tried for unknotting certificates: every rational tangle of
+# at most two crossings, so the sweep is closed under rotation and mirror
 _SWEEP = [frac_normalize(*pq) for pq in
-          [(0, 1), (-1, 1), (1, 1), (-2, 1), (2, 1), (1, 2), (-1, 2)]]
+          [(0, 1), (-1, 1), (1, 1), (-2, 1), (2, 1), (1, 2), (-1, 2), (1, 0)]]
 
 
 def _data_text(name: str) -> str:
@@ -256,14 +257,17 @@ def classify(entry: CatalogEntry) -> Classification:
     coloring fraction leaves one rational splitting closure candidate,
     confirmed or rejected on the closed diagram); positive answers come
     from exhibiting a closure whose diagram carries unknot or unlink
-    invariants.  Unknotting closures are sought in a small sweep, an
-    unlinking closure only at the splitting candidate: every unlink has
-    determinant 0, and by the determinant law det N(T + [r/s]) =
-    |a*s + e*b*r| (Krebes; a = det N(T), b = det D(T), e the sign of the
-    coloring fraction) no other closure has.  Unknown is returned when
-    nothing applies.  A validated entry is integer-monochromatic, and
-    c-colored only mod the primes of its torsion (see
-    :mod:`tanglekit.quandle`).
+    invariants.  Unknotting closures are sought in a sweep of every
+    rational tangle of at most two crossings, which rotation and mirror
+    map to itself, and an unlinking closure only at the splitting
+    candidate: every unlink has determinant 0, and by the determinant law
+    det N(T + [r/s]) = |a*s + e*b*r| (Krebes; a = det N(T), b = det D(T),
+    e the sign of the coloring fraction) no other closure has.  Unknown
+    is returned when nothing applies.  A validated entry is
+    integer-monochromatic, and c-colored only mod the primes of its
+    torsion (see :mod:`tanglekit.quandle`).  Only the rule that an
+    essential unknottable tangle is not splittable reads ``essential``;
+    the catalog search tool clears the flag to judge drawings.
     """
     t = entry.diagram
     record = Classification(entry)

@@ -23,7 +23,12 @@ Criteria implemented:
   T1 * T2 to rot(T1) + rot(T2) and closures r/s to -s/r, so the sum
   criteria decide it and its closures rotate back;
 * a decomposition piece of an unknottable tangle is unknottable, and the
-  analogous pruning rules for unlinkable/splittable.
+  analogous pruning rules for unlinkable/splittable, except across an
+  [inf] cap (a sum with [inf], or a product with [0]).  The cap leaves a
+  crossing-free string, and N(T + [inf] + c) is D(T) # D(c): split for
+  some c, and an unlink only if D(T) is the unknot (D(T) is no unlink
+  when T is not unlinkable).  So a capped piece prunes no splittable
+  answer, and an unlinkable one only when it is not unknottable.
 
 The unlinkable/splittable clauses of the extension criteria mirror the
 unknottable congruences with the corresponding closure; evidence logs
@@ -592,6 +597,13 @@ def _extend_all(v: EmbedVerdict, added: Fraction, log) -> EmbedVerdict:
     unknot = step(v.unknottable, "unknottable")
     unlink = step(v.unlinkable, "unlinkable")
     split = step(v.splittable, "splittable")
+    if added.is_infinite:  # see the module docstring
+        if split.is_no:
+            split = Verdict.unknown("+ [inf] leaves a crossing-free string, "
+                                    "which a closure may split off")
+        if unlink.is_no and not v.unknottable.is_no:
+            unlink = Verdict.unknown("+ [inf] caps the piece, which may unknot "
+                                     "at [inf]")
     if not v.unlinkable.is_yes or unlink.is_yes:
         log.append("unlinkable/splittable extension uses the mirrored "
                    "congruence (derived clause)")

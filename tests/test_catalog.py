@@ -1,16 +1,21 @@
 import json
+import random
 
 import pytest
 
 from tanglekit.catalog import (
+    CatalogEntry,
     CatalogError,
+    classify,
     get_entry,
     load_catalog,
     reproduce_tables,
 )
-from tanglekit.diagram import close_numerator, from_expression, validate
+from tanglekit.diagram import close_numerator, from_expression, strands, validate
 from tanglekit.expr import CatalogHint, evaluate, parse_expr
 from tanglekit.fraction import frac_normalize
+
+from conftest import cut_tangles, random_tangle_diagram
 
 
 def F(p, q=1):
@@ -262,6 +267,53 @@ class TestUnknownIsLegal:
         assert r.verdict.unlinkable.is_yes
         assert r.verdict.unlinkable.closure == F(-7, 5)
         assert any("no unknotting closure found" in line for line in r.evidence)
+
+
+class TestImages:
+    def test_every_image_gets_one_status_per_property(self, tool):
+        """A rotation or mirror carries closures along and keeps the three
+        properties, and the sweep is closed under both, so the eight images
+        of a drawing, told nothing of essentiality, get one status per
+        property.  Without [inf] in the sweep, 13 of these 150 tangles read
+        "yes" in some images and "unknown" in others."""
+        rng = random.Random(31)
+        tangles = (cut_tangles(tool, rng, 100, 5, 9)
+                   + [random_tangle_diagram(rng) for _ in range(50)])
+        for i, t in enumerate(tangles):
+            verdicts = [classify(CatalogEntry(f"t{i}", v, None, essential=False)).verdict
+                        for v in tool.variants(t)]
+            for key in ("unknottable", "unlinkable", "splittable"):
+                assert len({getattr(v, key).status for v in verdicts}) == 1, (i, key)
+
+
+class TestCappedPieces:
+    def test_no_no_across_an_infinity_cap(self, catalog_entries, classified):
+        """Each entry in six images and four contexts that cap it with [inf]
+        or [0]: 438 of the 552 expressions are tangles, and 381 of those
+        have a crossing-free string, so they are split.  N(T + [inf] + c)
+        is D(T) # D(c), so no such sum is called not splittable, and one is
+        called not unlinkable only when the piece is not unknottable."""
+        diagrams = {e.name: e.diagram for e in catalog_entries}
+        hints = {name: CatalogHint(verdict=r.verdict, essential=r.entry.essential)
+                 for name, r in classified.items()}
+        images = ("@{}", "rot(@{})", "rot(rot(@{}))", "rot(rot(rot(@{})))",
+                  "mirror(@{})", "mirror(rot(@{}))")
+        contexts = ("{} + inf", "inf + {}", "({}) * [0]", "[0] * ({})")
+        tangles = free = 0
+        for name in sorted(diagrams):
+            for image in images:
+                for context in contexts:
+                    text = context.format(image.format(name))
+                    expr = parse_expr(text)
+                    d = from_expression(expr, diagrams.get)
+                    if validate(d) is not None:
+                        continue
+                    tangles += 1
+                    free += min(len(s) for s in strands(d)[:2]) == 1
+                    v = evaluate(expr, hints).verdict
+                    assert not v.splittable.is_no, text
+                    assert not v.unlinkable.is_no or v.unknottable.is_no, text
+        assert (tangles, free) == (438, 381)
 
 
 class TestSubtanglePruning:

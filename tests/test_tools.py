@@ -52,8 +52,8 @@ def test_kink_and_bigon_predicate(tool, catalog_entries):
 def test_rational_impostors_fail_only_the_split_guard(tool):
     """The rational tangles 5/4, 6/5 and 7/6 have the crossing numbers of
     5_1, 6_1 and 7_2, and unknot at -1 and at no other sweep closure; only
-    their unlinking closure, the splitting candidate, tells them apart
-    from an unknottable target."""
+    their unlinking closure, the splitting candidate -cf, tells them apart
+    from an unknottable target, and ``classify`` finds it."""
     minus_one = Fraction(-1, 1)
     for name, p in (("5_1", 5), ("6_1", 6), ("7_2", 7)):
         t = from_rational(Fraction(p, p - 1))
@@ -61,7 +61,8 @@ def test_rational_impostors_fail_only_the_split_guard(tool):
         assert monochromatic_report(t).c_trivial_for_all_n, name
         assert ClosedLink(closure_link(t, minus_one)).is_unknot(), name
         assert tool.unique_unknotting_closure(t, minus_one), name
-        assert tool.splits_at_fraction_candidate(t), name
+        unlinkable = tool.judge(name, t).verdict.unlinkable
+        assert unlinkable.is_yes and unlinkable.closure == Fraction(-p, p - 1), name
         assert not tool.matches(name, t), name
 
 

@@ -5,13 +5,12 @@ tangles that have no algebraic expression.  This tool enumerates the
 standard closed diagrams of the target's crossing number (rational links,
 and the closures of sums and products of two rational tangles), cuts each
 open at every pair of edges, and keeps for each target the first cut
-tangle that matches it.  A target's published answer, its unknotting or
-unlinking closure or its coloring fraction, is read from the
-``EXPECTED_*`` tables of ``tanglekit.catalog``; ``TARGETS`` adds only the
-facts the catalog does not hold.  Every closure a match reads is
-certified by ``catalog.ClosedLink``, the certificate ``classify`` uses.
-The search is deterministic.  Survivors are written as diagram files for
-the package data directory, over the shipped ones.
+tangle that matches it: ``classify``, told nothing of essentiality, must
+give it the published verdict of the ``EXPECTED_*`` tables of
+``tanglekit.catalog``, and ``matches`` checks only the facts ``classify``
+does not hold.  The search is deterministic.  Survivors are written as
+diagram files for the package data directory, over the shipped ones,
+each with the evidence ``classify`` gives it.
 
 Run:  python tools/find_catalog_diagrams.py [entry ...]
 """
@@ -29,10 +28,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from tanglekit.bracket import jones, jones_unlink, possibly_knotted  # noqa: E402
 from tanglekit.catalog import (  # noqa: E402
+    _SWEEP,
     EXPECTED_FRACTIONS,
     EXPECTED_UNKNOTTABLE,
     EXPECTED_UNLINKABLE,
+    CatalogEntry,
+    Classification,
     ClosedLink,
+    classify,
     closure_link,
 )
 from tanglekit.diagram import (  # noqa: E402
@@ -48,7 +51,7 @@ from tanglekit.diagram import (  # noqa: E402
     validate,
 )
 from tanglekit.fraction import Fraction, frac_mirror, frac_normalize  # noqa: E402
-from tanglekit.quandle import NotInvariant, coloring_fraction, monochromatic_report  # noqa: E402
+from tanglekit.quandle import coloring_record  # noqa: E402
 from oracles import (  # noqa: E402
     GF4_TABLE,
     all_orientations,
@@ -132,25 +135,17 @@ def has_kink_or_reducible_bigon(d: TangleDiagram) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# certified closure tests
-
-SWEEP = [frac_normalize(*pq) for pq in
-         [(0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1),
-          (1, 2), (-1, 2), (1, 3), (-1, 3), (2, 3), (-2, 3), (3, 2), (-3, 2)]]
-
+# the facts a target matches beyond its published verdict
 
 def unique_unknotting_closure(t: TangleDiagram, main: Fraction) -> bool:
     """No second sweep closure may certify as the unknot."""
-    for c in SWEEP:
+    for c in _SWEEP:
         if c == main:
             continue
         if ClosedLink(closure_link(t, c)).is_unknot():
             return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# per-entry predicates
 
 @cache
 def torus_jones(n: int) -> tuple:
@@ -165,91 +160,14 @@ def gf4_orientations(t) -> list[int]:
             if nontrivial_c_colorings_finite(od, GF4_TABLE)]
 
 
-def splits_at_fraction_candidate(t) -> bool:
-    """Does the coloring-fraction splitting candidate certify as an unlink?
-
-    A rational tangle always does (its mirror fraction is its unlinking
-    closure), so this rejects rational impostors among candidates that
-    are supposed to be essential and unknottable.
-    """
-    cf = coloring_fraction(t)
-    if isinstance(cf, NotInvariant):
-        return True  # want definite behavior; treat as suspicious
-    return ClosedLink(closure_link(t, frac_mirror(cf))).is_unlink()
-
-
-def match_unknottable(t, closure: Fraction, n_torus=None, gf4=None) -> bool:
-    rep = monochromatic_report(t)
-    if not rep.c_trivial_for_all_n:
-        return False
-    if not ClosedLink(closure_link(t, closure)).is_unknot():
-        return False
-    if not unique_unknotting_closure(t, closure):
-        return False
-    if splits_at_fraction_candidate(t):
-        return False
-    # deleted-string closures may legitimately be knotted for unknottable
-    # tangles (the deletion ball is not a subtangle), so no string filter
-    if n_torus is not None and jones(close_numerator(t)) not in torus_jones(n_torus):
-        return False
-    if gf4 == "some" and not gf4_orientations(t):
-        return False
-    if gf4 == "none" and gf4_orientations(t):
-        return False
-    return True
-
-
-def match_six_three(t, closure: Fraction) -> bool:
-    """Unlinkable at ``closure`` alone, and unknottable at no sweep closure."""
-    rep = monochromatic_report(t)
-    if not rep.polychromatic_somewhere():
-        return False
-    for c in SWEEP:
-        L = ClosedLink(closure_link(t, c))
-        if L.is_unlink() != (c == closure) or L.is_unknot():
-            return False
-    return True
-
-
-def match_r0_mono(t, frac: Fraction, lk_zero: bool, comps: str | None) -> bool:
-    rep = monochromatic_report(t)
-    if not rep.r0_monochromatic or not rep.polychromatic_somewhere():
-        return False
-    if coloring_fraction(t) != frac:
-        return False
-    L = ClosedLink(closure_link(t, frac_mirror(frac)))
-    if L.components != 2 or L.determinant != 0:
-        return False
-    if lk_zero != (L.linking_number == 0):
-        return False
-    if comps is not None:
-        # V(K1) V(K2) = 1 forces both factors to be 1, and a trefoil's
-        # polynomial is a monomial times an irreducible cubic, so a
-        # product equal to it has one factor equal to 1
-        union = L.split_union_jones
-        if comps == "unknots" and union != jones_unlink(2):
-            return False
-        if comps == "trefoil+unknot":
-            trefoils = torus_jones(3)
-            if union not in [jones_unlink(2) * j for j in trefoils]:
-                return False
-            if not any(jones(k) in trefoils for _, k in possibly_knotted(t)):
-                return False
-        if L.jones == union:
-            return False
-    return True
-
-
-# The facts each target matches beyond its published answer.  The
-# answer, and with it the kind of target, is read from the catalog table
-# that names the target: the unknotting closure, the unlinking closure
-# or the coloring fraction.  The crossing number is the name's.  The
-# facts: N(T) has the Jones polynomial of N([n_torus]) or its mirror;
-# some or no orientation has a nontrivial GF(4) c-coloring; targets of
-# one pair differ in N(T)'s Jones polynomial; the splitting candidate
-# has linking number 0 or not, and these component knots.  The search
-# tries targets in this order, so 7_2 claims a drawing before its
-# partner 7_14.
+# The facts each target matches beyond its published verdict and the
+# coloring fraction of an ``EXPECTED_FRACTIONS`` target.  The crossing
+# number is the name's.  The facts: N(T) has the Jones polynomial of
+# N([n_torus]) or its mirror; some or no orientation has a nontrivial
+# GF(4) c-coloring; targets of one pair differ in N(T)'s Jones
+# polynomial; the splitting candidate has linking number 0 or not, and
+# these component knots.  The search tries targets in this order, so
+# 7_2 claims a drawing before its partner 7_14.
 TARGETS = {
     "5_1": dict(n_torus=5),
     "6_1": {},
@@ -269,15 +187,58 @@ def crossing_number(name: str) -> int:
     return int(name.split("_")[0])
 
 
+def judge(name: str, t: TangleDiagram) -> Classification:
+    """``classify`` on the drawing, which must not assume it is essential:
+    its "splittable: no" has to be a certified rejection."""
+    return classify(CatalogEntry(name, t, None, essential=False))
+
+
 def matches(name: str, t: TangleDiagram) -> bool:
+    """Does ``classify`` give the drawing the target's published verdict,
+    the status and closure of each property, and does the drawing have
+    the facts ``classify`` does not hold?  The cheap necessary facts come
+    first: the coloring record's c-coloring status and fraction, and the
+    certificate at the published unknotting closure."""
     target = TARGETS[name]
-    if name in EXPECTED_UNKNOTTABLE:
-        return match_unknottable(t, EXPECTED_UNKNOTTABLE[name],
-                                 target.get("n_torus"), target.get("gf4"))
-    if name in EXPECTED_UNLINKABLE:
-        return match_six_three(t, EXPECTED_UNLINKABLE[name])
-    return match_r0_mono(t, EXPECTED_FRACTIONS[name], target["lk_zero"],
-                         target.get("comps"))
+    unknot = EXPECTED_UNKNOTTABLE.get(name)
+    unlink = EXPECTED_UNLINKABLE.get(name)
+    record = coloring_record(t)
+    cf = record.fraction
+    if record.report.polychromatic_somewhere() != (unknot is None):
+        return False
+    if unlink is not None and cf != frac_mirror(unlink):
+        return False
+    if name in EXPECTED_FRACTIONS and cf != EXPECTED_FRACTIONS[name]:
+        return False
+    if unknot is not None and not ClosedLink(closure_link(t, unknot)).is_unknot():
+        return False
+    judged = judge(name, t)
+    v = judged.verdict
+    if ([(p.status, p.closure) for p in (v.unknottable, v.unlinkable, v.splittable)]
+            != [("no", None) if c is None else ("yes", c) for c in (unknot, unlink, unlink)]):
+        return False
+    if unknot is not None and not unique_unknotting_closure(t, unknot):
+        return False
+    if "n_torus" in target and jones(close_numerator(t)) not in torus_jones(target["n_torus"]):
+        return False
+    if "gf4" in target and bool(gf4_orientations(t)) != (target["gf4"] == "some"):
+        return False
+    if "lk_zero" not in target:
+        return True
+    L = judged.closure(frac_mirror(cf))
+    if target["lk_zero"] != (L.linking_number == 0):
+        return False
+    # V(K1) V(K2) = 1 forces both factors to be 1, and a trefoil's
+    # polynomial is a monomial times an irreducible cubic, so a product
+    # equal to it has one factor equal to 1
+    union = L.split_union_jones
+    if target.get("comps") == "unknots":
+        return union == jones_unlink(2)
+    if target.get("comps") == "trefoil+unknot":
+        trefoils = torus_jones(3)
+        return (union in [jones_unlink(2) * j for j in trefoils]
+                and any(jones(k) in trefoils for _, k in possibly_knotted(t)))
+    return True
 
 
 def variants(t: TangleDiagram):
@@ -402,6 +363,8 @@ def main():
         path = OUT_DIR / f"{name}.tangle"
         path.write_text(print_diagram(t))
         print(f"wrote {path}")
+        for line in judge(name, t).evidence:
+            print(f"  {line}")
     if missing:
         print("missing:", sorted(missing))
 
