@@ -2,6 +2,8 @@
 the packed kernel against the dict-tally contraction beyond its reach."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -14,7 +16,9 @@ from tanglekit.diagram import (
     close_numerator,
     component_subdiagrams,
     from_rational,
+    tangle_product,
     tangle_sum,
+    validate,
 )
 from tanglekit.fraction import frac_normalize
 from tanglekit.quandle import determinant
@@ -118,14 +122,48 @@ def random_closure(rng: random.Random, lo: int, hi: int, parts: int = 2) -> Link
             return L
 
 
+def brick_wall_closure(strands: int, rows: int) -> LinkDiagram:
+    """Closure of the braid whose rows alternate s1 s3 s5 ... and s2 s4 ...:
+    a grid of crossings whose greedy frontier grows with both sides."""
+    cur = list(range(strands))
+    fresh = strands
+    crossings = []
+    for row in range(rows):
+        for i in range(row % 2, strands - 1, 2):
+            a, b = cur[i], cur[i + 1]
+            c, d = cur[i], cur[i + 1] = fresh, fresh + 1
+            fresh += 2
+            # slots counterclockwise from the lower left end; the strand
+            # from lower left to upper right passes under
+            crossings.append((a, b, d, c))
+    top = {e: p for p, e in enumerate(cur)}
+    return LinkDiagram(tuple(tuple(top.get(e, e) for e in c) for c in crossings))
+
+
+def count_compiles(monkeypatch) -> list:
+    """Record each step the bracket compiles instead of finding it stored."""
+    compiled = []
+    compile_step = bracket._StepTable.compile
+
+    def recording(table, step, node):
+        compiled.append(step)
+        return compile_step(table, step, node)
+
+    monkeypatch.setattr(bracket._StepTable, "compile", recording)
+    return compiled
+
+
 def test_packed_kernel_matches_tally_oracle(catalog_entries, monkeypatch):
     """The packed slots hold the coefficients: on large closures, on extra
     loops, kinks and distant unions (more circles than k + 1 and larger
-    coefficients per crossing), and past the default crossing budget."""
+    coefficients per crossing), and past the default crossing budget.
+    From an empty step table, a first pass compiles the steps and a second
+    finds every one stored; the table never holds more than its cap, not
+    even after a diagram whose frontier passes 12 open edges."""
     rng = random.Random(20261018)
-    diagrams = [L for e in catalog_entries
+    closures = [L for e in catalog_entries
                 for L in (close_numerator(e.diagram), close_denominator(e.diagram))]
-    diagrams += [random_closure(rng, 15, 24) for _ in range(350)]
+    diagrams = closures + [random_closure(rng, 15, 24) for _ in range(350)]
     for _ in range(535):
         L = random_closure(rng, 1, 12, parts=1)
         edge = rng.choice(L.crossings)[rng.randrange(4)]
@@ -137,26 +175,132 @@ def test_packed_kernel_matches_tally_oracle(catalog_entries, monkeypatch):
                      add_kink(L, edge, rng.randrange(2)),
                      LinkDiagram(union.crossings, union.loops + rng.randint(0, 3))]
     big = random_closure(rng, 30, 40, parts=4)
-    monkeypatch.setenv("TANGLEKIT_CROSSING_BUDGET", str(big.crossing_count))
-    diagrams.append(big)
+    wide = brick_wall_closure(7, 14)
+    assert validate(wide) is None
+    assert max(step[5] for step in bracket._schedule(wide)[1]) > 12
+    diagrams += [big, wide]
+    monkeypatch.setenv("TANGLEKIT_CROSSING_BUDGET", str(wide.crossing_count))
     assert len(diagrams) >= 2000
-    for L in diagrams:
+    expected = [tally_contraction_bracket(L) for L in diagrams]
+    for L in closures:
+        assert tally_contraction_bracket(L) == state_sum_bracket(L), L
+    monkeypatch.setattr(bracket, "_table", bracket._StepTable())
+    compiled = count_compiles(monkeypatch)
+    for L, b in zip(diagrams, expected):
+        assert kauffman_bracket(L) == b, L
+        assert bracket._table.stored <= bracket.STEP_CAP
+    assert compiled and not bracket._table.full
+    compiled.clear()
+    assert [kauffman_bracket(L) for L in diagrams] == expected
+    assert not compiled
+
+
+def test_steps_past_the_cap_are_compiled_for_their_call(monkeypatch):
+    """A contraction that fills the table goes on with steps it does not
+    store, and the next call starts from an empty table."""
+    rng = random.Random(3202)
+    links = [random_closure(rng, 10, 24) for _ in range(40)]
+    monkeypatch.setattr(bracket, "STEP_CAP", 200)
+    monkeypatch.setattr(bracket, "_table", bracket._StepTable())
+    filled = 0
+    for L in links:
         assert kauffman_bracket(L) == tally_contraction_bracket(L), L
+        assert bracket._table.stored <= 200
+        filled += bracket._table.full
+    assert filled
+
+
+def test_threads_share_the_table(monkeypatch):
+    """Threads bracketing at once, each in its own order, against a small
+    cap so that tables fill and are replaced under running contractions,
+    get the oracle's brackets."""
+    rng = random.Random(3203)
+    links = [random_closure(rng, 8, 18) for _ in range(60)]
+    expected = {L: tally_contraction_bracket(L) for L in links}
+    monkeypatch.setattr(bracket, "STEP_CAP", 300)
+    monkeypatch.setattr(bracket, "_table", bracket._StepTable())
+    wrong: list[LinkDiagram] = []
+
+    def work(seed: int):
+        for L in random.Random(seed).sample(links, len(links)):
+            if kauffman_bracket(L) != expected[L]:
+                wrong.append(L)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def benchmark_shaped_closure(rng: random.Random) -> LinkDiagram:
+    """N(T + [r/s]) of 10-14 crossings, T a sum or product of 2-4
+    rational tangles of 1-4 crossings, as the closures benchmark draws."""
+    def leaf():
+        while True:
+            t = from_rational(random_fraction(rng, 9, 7))
+            if 1 <= t.crossing_count <= 4:
+                return t
+
+    while True:
+        t = leaf()
+        for _ in range(rng.randint(1, 3)):
+            t = (tangle_sum if rng.random() < 0.5 else tangle_product)(t, leaf())
+        t = tangle_sum(t, leaf())
+        if 10 <= t.crossing_count <= 14 and validate(t) is None:
+            return close_numerator(t)
+
+
+def test_distinct_benchmark_links_share_their_steps(monkeypatch):
+    """After one pass over 2,000 distinct closures shaped like the
+    benchmark's, a second pass compiles no step."""
+    rng = random.Random(3212)
+    links = [benchmark_shaped_closure(rng) for _ in range(2000)]
+    assert len(set(links)) > 1900
+    monkeypatch.setattr(bracket, "_table", bracket._StepTable())
+    compiled = count_compiles(monkeypatch)
+    first = [kauffman_bracket(L) for L in links]
+    assert compiled
+    compiled.clear()
+    assert [kauffman_bracket(L) for L in links] == first
+    assert not compiled
 
 
 def test_schedule_is_the_greedy_order(catalog_entries):
-    """Same crossings in the same order as the rescoring greedy rule, and
-    after each step exactly the open edges, each in one place."""
+    """Same crossings in the same order as the rescoring greedy rule; after
+    each step exactly the open edges, each in one place; and replaying
+    each step's port places and moves rebuilds that frontier, with no
+    place past the new size."""
     rng = random.Random(1018)
     links = [L for e in catalog_entries
              for L in (close_numerator(e.diagram), close_denominator(e.diagram))]
     links += [random_closure(rng, 1, 24) for _ in range(200)]
+    links.append(brick_wall_closure(7, 14))
     for L in links:
-        steps = bracket._schedule(L)
-        order = greedy_contraction_order(L)
-        assert [ports for ports, _ in steps] == [L.crossings[i] for i in order]
+        order, steps = bracket._schedule(L)
+        assert order == greedy_contraction_order(L)
         open_edges: set[int] = set()
-        for (_, after), ci in zip(steps, order):
-            for e in L.crossings[ci]:
+        at: list[int] = []  # place -> open edge
+        for ci, step in zip(order, steps):
+            n, places, size, moves = step[0], step[1:5], step[5], step[6:]
+            assert n == len(at)
+            grown = at + [None] * 4
+            for e, p in zip(L.crossings[ci], places):
                 open_edges ^= {e}
-            assert sorted(after) == sorted(open_edges), L
+                # an open edge closes at its place, a fresh edge opens at
+                # a fresh place (a kink's second port closes it again)
+                assert grown[p] in (None, e) and (grown[p] == e or p >= n)
+                grown[p] = None if grown[p] == e else e
+            for src, dst in zip(moves[::2], moves[1::2]):
+                assert dst < size <= src and grown[dst] is None
+                grown[dst], grown[src] = grown[src], None
+            assert grown[size:] == [None] * (n + 4 - size)
+            at = grown[:size]
+            assert sorted(at) == sorted(open_edges), L

@@ -10,8 +10,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tanglekit.catalog import ClosedLink, closure_link
-from tanglekit.diagram import canonical_form, close_numerator, from_rational, rotate
+from tanglekit.diagram import (
+    LinkDiagram,
+    canonical_form,
+    close_numerator,
+    from_rational,
+    rotate,
+)
 from tanglekit.fraction import Fraction
 from tanglekit.quandle import monochromatic_report
 
@@ -19,10 +27,19 @@ from conftest import add_kink, r2_pair_closure
 
 
 def test_targets_match_shipped_diagrams(tool, catalog_entries):
+    """Each shipped drawing matches its target, with at least one fact to
+    print beyond its verdict; a pair target's facts name its partner.  A
+    match check refuses a closure that ``validate`` does not accept."""
     diagrams = {e.name: e.diagram for e in catalog_entries}
     assert len(tool.TARGETS) == 11
     for name in tool.TARGETS:
         assert tool.matches(name, diagrams[name]), name
+        assert tool.matched_facts(name, diagrams[name]), name
+    facts = tool.matched_facts("7_14", diagrams["7_14"], {"7_2": diagrams["7_2"]})
+    assert "pair A: the Jones polynomial of N(T) differs from each partner's (7_2)" in facts
+    dangling = LinkDiagram(crossings=((0, 1, 1, 2),))
+    with pytest.raises(ValueError, match="closure fails validate: dangling port"):
+        tool.checked(dangling)
 
 
 def test_cutting_a_closure_open_gives_the_tangle_back(tool, catalog_entries):

@@ -7,10 +7,11 @@ and the closures of sums and products of two rational tangles), cuts each
 open at every pair of edges, and keeps for each target the first cut
 tangle that matches it: ``classify``, told nothing of essentiality, must
 give it the published verdict of the ``EXPECTED_*`` tables of
-``tanglekit.catalog``, and ``matches`` checks only the facts ``classify``
-does not hold.  The search is deterministic.  Survivors are written as
-diagram files for the package data directory, over the shipped ones,
-each with the evidence ``classify`` gives it.
+``tanglekit.catalog``, and ``matched_facts`` checks only the facts
+``classify`` does not hold, on closures that ``validate`` accepts.  The
+search is deterministic.  Survivors are written as diagram files for the
+package data directory, over the shipped ones; for each the tool prints
+the evidence ``classify`` gives it and the facts it matched.
 
 Run:  python tools/find_catalog_diagrams.py [entry ...]
 """
@@ -142,16 +143,25 @@ def unique_unknotting_closure(t: TangleDiagram, main: Fraction) -> bool:
     for c in _SWEEP:
         if c == main:
             continue
-        if ClosedLink(closure_link(t, c)).is_unknot():
+        if ClosedLink(checked(closure_link(t, c))).is_unknot():
             return False
     return True
+
+
+def checked(L: LinkDiagram) -> LinkDiagram:
+    """L, once ``validate`` accepts it: no match check reads an invalid
+    closure."""
+    problem = validate(L)
+    if problem is not None:
+        raise ValueError(f"closure fails validate: {problem}")
+    return L
 
 
 @cache
 def torus_jones(n: int) -> tuple:
     """Jones polynomials of N([n]) and N([-n]), the (2, n) torus knot or
     link and its mirror image."""
-    return tuple(jones(close_numerator(from_rational(Fraction(s * n, 1))))
+    return tuple(jones(checked(close_numerator(from_rational(Fraction(s * n, 1)))))
                  for s in (1, -1))
 
 
@@ -193,52 +203,89 @@ def judge(name: str, t: TangleDiagram) -> Classification:
     return classify(CatalogEntry(name, t, None, essential=False))
 
 
-def matches(name: str, t: TangleDiagram) -> bool:
-    """Does ``classify`` give the drawing the target's published verdict,
-    the status and closure of each property, and does the drawing have
-    the facts ``classify`` does not hold?  The cheap necessary facts come
-    first: the coloring record's c-coloring status and fraction, and the
-    certificate at the published unknotting closure."""
+def matched_facts(name: str, t: TangleDiagram,
+                  found: dict[str, TangleDiagram] | None = None) -> list[str] | None:
+    """The facts beyond its published verdict that the drawing matches,
+    as text, or None if it misses one or ``classify`` does not give it the
+    target's published verdict, the status and closure of each property.
+    The cheap necessary facts come first: the coloring record's c-coloring
+    status and fraction, and the certificate at the published unknotting
+    closure.  A pair target's N(T) must have a Jones polynomial apart from
+    that of each partner in ``found``, the drawings found before it."""
     target = TARGETS[name]
     unknot = EXPECTED_UNKNOTTABLE.get(name)
     unlink = EXPECTED_UNLINKABLE.get(name)
     record = coloring_record(t)
     cf = record.fraction
     if record.report.polychromatic_somewhere() != (unknot is None):
-        return False
+        return None
     if unlink is not None and cf != frac_mirror(unlink):
-        return False
+        return None
     if name in EXPECTED_FRACTIONS and cf != EXPECTED_FRACTIONS[name]:
-        return False
-    if unknot is not None and not ClosedLink(closure_link(t, unknot)).is_unknot():
-        return False
+        return None
+    if unknot is not None and not ClosedLink(checked(closure_link(t, unknot))).is_unknot():
+        return None
     judged = judge(name, t)
     v = judged.verdict
     if ([(p.status, p.closure) for p in (v.unknottable, v.unlinkable, v.splittable)]
             != [("no", None) if c is None else ("yes", c) for c in (unknot, unlink, unlink)]):
-        return False
-    if unknot is not None and not unique_unknotting_closure(t, unknot):
-        return False
-    if "n_torus" in target and jones(close_numerator(t)) not in torus_jones(target["n_torus"]):
-        return False
-    if "gf4" in target and bool(gf4_orientations(t)) != (target["gf4"] == "some"):
-        return False
-    if "lk_zero" not in target:
-        return True
-    L = judged.closure(frac_mirror(cf))
-    if target["lk_zero"] != (L.linking_number == 0):
-        return False
-    # V(K1) V(K2) = 1 forces both factors to be 1, and a trefoil's
-    # polynomial is a monomial times an irreducible cubic, so a product
-    # equal to it has one factor equal to 1
-    union = L.split_union_jones
-    if target.get("comps") == "unknots":
-        return union == jones_unlink(2)
-    if target.get("comps") == "trefoil+unknot":
-        trefoils = torus_jones(3)
-        return (union in [jones_unlink(2) * j for j in trefoils]
-                and any(jones(k) in trefoils for _, k in possibly_knotted(t)))
-    return True
+        return None
+    facts = []
+    if unlink is not None:
+        facts.append(f"coloring fraction {cf}, the mirror of the unlinking closure {unlink}")
+    if name in EXPECTED_FRACTIONS:
+        facts.append(f"coloring fraction {cf}, the published one")
+    if unknot is not None:
+        if not unique_unknotting_closure(t, unknot):
+            return None
+        facts.append(f"no sweep closure but {unknot} gives the unknot")
+    if "n_torus" in target:
+        n = target["n_torus"]
+        if jones(checked(close_numerator(t))) not in torus_jones(n):
+            return None
+        facts.append(f"N(T) has the Jones polynomial of N([{n}]) or of its mirror")
+    if "gf4" in target:
+        if bool(gf4_orientations(t)) != (target["gf4"] == "some"):
+            return None
+        facts.append(f"{'some' if target['gf4'] == 'some' else 'no'} orientation has "
+                     "a nontrivial GF(4) c-coloring")
+    if "lk_zero" in target:
+        c = frac_mirror(cf)
+        L = judged.closure(c)
+        checked(L.diagram)
+        if target["lk_zero"] != (L.linking_number == 0):
+            return None
+        facts.append(f"N(T + [{c}]) has linking number {L.linking_number}")
+        # V(K1) V(K2) = 1 forces both factors to be 1, and a trefoil's
+        # polynomial is a monomial times an irreducible cubic, so a product
+        # equal to it has one factor equal to 1
+        union = L.split_union_jones
+        if target.get("comps") == "unknots":
+            if union != jones_unlink(2):
+                return None
+            facts.append("its component knots are unknots")
+        if target.get("comps") == "trefoil+unknot":
+            trefoils = torus_jones(3)
+            if (union not in [jones_unlink(2) * j for j in trefoils]
+                    or not any(jones(checked(k)) in trefoils for _, k in possibly_knotted(t))):
+                return None
+            facts.append("its component knots are a trefoil and an unknot")
+    pair = target.get("pair")
+    if pair:
+        partners = [p for p in found or {} if p != name and TARGETS[p].get("pair") == pair]
+        poly = jones(checked(close_numerator(t)))
+        if any(jones(checked(close_numerator(found[p]))) == poly for p in partners):
+            return None
+        others = ", ".join(partners) or "none found before it"
+        facts.append(f"pair {pair}: the Jones polynomial of N(T) differs from each "
+                     f"partner's ({others})")
+    return facts
+
+
+def matches(name: str, t: TangleDiagram) -> bool:
+    """Does the drawing have the target's published verdict and every fact
+    of :func:`matched_facts`, a pair target's partners aside?"""
+    return matched_facts(name, t) is not None
 
 
 def variants(t: TangleDiagram):
@@ -300,6 +347,12 @@ def closed_diagram_pool(k: int):
     return pool
 
 
+def with_partners(names: list[str]) -> list[str]:
+    """The named targets and their pair partners, in ``TARGETS`` order."""
+    pairs = {TARGETS[n].get("pair") for n in names} - {None}
+    return [n for n in TARGETS if n in names or TARGETS[n].get("pair") in pairs]
+
+
 def cut_search(names: list[str], verbose: bool = True):
     """Cut every closed diagram of ``closed_diagram_pool`` open at every
     pair of edges, and keep for each named target the first cut tangle, in
@@ -310,8 +363,7 @@ def cut_search(names: list[str], verbose: bool = True):
     Returns the found diagrams of the named targets by name and the named
     targets left unmatched."""
     found: dict[str, TangleDiagram] = {}
-    pairs = {TARGETS[n].get("pair") for n in names} - {None}
-    wanted = [n for n in TARGETS if n in names or TARGETS[n].get("pair") in pairs]
+    wanted = with_partners(names)
     seen = set()
 
     def consider(t):
@@ -321,12 +373,8 @@ def cut_search(names: list[str], verbose: bool = True):
                 continue
             seen.add(key)
             for name in wanted:
-                if crossing_number(name) != v.crossing_count or not matches(name, v):
-                    continue
-                pair = TARGETS[name].get("pair")
-                if pair and any(TARGETS[p].get("pair") == pair and
-                                jones(close_numerator(u)) == jones(close_numerator(v))
-                                for p, u in found.items()):
+                if (crossing_number(name) != v.crossing_count
+                        or matched_facts(name, v, found) is None):
                     continue
                 found[name] = v
                 wanted.remove(name)
@@ -357,14 +405,24 @@ def cut_search(names: list[str], verbose: bool = True):
 
 
 def main():
-    found, missing = cut_search(sys.argv[1:] or list(TARGETS))
+    names = sys.argv[1:] or list(TARGETS)
+    # the partners too, so that a pair target's facts name them
+    found, missing = cut_search(with_partners(names))
     OUT_DIR.mkdir(parents=True, exist_ok=True)
+    earlier: dict[str, TangleDiagram] = {}
     for name, t in found.items():
+        facts = matched_facts(name, t, earlier)
+        earlier[name] = t
+        if name not in names:
+            continue
         path = OUT_DIR / f"{name}.tangle"
         path.write_text(print_diagram(t))
         print(f"wrote {path}")
         for line in judge(name, t).evidence:
             print(f"  {line}")
+        for fact in facts:
+            print(f"  matched: {fact}")
+    missing = [n for n in missing if n in names]
     if missing:
         print("missing:", sorted(missing))
 
