@@ -19,34 +19,37 @@ per matching, are kept in the tests as oracles.
 Schedule.  ``_schedule`` picks the next crossing greedily: the one
 sharing most edges with the open boundary, the lowest index on ties.
 Shared counts are kept only for crossings on the boundary, and they only
-grow.  It writes each step in frontier places, not edges.  A dict gives
-each open edge its place, which it keeps from step to step; a port that
-opens an edge takes a fresh place past the frontier, and the open edges
-left past the new size then move into the places that closed.  A step is
-one flat tuple: the frontier size before it, the four ports' places, the
-size after it, and the (from, to) place pairs of the moves.  A matching
-is the tuple of the places of the far ends, so a step rewrites only the
-few places its crossing touches.
+grow.  It runs on the diagram's cached array of ends, not on edge ids:
+an open edge's place on the frontier is kept at its far end, the end
+where it will close, so a port reads its edge's place off its own end.
+A port that opens an edge takes a fresh place past the frontier, and the
+open edges left past the new size then move into the places that
+closed.  A matching is the tuple of the places of the far ends, so a
+step rewrites only the few places its crossing touches.
 
-Steps.  A step names no edge and no diagram, so distinct links share
-steps: along a sum or product of small rational tangles the greedy order
-opens and closes edges in a few patterns, and the frontier stays narrow
-(on the benchmark's 10-14-crossing closures it never holds more than 6
-open edges, so at most 5 matchings are live).  A node is the tuple of the
-matchings live at once, interned as an id.  What a step does at a node
-is the same for every link, so it is compiled once, on first sight, by
-the far-end rewrite of each matching: into the next node and the
-transitions (i, j, kind), where matching i, smoothed, becomes matching j
-of the next node and kind (the smoothing and the circles it closed) fixes
-the tally arithmetic.  A contraction is then a walk through one
-module-level table keyed by (step, node): per step, one lookup and a
-shift and an addition per transition.  On 30,000 benchmark closures the
-table stopped growing at about 1,100 entries over 104 nodes and under 300
-steps, about 185 KB with equal steps, matchings, transitions and entries
-stored once.  It stores at most ``STEP_CAP`` transitions; a step that
-does not fit is compiled for its call alone, and the table is replaced
-by an empty one only at the start of the next bracket call, never inside
-a contraction.
+Steps.  A step is (n, p0, p1, p2, p3, node): the frontier size before
+it, its four ports' places and the node it starts from.  Places 0..n-1
+are full before every step, so those five numbers fix the size after it
+and its moves.  A step names no edge and no diagram, so distinct links
+share steps: along a sum or product of small rational tangles the greedy
+order opens and closes edges in a few patterns, and the frontier stays
+narrow (on the benchmark's 10-14-crossing closures it never holds more
+than 6 open edges, so at most 5 matchings are live).  A node is the
+tuple of the matchings live at once, interned as an id.  What a step
+does is the same for every link, so it is compiled once, on first
+sight: into the size after it and its moves, which the schedule applies
+to its places, and, by the far-end rewrite of each matching, into the
+next node and the transitions (i, j, kind), where matching i, smoothed,
+becomes matching j of the next node and kind (the smoothing and the
+circles it closed) fixes the tally arithmetic.  A contraction is then a
+walk through one module-level table keyed by step: per step, one lookup
+and a shift and an addition per transition; no list of steps is built.
+On 30,000 benchmark closures the table stopped growing at 961 entries
+over 103 nodes, about 240 KB with equal matchings, transitions, moves
+and entries stored once.  It stores at most ``STEP_CAP``
+transitions; a step that does not fit is compiled for its call alone,
+and the table is replaced by an empty one only at the start of the next
+bracket call, never inside a contraction.
 
 Packing.  A matching's tally sum c_e A^e is kept as one integer, its value
 at A = X = 2^B (Kronecker substitution), so merging two states is one
@@ -99,6 +102,7 @@ from __future__ import annotations
 
 import os
 import threading
+from math import comb
 
 from .diagram import (
     Diagram,
@@ -147,7 +151,6 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     if _table.full:
         _table = _StepTable()
     table = _table
-    entries = table.entries
     bits = 3 * k + d.loops + 2
     b2, b4, b8 = 2 * bits, 4 * bits, 8 * bits
     b4_1 = b4 + 1
@@ -155,14 +158,9 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     # (0 for A, 1 for B): A^2 more for the A-smoothing, A^2 per open arc
     shifts = (b2 + b4, b4, b2 + b2, b2, b2, 0)
 
-    # the node's matchings' packed tallies, in the node's order
-    node: int | tuple = 0
+    # the matchings' packed tallies, in the order of the step's node
     tallies = [1]
-    for step in _schedule(d)[1]:
-        entry = entries.get((step, node))
-        if entry is None:
-            entry = table.compile(step, node)
-        node, width, transitions = entry
+    for _, width, transitions, _, _ in _schedule(d, table):
         merged = [0] * width
         # an open arc weighs A^2, an arc that closed a circle -(A^4 + 1) A^2
         for i, j, kind in transitions:
@@ -201,29 +199,30 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     return LaurentPoly("A", tuple(coeffs))
 
 
-def _schedule(d: LinkDiagram) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The crossings in greedy contraction order, and each one's step in
-    frontier places: the frontier size n before it, the places of its four
-    ports, the size after it, then (from, to) place pairs of the moves.
+def _schedule(d: LinkDiagram, table: _StepTable):
+    """Contract d's crossings in greedy order: yield each step's entry in
+    table, compiled first when it is not stored.
 
     Next comes the crossing sharing most edges with the open boundary
     (lowest index on ties).  Shared counts are kept only for crossings on
     the boundary and only grow: an edge opens at one crossing and closes
-    at its other end.  An open edge keeps its place from step to step; a
-    port that opens an edge takes place n + slot (a kink's two ports share
-    the first), and the open edges left past the new size move, highest
-    place first, into the free places below it, lowest first.
+    at its other end.  An open edge's place is kept at its far end, the
+    end where it will close.  A port whose end holds no place opens its
+    edge at place n + slot (a kink's two ports share the first), and one
+    that holds a place closes it there; the entry's moves then carry the
+    open edges left past the new size into the places that closed.
     """
     k = d.crossing_count
     mate = _ends(d)
+    entries = table.entries
     taken = [False] * k
     # crossing on the boundary -> k * shared edges - index, the greedy key
     key: dict[int, int] = {}
-    # open edge -> its place on the frontier, and place -> open edge or -1
-    place: dict[int, int] = {}
+    # end -> the place of the open edge that closes there, or -1; and
+    # place -> the end where its open edge closes, or -1
+    placed = [-1] * len(mate)
     at: list[int] = []
-    order: list[int] = []
-    steps = []
+    node: int | tuple = 0
     for _ in range(k):
         if key:
             ci = max(key, key=key.__getitem__)
@@ -231,43 +230,42 @@ def _schedule(d: LinkDiagram) -> tuple[list[int], list[tuple[int, ...]]]:
         else:
             ci = taken.index(False)
         taken[ci] = True
-        order.append(ci)
         n = len(at)
         at += (-1, -1, -1, -1)
-        step = [n]
-        for y, e in enumerate(d.crossings[ci], 4 * ci):
-            p = place.pop(e, None)
-            if p is None:
-                p = place[e] = n + (y & 3)
-                at[p] = e
-                other = mate[y] >> 2
+        places = [n]
+        for y in range(4 * ci, 4 * ci + 4):
+            p = placed[y]
+            if p < 0:
+                z = mate[y]
+                p = placed[z] = n + (y & 3)
+                at[p] = z
+                other = z >> 2
                 if not taken[other]:
                     key[other] = key.get(other, -other) + k
             else:
                 at[p] = -1
-            step.append(p)
-        size = len(place)
-        step.append(size)
-        late = [p for p in range(size, n + 4) if at[p] >= 0]
-        if late:
-            for j in range(size):
-                if at[j] < 0:
-                    p = late.pop()
-                    e = at[j] = at[p]
-                    place[e] = j
-                    step += (p, j)
+            places.append(p)
+        places.append(node)
+        step = tuple(places)
+        entry = entries.get(step)
+        if entry is None:
+            entry = table.compile(step)
+        node, _, _, size, moves = entry
+        for src, dst in moves:
+            z = at[dst] = at[src]
+            placed[z] = dst
         del at[size:]
-        steps.append(tuple(step))
-    return order, steps
+        yield entry
 
 
 class _StepTable:
     """Compiled contraction steps, shared by every bracket call (see the
     module docstring's "Steps").
 
-    An entry maps (step, node id) to the next node's id, its width and
-    the transitions (i, j, kind), with kind = 2 * closed circles +
-    smoothing (0 for A, 1 for B).  A step that does not fit under
+    An entry maps (n, the four ports' places, node id) to the next node's
+    id, its width, the transitions (i, j, kind), with kind = 2 * closed
+    circles + smoothing (0 for A, 1 for B), the frontier size after the
+    step and its (from, to) place moves.  A step that does not fit under
     ``STEP_CAP`` is compiled for its call alone, its next node carried as
     the matchings themselves, and the table is marked full, to be replaced
     by an empty one at the start of the next call.
@@ -280,19 +278,29 @@ class _StepTable:
         # node 0 is the empty frontier's one matching
         self.nodes: list[tuple] = [((),)]
         self.ids: dict[tuple, int] = {((),): 0}
-        # one copy of each equal step, matching, transition, transition
-        # tuple and entry
+        # one copy of each equal matching, transition, transition tuple,
+        # move tuple and entry
         self.shared: dict[tuple, tuple] = {}
         self.stored = 0
         self.full = False
         # node ids are list positions, so storing is one critical section
         self.lock = threading.Lock()
 
-    def compile(self, step: tuple[int, ...], node: int | tuple) -> tuple:
-        """The entry of step at node, by the far-end rewrite of each
-        matching; stored when the node is interned and the cap has room."""
-        n, p0, p1, p2, p3, size, *moves = step
-        moves = list(zip(moves[::2], moves[1::2]))
+    def compile(self, step: tuple) -> tuple:
+        """The entry of step = (n, p0, p1, p2, p3, node): the places 0..n-1
+        are full before it, so the ports' places fix the size after it and
+        its moves, and the far-end rewrite of each matching fixes the
+        transitions.  Stored when the node is interned and the cap has
+        room."""
+        n, p0, p1, p2, p3, node = step
+        full = [True] * n + [False] * 4
+        for p in (p0, p1, p2, p3):
+            full[p] = not full[p]
+        size = full.count(True)
+        # the open edges left past the new size move, highest place first,
+        # into the free places below it, lowest first
+        late = [p for p in range(size, n + 4) if full[p]]
+        moves = tuple([(late.pop(), j) for j in range(size) if not full[j]])
         matchings = self.nodes[node] if isinstance(node, int) else node
         # places: the open edges, then the four ports; a fresh edge is
         # its own far end
@@ -324,7 +332,7 @@ class _StepTable:
         with self.lock:
             if not isinstance(node, int) or self.stored + len(transitions) > STEP_CAP:
                 self.full = True
-                return after, len(after), transitions
+                return after, len(after), transitions, size, moves
             share = self.shared.setdefault
             nid = self.ids.get(after)
             if nid is None:
@@ -332,8 +340,9 @@ class _StepTable:
                 nid = self.ids[after] = len(self.nodes)
                 self.nodes.append(after)
             transitions = tuple([share(t, t) for t in transitions])
-            entry = (nid, len(after), share(transitions, transitions))
-            entry = self.entries[share(step, step), node] = share(entry, entry)
+            entry = (nid, len(after), share(transitions, transitions), size,
+                     share(moves, moves))
+            entry = self.entries[step] = share(entry, entry)
             self.stored += len(transitions)
             return entry
 
@@ -415,9 +424,15 @@ def jones_unknot() -> LaurentPoly:
 
 
 def jones_unlink(components: int) -> LaurentPoly:
-    """(-t^(1/2) - t^(-1/2))^(components - 1)."""
-    delta = LaurentPoly.make("sqrt_t", {1: -1, -1: -1})
-    return delta ** (components - 1)
+    """(-t^(1/2) - t^(-1/2))^(components - 1), written by the binomial
+    theorem: with m = components - 1, the term t^((m - 2i)/2) has
+    coefficient (-1)^m C(m, i)."""
+    m = components - 1
+    if m < 0:
+        raise ValueError("negative powers are not supported")
+    sign = -1 if m & 1 else 1
+    return LaurentPoly("sqrt_t", tuple((m - 2 * i, sign * comb(m, i))
+                                       for i in range(m, -1, -1)))
 
 
 def kink_free_words(d: Diagram) -> list[list[int]]:

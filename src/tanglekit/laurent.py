@@ -71,8 +71,9 @@ class LaurentPoly(Value):
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def substitute_gaussian(self, re, im):

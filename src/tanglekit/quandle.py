@@ -71,15 +71,22 @@ for its :func:`determinant`.
   a link's determinant then eliminates the (0, 0) minor of M with the
   sparse core.  ``_MAX_SEEDS`` and ``_PACKED_BITS`` say what each limit
   rests on.
-* Link determinants.  A link has ports but no boundary ends, so L takes
-  its Smith form with no lifted rows.  M has k rows, and the constants
-  lie in its kernel.  On a planar diagram all first minors of M agree up
-  to sign, so each is up to sign their gcd, the product of M's first
-  k - 1 invariant factors: the product of L's factors when M's nullity,
-  seeds less L's rank, is one, and 0 when it is more.  A component that
+* Link determinants.  A link has ports but no boundary ends.  M has k
+  rows, the constants lie in its kernel, and on a planar diagram its
+  rows have a dependency with coefficients +-1 (the checkerboard signs),
+  so all first minors of M agree up to sign, and each is up to sign
+  their gcd, the product of M's first k - 1 invariant factors.  When
+  every component passes under, M has k arcs, so L, with its zero rows,
+  is square.  The constants lie in its kernel, and its rows inherit M's
+  dependency, since the pivot rows vanish in seed coordinates; so its
+  first minors agree up to sign too, and, L having M's invariant
+  factors above 1, each is the determinant up to sign.  One is a small
+  determinant, with no Smith form: 0 when fewer than seeds - 1 nonzero
+  rows are left, since it then keeps a zero row.  A component that
   never passes under closes into an arc of its own, beyond the k arcs
-  that end at the crossings' under sides, so the nullity is at least two
-  and the determinant 0, that of the split picture it lifts off to.
+  that end at the crossings' under sides, so the nullity is at least
+  two and every first minor of L 0, the determinant of the split
+  picture it lifts off to.
 
 With the column transform v of M's Smith form kept on the boundary
 line, the two rows e_NE - e_NW and e_NE - e_SE, the record answers
@@ -545,12 +552,12 @@ def determinant(d: LinkDiagram) -> int:
     coloring record exists already carries its determinant.
 
     Otherwise d's arcs are colored by propagation, as a tangle's record
-    colors them (see the module docstring), and the dense Smith form of
-    the leftover relations gives the matrix's invariant factors above 1
-    and its nullity, seeds less rank: the determinant is the product of
-    the factors when the nullity is 1, and 0 when it is more.  Past the
-    limits of propagation the (0, 0) minor is eliminated with the sparse
-    core instead.
+    colors them (see the module docstring), and the determinant is the
+    absolute value of a first minor of the leftover relations: with r
+    rows over s seeds, 0 when r < s - 1, else the determinant of the
+    first s - 1 rows on the first s - 1 seeds, by Bareiss elimination.
+    Past the limits of propagation the (0, 0) minor of the whole matrix
+    is eliminated with the sparse core instead.
     """
     k = d.crossing_count
     if k == 0:
@@ -562,8 +569,10 @@ def determinant(d: LinkDiagram) -> int:
     found = _propagate(d)
     if found is not None:
         leftovers, _, seeds = found
-        smith = dense_smith_form(leftovers, seeds, [])
-        return prod(smith.factors) if seeds - smith.rank == 1 else 0
+        m = seeds - 1
+        if len(leftovers) < m:
+            return 0
+        return abs(_bareiss([row[:m] for row in leftovers[:m]]))
     rows, _, ncols = dihedral_relation_matrix(d)
     if ncols != k:
         # some component has no undercrossing and lifts off the diagram
@@ -572,3 +581,23 @@ def determinant(d: LinkDiagram) -> int:
     # its determinant is the (0, 0) minor
     rows[0] = {0: 1}
     return integer_determinant(rows, k)
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of the square integer matrix a, up to sign, by Bareiss's
+    fraction-free elimination; a is overwritten."""
+    n = len(a)
+    prev = 1
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if a[r][i]), None)
+        if pivot is None:
+            return 0
+        a[i], a[pivot] = a[pivot], a[i]
+        top = a[i]
+        p = top[i]
+        for row in a[i + 1:]:
+            b = row[i]
+            for j in range(i + 1, n):
+                row[j] = (row[j] * p - b * top[j]) // prev
+        prev = p
+    return prev

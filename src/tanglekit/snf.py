@@ -18,13 +18,13 @@ has.
   :mod:`tanglekit.quandle` builds its rows in this form and hands them
   over as they are.
 * The dense form, :func:`dense_smith_form`, takes what propagating
-  colors leaves, for a tangle's coloring record or a link's determinant:
-  a few dense rows over at most 16 seeds, with entries in the millions
-  and seldom a unit (on the coloring benchmark's sums, 2 to 8 seeds and
-  two rows fewer, and 195 of 3,176 rows with an entry of +-1).  The
-  sparse core would take its Euclid path on nearly every pivot; an
-  extended-gcd step on plain lists clears each entry in one step
-  instead.
+  colors leaves for a tangle's coloring record (a link's determinant
+  reads one first minor of it instead): a few dense rows over at most
+  16 seeds, with entries in the millions and seldom a unit (on the
+  coloring benchmark's sums, 2 to 8 seeds and two rows fewer, and 195
+  of 3,176 rows with an entry of +-1).  The sparse core would take its
+  Euclid path on nearly every pivot; an extended-gcd step on plain
+  lists clears each entry in one step instead.
 
 Both return one shape of :class:`SmithForm`: the invariant factors and
 the column transform on the rows the caller lifts, all of it by default.

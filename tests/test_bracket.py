@@ -109,6 +109,16 @@ class TestJones:
     def test_two_unlink(self):
         assert jones(LinkDiagram(crossings=(), loops=2)) == jones_unlink(2)
 
+    def test_unlink_closed_form(self):
+        """The binomial coefficients of jones_unlink, and powers by
+        squaring, against repeated multiplication by delta."""
+        delta = LaurentPoly.make("sqrt_t", {1: -1, -1: -1})
+        power = LaurentPoly.one("sqrt_t")
+        for n in range(1, 9):
+            assert jones_unlink(n) == power == delta ** (n - 1), n
+            assert str(jones_unlink(n)) == str(power)
+            power = power * delta
+
     def test_trefoil_pair(self):
         jt = jones(close_numerator(from_rational(F(3))))
         jm = jones(close_numerator(from_rational(F(-3))))

@@ -145,12 +145,29 @@ def count_compiles(monkeypatch) -> list:
     compiled = []
     compile_step = bracket._StepTable.compile
 
-    def recording(table, step, node):
+    def recording(table, step):
         compiled.append(step)
-        return compile_step(table, step, node)
+        return compile_step(table, step)
 
     monkeypatch.setattr(bracket._StepTable, "compile", recording)
     return compiled
+
+
+def scheduled_steps(L: LinkDiagram) -> list[tuple[tuple, tuple]]:
+    """Each step of L's schedule, as the key it looks up in a fresh step
+    table, (n, the four ports' places, node), and its entry."""
+    keys = []
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            keys.append(key)
+            return dict.get(self, key, default)
+
+    table = bracket._StepTable()
+    table.entries = Recording()
+    entries = list(bracket._schedule(L, table))
+    assert len(keys) == len(entries) == L.crossing_count
+    return list(zip(keys, entries))
 
 
 def test_packed_kernel_matches_tally_oracle(catalog_entries, monkeypatch):
@@ -177,7 +194,7 @@ def test_packed_kernel_matches_tally_oracle(catalog_entries, monkeypatch):
     big = random_closure(rng, 30, 40, parts=4)
     wide = brick_wall_closure(7, 14)
     assert validate(wide) is None
-    assert max(step[5] for step in bracket._schedule(wide)[1]) > 12
+    assert max(entry[3] for _, entry in scheduled_steps(wide)) > 12
     diagrams += [big, wide]
     monkeypatch.setenv("TANGLEKIT_CROSSING_BUDGET", str(wide.crossing_count))
     assert len(diagrams) >= 2000
@@ -274,33 +291,38 @@ def test_distinct_benchmark_links_share_their_steps(monkeypatch):
 
 
 def test_schedule_is_the_greedy_order(catalog_entries):
-    """Same crossings in the same order as the rescoring greedy rule; after
-    each step exactly the open edges, each in one place; and replaying
-    each step's port places and moves rebuilds that frontier, with no
-    place past the new size."""
+    """Same crossings in the same order as the rescoring greedy rule: the
+    crossings of the oracle's order, replayed on a frontier of edges, have
+    each step's port places; after each step the frontier holds exactly
+    the open edges, each in one place, with no place past the new size;
+    and each step starts at the node the step before it ended at."""
     rng = random.Random(1018)
     links = [L for e in catalog_entries
              for L in (close_numerator(e.diagram), close_denominator(e.diagram))]
     links += [random_closure(rng, 1, 24) for _ in range(200)]
     links.append(brick_wall_closure(7, 14))
     for L in links:
-        order, steps = bracket._schedule(L)
-        assert order == greedy_contraction_order(L)
         open_edges: set[int] = set()
         at: list[int] = []  # place -> open edge
-        for ci, step in zip(order, steps):
-            n, places, size, moves = step[0], step[1:5], step[5], step[6:]
-            assert n == len(at)
+        node = 0
+        for ci, (key, entry) in zip(greedy_contraction_order(L), scheduled_steps(L)):
+            n, places = key[0], key[1:5]
+            size, moves = entry[3], entry[4]
+            assert n == len(at) and key[5] == node
             grown = at + [None] * 4
-            for e, p in zip(L.crossings[ci], places):
+            for slot, (e, p) in enumerate(zip(L.crossings[ci], places)):
                 open_edges ^= {e}
                 # an open edge closes at its place, a fresh edge opens at
-                # a fresh place (a kink's second port closes it again)
-                assert grown[p] in (None, e) and (grown[p] == e or p >= n)
-                grown[p] = None if grown[p] == e else e
-            for src, dst in zip(moves[::2], moves[1::2]):
+                # place n + slot (a kink's second port closes it again)
+                if grown[p] == e:
+                    grown[p] = None
+                else:
+                    assert p == n + slot and grown[p] is None
+                    grown[p] = e
+            for src, dst in moves:
                 assert dst < size <= src and grown[dst] is None
                 grown[dst], grown[src] = grown[src], None
             assert grown[size:] == [None] * (n + 4 - size)
             at = grown[:size]
             assert sorted(at) == sorted(open_edges), L
+            node = entry[0]

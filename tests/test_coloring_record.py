@@ -661,6 +661,43 @@ def test_split_links_have_determinant_zero():
     assert assert_link_determinant(disjoint_union(lifted, small[0])) == 0
 
 
+def test_link_determinant_is_a_first_minor_of_the_leftovers(catalog_entries, monkeypatch):
+    """On catalog closures, random closures, their kinked variants and
+    distant unions, and Montesinos closures, each afresh, the determinant
+    read off the leftover relations equals |Bareiss| of a dense first
+    minor of the whole matrix.  Some links leave fewer rows than seeds - 1
+    (determinant 0), and no link takes a Smith form."""
+    rng = random.Random(3303)
+    forms = []
+    monkeypatch.setattr(quandle, "dense_smith_form", lambda *a: forms.append(a))
+    links = [close(fresh(e.diagram)) for e in catalog_entries
+             for close in (close_numerator, close_denominator)]
+    small = []
+    while len(small) < 150:
+        t = tangle_sum(random_tangle_diagram(rng), from_rational(random_fraction(rng, 5, 5)))
+        link = close_numerator(t)
+        if link.crossing_count and not link.loops:
+            small.append(link)
+    for link in small:
+        edge = rng.choice(link.crossings)[rng.randrange(4)]
+        links += [link, add_kink(link, edge, rng.randrange(2)),
+                  disjoint_union(link, rng.choice(small))]
+    for _ in range(40):
+        t = montesinos_sum(rng)
+        links += [close_numerator(fresh(t)), close_denominator(fresh(t))]
+    paths = Counter()
+    for link in links:
+        det = determinant(link)
+        assert det == oracle_determinant(link), link
+        if link.crossing_count and not link.loops:
+            leftovers, _, seeds = _propagate(link)
+            paths[len(leftovers) < seeds - 1, det == 0] += 1
+    # fewer rows, a zero minor (mostly distant unions), a nonzero minor
+    assert paths[True, True] >= 5 and not paths[True, False]
+    assert paths[False, True] >= 100 and paths[False, False] >= 300
+    assert not forms
+
+
 def counted_eliminations(monkeypatch) -> list[int]:
     """A list that gains an entry at each ``integer_determinant`` call."""
     calls = []
