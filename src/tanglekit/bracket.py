@@ -51,25 +51,32 @@ transitions; a step that does not fit is compiled for its call alone,
 and the table is replaced by an empty one only at the start of the next
 bracket call, never inside a contraction.
 
-Packing.  A matching's tally sum c_e A^e is kept as one integer, its value
-at A = X = 2^B (Kronecker substitution), so merging two states is one
-addition.  Each smoothing makes two arcs: an arc that stays open weighs
-A^2, an arc that closes a circle weighs delta A^2 = -(A^4 + 1), and the
-A-smoothing weighs A^2 more than the B-smoothing.  Exponents stay
-non-negative, and the contraction ends with the value at X of
-A^(5k) sum A^(a-b) delta^circles.  Multiplied by (-(X^4 + 1))^(loops-1),
-or for loops = 0 divided exactly by -(X^4 + 1) (every state has a
-circle), it is the value of A^(5k + 2 loops - 2) <D>, read once in
-balanced base X from its lowest nonzero slot.
+Packing.  Every weight a smoothing puts on a tally is a polynomial in
+X = A^2: each smoothing makes two arcs, an arc that stays open weighs
+A^2 = X, an arc that closes a circle weighs delta A^2 = -(X^2 + 1), and
+the A-smoothing weighs X more than the B-smoothing.  So a matching's
+tally sum c_s X^s is kept as one integer, its value at X = 2^B
+(Kronecker substitution), and merging two states is one addition.
+Exponents stay non-negative, and the contraction ends with the value at
+X of A^(5k) sum A^(a-b) delta^circles.  Multiplied by
+(-(X^2 + 1))^(loops-1), or for loops = 0 divided exactly by -(X^2 + 1)
+(every state has a circle), it is the value of A^(5k + 2 loops - 2) <D>,
+a polynomial in X, since every exponent of it is even; it is read once
+in balanced base 2^B from its lowest nonzero slot, slot s holding the
+coefficient of A^(2s - 5k - 2 loops + 2) in <D>.
 
-Why B = 3k + loops + 2 suffices.  Integer arithmetic is exact, so the
-final integer is the final polynomial's value at X, however the sums
-before it overflowed their slots; its slots read back the coefficients
-when each has |c| < X/2.  |c| is at most the l1 norm of <D>, which is at most
-the sum over the 2^k states of |delta^(circles+loops-1)|_1 =
-2^(circles+loops-1).  Every circle of a state runs through one of the 2k
-arcs of the smoothed crossings (crossing-free loops are counted apart),
-so circles <= 2k, and |c| <= 2^(3k+loops-1) < 2^(B-1).
+Why B = 2k + strands + loops + 2 suffices.  Integer arithmetic is
+exact, so the final integer is the final polynomial's value at 2^B,
+however the sums before it overflowed their slots; its slots read back
+the coefficients when each has |c| < 2^(B-1).  |c| is at most the l1
+norm of <D>, which is at most the sum over the 2^k states of
+|delta^(circles+loops-1)|_1 = 2^(circles+loops-1).  In Kauffman's state
+model a state's circles and the crossings they pass form a connected
+graph on each piece of the projection (crossing-free loops are counted
+apart), and each crossing meets at most two circles, so on a piece of
+k_i crossings c_i + k_i - 1 <= 2 k_i: circles <= k + pieces.  Each
+piece holds a strand of the diagram's walk, so circles <= k + strands,
+and |c| <= 2^(2k+strands+loops-1) < 2^(B-1).
 
 The Jones polynomial is the writhe-normalized bracket under A = t^(-1/4);
 it is reported in the sqrt_t variable of :mod:`tanglekit.laurent`, and
@@ -151,41 +158,43 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     if _table.full:
         _table = _StepTable()
     table = _table
-    bits = 3 * k + d.loops + 2
-    b2, b4, b8 = 2 * bits, 4 * bits, 8 * bits
-    b4_1 = b4 + 1
+    # the tallies are packed at X = A^2 (see the module docstring)
+    bits = 2 * k + len(walk(d).strands) + d.loops + 2
+    b2, b4 = 2 * bits, 4 * bits
+    b2_1 = b2 + 1
     # the shift of a transition's tally, by kind = 2 * closed + smoothing
-    # (0 for A, 1 for B): A^2 more for the A-smoothing, A^2 per open arc
-    shifts = (b2 + b4, b4, b2 + b2, b2, b2, 0)
+    # (0 for A, 1 for B): X more for the A-smoothing, X per open arc
+    shifts = (bits + b2, b2, b2, bits, bits, 0)
 
     # the matchings' packed tallies, in the order of the step's node
     tallies = [1]
     for _, width, transitions, _, _ in _schedule(d, table):
         merged = [0] * width
-        # an open arc weighs A^2, an arc that closed a circle -(A^4 + 1) A^2
+        # an open arc weighs X, an arc that closed a circle -(X^2 + 1) X
         for i, j, kind in transitions:
             if kind < 2:
                 merged[j] += tallies[i] << shifts[kind]
             elif kind < 4:
                 t = tallies[i] << shifts[kind]
-                merged[j] -= (t << b4) + t
+                merged[j] -= (t << b2) + t
             else:
                 t = tallies[i] << shifts[kind]
-                merged[j] += (t << b8) + (t << b4_1) + t
+                merged[j] += (t << b4) + (t << b2_1) + t
         tallies = merged
 
-    # times delta^n A^(2n) = (-(A^4 + 1))^n for n = loops - 1 (exact for
+    # times delta^n X^n = (-(X^2 + 1))^n for n = loops - 1 (exact for
     # n = -1: every state has a circle), total is the value of
-    # A^(5k + 2n) <d>
+    # A^(5k + 2n) <d>, whose slot s holds the coefficient of A^(2s)
     (total,) = tallies
     n = d.loops - 1
     if n < 0:
-        total = -(total // ((1 << b4) + 1))
+        total = -(total // ((1 << b2) + 1))
     else:
-        total *= (-(1 << b4) - 1) ** n
+        total *= (-(1 << b2) - 1) ** n
     slot = ((total & -total).bit_length() - 1) // bits
     total >>= slot * bits
     mask, sign = (1 << bits) - 1, 1 << bits - 1
+    low = 5 * k + 2 * n
     coeffs = []
     while total:
         c = total & mask
@@ -194,7 +203,7 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
             c -= 1 << bits
             total += 1
         if c:
-            coeffs.append((slot - 5 * k - 2 * n, c))
+            coeffs.append((2 * slot - low, c))
         slot += 1
     return LaurentPoly("A", tuple(coeffs))
 

@@ -46,11 +46,12 @@ the mate of each end in its ``_mate`` slot and its :class:`Walk` (the
 strands, their entry ports and the strand of each end, found in one
 pass) in its ``_walk`` slot, outside its value key, each built by the
 first caller to need it: ``validate``, the coloring record's
-propagation and the closures (which rebuild only the crossings at the
-far ends of the fused boundary edges) share the ends; the bracket's
-schedule and crossing signs, :func:`strands`, :func:`component_count`,
-:func:`orient`, :func:`component_subdiagrams` and the slow path of
-``validate`` share the walk.  The records are
+propagation, the closures (which rebuild only the crossings at the
+far ends of the fused boundary edges) and the component knots (cut
+straight from them, each knot given its own ends) share the ends; the
+bracket's schedule, slot width and crossing signs, :func:`strands`,
+:func:`component_count`, :func:`orient`, :func:`component_subdiagrams`
+and the slow path of ``validate`` share the walk.  The records are
 plain data: an :class:`OrientedDiagram` refers back to its diagram, so
 one is built from the walk on each call instead, and no diagram is kept
 alive by a reference cycle that only the cyclic garbage collector could
@@ -446,25 +447,57 @@ def component_count(d: LinkDiagram) -> int:
 
 
 def component_knot(d: Diagram, i: int) -> LinkDiagram:
-    """Strand i of d alone, as in :func:`component_subdiagrams`."""
+    """Strand i of d alone, as in :func:`component_subdiagrams`, cut
+    straight from d's ends.
+
+    The knot keeps the crossings strand i passes twice, in d's order.
+    From each of their ports the strand is followed through the crossings
+    it passes once (straight on, ``y ^ 2``), and from a boundary end of
+    an open strand on from its other boundary end, to the port where the
+    knot's edge closes.  Edges are numbered in order of first appearance,
+    as :func:`renumber` numbers them, and the knot keeps the ends it was
+    cut from in its ``_mate`` slot.
+    """
     w = walk(d)
     strand_of = w.strand_of
-    edges = UnionFind()
-    kept = []
-    for ci, p in enumerate(d.crossings):
-        under, over = strand_of[4 * ci] == i, strand_of[4 * ci + 1] == i
-        if under and over:
-            kept.append(p)
-        elif under:
-            edges.union(p[0], p[2])
-        elif over:
-            edges.union(p[1], p[3])
+    mate = _ends(d)
+    k = len(d.crossings)
+    own = [ci for ci in range(k) if strand_of[4 * ci] == i == strand_of[4 * ci + 1]]
+    if not own:
+        return LinkDiagram((), loops=1)
+    # crossing of d -> its first port in the knot, or -1 when it is not kept
+    at = [-1] * k
+    for n, ci in enumerate(own):
+        at[ci] = 4 * n
+    k4 = 4 * k
     s = w.strands[i]
-    k4 = 4 * len(d.crossings)
-    if s[0] >= k4:
-        edges.union(d.boundary[s[0] - k4], d.boundary[_ends(d)[s[-1]] - k4])
-    crossings = tuple(tuple(map(edges.find, p)) for p in kept)
-    return renumber(LinkDiagram(crossings, loops=0 if kept else 1))
+    # an open strand's two boundary ends sum to ends, so either gives the
+    # other; a closed strand reaches neither
+    ends = s[0] + mate[s[-1]]
+    kept = 4 * len(own)
+    knot = [-1] * kept
+    edge = [0] * kept
+    number = 0
+    for x in range(kept):
+        if knot[x] >= 0:
+            continue
+        z = mate[4 * own[x >> 2] + (x & 3)]
+        while True:
+            if z >= k4:
+                z = mate[ends - z]
+            else:
+                y = at[z >> 2]
+                if y >= 0:
+                    break
+                z = mate[z ^ 2]
+        y += z & 3
+        knot[x], knot[y] = y, x
+        edge[x] = edge[y] = number
+        number += 1
+    it = iter(edge)
+    out = LinkDiagram(tuple(zip(it, it, it, it)))
+    setfield(out, "_mate", knot)
+    return out
 
 
 def component_subdiagrams(d: Diagram) -> list[LinkDiagram]:

@@ -43,16 +43,14 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
-    """Kauffman bracket as the plain sum over all 2^k smoothings.
+def state_tally(d: LinkDiagram) -> dict[tuple[int, int], int]:
+    """The 2^k smoothings of d counted by (a - b, circles), crossing-free
+    loops not counted.
 
     Each state smooths crossing i by A (slots 0-1, 2-3) or B (slots 0-3,
     1-2) and counts its circles with a union-find over the edges.
     """
     k = d.crossing_count
-    if k == 0 and d.loops == 0:
-        raise ValueError("bracket of the empty diagram is undefined")
-
     a_pairs = []
     b_pairs = []
     for p in d.crossings:
@@ -62,9 +60,7 @@ def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
     edges = sorted({e for c in d.crossings for e in c})
     index = {e: i for i, e in enumerate(edges)}
     ne = len(edges)
-    delta = LaurentPoly.make("A", {2: -1, -2: -1})
 
-    # Group states by (a - b, loop count): exponents of A and delta.
     tally: dict[tuple[int, int], int] = {}
     for state in range(1 << k):
         parent = list(range(ne))
@@ -86,13 +82,20 @@ def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
                 ru, rv = find(index[u]), find(index[v])
                 if ru != rv:
                     parent[ru] = rv
-        circles = len({find(i) for i in range(ne)}) + d.loops
-        key = (2 * a_count - k, circles)
+        key = (2 * a_count - k, len({find(i) for i in range(ne)}))
         tally[key] = tally.get(key, 0) + 1
+    return tally
 
+
+def state_sum_bracket(d: LinkDiagram) -> LaurentPoly:
+    """Kauffman bracket as the plain sum over all 2^k smoothings, read
+    off :func:`state_tally`: A^(a-b) delta^(circles + loops - 1) each."""
+    if d.crossing_count == 0 and d.loops == 0:
+        raise ValueError("bracket of the empty diagram is undefined")
+    delta = LaurentPoly.make("A", {2: -1, -2: -1})
     total = LaurentPoly.zero("A")
-    for (a_exp, circles), mult in tally.items():
-        term = (delta ** (circles - 1)).shift(a_exp).scale(mult)
+    for (a_exp, circles), mult in state_tally(d).items():
+        term = (delta ** (circles + d.loops - 1)).shift(a_exp).scale(mult)
         total = total + term
     return total
 
@@ -341,6 +344,31 @@ def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     offset = max((e for c in d1.crossings for e in c), default=-1) + 1
     moved = tuple(tuple(e + offset for e in c) for c in d2.crossings)
     return LinkDiagram(crossings=d1.crossings + moved, loops=d1.loops + d2.loops)
+
+
+def union_find_component_knot(d, i: int) -> LinkDiagram:
+    """Strand i of d alone: the edges of each pass through a crossing with
+    another strand fused in a union-find over edge ids (and an open
+    strand's two boundary edges), the crossings it passes twice kept, and
+    the result renumbered."""
+    w = walk(d)
+    strand_of = w.strand_of
+    edges = UnionFind()
+    kept = []
+    for ci, p in enumerate(d.crossings):
+        under, over = strand_of[4 * ci] == i, strand_of[4 * ci + 1] == i
+        if under and over:
+            kept.append(p)
+        elif under:
+            edges.union(p[0], p[2])
+        elif over:
+            edges.union(p[1], p[3])
+    s = w.strands[i]
+    k4 = 4 * len(d.crossings)
+    if s[0] >= k4:
+        edges.union(d.boundary[s[0] - k4], d.boundary[_ends(d)[s[-1]] - k4])
+    crossings = tuple(tuple(map(edges.find, p)) for p in kept)
+    return renumber(LinkDiagram(crossings, loops=0 if kept else 1))
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -18,8 +18,10 @@ from tanglekit.bracket import (
 )
 from tanglekit.diagram import (
     LinkDiagram,
+    _ends,
     close_denominator,
     close_numerator,
+    component_knot,
     component_subdiagrams,
     from_rational,
     mirror,
@@ -27,18 +29,27 @@ from tanglekit.diagram import (
     rotate,
     tangle_sum,
     validate,
+    walk,
     zero_tangle,
 )
 from tanglekit.fraction import frac_normalize
 from tanglekit.laurent import LaurentPoly
 
-from conftest import add_kink, montesinos_sum, r2_pair_closure, random_tangle_diagram
+from conftest import (
+    add_kink,
+    cut_tangles,
+    montesinos_sum,
+    r2_pair_closure,
+    random_fraction,
+    random_tangle_diagram,
+)
 from oracles import (
     all_orientations,
     crossing_sign,
     disjoint_union,
     jones_at_minus_one,
     state_sum_bracket,
+    union_find_component_knot,
 )
 
 
@@ -278,6 +289,35 @@ class TestComponentExtraction:
         assert len(strings) == 2
         assert all(jones(s) == jones_unknot() for s in strings)
         assert component_subdiagrams(zero_tangle()) == [LOOP, LOOP]
+
+    def test_knots_cut_from_ends_equal_the_union_find_knots(self, catalog_entries, tool):
+        """component_knot equals the union-find build on every strand of
+        closures N(T + [r/s]) of sums and products of rational tangles,
+        kinked and distant unions among them, of random tangles' strings,
+        of cut tangles, many not rational, and of the catalog's drawings
+        and closures; its prefilled ends are those of a fresh copy."""
+        rng = random.Random(3404)
+        diagrams = [d for e in catalog_entries
+                    for d in (e.diagram, close_numerator(e.diagram), close_denominator(e.diagram))]
+        for _ in range(300):
+            t = random_tangle_diagram(rng)
+            L = close_numerator(tangle_sum(t, from_rational(random_fraction(rng, 9, 7))))
+            edge = rng.choice(L.crossings)[rng.randrange(4)] if L.crossings else None
+            diagrams += [t, L, close_denominator(t)]
+            if edge is not None:
+                diagrams.append(add_kink(L, edge, rng.randrange(2)))
+            diagrams.append(disjoint_union(L, close_numerator(random_tangle_diagram(rng))))
+        diagrams += cut_tangles(tool, rng, 60, 6, 12)
+        diagrams += [close_numerator(montesinos_sum(rng)) for _ in range(20)]
+        knots = 0
+        for d in diagrams:
+            for i in range(len(walk(d).strands)):
+                knot = component_knot(d, i)
+                assert knot == union_find_component_knot(d, i), (d, i)
+                if knot.crossings:
+                    assert knot._mate == _ends(LinkDiagram(knot.crossings))
+                    knots += 1
+        assert knots > 500
 
     def test_split_union_jones_of_actual_split(self):
         a = close_numerator(from_rational(F(3)))

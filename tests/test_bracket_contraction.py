@@ -19,16 +19,24 @@ from tanglekit.diagram import (
     tangle_product,
     tangle_sum,
     validate,
+    walk,
 )
 from tanglekit.fraction import frac_normalize
 from tanglekit.quandle import determinant
 
-from conftest import add_kink, r2_pair_closure, random_fraction, random_tangle_diagram
+from conftest import (
+    add_kink,
+    montesinos_sum,
+    r2_pair_closure,
+    random_fraction,
+    random_tangle_diagram,
+)
 from oracles import (
     disjoint_union,
     greedy_contraction_order,
     jones_at_minus_one,
     state_sum_bracket,
+    state_tally,
     tally_contraction_bracket,
 )
 
@@ -210,6 +218,86 @@ def test_packed_kernel_matches_tally_oracle(catalog_entries, monkeypatch):
     compiled.clear()
     assert [kauffman_bracket(L) for L in diagrams] == expected
     assert not compiled
+
+
+def slot_bits(L: LinkDiagram) -> int:
+    """The packed kernel's slot width B = 2k + strands + loops + 2."""
+    return 2 * L.crossing_count + len(walk(L).strands) + L.loops + 2
+
+
+def assert_below_half_slot(L: LinkDiagram, b):
+    bound = 1 << slot_bits(L) - 1
+    assert all(abs(c) < bound for _, c in b.coeffs), L
+
+
+def small_variants(rng: random.Random, hi: int) -> list[LinkDiagram]:
+    """A random closure of at most hi crossings, with extra loops, a kink
+    and a distant union of 2-5 pieces, those of at most hi crossings."""
+    L = random_closure(rng, 1, hi - 2, parts=1)
+    edge = rng.choice(L.crossings)[rng.randrange(4)]
+    union = L
+    for _ in range(rng.randint(1, 4)):
+        union = disjoint_union(union, close_numerator(
+            from_rational(random_fraction(rng, 3, 2))))
+    out = [L, LinkDiagram(L.crossings, loops=rng.randint(1, 3)),
+           add_kink(L, edge, rng.randrange(2)),
+           LinkDiagram(union.crossings, union.loops + rng.randint(0, 2))]
+    return [V for V in out if V.crossing_count <= hi]
+
+
+def test_packed_slots_read_back_both_oracles(monkeypatch):
+    """Slots of B = 2k + strands + loops + 2 bits read back the bracket of
+    both oracles: on odd and even k, crossing-free loops, kinks and distant
+    unions (more strands than one) within the state sum's reach; against
+    the tally contraction on 24-crossing closures at the default budget and
+    on the brick wall.  Every coefficient is below 2^(B - 1)."""
+    rng = random.Random(3402)
+    small = [LinkDiagram((), loops=n) for n in (1, 2, 5)]
+    for _ in range(60):
+        small += small_variants(rng, MAX_ORACLE_CROSSINGS)
+    assert {L.crossing_count % 2 for L in small} == {0, 1}
+    assert any(len(walk(L).strands) > 2 for L in small)
+    for L in small:
+        b = kauffman_bracket(L)
+        assert b == state_sum_bracket(L) == tally_contraction_bracket(L), L
+        assert_below_half_slot(L, b)
+    large = [close_numerator(montesinos_sum(rng, 24, 24)) for _ in range(6)]
+    large += [random_closure(rng, 24, 24, parts=3) for _ in range(6)]
+    for L in large:
+        assert L.crossing_count == 24
+        b = kauffman_bracket(L)
+        assert b == tally_contraction_bracket(L), L
+        assert_below_half_slot(L, b)
+    wide = brick_wall_closure(7, 14)
+    monkeypatch.setenv("TANGLEKIT_CROSSING_BUDGET", str(wide.crossing_count))
+    b = kauffman_bracket(wide)
+    assert b == tally_contraction_bracket(wide)
+    assert_below_half_slot(wide, b)
+
+
+def test_states_have_at_most_k_plus_strands_circles():
+    """In Kauffman's state model a state's circles and the k crossings
+    form a connected graph on each piece of the projection, and each
+    crossing meets at most two circles, so a state has at most k + pieces
+    circles, and a piece holds at least one strand.  Every state of
+    seeded random diagrams of up to 11 crossings, distant unions and
+    kinks included, keeps within k + strands, and twisted unknots
+    N([1/n]) and their distant unions meet it; so the bracket's
+    coefficients, at most 2^k * 2^(k + strands + loops - 1), are below
+    2^(B - 1)."""
+    rng = random.Random(3403)
+    twisted = [close_numerator(from_rational(frac_normalize(1, n))) for n in range(1, 6)]
+    diagrams = twisted + [disjoint_union(a, b) for a in twisted for b in twisted[:3]]
+    while len(diagrams) < 250:
+        diagrams += small_variants(rng, 11)
+    met = 0
+    for L in diagrams:
+        most = max(circles for _, circles in state_tally(L))
+        bound = L.crossing_count + len(walk(L).strands)
+        assert most <= bound, L
+        met += most == bound
+        assert_below_half_slot(L, tally_contraction_bracket(L))
+    assert met >= len(twisted) + 15
 
 
 def test_steps_past_the_cap_are_compiled_for_their_call(monkeypatch):
